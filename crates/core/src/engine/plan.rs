@@ -26,7 +26,9 @@
 
 use crate::config::AccelConfig;
 use crate::engine::arena::{ArenaStats, ScratchArena};
-use crate::engine::steady::{execute_steady, MemoryParams, ReplayCache, SimParams, SteadySpan};
+use crate::engine::steady::{
+    compute_columns, execute_steady, MemoryParams, ReplayCache, SimParams, SteadySpan,
+};
 use crate::engine::{check_shapes, PlanOutcome, SpmmEngine, SpmmOutcome};
 use crate::error::AccelError;
 use crate::exec;
@@ -312,6 +314,7 @@ impl SpmmEngine for SpmmSession<'_> {
         // The cache is shared only when the operand is resident on chip
         // (the same validity condition as the engine's replay path).
         let cache = (plan.replay_enabled && plan.memory.on_chip).then_some(&plan.cache);
+        let threads = self.threads.unwrap_or_else(exec::num_threads);
         execute_steady(
             SteadySpan {
                 a,
@@ -320,15 +323,16 @@ impl SpmmEngine for SpmmSession<'_> {
                 pe_of_row: plan.row_map.pe_of_row(),
                 params: plan.sim_params(),
                 memory: plan.memory,
-                threads: self.threads.unwrap_or_else(exec::num_threads),
+                threads,
                 cache,
                 arena: &plan.arena,
-                compute_values: self.compute_values,
             },
-            &mut c,
             &mut rounds,
             &mut queue_high_water,
         );
+        if self.compute_values {
+            compute_columns(a, b, threads, &plan.arena, &mut c);
+        }
         Ok(SpmmOutcome {
             c,
             stats: SpmmStats {

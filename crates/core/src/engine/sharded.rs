@@ -14,8 +14,8 @@
 //! # Merge determinism
 //!
 //! Merged *numerics* are computed through the same global-order column
-//! kernel the unsharded engines use ([`compute_columns`], shared with
-//! `execute_steady`), so sharded outputs are **bit-identical** to
+//! kernel the unsharded engines use ([`compute_columns`], the one
+//! numerics pass of every engine run), so sharded outputs are **bit-identical** to
 //! unsharded runs by construction — summing collapsed f32 shard partials
 //! would regroup the per-row addition chains and drift in the last ulp.
 //! A physical multi-device merge unit achieves the same determinism by

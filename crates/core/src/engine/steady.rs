@@ -24,7 +24,7 @@ use crate::engine::arena::ScratchArena;
 use crate::exec;
 use crate::rebalance::local::LocalSharing;
 use crate::stats::RoundStats;
-use awb_sparse::spmm::{csc_accumulate_block, csc_axpy_column, drain_block_into, ACC_BLOCK_LANES};
+use awb_sparse::spmm::{csc_accumulate_block, drain_block_into, ACC_BLOCK_LANES};
 use awb_sparse::{Csc, DenseMatrix};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -115,6 +115,13 @@ impl MemoryParams {
 /// `pattern` (ascending, the non-zero `b(j, k)` positions) streamed in CSC
 /// order against the given frozen-or-current row map. Timing only — the
 /// numerics are handled by the column-accumulate kernel.
+///
+/// Each PE's queue is one number, `drain_at[pe]`: the cycle its last
+/// queued task leaves the queue (one per cycle, FIFO). Its length at a
+/// task's arrival is `drain_at − arrival` (0 once drained), and an enqueue
+/// sets `drain_at = max(drain_at, arrival) + 1`. The distributor delivers
+/// `bandwidth` tasks per cycle, so the arrival cycle advances by one every
+/// `bandwidth` tasks.
 pub(crate) fn simulate_round(
     a: &Csc,
     pattern: &[u32],
@@ -125,15 +132,13 @@ pub(crate) fn simulate_round(
 ) -> SimRound {
     let n_pes = p.n_pes;
     let lat = p.lat;
-    let bandwidth = p.bandwidth;
 
     // Per-PE and per-row scratch, checked out (zeroed) from the plan's
     // arena — only the vectors that stay internal to the round.
     // `owner_busy` and the queue high-water marks are *moved out* in the
     // return value, so they must own their allocations.
-    let mut pending = arena.checkout_u32(n_pes);
     let mut sim_u64 = arena.checkout_u64(3 * n_pes + a.rows());
-    let (last_seen, rest) = sim_u64.split_at_mut(n_pes);
+    let (drain_at, rest) = sim_u64.split_at_mut(n_pes);
     let (issue_until, rest) = rest.split_at_mut(n_pes);
     // `ready` is the per-row half (the big one on graph-sized operands).
     let (busy, ready) = rest.split_at_mut(n_pes);
@@ -148,7 +153,11 @@ pub(crate) fn simulate_round(
     let a_row_idx = a.row_idx();
     let a_col_ptr = a.col_ptr();
 
-    let mut t: u64 = 0;
+    let mut tasks: u64 = 0;
+    // Arrival cycle of the next task, and how many tasks already arrived
+    // in that cycle (always below `bandwidth`).
+    let mut arrival: u64 = 0;
+    let mut delivered: u64 = 0;
     let mut max_completion: u64 = 0;
     let mut raw_stalls: u64 = 0;
 
@@ -156,24 +165,19 @@ pub(crate) fn simulate_round(
         let j = j as usize;
         for &row_id in &a_row_idx[a_col_ptr[j]..a_col_ptr[j + 1]] {
             let row = row_id as usize;
-            let arrival = t / bandwidth;
             let owner = pe_of_row[row];
             owner_busy[owner as usize] += 1;
             let dest = match p.sharing {
                 Some(sharing) => sharing.choose(owner, |q| {
-                    let pe = q as usize;
-                    (pending[pe] as u64).saturating_sub(arrival - last_seen[pe]) as usize
+                    drain_at[q as usize].saturating_sub(arrival) as usize
                 }),
                 None => owner,
             } as usize;
 
-            // Commit the enqueue: lazily drain, then push.
-            let drained = arrival - last_seen[dest];
-            pending[dest] = (pending[dest] as u64).saturating_sub(drained) as u32 + 1;
-            last_seen[dest] = arrival;
-            if pending[dest] > max_q[dest] {
-                max_q[dest] = pending[dest];
-            }
+            // Commit the enqueue.
+            let drains = drain_at[dest].max(arrival) + 1;
+            drain_at[dest] = drains;
+            max_q[dest] = max_q[dest].max((drains - arrival) as u32);
 
             // Serial issue with RaW scoreboard. In `Park` mode the
             // stall buffer + accumulator forwarding hide the hazard
@@ -196,21 +200,24 @@ pub(crate) fn simulate_round(
             issue_until[dest] = issue_cycle;
             ready[row] = complete;
             busy[dest] += 1;
-            if complete > max_completion {
-                max_completion = complete;
-            }
+            max_completion = max_completion.max(complete);
 
             if let Some(rt) = row_tasks.as_deref_mut() {
                 rt[row] += 1;
             }
-            t += 1;
+            tasks += 1;
+            delivered += 1;
+            if delivered == p.bandwidth {
+                delivered = 0;
+                arrival += 1;
+            }
         }
     }
 
     SimRound {
         timing: RoundTiming {
             cycles: max_completion,
-            tasks: t,
+            tasks,
             max_pe_busy: busy.iter().copied().max().unwrap_or(0),
             min_pe_busy: busy.iter().copied().min().unwrap_or(0),
             max_queue_depth: max_q.iter().copied().max().unwrap_or(0) as usize,
@@ -221,54 +228,22 @@ pub(crate) fn simulate_round(
     }
 }
 
-/// Collects the non-zero pattern (ascending positions) and values of
-/// `b[:, k]` — one "round" worth of dense-operand input.
-pub(crate) fn column_pattern(b: &DenseMatrix, k: usize) -> (Vec<u32>, Vec<f32>) {
-    let mut cols = Vec::new();
-    let mut vals = Vec::new();
-    for j in 0..b.rows() {
-        let bjk = b.get(j, k);
-        if bjk != 0.0 {
-            cols.push(j as u32);
-            vals.push(bjk);
-        }
-    }
-    (cols, vals)
-}
-
-/// The non-zero positions of `b[:, k]` alone — the pattern half of
-/// [`column_pattern`], for timing-only execution which never reads the
-/// values (timing is a pure function of the pattern).
-pub(crate) fn column_pattern_cols(b: &DenseMatrix, k: usize) -> Vec<u32> {
+/// The non-zero positions of `b[:, k]`, ascending — one round's worth of
+/// dense-operand input as the round model sees it (timing is a pure
+/// function of the pattern, never of the values).
+pub(crate) fn column_pattern(b: &DenseMatrix, k: usize) -> Vec<u32> {
     (0..b.rows())
         .filter(|&j| b.get(j, k) != 0.0)
         .map(|j| j as u32)
         .collect()
 }
 
-/// Accumulates one round's numerics into `acc` (same f32 addition order as
-/// the pre-replay per-task loop: `j` ascending, CSC index order).
-pub(crate) fn accumulate_round(a: &Csc, cols: &[u32], vals: &[f32], acc: &mut [f32]) {
-    for (&j, &bjk) in cols.iter().zip(vals) {
-        csc_axpy_column(a, j as usize, bjk, acc);
-    }
-}
-
-/// Writes the non-zero entries of a column accumulator into `c[:, k]`,
-/// resetting the accumulator for reuse. Delegates to the shared sparse
-/// kernel so the engine's emit/reset semantics (unconditional reset — a
-/// `-0.0` cancellation residue must not leak across round-columns) can
-/// never drift from the reference kernels'.
-pub(crate) fn emit_column(c: &mut DenseMatrix, k: usize, acc: &mut [f32]) {
-    awb_sparse::spmm::drain_column_into(c, k, acc);
-}
-
-/// The `(k0, width)` column blocks covering `start..end` in
-/// [`ACC_BLOCK_LANES`]-wide steps (narrower final block for ranges not
+/// The `(k0, width)` column blocks covering `0..end` in
+/// [`ACC_BLOCK_LANES`]-wide steps (narrower final block for widths not
 /// divisible by the lane count).
-pub(crate) fn block_spans(start: usize, end: usize) -> Vec<(usize, usize)> {
+pub(crate) fn block_spans(end: usize) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
-    let mut k0 = start;
+    let mut k0 = 0;
     while k0 < end {
         let width = ACC_BLOCK_LANES.min(end - k0);
         spans.push((k0, width));
@@ -279,11 +254,13 @@ pub(crate) fn block_spans(start: usize, end: usize) -> Vec<(usize, usize)> {
 
 /// Computes every output column of `C = A × B` through the shared
 /// blocked-accumulate kernel, fanning column *blocks* out on the [`exec`]
-/// substrate with per-worker scratch checked out of `arena`. This is
-/// exactly the numerics half of [`execute_steady`] (the blocked kernel's
-/// pinned reduction order keeps it bit-identical to the per-column scalar
-/// path — see `csc_accumulate_block`), exposed so the sharded executor
-/// can pin its merged output bit-identical to the unsharded engines while
+/// substrate with per-worker scratch checked out of `arena`. This is the
+/// numerics half of every engine run — the timing half
+/// ([`execute_steady`], or the fast engine's tuning rounds) never reads
+/// the values. The blocked kernel's pinned reduction order keeps it
+/// bit-identical to the per-column scalar path (see
+/// `csc_accumulate_block`), so the sharded executor pins its merged
+/// output bit-identical to the unsharded engines through it while
 /// simulating timing per shard.
 pub(crate) fn compute_columns(
     a: &Csc,
@@ -293,7 +270,7 @@ pub(crate) fn compute_columns(
     c: &mut DenseMatrix,
 ) {
     let n_rows = a.rows();
-    let blocks = block_spans(0, b.cols());
+    let blocks = block_spans(b.cols());
     let accs = exec::par_map_threads(threads, &blocks, |&(k0, width)| {
         let mut acc = arena.checkout_f32(n_rows * width);
         csc_accumulate_block(a, b, k0, width, &mut acc);
@@ -443,25 +420,18 @@ pub(crate) struct SteadySpan<'a> {
     pub threads: usize,
     /// `None` disables replay (straight simulation of every round).
     pub cache: Option<&'a ReplayCache>,
-    /// Scratch pool for accumulator/simulator buffers (the plan's arena,
-    /// or the engine's own for cold runs).
+    /// Scratch pool for simulator buffers (the plan's arena, or the
+    /// engine's own for cold runs).
     pub arena: &'a ScratchArena,
-    /// When `false`, the numerics half is skipped entirely (timing-only
-    /// execution): no accumulate fan-out, no column writes — `c` is left
-    /// untouched. Timing is a pure function of the non-zero *pattern*, so
-    /// every statistic is bit-identical either way. Used by shard-member
-    /// engines whose partial numerics the pinned merge would discard.
-    pub compute_values: bool,
 }
 
-/// Executes columns `start..b.cols()` under a frozen row map: repeated
-/// patterns replay from the cache, fresh work fans out on the
-/// [`exec`] substrate, and each round's output column is accumulated
-/// through the tight slice kernel. Appends to `rounds`, merges per-PE
-/// queue high-water marks, and writes output columns of `c`.
+/// Times columns `start..b.cols()` under a frozen row map: repeated
+/// patterns replay from the cache and fresh work fans out on the
+/// [`exec`] substrate. Appends to `rounds` and merges per-PE queue
+/// high-water marks. Timing only — the output columns come from
+/// [`compute_columns`].
 pub(crate) fn execute_steady(
     span: SteadySpan<'_>,
-    c: &mut DenseMatrix,
     rounds: &mut Vec<RoundStats>,
     queue_high_water: &mut [u32],
 ) {
@@ -469,11 +439,8 @@ pub(crate) fn execute_steady(
     if span.start >= b.cols() {
         return;
     }
-    let n_rows = span.a.rows();
-    // The timing rounds need only the non-zero *patterns*; the numerics
-    // below read the values straight out of `b` per block.
     let patterns: Vec<Vec<u32>> = (span.start..b.cols())
-        .map(|k| column_pattern_cols(b, k))
+        .map(|k| column_pattern(b, k))
         .collect();
 
     let timings: Vec<RoundTiming> = match span.cache {
@@ -534,22 +501,6 @@ pub(crate) fn execute_steady(
         }),
     };
 
-    // Numerics: B-columns in ACC_BLOCK_LANES-wide blocks, one worker per
-    // block accumulating into arena scratch (skipped wholesale in
-    // timing-only mode — see `SteadySpan::compute_values`). The blocked
-    // kernel's pinned reduction order keeps the output bit-identical to
-    // the per-column scalar path (see `csc_accumulate_block`).
-    let blocks = block_spans(span.start, b.cols());
-    let block_accs = if span.compute_values {
-        exec::par_map_threads(span.threads, &blocks, |&(k0, width)| {
-            let mut acc = span.arena.checkout_f32(n_rows * width);
-            csc_accumulate_block(span.a, b, k0, width, &mut acc);
-            acc
-        })
-    } else {
-        Vec::new()
-    };
-
     for (i, timing) in timings.iter().enumerate() {
         let k = span.start + i;
         // TQ sizing (the area model's input) uses steady-state rounds
@@ -569,14 +520,203 @@ pub(crate) fn execute_steady(
         };
         rounds.push(timing.to_stats(timing.cycles + fill, false));
     }
-    for (&(k0, width), mut acc) in blocks.iter().zip(block_accs) {
-        drain_block_into(c, k0, width, &mut acc);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::StallMode;
+    use crate::rebalance::local::reference_choose;
+    use awb_sparse::Coo;
+    use proptest::prelude::*;
+
+    /// The round model as first written — `pending` + `last_seen` queue
+    /// state, a `t / bandwidth` division per task, the branching
+    /// comparator loop — kept verbatim as the oracle the optimised
+    /// [`simulate_round`] must match bit for bit.
+    fn reference_simulate_round(
+        a: &Csc,
+        pattern: &[u32],
+        pe_of_row: &[u32],
+        p: SimParams,
+        mut row_tasks: Option<&mut [u32]>,
+        arena: &ScratchArena,
+    ) -> SimRound {
+        let n_pes = p.n_pes;
+        let lat = p.lat;
+        let bandwidth = p.bandwidth;
+
+        // Per-PE and per-row scratch, checked out (zeroed) from the plan's
+        // arena — only the vectors that stay internal to the round.
+        // `owner_busy` and the queue high-water marks are *moved out* in the
+        // return value, so they must own their allocations.
+        let mut pending = arena.checkout_u32(n_pes);
+        let mut sim_u64 = arena.checkout_u64(3 * n_pes + a.rows());
+        let (last_seen, rest) = sim_u64.split_at_mut(n_pes);
+        let (issue_until, rest) = rest.split_at_mut(n_pes);
+        // `ready` is the per-row half (the big one on graph-sized operands).
+        let (busy, ready) = rest.split_at_mut(n_pes);
+        // Owner-attributed load: the distributor counts every task against
+        // the PE that *owns* its row, before any local-sharing diversion.
+        // The PESM profiles on this view — under sharing, executed-load
+        // plateaus across a hot neighbourhood and would hide which PE's
+        // rows cause the overload (see DESIGN.md, remote switching).
+        let mut owner_busy = vec![0u64; n_pes];
+        let mut max_q = vec![0u32; n_pes];
+
+        let a_row_idx = a.row_idx();
+        let a_col_ptr = a.col_ptr();
+
+        let mut t: u64 = 0;
+        let mut max_completion: u64 = 0;
+        let mut raw_stalls: u64 = 0;
+
+        for &j in pattern {
+            let j = j as usize;
+            for &row_id in &a_row_idx[a_col_ptr[j]..a_col_ptr[j + 1]] {
+                let row = row_id as usize;
+                let arrival = t / bandwidth;
+                let owner = pe_of_row[row];
+                owner_busy[owner as usize] += 1;
+                let dest = match p.sharing {
+                    Some(sharing) => reference_choose(sharing, owner, |q| {
+                        let pe = q as usize;
+                        (pending[pe] as u64).saturating_sub(arrival - last_seen[pe]) as usize
+                    }),
+                    None => owner,
+                } as usize;
+
+                // Commit the enqueue: lazily drain, then push.
+                let drained = arrival - last_seen[dest];
+                pending[dest] = (pending[dest] as u64).saturating_sub(drained) as u32 + 1;
+                last_seen[dest] = arrival;
+                if pending[dest] > max_q[dest] {
+                    max_q[dest] = pending[dest];
+                }
+
+                // Serial issue with RaW scoreboard. In `Park` mode the
+                // stall buffer + accumulator forwarding hide the hazard
+                // (the PE keeps issuing; we only count the event) — the
+                // paper's design, without which a Nell hub row would
+                // serialize at T cycles per non-zero and dwarf the
+                // reported latencies. `Block` models the naive
+                // head-of-line serialization as an ablation.
+                let start = (issue_until[dest] + 1).max(arrival);
+                let r_ready = ready[row];
+                let (issue_cycle, complete) = if r_ready > start {
+                    raw_stalls += r_ready - start;
+                    match p.stall_mode {
+                        StallMode::Block => (r_ready, r_ready + lat),
+                        StallMode::Park => (start, start + lat),
+                    }
+                } else {
+                    (start, start + lat)
+                };
+                issue_until[dest] = issue_cycle;
+                ready[row] = complete;
+                busy[dest] += 1;
+                if complete > max_completion {
+                    max_completion = complete;
+                }
+
+                if let Some(rt) = row_tasks.as_deref_mut() {
+                    rt[row] += 1;
+                }
+                t += 1;
+            }
+        }
+
+        SimRound {
+            timing: RoundTiming {
+                cycles: max_completion,
+                tasks: t,
+                max_pe_busy: busy.iter().copied().max().unwrap_or(0),
+                min_pe_busy: busy.iter().copied().min().unwrap_or(0),
+                max_queue_depth: max_q.iter().copied().max().unwrap_or(0) as usize,
+                raw_stalls,
+                queue_high_water: max_q,
+            },
+            owner_busy,
+        }
+    }
+
+    /// A border-biased owner draw: `0` (PE 0), `usize::MAX` (PE
+    /// `n_pes − 1`) or any value (taken modulo `n_pes`).
+    fn border_biased() -> impl Strategy<Value = usize> {
+        prop_oneof![Just(0usize), Just(usize::MAX), 0usize..1024]
+    }
+
+    proptest! {
+        // Small operands run in microseconds, so the default is generous;
+        // CI re-runs this test by name with the global case cap raised.
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// The optimised round model (`drain_at` queue state, incremental
+        /// arrival counter, packed comparator) returns exactly what the
+        /// reference model does: the same `RoundTiming` (cycles, tasks,
+        /// busy extrema, queue depths, RaW stalls, per-PE high-water
+        /// marks), the same owner-attributed load and the same per-row
+        /// task counts — over random operands, patterns and remapped row
+        /// maps, hop 0–3 with owners at both array borders, both stall
+        /// modes, and bandwidths of 1, `n_pes` and a non-divisor of the
+        /// round's task count.
+        #[test]
+        fn round_model_matches_reference(
+            shape in (1usize..48, 1usize..24),
+            entries in proptest::collection::vec((0usize..48, 0usize..24), 0..400),
+            pattern_mask in proptest::collection::vec(0u32..4, 24),
+            n_pes in 2usize..40,
+            hop in 0usize..4,
+            owners in proptest::collection::vec(border_biased(), 48),
+            park in prop_oneof![Just(true), Just(false)],
+            bandwidth_kind in 0usize..3,
+            lat in 1u64..6,
+            count_rows in prop_oneof![Just(true), Just(false)],
+        ) {
+            let (n_rows, n_cols) = shape;
+            let mut coo = Coo::new(n_rows, n_cols);
+            for (r, c) in entries {
+                coo.push(r % n_rows, c % n_cols, 1.0).unwrap();
+            }
+            let a = coo.to_csc();
+            // Three quarters of the columns take part, in ascending order.
+            let pattern: Vec<u32> = (0..n_cols as u32)
+                .filter(|&j| pattern_mask[j as usize] != 0)
+                .collect();
+            let pe_of_row: Vec<u32> = owners[..n_rows]
+                .iter()
+                .map(|&o| if o == usize::MAX { n_pes - 1 } else { o % n_pes } as u32)
+                .collect();
+            let tasks: usize = pattern
+                .iter()
+                .map(|&j| a.col_ptr()[j as usize + 1] - a.col_ptr()[j as usize])
+                .sum();
+            let bandwidth = match bandwidth_kind {
+                0 => 1,
+                1 => n_pes,
+                // Any bandwidth divides an empty round.
+                _ => (2..=tasks + 2).find(|b| tasks % b != 0).unwrap_or(2),
+            } as u64;
+            let hop = hop.min(n_pes - 1);
+            let params = SimParams {
+                n_pes,
+                lat,
+                bandwidth,
+                stall_mode: if park { StallMode::Park } else { StallMode::Block },
+                sharing: (hop > 0).then(|| LocalSharing::new(hop, n_pes)),
+            };
+            let arena = ScratchArena::new();
+            let mut rows_new = count_rows.then(|| vec![0u32; n_rows]);
+            let mut rows_ref = count_rows.then(|| vec![0u32; n_rows]);
+            let new = simulate_round(&a, &pattern, &pe_of_row, params, rows_new.as_deref_mut(), &arena);
+            let reference = reference_simulate_round(
+                &a, &pattern, &pe_of_row, params, rows_ref.as_deref_mut(), &arena,
+            );
+            prop_assert_eq!(new.timing, reference.timing);
+            prop_assert_eq!(new.owner_busy, reference.owner_busy);
+            prop_assert_eq!(rows_new, rows_ref);
+        }
+    }
 
     fn timing(cycles: u64) -> RoundTiming {
         RoundTiming {

@@ -220,7 +220,7 @@ fn stream_pass(
     let rows = store.rows();
     let mut c = DenseMatrix::from_vec(rows, b.cols(), arena.take_f32(rows * b.cols()))
         .expect("arena buffer sized to the output matrix");
-    let spans = block_spans(0, b.cols());
+    let spans = block_spans(b.cols());
     // Persistent per-block accumulators: unlike `compute_columns`, which
     // re-scans a resident operand per block, each block accumulates every
     // shard's contribution and is drained exactly once at the end. The

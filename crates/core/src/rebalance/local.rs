@@ -50,31 +50,34 @@ impl LocalSharing {
     ///
     /// Ties are broken toward the owner first, then toward the nearer
     /// neighbour (sharing costs a return transfer, so it is only worth it
-    /// when it strictly helps).
+    /// when it strictly helps), then toward the lower PE index.
+    ///
+    /// This is the distributor's comparator tree: the winner is the
+    /// lexicographic minimum of `(queue length, distance, PE index)` over
+    /// the window, each candidate packed into one `u128` key (length in
+    /// the high 64 bits, distance and index in 32 bits each), so the scan
+    /// is a chain of branch-free integer minimums. The owner is the only
+    /// candidate at distance 0, which makes it win every length tie. The
+    /// fields never overlap — a `usize` length, a `u32` index — so the key
+    /// is lossless for every PE count.
     #[inline]
     pub fn choose<F: Fn(u32) -> usize>(&self, owner: u32, queue_len: F) -> u32 {
         if self.hop == 0 {
             return owner;
         }
-        let lo = (owner as usize).saturating_sub(self.hop);
-        let hi = (owner as usize + self.hop).min(self.n_pes - 1);
-        let mut best = owner;
-        let mut best_len = queue_len(owner);
-        let mut best_dist = 0usize;
+        let lo = (owner as usize).saturating_sub(self.hop) as u32;
+        let hi = (owner as usize + self.hop).min(self.n_pes - 1) as u32;
+        let key = |pe: u32| {
+            ((queue_len(pe) as u128) << 64)
+                | (u128::from(pe.abs_diff(owner)) << 32)
+                | u128::from(pe)
+        };
+        // The window always holds the owner, so `best` ends as a real key.
+        let mut best = u128::MAX;
         for pe in lo..=hi {
-            let pe = pe as u32;
-            if pe == owner {
-                continue;
-            }
-            let len = queue_len(pe);
-            let dist = pe.abs_diff(owner) as usize;
-            if len < best_len || (len == best_len && dist < best_dist) {
-                best = pe;
-                best_len = len;
-                best_dist = dist;
-            }
+            best = best.min(key(pe));
         }
-        best
+        best as u32
     }
 
     /// The candidate window `[owner − hop, owner + hop]` clamped to the
@@ -87,9 +90,75 @@ impl LocalSharing {
     }
 }
 
+/// The comparator as first written: a branching scan that keeps the first
+/// strictly better candidate. Kept as the oracle the packed
+/// [`LocalSharing::choose`] must match on every input.
+#[cfg(test)]
+pub(crate) fn reference_choose<F: Fn(u32) -> usize>(
+    sharing: LocalSharing,
+    owner: u32,
+    queue_len: F,
+) -> u32 {
+    if sharing.hop == 0 {
+        return owner;
+    }
+    let lo = (owner as usize).saturating_sub(sharing.hop);
+    let hi = (owner as usize + sharing.hop).min(sharing.n_pes - 1);
+    let mut best = owner;
+    let mut best_len = queue_len(owner);
+    let mut best_dist = 0usize;
+    for pe in lo..=hi {
+        let pe = pe as u32;
+        if pe == owner {
+            continue;
+        }
+        let len = queue_len(pe);
+        let dist = pe.abs_diff(owner) as usize;
+        if len < best_len || (len == best_len && dist < best_dist) {
+            best = pe;
+            best_len = len;
+            best_dist = dist;
+        }
+    }
+    best
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        // Each case is a handful of comparisons; CI re-runs this test by
+        // name with the global case cap raised.
+        #![proptest_config(ProptestConfig::with_cases(8192))]
+
+        /// The packed comparator picks exactly what the branching scan
+        /// does: queue lengths drawn from a tiny range (so most windows
+        /// hold several ties), owners at PE 0, PE `n_pes − 1` or anywhere,
+        /// and every hop from 0 to `n_pes − 1`.
+        #[test]
+        fn choose_matches_reference_loop(
+            n_pes in 2usize..48,
+            hop_raw in 0usize..48,
+            owner_kind in 0usize..3,
+            owner_raw in 0usize..48,
+            lens in proptest::collection::vec(0usize..3, 48),
+        ) {
+            let hop = hop_raw % n_pes;
+            let owner = match owner_kind {
+                0 => 0,
+                1 => n_pes - 1,
+                _ => owner_raw % n_pes,
+            } as u32;
+            let sharing = LocalSharing::new(hop, n_pes);
+            let len = |p: u32| lens[p as usize];
+            prop_assert_eq!(
+                sharing.choose(owner, len),
+                reference_choose(sharing, owner, len)
+            );
+        }
+    }
 
     #[test]
     fn zero_hop_always_owner() {
