@@ -306,7 +306,7 @@ struct DetailedRound {
 
 impl SpmmEngine for DetailedEngine {
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
-        check_shapes(a, b)?;
+        check_shapes(a.pattern(), b)?;
         self.ensure_state(a.rows())?;
         let tdq = self.tdq.resolve(a);
         if tdq == TdqMode::Tdq2 && !self.config.n_pes.is_power_of_two() {
@@ -424,7 +424,7 @@ impl SpmmEngine for DetailedEngine {
             plan: TunedPlan::from_frozen(
                 self.config.clone(),
                 self.map.clone().expect("initialized by run"),
-                a,
+                a.pattern(),
                 tuner.rounds_done(),
                 tuner.total_switches(),
                 self.config.replay,

@@ -54,7 +54,7 @@ use crate::rebalance::autotuner::AutoTuner;
 use crate::rebalance::local::LocalSharing;
 use crate::rebalance::remote::RoundProfile;
 use crate::stats::SpmmStats;
-use awb_sparse::{Csc, DenseMatrix};
+use awb_sparse::{Csc, CscPattern, DenseMatrix};
 use std::sync::Arc;
 
 /// Fast queue-dynamics engine (see module docs).
@@ -88,13 +88,6 @@ pub struct FastEngine {
     /// [`exec::num_threads`], i.e. `AWB_THREADS` / available parallelism).
     threads: Option<usize>,
     replay_enabled: bool,
-    /// When `false` the engine runs timing-only: it never touches the
-    /// numerics (the returned `c` stays all-zeros) while every statistic
-    /// stays bit-identical — timing depends on the non-zero pattern, never
-    /// the values. Shard-member engines run in this mode because the
-    /// sharded merge recomputes the output through the pinned global-order
-    /// kernel anyway (see `engine::sharded`).
-    values_enabled: bool,
     cache: ReplayCache,
     /// Scratch pool for accumulator/simulator/output buffers, shared into
     /// every plan frozen from this engine (and replaceable wholesale via
@@ -118,7 +111,6 @@ impl FastEngine {
         FastEngine {
             threads: config.threads,
             replay_enabled: config.replay,
-            values_enabled: true,
             config,
             sharing: None,
             map: None,
@@ -161,18 +153,6 @@ impl FastEngine {
         }
     }
 
-    /// Enables or disables the numerics half of [`run`](SpmmEngine::run)
-    /// (enabled by default). With values disabled the engine is
-    /// **timing-only**: the returned `c` is all-zeros (correct shape), but
-    /// the statistics — rounds, cycles, queue depths, replay counters —
-    /// are bit-identical to a values-carrying run on the same inputs,
-    /// because round timing is a pure function of the non-zero pattern.
-    /// Shard-member engines use this to skip the partial numerics the
-    /// pinned sharded merge discards.
-    pub fn set_values_enabled(&mut self, on: bool) {
-        self.values_enabled = on;
-    }
-
     /// Replaces the engine's scratch arena with a shared one — used by the
     /// GCN runner to pool scratch across the per-layer combination engines
     /// instead of each engine warming its own.
@@ -213,7 +193,7 @@ impl FastEngine {
         Ok(TunedPlan::from_frozen(
             self.config.clone(),
             self.map.clone().expect("initialized in ensure_state"),
-            a,
+            a.pattern(),
             tuner.rounds_done(),
             tuner.total_switches(),
             self.replay_enabled,
@@ -238,10 +218,26 @@ impl FastEngine {
             }
         }
     }
-}
 
-impl SpmmEngine for FastEngine {
-    fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
+    /// The timing half of [`run`](SpmmEngine::run): simulates `C = A × B`
+    /// from `A`'s structure alone and returns the statistics — rounds,
+    /// cycles, queue depths, auto-tuning and replay state all advance
+    /// exactly as in a full run, because round timing is a pure function
+    /// of the non-zero pattern, never the values. Callers that compute
+    /// the numerics another way use this: shard members (the sharded
+    /// merge recomputes the output through the pinned global-order
+    /// kernel) and the GCN layers' `X × W` (row-major numerics, see
+    /// `DESIGN.md` §8).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`run`](SpmmEngine::run).
+    pub fn run_timing(
+        &mut self,
+        a: &CscPattern,
+        b: &DenseMatrix,
+        label: &str,
+    ) -> Result<SpmmStats, AccelError> {
         check_shapes(a, b)?;
         self.ensure_state(a.rows())?;
         let n_pes = self.config.n_pes;
@@ -268,10 +264,6 @@ impl SpmmEngine for FastEngine {
         // Local handle so scratch checkouts coexist with the `self.map`/
         // `self.tuner` mutable borrows below.
         let arena = Arc::clone(&self.arena);
-        // The output matrix draws from the arena too: zeroed at take, and
-        // recyclable by callers that consume it (`ScratchArena::recycle_f32`).
-        let mut c = DenseMatrix::from_vec(n_rows, b.cols(), arena.take_f32(n_rows * b.cols()))
-            .expect("arena buffer sized to the output matrix");
         let mut rounds = Vec::with_capacity(b.cols());
         let mut queue_high_water = vec![0u32; n_pes];
 
@@ -360,21 +352,27 @@ impl SpmmEngine for FastEngine {
             &mut queue_high_water,
         );
 
-        // ---- Numerics: every output column once, through the blocked
-        // kernel (skipped by timing-only engines). ----
-        if self.values_enabled {
-            compute_columns(a, b, threads, &arena, &mut c);
-        }
-
-        Ok(SpmmOutcome {
-            c,
-            stats: SpmmStats {
-                label: label.to_owned(),
-                n_pes,
-                rounds,
-                queue_high_water,
-            },
+        Ok(SpmmStats {
+            label: label.to_owned(),
+            n_pes,
+            rounds,
+            queue_high_water,
         })
+    }
+}
+
+impl SpmmEngine for FastEngine {
+    fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
+        let stats = self.run_timing(a.pattern(), b, label)?;
+        // Numerics: every output column once, through the blocked kernel,
+        // into an output drawn from the arena (zeroed at take, and
+        // recyclable by callers that consume it).
+        let mut c =
+            DenseMatrix::from_vec(a.rows(), b.cols(), self.arena.take_f32(a.rows() * b.cols()))
+                .expect("arena buffer sized to the output matrix");
+        let threads = self.threads.unwrap_or_else(exec::num_threads);
+        compute_columns(a, b, threads, &self.arena, &mut c);
+        Ok(SpmmOutcome { c, stats })
     }
 
     fn plan(
@@ -538,7 +536,7 @@ mod tests {
         };
         let initial = RowMap::new(a.rows(), cfg.n_pes, cfg.mapping);
         let fresh = simulate_round(
-            &a,
+            a.pattern(),
             &column_pattern(&b, 1),
             initial.pe_of_row(),
             params,
@@ -560,23 +558,21 @@ mod tests {
     }
 
     #[test]
-    fn values_free_mode_matches_timing_and_zeroes_output() {
-        // Timing-only execution (used by shard members) must report
-        // statistics and replay behaviour bit-identical to a
-        // values-carrying run — only the numerics are skipped.
+    fn structure_only_timing_matches_full_run() {
+        // Timing-only execution (used by shard members and the GCN
+        // layers' X × W) must report statistics and replay behaviour
+        // bit-identical to a values-carrying run, from the structure alone.
         let a = skewed(96, 60);
         let b = dense(96, 8);
         let cfg = Design::LocalPlusRemote { hop: 1 }.apply(config(8));
         let mut carrying = FastEngine::new(cfg.clone());
         let with_values = carrying.run(&a, &b, "t").unwrap();
         let mut timing_only = FastEngine::new(cfg);
-        timing_only.set_values_enabled(false);
-        let without = timing_only.run(&a, &b, "t").unwrap();
-        assert_eq!(without.stats, with_values.stats);
-        assert_eq!(without.c, DenseMatrix::zeros(96, 8));
-        assert_ne!(with_values.c, without.c);
+        let stats = timing_only.run_timing(a.pattern(), &b, "t").unwrap();
+        assert_eq!(stats, with_values.stats);
         assert_eq!(timing_only.replay_hits(), carrying.replay_hits());
         assert_eq!(timing_only.replay_misses(), carrying.replay_misses());
+        assert_eq!(timing_only.total_switches(), carrying.total_switches());
     }
 
     #[test]

@@ -48,13 +48,14 @@ pub use arena::{ArenaStats, Scratch, ScratchArena};
 pub use detailed::{DetailedEngine, TdqMode};
 pub use fast::FastEngine;
 pub use plan::{SpmmSession, TunedPlan};
+pub(crate) use sharded::shard_timing;
 pub use sharded::{PlanShard, ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession};
 pub use streaming::{StreamPlanShard, StreamStats, StreamedPlan, StreamedSession, StreamingEngine};
 
 use crate::config::AccelConfig;
 use crate::error::AccelError;
 use crate::stats::SpmmStats;
-use awb_sparse::{Csc, DenseMatrix};
+use awb_sparse::{Csc, CscPattern, DenseMatrix};
 
 /// Result of simulating one SPMM: the functional product and the cycle
 /// statistics.
@@ -108,7 +109,7 @@ pub trait SpmmEngine {
     fn config(&self) -> &AccelConfig;
 }
 
-pub(crate) fn check_shapes(a: &Csc, b: &DenseMatrix) -> Result<(), AccelError> {
+pub(crate) fn check_shapes(a: &CscPattern, b: &DenseMatrix) -> Result<(), AccelError> {
     if a.cols() != b.rows() {
         return Err(AccelError::Shape(
             awb_sparse::SparseError::DimensionMismatch {

@@ -35,7 +35,7 @@ use crate::exec;
 use crate::mapping::RowMap;
 use crate::rebalance::local::LocalSharing;
 use crate::stats::SpmmStats;
-use awb_sparse::{Csc, DenseMatrix};
+use awb_sparse::{Csc, CscPattern, DenseMatrix};
 use std::sync::Arc;
 
 pub(crate) use crate::engine::steady::structure_fingerprint;
@@ -97,7 +97,7 @@ impl TunedPlan {
     pub(crate) fn from_frozen(
         config: AccelConfig,
         row_map: RowMap,
-        a: &Csc,
+        a: &CscPattern,
         tuning_rounds: usize,
         total_switches: u64,
         replay_enabled: bool,
@@ -155,7 +155,7 @@ impl TunedPlan {
 
     /// True when `a` has the structure this plan was tuned for.
     pub fn matches(&self, a: &Csc) -> bool {
-        a.nnz() == self.nnz && structure_fingerprint(a) == self.fingerprint
+        a.nnz() == self.nnz && structure_fingerprint(a.pattern()) == self.fingerprint
     }
 
     /// Estimated heap bytes this plan holds resident: the frozen row→PE
@@ -209,7 +209,6 @@ impl TunedPlan {
             plan: self,
             threads: self.config.threads,
             verify_operand: true,
-            compute_values: true,
         }
     }
 
@@ -222,7 +221,6 @@ impl TunedPlan {
             plan: self,
             threads: self.config.threads,
             verify_operand: false,
-            compute_values: true,
         }
     }
 
@@ -251,9 +249,6 @@ pub struct SpmmSession<'p> {
     /// Whether `run` re-hashes the operand's structure against the plan's
     /// fingerprint (false only via `TunedPlan::session_trusted`).
     verify_operand: bool,
-    /// Whether `run` computes the numerics (false = timing-only, `c`
-    /// stays all-zeros; stats are bit-identical either way).
-    compute_values: bool,
 }
 
 impl SpmmSession<'_> {
@@ -269,21 +264,23 @@ impl SpmmSession<'_> {
         self.threads = threads;
     }
 
-    /// Enables or disables the numerics half of [`run`](SpmmEngine::run)
-    /// (enabled by default) — the session analogue of
-    /// [`FastEngine::set_values_enabled`](crate::FastEngine::set_values_enabled).
-    /// With values disabled the returned `c` is all-zeros while every
-    /// statistic (and the shared replay cache's behaviour) stays
-    /// bit-identical. Shard-member sessions run timing-only because the
+    /// The timing half of [`run`](SpmmEngine::run), from `A`'s structure
+    /// alone — the session analogue of
+    /// [`FastEngine::run_timing`](crate::FastEngine::run_timing). Every
+    /// statistic (and the shared replay cache's behaviour) is exactly what
+    /// a full run reports. Shard-member sessions run this because the
     /// sharded merge recomputes the output through the pinned
     /// global-order kernel.
-    pub fn set_values_enabled(&mut self, on: bool) {
-        self.compute_values = on;
-    }
-}
-
-impl SpmmEngine for SpmmSession<'_> {
-    fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`run`](SpmmEngine::run).
+    pub fn run_timing(
+        &self,
+        a: &CscPattern,
+        b: &DenseMatrix,
+        label: &str,
+    ) -> Result<SpmmStats, AccelError> {
         check_shapes(a, b)?;
         let plan = self.plan;
         if a.rows() != plan.row_map.n_rows() {
@@ -304,11 +301,6 @@ impl SpmmEngine for SpmmSession<'_> {
             }
         }
         let n_pes = plan.config.n_pes;
-        // Output and scratch come from the plan's shared arena: a warm
-        // arena makes the per-request steady path allocation-free.
-        let mut c =
-            DenseMatrix::from_vec(a.rows(), b.cols(), plan.arena.take_f32(a.rows() * b.cols()))
-                .expect("arena buffer sized to the output matrix");
         let mut rounds = Vec::with_capacity(b.cols());
         let mut queue_high_water = vec![0u32; n_pes];
         // The cache is shared only when the operand is resident on chip
@@ -330,18 +322,27 @@ impl SpmmEngine for SpmmSession<'_> {
             &mut rounds,
             &mut queue_high_water,
         );
-        if self.compute_values {
-            compute_columns(a, b, threads, &plan.arena, &mut c);
-        }
-        Ok(SpmmOutcome {
-            c,
-            stats: SpmmStats {
-                label: label.to_owned(),
-                n_pes,
-                rounds,
-                queue_high_water,
-            },
+        Ok(SpmmStats {
+            label: label.to_owned(),
+            n_pes,
+            rounds,
+            queue_high_water,
         })
+    }
+}
+
+impl SpmmEngine for SpmmSession<'_> {
+    fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
+        let stats = self.run_timing(a.pattern(), b, label)?;
+        // Output and scratch come from the plan's shared arena: a warm
+        // arena makes the per-request steady path allocation-free.
+        let plan = self.plan;
+        let mut c =
+            DenseMatrix::from_vec(a.rows(), b.cols(), plan.arena.take_f32(a.rows() * b.cols()))
+                .expect("arena buffer sized to the output matrix");
+        let threads = self.threads.unwrap_or_else(exec::num_threads);
+        compute_columns(a, b, threads, &plan.arena, &mut c);
+        Ok(SpmmOutcome { c, stats })
     }
 
     fn plan(

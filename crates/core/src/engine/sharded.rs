@@ -22,7 +22,7 @@
 //! accumulating shard partial products in stream order; the simulator
 //! realizes that pinned order directly. Shard-member engines and
 //! sessions therefore run **values-free** (timing-only — see
-//! [`FastEngine::set_values_enabled`]): the partial numerics the merge
+//! [`FastEngine::run_timing`]): the partial numerics the merge
 //! would discard are never computed, so a sharded run pays the
 //! accumulate work exactly once, in the merge kernel. Timing is a pure
 //! function of each round's non-zero pattern, so shard statistics are
@@ -53,7 +53,7 @@ use crate::error::AccelError;
 use crate::exec;
 use crate::stats::{RoundStats, SpmmStats};
 use awb_sparse::partition::ColumnPartitioner;
-use awb_sparse::{Csc, DenseMatrix};
+use awb_sparse::{Csc, CscPattern, DenseMatrix};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -153,16 +153,13 @@ fn run_shards<S: Sync>(
     label: &str,
     merge_arena: &ScratchArena,
     cols_of: impl Fn(&S) -> Range<usize> + Sync,
-    run_one: impl Fn(&S, &DenseMatrix) -> Result<SpmmOutcome, AccelError> + Sync,
+    run_one: impl Fn(&S, &DenseMatrix) -> Result<SpmmStats, AccelError> + Sync,
 ) -> Result<ShardedOutcome, AccelError> {
     let results = exec::par_map_threads(threads, shards, |shard| {
         let b_slice = b.row_range(cols_of(shard));
         run_one(shard, &b_slice)
     });
-    let mut per_shard = Vec::with_capacity(results.len());
-    for outcome in results {
-        per_shard.push(outcome?.stats);
-    }
+    let per_shard = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     let mut c = DenseMatrix::from_vec(
         a.rows(),
         b.cols(),
@@ -177,6 +174,46 @@ fn run_shards<S: Sync>(
         },
         per_shard,
     })
+}
+
+/// Timing of one SPMM across the column shards `partitioner` cuts from
+/// `a`'s structure: one fresh timing-only device per shard (drawing
+/// simulator scratch from `arena`), stats merged by [`merge_stats`]. The
+/// transient counterpart of [`ShardedEngine`] for the GCN layers' `X × W`,
+/// whose numerics run row-major and whose devices are never frozen into a
+/// plan — so shards are the pattern's column slices and no slice of `X`'s
+/// values exists. Statistics equal a [`ShardedEngine`] run on the same
+/// operand.
+pub(crate) fn shard_timing(
+    config: &AccelConfig,
+    partitioner: ColumnPartitioner,
+    a: &CscPattern,
+    b: &DenseMatrix,
+    label: &str,
+    arena: &Arc<ScratchArena>,
+) -> Result<SpmmStats, AccelError> {
+    check_shapes(a, b)?;
+    let mut cuts: Vec<Range<usize>> = partitioner
+        .partition(a)
+        .into_iter()
+        .map(|shard| shard.cols)
+        .collect();
+    if cuts.is_empty() {
+        // 0-column operand: one degenerate shard, as `ShardedEngine` keeps.
+        cuts.push(0..a.cols());
+    }
+    let threads = config.threads.unwrap_or_else(exec::num_threads);
+    let results = exec::par_map_threads(threads, &cuts, |cols| {
+        let mut engine = FastEngine::new(config.clone());
+        engine.set_arena(Arc::clone(arena));
+        engine.run_timing(
+            &a.col_range(cols.clone()),
+            &b.row_range(cols.clone()),
+            label,
+        )
+    });
+    let per_shard = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    Ok(merge_stats(label, &per_shard))
 }
 
 /// One shard of a tuning-live [`ShardedEngine`]. The slice is behind an
@@ -305,7 +342,7 @@ impl ShardedEngine {
     }
 
     fn ensure_shards(&mut self, a: &Csc) -> Result<(), AccelError> {
-        let fp = structure_fingerprint(a);
+        let fp = structure_fingerprint(a.pattern());
         match self.operand {
             Some((have, rows, cols, nnz)) => {
                 if (have, rows, cols, nnz) != (fp, a.rows(), a.cols(), a.nnz()) {
@@ -321,11 +358,7 @@ impl ShardedEngine {
                 // Shard members run timing-only: the merge recomputes the
                 // numerics through the pinned global-order kernel, so
                 // per-shard partials would be discarded work (module docs).
-                let member_engine = || {
-                    let mut engine = FastEngine::new(self.config.clone());
-                    engine.set_values_enabled(false);
-                    Mutex::new(engine)
-                };
+                let member_engine = || Mutex::new(FastEngine::new(self.config.clone()));
                 self.shards = self
                     .partitioner
                     .partition(a)
@@ -365,7 +398,7 @@ impl ShardedEngine {
         b: &DenseMatrix,
         label: &str,
     ) -> Result<ShardedOutcome, AccelError> {
-        check_shapes(a, b)?;
+        check_shapes(a.pattern(), b)?;
         self.ensure_shards(a)?;
         let threads = self.config.threads.unwrap_or_else(exec::num_threads);
         run_shards(
@@ -376,7 +409,11 @@ impl ShardedEngine {
             label,
             &self.merge_arena,
             |shard| shard.cols.clone(),
-            |shard, b_slice| shard.lock_engine().run(&shard.a, b_slice, label),
+            |shard, b_slice| {
+                shard
+                    .lock_engine()
+                    .run_timing(shard.a.pattern(), b_slice, label)
+            },
         )
     }
 
@@ -405,7 +442,7 @@ impl ShardedEngine {
             rows: a.rows(),
             cols: a.cols(),
             nnz: a.nnz(),
-            fingerprint: structure_fingerprint(a),
+            fingerprint: structure_fingerprint(a.pattern()),
             shards,
             merge_arena: Arc::clone(&self.merge_arena),
         })
@@ -516,7 +553,7 @@ impl ShardedPlan {
         a.rows() == self.rows
             && a.cols() == self.cols
             && a.nnz() == self.nnz
-            && structure_fingerprint(a) == self.fingerprint
+            && structure_fingerprint(a.pattern()) == self.fingerprint
     }
 
     /// Auto-tuning rounds spent before freezing, summed over shards.
@@ -622,7 +659,7 @@ impl ShardedSession<'_> {
         b: &DenseMatrix,
         label: &str,
     ) -> Result<ShardedOutcome, AccelError> {
-        check_shapes(a, b)?;
+        check_shapes(a.pattern(), b)?;
         let plan = self.plan;
         if a.rows() != plan.rows {
             return Err(AccelError::InvalidConfig(format!(
@@ -635,7 +672,7 @@ impl ShardedSession<'_> {
             return Err(AccelError::InvalidConfig(format!(
                 "operand structure fingerprint {:#018x} does not match the sharded plan's \
                  {:#018x} (plans are valid for exactly one sparsity structure)",
-                structure_fingerprint(a),
+                structure_fingerprint(a.pattern()),
                 plan.fingerprint
             )));
         }
@@ -651,15 +688,10 @@ impl ShardedSession<'_> {
             |shard, b_slice| {
                 // Timing-only member sessions: the merged numerics come
                 // from the pinned global-order kernel in `run_shards`.
-                let mut session = shard.plan.session_trusted();
-                session.set_values_enabled(false);
-                let mut outcome = session.run(&shard.a, b_slice, label)?;
-                // The member output is discarded by the merge — hand its
-                // buffer back to the shard plan's arena so warm sharded
-                // serving stays allocation-free.
-                let c = std::mem::replace(&mut outcome.c, DenseMatrix::zeros(0, 0));
-                shard.plan.arena().recycle_f32(c.into_vec());
-                Ok(outcome)
+                shard
+                    .plan
+                    .session_trusted()
+                    .run_timing(shard.a.pattern(), b_slice, label)
             },
         )
     }
@@ -938,6 +970,22 @@ mod tests {
         assert_eq!(out.outcome.stats.n_pes, 3 * 8);
         let reference = FastEngine::new(cfg).run(&a, &b, "t").unwrap();
         assert_eq!(out.outcome.c, reference.c);
+    }
+
+    #[test]
+    fn shard_timing_matches_sharded_engine() {
+        // The GCN layers' transient X × W shard timing must report exactly
+        // what a ShardedEngine reports on the same operand and cut.
+        let a = skewed(96, 60);
+        let b = dense(96, 8);
+        let cfg = config(8, 1);
+        let partitioner = ColumnPartitioner::by_shards(3);
+        let mut engine = ShardedEngine::with_partitioner(cfg.clone(), partitioner);
+        let expect = engine.run(&a, &b, "t").unwrap().stats;
+        let arena = Arc::new(ScratchArena::new());
+        let stats = shard_timing(&cfg, partitioner, a.pattern(), &b, "t", &arena).unwrap();
+        assert_eq!(stats, expect);
+        assert_eq!(stats.n_pes, 3 * 8);
     }
 
     #[test]

@@ -22,10 +22,12 @@
 use crate::config::{AccelConfig, StallMode};
 use crate::engine::arena::ScratchArena;
 use crate::exec;
-use crate::rebalance::local::LocalSharing;
+use crate::rebalance::local::{rank_bits, rank_offset, tie_rank, LocalSharing};
 use crate::stats::RoundStats;
-use awb_sparse::spmm::{csc_accumulate_block, drain_block_into, ACC_BLOCK_LANES};
-use awb_sparse::{Csc, DenseMatrix};
+use awb_sparse::spmm::{
+    csc_accumulate_block, drain_block_into, row_major_times_dense_into, RowOperand, ACC_BLOCK_LANES,
+};
+use awb_sparse::{Csc, CscPattern, DenseMatrix};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -122,8 +124,53 @@ impl MemoryParams {
 /// sets `drain_at = max(drain_at, arrival) + 1`. The distributor delivers
 /// `bandwidth` tasks per cycle, so the arrival cycle advances by one every
 /// `bandwidth` tasks.
+///
+/// Local sharing is the distributor's fixed-width comparator (paper
+/// §4.1): the loop body is monomorphised over the hop radius for the
+/// widths every design uses (0–3), so the window scan unrolls into a
+/// straight chain of minimums; wider radii run the same body with the
+/// width read at runtime (see [`simulate_round_hop`]).
 pub(crate) fn simulate_round(
-    a: &Csc,
+    a: &CscPattern,
+    pattern: &[u32],
+    pe_of_row: &[u32],
+    p: SimParams,
+    row_tasks: Option<&mut [u32]>,
+    arena: &ScratchArena,
+) -> SimRound {
+    match p.sharing.map_or(0, |s| s.hop()) {
+        0 => simulate_round_hop::<0>(a, pattern, pe_of_row, p, row_tasks, arena),
+        1 => simulate_round_hop::<1>(a, pattern, pe_of_row, p, row_tasks, arena),
+        2 => simulate_round_hop::<2>(a, pattern, pe_of_row, p, row_tasks, arena),
+        3 => simulate_round_hop::<3>(a, pattern, pe_of_row, p, row_tasks, arena),
+        _ => simulate_round_hop::<RUNTIME_HOP>(a, pattern, pe_of_row, p, row_tasks, arena),
+    }
+}
+
+/// The `HOP` of [`simulate_round_hop`] that reads the radius from
+/// [`SimParams::sharing`] at runtime instead of fixing it at compile time.
+const RUNTIME_HOP: usize = usize::MAX;
+
+/// The round model for a window of radius `HOP` (or the runtime radius,
+/// for [`RUNTIME_HOP`]).
+///
+/// `drain_at` is padded with `hop` sentinel slots on each side — PE `pe`
+/// lives at slot `pe + hop` — so the window of owner `o` is always the
+/// full slice `drain_at[o .. o + 2·hop + 1]`, never clamped at the array
+/// borders. Each lane's key is `max(drain_at, arrival) << k | rank`: the
+/// queue length shifted by the constant `arrival`, so the minimum picks
+/// the shortest queue, with the lane's [`tie_rank`] (owner first, then
+/// nearer, then lower PE) in the low `k` bits breaking ties. Sentinels
+/// hold the largest drain time whose shifted key still fits, so they lose
+/// to every real lane. An owner whose queue is empty has the smallest key
+/// possible (`arrival << k | 0`) and wins without a scan.
+///
+/// The width has to be a compile-time constant for the scan to pay: with
+/// a runtime width the loop neither unrolls nor keeps the lanes in
+/// registers, and measures no faster than the unpadded clamped scan.
+#[inline(always)]
+fn simulate_round_hop<const HOP: usize>(
+    a: &CscPattern,
     pattern: &[u32],
     pe_of_row: &[u32],
     p: SimParams,
@@ -132,13 +179,23 @@ pub(crate) fn simulate_round(
 ) -> SimRound {
     let n_pes = p.n_pes;
     let lat = p.lat;
+    let hop = if HOP == RUNTIME_HOP {
+        p.sharing.map_or(0, |s| s.hop())
+    } else {
+        HOP
+    };
+    let width = 2 * hop + 1;
+    let rank_shift = rank_bits(hop);
+    let sentinel = u64::MAX >> rank_shift;
 
     // Per-PE and per-row scratch, checked out (zeroed) from the plan's
     // arena — only the vectors that stay internal to the round.
     // `owner_busy` and the queue high-water marks are *moved out* in the
     // return value, so they must own their allocations.
-    let mut sim_u64 = arena.checkout_u64(3 * n_pes + a.rows());
-    let (drain_at, rest) = sim_u64.split_at_mut(n_pes);
+    let mut sim_u64 = arena.checkout_u64(3 * n_pes + 2 * hop + a.rows());
+    let (drain_at, rest) = sim_u64.split_at_mut(n_pes + 2 * hop);
+    drain_at[..hop].fill(sentinel);
+    drain_at[hop + n_pes..].fill(sentinel);
     let (issue_until, rest) = rest.split_at_mut(n_pes);
     // `ready` is the per-row half (the big one on graph-sized operands).
     let (busy, ready) = rest.split_at_mut(n_pes);
@@ -165,18 +222,27 @@ pub(crate) fn simulate_round(
         let j = j as usize;
         for &row_id in &a_row_idx[a_col_ptr[j]..a_col_ptr[j + 1]] {
             let row = row_id as usize;
-            let owner = pe_of_row[row];
-            owner_busy[owner as usize] += 1;
-            let dest = match p.sharing {
-                Some(sharing) => sharing.choose(owner, |q| {
-                    drain_at[q as usize].saturating_sub(arrival) as usize
-                }),
-                None => owner,
-            } as usize;
+            let owner = pe_of_row[row] as usize;
+            owner_busy[owner] += 1;
+            // The window of `owner` is `drain_at[owner..owner + width]`
+            // (slot `owner + hop` is the owner itself).
+            let slot = if hop == 0 || drain_at[owner + hop] <= arrival {
+                owner + hop
+            } else {
+                let window = &drain_at[owner..owner + width];
+                let mut best = u64::MAX;
+                for (lane, &d) in window.iter().enumerate() {
+                    let rank = tie_rank(lane as isize - hop as isize);
+                    best = best.min((d.max(arrival) << rank_shift) | rank);
+                }
+                let rank = best & ((1u64 << rank_shift) - 1);
+                (owner as isize + hop as isize + rank_offset(rank)) as usize
+            };
+            let dest = slot - hop;
 
             // Commit the enqueue.
-            let drains = drain_at[dest].max(arrival) + 1;
-            drain_at[dest] = drains;
+            let drains = drain_at[slot].max(arrival) + 1;
+            drain_at[slot] = drains;
             max_q[dest] = max_q[dest].max((drains - arrival) as u32);
 
             // Serial issue with RaW scoreboard. In `Park` mode the
@@ -281,10 +347,43 @@ pub(crate) fn compute_columns(
     }
 }
 
+/// Computes `C = X × W` for an operand read row by row — the numerics of
+/// a GCN layer's `X × W`, whose timing runs on `X`'s pattern alone. Rows
+/// are split into one contiguous chunk per worker on the [`exec`]
+/// substrate; every chunk writes its own disjoint slice of the output,
+/// which comes from `arena`. The row kernel's pinned order makes the
+/// result bit-identical to [`compute_columns`] on `X`'s CSC form (see
+/// [`row_major_times_dense_into`]).
+pub(crate) fn compute_rows(
+    x: RowOperand<'_>,
+    w: &DenseMatrix,
+    threads: usize,
+    arena: &ScratchArena,
+) -> DenseMatrix {
+    let (n_rows, width) = (x.rows(), w.cols());
+    let mut data = arena.take_f32(n_rows * width);
+    if width > 0 {
+        let chunk_rows = n_rows.div_ceil(threads.max(1)).max(1);
+        // One uncontended lock per chunk: it only lets `par_map` hand each
+        // worker a `&mut` slice through a shared item list.
+        let chunks: Vec<(usize, Mutex<&mut [f32]>)> = data
+            .chunks_mut(chunk_rows * width)
+            .enumerate()
+            .map(|(c, out)| (c * chunk_rows, Mutex::new(out)))
+            .collect();
+        exec::par_map_threads(threads, &chunks, |(lo, out)| {
+            let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
+            let rows = *lo..lo + out.len() / width;
+            row_major_times_dense_into(x, w, rows, &mut out);
+        });
+    }
+    DenseMatrix::from_vec(n_rows, width, data).expect("arena buffer sized to the output matrix")
+}
+
 /// FNV-1a over the operand's sparsity structure (shape, column pointers,
 /// row indices). Values are excluded on purpose: timing never depends on
 /// them, only the numerics — which are recomputed every round.
-pub(crate) fn structure_fingerprint(a: &Csc) -> u64 {
+pub(crate) fn structure_fingerprint(a: &CscPattern) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |x: u64| {
         h ^= x;
@@ -410,7 +509,7 @@ impl ReplayCache {
 
 /// Inputs of one steady-state (frozen-map) execution span.
 pub(crate) struct SteadySpan<'a> {
-    pub a: &'a Csc,
+    pub a: &'a CscPattern,
     pub b: &'a DenseMatrix,
     /// First column index of the span (columns `start..b.cols()` run).
     pub start: usize,
@@ -535,7 +634,7 @@ mod tests {
     /// comparator loop — kept verbatim as the oracle the optimised
     /// [`simulate_round`] must match bit for bit.
     fn reference_simulate_round(
-        a: &Csc,
+        a: &CscPattern,
         pattern: &[u32],
         pe_of_row: &[u32],
         p: SimParams,
@@ -657,16 +756,17 @@ mod tests {
         /// busy extrema, queue depths, RaW stalls, per-PE high-water
         /// marks), the same owner-attributed load and the same per-row
         /// task counts — over random operands, patterns and remapped row
-        /// maps, hop 0–3 with owners at both array borders, both stall
-        /// modes, and bandwidths of 1, `n_pes` and a non-divisor of the
-        /// round's task count.
+        /// maps, hop 0–5 (the compile-time windows 0–3 and the
+        /// runtime-width window above them) with owners at both array
+        /// borders, both stall modes, and bandwidths of 1, `n_pes` and a
+        /// non-divisor of the round's task count.
         #[test]
         fn round_model_matches_reference(
             shape in (1usize..48, 1usize..24),
             entries in proptest::collection::vec((0usize..48, 0usize..24), 0..400),
             pattern_mask in proptest::collection::vec(0u32..4, 24),
             n_pes in 2usize..40,
-            hop in 0usize..4,
+            hop in 0usize..6,
             owners in proptest::collection::vec(border_biased(), 48),
             park in prop_oneof![Just(true), Just(false)],
             bandwidth_kind in 0usize..3,
@@ -708,9 +808,10 @@ mod tests {
             let arena = ScratchArena::new();
             let mut rows_new = count_rows.then(|| vec![0u32; n_rows]);
             let mut rows_ref = count_rows.then(|| vec![0u32; n_rows]);
-            let new = simulate_round(&a, &pattern, &pe_of_row, params, rows_new.as_deref_mut(), &arena);
+            let a = a.pattern();
+            let new = simulate_round(a, &pattern, &pe_of_row, params, rows_new.as_deref_mut(), &arena);
             let reference = reference_simulate_round(
-                &a, &pattern, &pe_of_row, params, rows_ref.as_deref_mut(), &arena,
+                a, &pattern, &pe_of_row, params, rows_ref.as_deref_mut(), &arena,
             );
             prop_assert_eq!(new.timing, reference.timing);
             prop_assert_eq!(new.owner_busy, reference.owner_busy);

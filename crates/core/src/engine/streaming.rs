@@ -361,7 +361,7 @@ pub struct StreamingEngine {
     shards: Vec<StreamShard>,
     /// Pool for the merged output and the persistent block accumulators.
     arena: Arc<ScratchArena>,
-    /// Pool shared by the shard members' (values-free) outputs.
+    /// Pool shared by the shard members' (timing-only) simulator scratch.
     member_arena: Arc<ScratchArena>,
     /// The last run's streaming statistics.
     last_stream: StreamStats,
@@ -401,7 +401,6 @@ impl StreamingEngine {
             .into_iter()
             .map(|(cols, nnz)| {
                 let mut engine = FastEngine::new(config.clone());
-                engine.set_values_enabled(false);
                 engine.set_arena(Arc::clone(&member_arena));
                 StreamShard {
                     cols,
@@ -527,7 +526,7 @@ impl StreamingEngine {
 
 impl SpmmEngine for StreamingEngine {
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
-        check_shapes(a, b)?;
+        check_shapes(a.pattern(), b)?;
         verify_operand(&self.store, a)?;
         let shard_ranges: Vec<(Range<usize>, usize)> = self
             .shards
@@ -535,7 +534,6 @@ impl SpmmEngine for StreamingEngine {
             .map(|s| (s.cols.clone(), s.nnz))
             .collect();
         let shards = &self.shards;
-        let member_arena = &self.member_arena;
         let (outcome, stream) = stream_pass(
             StreamPass {
                 store: &self.store,
@@ -546,13 +544,9 @@ impl SpmmEngine for StreamingEngine {
                 threads: self.config.threads,
             },
             &|s, cur, b_slice| {
-                let mut engine = shards[s].lock_engine();
-                let mut out = engine.run(cur, b_slice, label)?;
-                // The member's output is all-zeros (values-free); hand its
-                // buffer straight back to the shared member pool.
-                let c = std::mem::replace(&mut out.c, DenseMatrix::zeros(0, 0));
-                member_arena.recycle_f32(c.into_vec());
-                Ok(out.stats)
+                shards[s]
+                    .lock_engine()
+                    .run_timing(cur.pattern(), b_slice, label)
             },
         )?;
         self.last_stream = stream;
@@ -740,7 +734,7 @@ impl StreamedSession<'_> {
 
 impl SpmmEngine for StreamedSession<'_> {
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
-        check_shapes(a, b)?;
+        check_shapes(a.pattern(), b)?;
         let plan = self.plan;
         verify_operand(&plan.store, a)?;
         let shard_ranges: Vec<(Range<usize>, usize)> = plan
@@ -765,12 +759,8 @@ impl SpmmEngine for StreamedSession<'_> {
                 // O(nnz) re-hash would only re-prove what `verify_operand`
                 // plus the store's checksums already established).
                 let mut session = shard.plan.session_trusted();
-                session.set_values_enabled(false);
                 session.set_threads(threads);
-                let mut out = session.run(cur, b_slice, label)?;
-                let c = std::mem::replace(&mut out.c, DenseMatrix::zeros(0, 0));
-                shard.plan.recycle_output(c);
-                Ok(out.stats)
+                session.run_timing(cur.pattern(), b_slice, label)
             },
         )?;
         *plan

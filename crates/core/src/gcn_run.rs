@@ -20,15 +20,18 @@
 
 use crate::config::{AccelConfig, ShardPolicy, StrategyPolicy, DEFAULT_HOST_MEM_BUDGET};
 use crate::cost::{self, AutoDecision, CostProfile};
+use crate::engine::steady::compute_rows;
 use crate::engine::streaming::store_err;
 use crate::engine::{
-    ArenaStats, FastEngine, ScratchArena, ShardedEngine, ShardedPlan, SpmmEngine, StreamStats,
-    StreamedPlan, StreamingEngine, TunedPlan,
+    shard_timing, ArenaStats, FastEngine, ScratchArena, ShardedEngine, ShardedPlan, SpmmEngine,
+    StreamStats, StreamedPlan, StreamingEngine, TunedPlan,
 };
 use crate::error::AccelError;
+use crate::exec;
 use crate::pipeline::pipeline_two_stage;
 use crate::stats::{LayerStats, RunStats};
 use awb_gcn_model::{GcnInput, GcnModel};
+use awb_sparse::spmm::RowOperand;
 use awb_sparse::store::SparseStore;
 use awb_sparse::{Csc, Csr, DenseMatrix};
 use std::sync::Arc;
@@ -59,11 +62,16 @@ impl GcnRunOutcome {
 /// The per-layer inference schedule, generic over how `A × (XW)` executes:
 /// a mutable [`FastEngine`] during warm-up (tuning live), a
 /// [`SpmmSession`](crate::SpmmSession) during per-request execution.
-/// `X × W` uses a fresh engine per layer (X differs per layer and
-/// request) — a single device, or one auto-tuned device per nnz-balanced
-/// column shard of `X` under [`AccelConfig::combination_shards`], merged
-/// through the pinned global-order kernel so layer outputs stay
-/// bit-identical either way.
+///
+/// `X × W` is split by what each half reads (`DESIGN.md` §8). Its timing
+/// runs on a fresh engine per layer (X differs per layer and request) —
+/// one device, or one auto-tuned device per nnz-balanced column shard of
+/// `X` under [`AccelConfig::combination_shards`] — and reads only `X`'s
+/// column structure: the structure-only transpose of X1's CSR, then the
+/// structure of each hidden layer's ReLU output. Its numerics read the
+/// same `X` row-major (X1's CSR, then the dense ReLU output) in the pinned
+/// ascending-`j` order, so layer outputs are bit-identical to the
+/// column kernel on `X`'s full CSC, which is never built.
 fn run_layers(
     config: &AccelConfig,
     a_csc: &Csc,
@@ -75,56 +83,63 @@ fn run_layers(
     let n_layers = weights.len();
     let mut layers = Vec::with_capacity(n_layers);
     let mut x_density = Vec::with_capacity(n_layers);
+    // The per-layer X engines are transient, so a caller holding a
+    // long-lived pool (GcnPlan) shares it in — without this every layer of
+    // every request would re-grow a fresh arena. Consumed intermediates go
+    // back only to such a pool: a cold run's own pool dies with the run,
+    // and parking buffers in it would only raise the run's peak memory.
+    let arena = match xw_arena {
+        Some(arena) => Arc::clone(arena),
+        None if config.scratch_reuse => Arc::new(ScratchArena::new()),
+        None => Arc::new(ScratchArena::disabled()),
+    };
+    let recycle = |m: DenseMatrix| {
+        if let Some(arena) = xw_arena {
+            arena.recycle_f32(m.into_vec());
+        }
+    };
+    let threads = config.threads.unwrap_or_else(exec::num_threads);
 
-    // Layer 1 input: the sparse X1 as given.
-    let mut x_csc = x1.to_csc();
-
-    let mut x_dense_out: DenseMatrix = DenseMatrix::zeros(0, 0);
+    // Layer 1 input: the sparse X1 as given; later layers read the previous
+    // layer's ReLU output (`x_hidden`).
+    let mut x_pattern = x1.to_csc_pattern();
+    let mut x_hidden: Option<DenseMatrix> = None;
     for (l, w) in weights.iter().enumerate() {
-        x_density.push(x_csc.density());
-        // Stage 1: X × W (fresh engine per layer; X differs per layer and
-        // request, so there is no tuned state to carry over — the shard
-        // cut, when sharded, is re-derived from this layer's X). A policy
-        // that resolves to a single shard for this X (Fixed(1), or a
-        // memory budget the whole matrix fits) dispatches to the plain
-        // engine: a 1-shard ShardedEngine would copy X every layer of
-        // every request for bit-identical output and stats. `is_single`
-        // is O(1), so the dispatch never pays a partition scan the
-        // sharded engine would then repeat.
-        let combination_sharded = config.combination_shards != ShardPolicy::Single
-            && !config.combination_partitioner().is_single(&x_csc);
-        // The per-layer X engines are transient, so a caller holding a
-        // long-lived pool (GcnPlan) shares it in — without this every
-        // layer of every request would re-grow a fresh arena.
-        let mut engine_x: Box<dyn SpmmEngine> = if combination_sharded {
-            let mut engine =
-                ShardedEngine::with_partitioner(config.clone(), config.combination_partitioner());
-            if let Some(arena) = xw_arena {
-                engine.set_arena(Arc::clone(arena));
-            }
-            Box::new(engine)
+        x_density.push(x_pattern.density());
+        // Stage 1: X × W. A policy that resolves to a single shard for
+        // this X (Fixed(1), or a memory budget the whole matrix fits) runs
+        // one device: `is_single` is O(1), so the dispatch never pays a
+        // partition scan the sharded timing would then repeat.
+        let label = format!("L{}:X*W", l + 1);
+        let partitioner = config.combination_partitioner();
+        let xw_stats = if config.combination_shards != ShardPolicy::Single
+            && !partitioner.is_single(&x_pattern)
+        {
+            shard_timing(config, partitioner, &x_pattern, w, &label, &arena)?
         } else {
             let mut engine = FastEngine::new(config.clone());
-            if let Some(arena) = xw_arena {
-                engine.set_arena(Arc::clone(arena));
-            }
-            Box::new(engine)
+            engine.set_arena(Arc::clone(&arena));
+            engine.run_timing(&x_pattern, w, &label)?
         };
-        let xw = engine_x.run(&x_csc, w, &format!("L{}:X*W", l + 1))?;
-        let (xw_c, xw_stats) = (xw.c, xw.stats);
+        let x_rows = match &x_hidden {
+            Some(x) => RowOperand::Dense(x),
+            None => RowOperand::Sparse(x1),
+        };
+        let xw_c = compute_rows(x_rows, w, threads, &arena);
+        // The layer input is consumed: its buffer feeds a later output.
+        if let Some(x) = x_hidden.take() {
+            recycle(x);
+        }
         // Stage 2: A × (XW) on the persistent A engine/session.
         let a_xw = engine_a.run(a_csc, &xw_c, &format!("L{}:A*(XW)", l + 1))?;
-        // XW is consumed: its buffer feeds the next layer's XW output
-        // instead of the allocator.
-        if let Some(arena) = xw_arena {
-            arena.recycle_f32(xw_c.into_vec());
-        }
+        recycle(xw_c);
 
         let mut x_next = a_xw.c;
         if l + 1 < n_layers {
             x_next.relu_in_place();
+            // The inter-layer hop: the next X's structure only.
+            x_pattern = x_next.to_csc_pattern();
         }
-
         let pipelined_cycles = if config.pipeline_spmms {
             pipeline_two_stage(&xw_stats.round_cycles(), &a_xw.stats.round_cycles())
         } else {
@@ -135,21 +150,11 @@ fn run_layers(
             a_xw: a_xw.stats,
             pipelined_cycles,
         });
-
-        if l + 1 < n_layers {
-            // Direct dense→CSC (no COO intermediate) — the inter-layer hop.
-            x_csc = x_next.to_csc();
-        }
-        // The previous layer's dense output was consumed by the CSC hop
-        // above on the last iteration — recycle its buffer too.
-        let prev = std::mem::replace(&mut x_dense_out, x_next);
-        if let Some(arena) = xw_arena {
-            arena.recycle_f32(prev.into_vec());
-        }
+        x_hidden = Some(x_next);
     }
 
     Ok(GcnRunOutcome {
-        output: x_dense_out,
+        output: x_hidden.unwrap_or_else(|| DenseMatrix::zeros(0, 0)),
         stats: RunStats {
             layers,
             n_pes: config.n_pes,
@@ -1142,6 +1147,47 @@ mod tests {
         let err = GcnRunner::new(cfg).run(&input).unwrap_err();
         assert!(matches!(err, AccelError::InvalidConfig(_)), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn overflowed_hidden_features_keep_nan_positions() {
+        // Regression: the inter-layer hop kept `|v| > 0.0`, which is false
+        // for NaN, so a NaN born in layer 1 was silently zeroed before
+        // layer 2 while the reference forward propagated it. Finite but
+        // huge features on one node overflow X1 × W1 to ±inf, `inf − inf`
+        // turns to NaN, and both paths must carry it to the same outputs.
+        let mut input = small_input(128, 31);
+        let hot = (0..input.x1.rows())
+            .max_by_key(|&r| input.x1.row_nnz(r))
+            .unwrap();
+        let x1 = &input.x1;
+        let values: Vec<f32> = (0..x1.rows())
+            .flat_map(|r| x1.row_entries(r).map(move |(_, v)| (r, v)))
+            .map(|(r, v)| if r == hot { v * 1e30 } else { v })
+            .collect();
+        input.x1 = Csr::from_parts(
+            x1.rows(),
+            x1.cols(),
+            x1.row_ptr().to_vec(),
+            x1.col_idx().to_vec(),
+            values,
+        )
+        .unwrap();
+        let w1 = &input.weights[0];
+        let scaled: Vec<f32> = w1.as_slice().iter().map(|v| v * 1e30).collect();
+        input.weights[0] = DenseMatrix::from_vec(w1.rows(), w1.cols(), scaled).unwrap();
+        assert!(input.x1.values().iter().all(|v| v.is_finite()));
+
+        let reference = GcnModel::with_layers(2).forward(&input).unwrap();
+        let nan_mask = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.is_nan()).collect();
+        let expected: Vec<bool> = nan_mask(&reference.output);
+        assert!(expected.contains(&true), "the fixture must produce NaN");
+        assert!(expected.contains(&false), "and leave some outputs finite");
+        let runner = GcnRunner::new(Design::LocalPlusRemote { hop: 2 }.apply(config(32)));
+        let cold = runner.run(&input).unwrap();
+        assert_eq!(nan_mask(&cold.output), expected);
+        let (plan, _) = runner.prepare(&input).unwrap();
+        assert_eq!(nan_mask(&plan.run(&input.x1).unwrap().output), expected);
     }
 
     #[test]

@@ -53,31 +53,26 @@ impl LocalSharing {
     /// when it strictly helps), then toward the lower PE index.
     ///
     /// This is the distributor's comparator tree: the winner is the
-    /// lexicographic minimum of `(queue length, distance, PE index)` over
-    /// the window, each candidate packed into one `u128` key (length in
-    /// the high 64 bits, distance and index in 32 bits each), so the scan
-    /// is a chain of branch-free integer minimums. The owner is the only
-    /// candidate at distance 0, which makes it win every length tie. The
-    /// fields never overlap — a `usize` length, a `u32` index — so the key
-    /// is lossless for every PE count.
+    /// minimum of `(queue length, tie rank)` over the window, each
+    /// candidate packed into one `u128` key (length in the high 64 bits,
+    /// the [`tie_rank`] of its offset from the owner in the low bits), so
+    /// the scan is a chain of branch-free integer minimums. The fields
+    /// never overlap — a `usize` length, a rank below `2 × hop + 1` — so
+    /// the key is lossless for every PE count.
     #[inline]
     pub fn choose<F: Fn(u32) -> usize>(&self, owner: u32, queue_len: F) -> u32 {
         if self.hop == 0 {
             return owner;
         }
-        let lo = (owner as usize).saturating_sub(self.hop) as u32;
-        let hi = (owner as usize + self.hop).min(self.n_pes - 1) as u32;
         let key = |pe: u32| {
-            ((queue_len(pe) as u128) << 64)
-                | (u128::from(pe.abs_diff(owner)) << 32)
-                | u128::from(pe)
+            ((queue_len(pe) as u128) << 64) | u128::from(tie_rank(pe as isize - owner as isize))
         };
         // The window always holds the owner, so `best` ends as a real key.
         let mut best = u128::MAX;
-        for pe in lo..=hi {
+        for pe in self.window(owner) {
             best = best.min(key(pe));
         }
-        best as u32
+        (owner as isize + rank_offset(best as u64)) as u32
     }
 
     /// The candidate window `[owner − hop, owner + hop]` clamped to the
@@ -88,6 +83,37 @@ impl LocalSharing {
         let hi = ((owner as usize + self.hop).min(self.n_pes - 1)) as u32;
         lo..=hi
     }
+}
+
+/// The comparator's tie rank of the window lane at signed distance
+/// `offset` from the owner: the owner is 0, then `o − 1`, `o + 1`,
+/// `o − 2`, `o + 2`, … — nearer beats farther and, at equal distance, the
+/// lower PE index wins. The one definition of the tie-break rule, shared
+/// by [`LocalSharing::choose`] and the round model's fixed-width window
+/// (`engine::steady`), so the two cannot drift apart.
+#[inline(always)]
+pub(crate) const fn tie_rank(offset: isize) -> u64 {
+    if offset < 0 {
+        (-2 * offset - 1) as u64
+    } else {
+        (2 * offset) as u64
+    }
+}
+
+/// Inverse of [`tie_rank`]: the signed owner offset a rank stands for.
+#[inline(always)]
+pub(crate) const fn rank_offset(rank: u64) -> isize {
+    if rank % 2 == 1 {
+        -((rank as isize + 1) / 2)
+    } else {
+        rank as isize / 2
+    }
+}
+
+/// Bits a tie rank of a hop-`hop` window occupies (ranks run `0..=2 × hop`).
+#[inline(always)]
+pub(crate) const fn rank_bits(hop: usize) -> u32 {
+    usize::BITS - (2 * hop).leading_zeros()
 }
 
 /// The comparator as first written: a branching scan that keeps the first

@@ -814,7 +814,7 @@ impl GcnService {
     /// mixed in, so two tenants whose graphs collide on structure but
     /// resolve to different configurations occupy distinct cache slots.
     fn plan_key(&self, input: &GcnInput) -> (u64, Option<AutoDecision>) {
-        let mut key = structure_fingerprint(&input.a_norm_csc);
+        let mut key = structure_fingerprint(input.a_norm_csc.pattern());
         let decision = match self.config.strategy {
             StrategyPolicy::Manual => None,
             StrategyPolicy::Auto => GcnRunner::new(self.config.clone()).resolve_strategy(input),

@@ -1,75 +1,63 @@
-use crate::csr::validate_compressed;
+use crate::csr::{transpose_compressed, validate_compressed};
 use crate::{Coo, Csr, DenseMatrix, Result};
 
-/// Compressed-sparse-column matrix — the accelerator's native format.
+/// The column structure of a CSC matrix: `Col Ptr` and `Row ID`, without
+/// `Val`.
 ///
-/// The paper's Fig. 4 stores a sparse matrix as three arrays: `Val` (the
-/// non-zero values in column-major order), `Row ID` (the row index of each
-/// value), and `Col Ptr` (the offset of each column's first value). TDQ-2
-/// streams `Val`/`Row ID` directly, which is why ultra-sparse matrices pay
-/// no cost for their zeros.
+/// The accelerator's queue dynamics are a function of where the non-zeros
+/// sit, never of their values, so the simulator reads only this. A
+/// per-request operand whose numerics run row-major (the GCN layers'
+/// feature matrices) needs nothing more than its pattern transposed —
+/// [`Csr::to_csc_pattern`], [`DenseMatrix::to_csc_pattern`] — and every
+/// [`Csc`] carries one ([`Csc::pattern`]).
 ///
 /// # Example
 ///
-/// The matrix of the paper's Fig. 4:
-///
 /// ```
-/// use awb_sparse::Csc;
+/// use awb_sparse::Coo;
 ///
 /// # fn main() -> Result<(), awb_sparse::SparseError> {
-/// let m = Csc::from_parts(
-///     5,
-///     5,
-///     vec![0, 2, 4, 5, 7, 8],
-///     vec![0, 3, 1, 4, 0, 1, 4, 2],
-///     vec![1.0, 3.0, 6.0, 5.0, 9.0, 2.0, 3.0, 7.0],
-/// )?;
-/// assert_eq!(m.nnz(), 8);
-/// assert_eq!(m.col_nnz(0), 2);
+/// let mut coo = Coo::new(3, 2);
+/// coo.push(2, 0, 1.5)?;
+/// coo.push(0, 1, 2.0)?;
+/// let csr = coo.to_csr();
+/// let pattern = csr.to_csc_pattern();
+/// assert_eq!(&pattern, csr.to_csc().pattern());
+/// assert_eq!(pattern.col_row_indices(0), &[2]);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct Csc {
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct CscPattern {
     rows: usize,
     cols: usize,
     col_ptr: Vec<usize>,
     row_idx: Vec<u32>,
-    values: Vec<f32>,
 }
 
-impl Csc {
-    /// Builds a CSC matrix from its raw arrays (`Col Ptr`, `Row ID`, `Val`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`crate::SparseError::MalformedFormat`] if the arrays are
-    /// inconsistent (see [`Csr::from_parts`] for the mirrored conditions).
-    pub fn from_parts(
+impl CscPattern {
+    /// Assembles a pattern the caller built consistently (a transpose of a
+    /// valid matrix), skipping the O(nnz) validation scan.
+    pub(crate) fn from_parts_trusted(
         rows: usize,
         cols: usize,
         col_ptr: Vec<usize>,
         row_idx: Vec<u32>,
-        values: Vec<f32>,
-    ) -> Result<Self> {
-        validate_compressed(cols, rows, &col_ptr, &row_idx, values.len(), "col_ptr")?;
-        Ok(Csc {
+    ) -> Self {
+        debug_assert!(validate_compressed(
+            cols,
+            rows,
+            &col_ptr,
+            &row_idx,
+            row_idx.len(),
+            "col_ptr"
+        )
+        .is_ok());
+        CscPattern {
             rows,
             cols,
             col_ptr,
             row_idx,
-            values,
-        })
-    }
-
-    /// An empty `rows x cols` matrix.
-    pub fn empty(rows: usize, cols: usize) -> Self {
-        Csc {
-            rows,
-            cols,
-            col_ptr: vec![0; cols + 1],
-            row_idx: Vec::new(),
-            values: Vec::new(),
         }
     }
 
@@ -113,29 +101,8 @@ impl Csc {
         self.col_ptr[col + 1] - self.col_ptr[col]
     }
 
-    /// The vector of per-column non-zero counts (the per-round delivery
-    /// workload when this matrix is the sparse operand: column `c` of `A`
-    /// streams once per dense `B` column).
-    pub fn col_nnz_counts(&self) -> Vec<usize> {
-        (0..self.cols).map(|c| self.col_nnz(c)).collect()
-    }
-
-    /// Iterates over the `(row, value)` entries of `col`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `col >= self.cols()`.
-    pub fn col_entries(&self, col: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
-        assert!(col < self.cols, "column {col} out of bounds");
-        let (lo, hi) = (self.col_ptr[col], self.col_ptr[col + 1]);
-        self.row_idx[lo..hi]
-            .iter()
-            .zip(&self.values[lo..hi])
-            .map(|(&r, &v)| (r as usize, v))
-    }
-
-    /// Row indices of the non-zeros in `col` (no values) — what TDQ-2's
-    /// Omega network routes on.
+    /// Row indices of the non-zeros in `col` — what TDQ-2's Omega network
+    /// routes on.
     ///
     /// # Panics
     ///
@@ -143,16 +110,6 @@ impl Csc {
     pub fn col_row_indices(&self, col: usize) -> &[u32] {
         assert!(col < self.cols, "column {col} out of bounds");
         &self.row_idx[self.col_ptr[col]..self.col_ptr[col + 1]]
-    }
-
-    /// Per-row non-zero counts (the per-PE workload under row
-    /// partitioning). O(nnz).
-    pub fn row_nnz_counts(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.rows];
-        for &r in &self.row_idx {
-            counts[r as usize] += 1;
-        }
-        counts
     }
 
     /// The raw column-pointer array (`Col Ptr`).
@@ -165,6 +122,211 @@ impl Csc {
         &self.row_idx
     }
 
+    /// Heap bytes held by the two arrays (`Col Ptr` at
+    /// `size_of::<usize>()` per entry, `Row ID` at 4).
+    pub fn heap_bytes(&self) -> usize {
+        self.col_ptr.len() * std::mem::size_of::<usize>()
+            + self.row_idx.len() * std::mem::size_of::<u32>()
+    }
+
+    /// The column block `range` as a standalone pattern (see
+    /// [`Csc::col_range`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range.end > self.cols()` or `range.start > range.end`.
+    pub fn col_range(&self, range: std::ops::Range<usize>) -> CscPattern {
+        assert!(
+            range.start <= range.end && range.end <= self.cols,
+            "column range {range:?} out of bounds for {} columns",
+            self.cols
+        );
+        let lo = self.col_ptr[range.start];
+        let hi = self.col_ptr[range.end];
+        let col_ptr = self.col_ptr[range.start..=range.end]
+            .iter()
+            .map(|&p| p - lo)
+            .collect();
+        CscPattern {
+            rows: self.rows,
+            cols: range.len(),
+            col_ptr,
+            row_idx: self.row_idx[lo..hi].to_vec(),
+        }
+    }
+}
+
+impl AsRef<CscPattern> for CscPattern {
+    fn as_ref(&self) -> &CscPattern {
+        self
+    }
+}
+
+/// Compressed-sparse-column matrix — the accelerator's native format.
+///
+/// The paper's Fig. 4 stores a sparse matrix as three arrays: `Val` (the
+/// non-zero values in column-major order), `Row ID` (the row index of each
+/// value), and `Col Ptr` (the offset of each column's first value). TDQ-2
+/// streams `Val`/`Row ID` directly, which is why ultra-sparse matrices pay
+/// no cost for their zeros. The two index arrays are the matrix's
+/// [`CscPattern`].
+///
+/// # Example
+///
+/// The matrix of the paper's Fig. 4:
+///
+/// ```
+/// use awb_sparse::Csc;
+///
+/// # fn main() -> Result<(), awb_sparse::SparseError> {
+/// let m = Csc::from_parts(
+///     5,
+///     5,
+///     vec![0, 2, 4, 5, 7, 8],
+///     vec![0, 3, 1, 4, 0, 1, 4, 2],
+///     vec![1.0, 3.0, 6.0, 5.0, 9.0, 2.0, 3.0, 7.0],
+/// )?;
+/// assert_eq!(m.nnz(), 8);
+/// assert_eq!(m.col_nnz(0), 2);
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Csc {
+    pattern: CscPattern,
+    values: Vec<f32>,
+}
+
+impl Csc {
+    /// Builds a CSC matrix from its raw arrays (`Col Ptr`, `Row ID`, `Val`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`crate::SparseError::MalformedFormat`] if the arrays are
+    /// inconsistent (see [`Csr::from_parts`] for the mirrored conditions).
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        col_ptr: Vec<usize>,
+        row_idx: Vec<u32>,
+        values: Vec<f32>,
+    ) -> Result<Self> {
+        validate_compressed(cols, rows, &col_ptr, &row_idx, values.len(), "col_ptr")?;
+        Ok(Csc {
+            pattern: CscPattern {
+                rows,
+                cols,
+                col_ptr,
+                row_idx,
+            },
+            values,
+        })
+    }
+
+    /// An empty `rows x cols` matrix.
+    pub fn empty(rows: usize, cols: usize) -> Self {
+        Csc {
+            pattern: CscPattern {
+                rows,
+                cols,
+                col_ptr: vec![0; cols + 1],
+                row_idx: Vec::new(),
+            },
+            values: Vec::new(),
+        }
+    }
+
+    /// The matrix's column structure (`Col Ptr` + `Row ID`).
+    pub fn pattern(&self) -> &CscPattern {
+        &self.pattern
+    }
+
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.pattern.rows
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        self.pattern.cols
+    }
+
+    /// `(rows, cols)` pair.
+    pub fn shape(&self) -> (usize, usize) {
+        self.pattern.shape()
+    }
+
+    /// Number of stored non-zeros.
+    pub fn nnz(&self) -> usize {
+        self.pattern.nnz()
+    }
+
+    /// Fraction of entries that are non-zero.
+    pub fn density(&self) -> f64 {
+        self.pattern.density()
+    }
+
+    /// Number of non-zeros in `col`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col >= self.cols()`.
+    #[inline]
+    pub fn col_nnz(&self, col: usize) -> usize {
+        self.pattern.col_nnz(col)
+    }
+
+    /// The vector of per-column non-zero counts (the per-round delivery
+    /// workload when this matrix is the sparse operand: column `c` of `A`
+    /// streams once per dense `B` column).
+    pub fn col_nnz_counts(&self) -> Vec<usize> {
+        (0..self.cols()).map(|c| self.col_nnz(c)).collect()
+    }
+
+    /// Iterates over the `(row, value)` entries of `col`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col >= self.cols()`.
+    pub fn col_entries(&self, col: usize) -> impl Iterator<Item = (usize, f32)> + '_ {
+        assert!(col < self.cols(), "column {col} out of bounds");
+        let (lo, hi) = (self.pattern.col_ptr[col], self.pattern.col_ptr[col + 1]);
+        self.pattern.row_idx[lo..hi]
+            .iter()
+            .zip(&self.values[lo..hi])
+            .map(|(&r, &v)| (r as usize, v))
+    }
+
+    /// Row indices of the non-zeros in `col` (no values) — what TDQ-2's
+    /// Omega network routes on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `col >= self.cols()`.
+    pub fn col_row_indices(&self, col: usize) -> &[u32] {
+        self.pattern.col_row_indices(col)
+    }
+
+    /// Per-row non-zero counts (the per-PE workload under row
+    /// partitioning). O(nnz).
+    pub fn row_nnz_counts(&self) -> Vec<usize> {
+        let mut counts = vec![0usize; self.rows()];
+        for &r in self.row_idx() {
+            counts[r as usize] += 1;
+        }
+        counts
+    }
+
+    /// The raw column-pointer array (`Col Ptr`).
+    pub fn col_ptr(&self) -> &[usize] {
+        &self.pattern.col_ptr
+    }
+
+    /// The raw row-index array (`Row ID`).
+    pub fn row_idx(&self) -> &[u32] {
+        &self.pattern.row_idx
+    }
+
     /// The raw values array (`Val`).
     pub fn values(&self) -> &[f32] {
         &self.values
@@ -174,14 +336,12 @@ impl Csc {
     /// `size_of::<usize>()` per entry, `Row ID` at 4, `Val` at 4) — the
     /// size-estimate input for plan-cache memory budgeting.
     pub fn heap_bytes(&self) -> usize {
-        self.col_ptr.len() * std::mem::size_of::<usize>()
-            + self.row_idx.len() * std::mem::size_of::<u32>()
-            + self.values.len() * std::mem::size_of::<f32>()
+        self.pattern.heap_bytes() + self.values.len() * std::mem::size_of::<f32>()
     }
 
     /// Iterates over all `(row, col, value)` triplets in column-major order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, f32)> + '_ {
-        (0..self.cols).flat_map(move |c| self.col_entries(c).map(move |(r, v)| (r, c, v)))
+        (0..self.cols()).flat_map(move |c| self.col_entries(c).map(move |(r, v)| (r, c, v)))
     }
 
     /// Extracts the column block `range` as a standalone matrix without
@@ -198,51 +358,25 @@ impl Csc {
     ///
     /// Panics if `range.end > self.cols()` or `range.start > range.end`.
     pub fn col_range(&self, range: std::ops::Range<usize>) -> Csc {
-        assert!(
-            range.start <= range.end && range.end <= self.cols,
-            "column range {range:?} out of bounds for {} columns",
-            self.cols
-        );
-        let lo = self.col_ptr[range.start];
-        let hi = self.col_ptr[range.end];
-        let col_ptr = self.col_ptr[range.start..=range.end]
-            .iter()
-            .map(|&p| p - lo)
-            .collect();
+        let pattern = self.pattern.col_range(range.clone());
+        let lo = self.pattern.col_ptr[range.start];
         Csc {
-            rows: self.rows,
-            cols: range.len(),
-            col_ptr,
-            row_idx: self.row_idx[lo..hi].to_vec(),
-            values: self.values[lo..hi].to_vec(),
+            values: self.values[lo..lo + pattern.nnz()].to_vec(),
+            pattern,
         }
     }
 
     /// Converts to CSR by re-bucketing entries by row.
     pub fn to_csr(&self) -> Csr {
-        let mut counts = vec![0usize; self.rows + 1];
-        for &r in &self.row_idx {
-            counts[r as usize + 1] += 1;
-        }
-        for i in 0..self.rows {
-            counts[i + 1] += counts[i];
-        }
-        let mut col_idx = vec![0u32; self.nnz()];
-        let mut values = vec![0.0f32; self.nnz()];
-        let mut cursor = counts.clone();
-        for (r, c, v) in self.iter() {
-            let p = cursor[r];
-            col_idx[p] = c as u32;
-            values[p] = v;
-            cursor[r] += 1;
-        }
-        Csr::from_parts(self.rows, self.cols, counts, col_idx, values)
+        let (row_ptr, col_idx, values) =
+            transpose_compressed::<true>(self.rows(), self.col_ptr(), self.row_idx(), &self.values);
+        Csr::from_parts(self.rows(), self.cols(), row_ptr, col_idx, values)
             .expect("re-bucketing preserves validity")
     }
 
     /// Converts to COO triplets.
     pub fn to_coo(&self) -> Coo {
-        let mut coo = Coo::new(self.rows, self.cols);
+        let mut coo = Coo::new(self.rows(), self.cols());
         coo.reserve(self.nnz());
         for (r, c, v) in self.iter() {
             coo.push(r, c, v).expect("indices valid by construction");
@@ -252,11 +386,17 @@ impl Csc {
 
     /// Materializes as a dense matrix.
     pub fn to_dense(&self) -> DenseMatrix {
-        let mut d = DenseMatrix::zeros(self.rows, self.cols);
+        let mut d = DenseMatrix::zeros(self.rows(), self.cols());
         for (r, c, v) in self.iter() {
             d.set(r, c, v);
         }
         d
+    }
+}
+
+impl AsRef<CscPattern> for Csc {
+    fn as_ref(&self) -> &CscPattern {
+        &self.pattern
     }
 }
 
@@ -326,6 +466,19 @@ mod tests {
         assert!(Csc::from_parts(2, 2, vec![0, 0], vec![], vec![]).is_err());
         assert!(Csc::from_parts(2, 2, vec![0, 1, 1], vec![9], vec![1.0]).is_err());
         assert!(Csc::from_parts(2, 2, vec![0, 0, 0], vec![], vec![]).is_ok());
+    }
+
+    #[test]
+    fn pattern_is_the_index_arrays() {
+        let m = fig4();
+        let p = m.pattern();
+        assert_eq!(p.shape(), m.shape());
+        assert_eq!(p.col_ptr(), m.col_ptr());
+        assert_eq!(p.row_idx(), m.row_idx());
+        assert_eq!(p.heap_bytes() + 4 * m.nnz(), m.heap_bytes());
+        assert_eq!(m.col_range(1..4).pattern(), &p.col_range(1..4));
+        // The structure-only transpose is the full transpose's pattern.
+        assert_eq!(&m.to_csr().to_csc_pattern(), p);
     }
 
     #[test]

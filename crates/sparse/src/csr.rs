@@ -1,4 +1,4 @@
-use crate::{Coo, Csc, DenseMatrix, Result, SparseError};
+use crate::{Coo, Csc, CscPattern, DenseMatrix, Result, SparseError};
 
 /// Compressed-sparse-row matrix.
 ///
@@ -150,24 +150,20 @@ impl Csr {
 
     /// Converts to CSC by re-bucketing entries by column.
     pub fn to_csc(&self) -> Csc {
-        let mut counts = vec![0usize; self.cols + 1];
-        for &c in &self.col_idx {
-            counts[c as usize + 1] += 1;
-        }
-        for i in 0..self.cols {
-            counts[i + 1] += counts[i];
-        }
-        let mut row_idx = vec![0u32; self.nnz()];
-        let mut values = vec![0.0f32; self.nnz()];
-        let mut cursor = counts.clone();
-        for (r, c, v) in self.iter() {
-            let p = cursor[c];
-            row_idx[p] = r as u32;
-            values[p] = v;
-            cursor[c] += 1;
-        }
-        Csc::from_parts(self.rows, self.cols, counts, row_idx, values)
+        let (col_ptr, row_idx, values) =
+            transpose_compressed::<true>(self.cols, &self.row_ptr, &self.col_idx, &self.values);
+        Csc::from_parts(self.rows, self.cols, col_ptr, row_idx, values)
             .expect("re-bucketing preserves validity")
+    }
+
+    /// The column structure [`to_csc`](Csr::to_csc) would build, without
+    /// moving any value: the same counting sort over the index arrays only.
+    /// What a simulator that times this matrix as a sparse operand needs,
+    /// when its numerics read the rows directly.
+    pub fn to_csc_pattern(&self) -> CscPattern {
+        let (col_ptr, row_idx, _) =
+            transpose_compressed::<false>(self.cols, &self.row_ptr, &self.col_idx, &[]);
+        CscPattern::from_parts_trusted(self.rows, self.cols, col_ptr, row_idx)
     }
 
     /// Converts to COO triplets.
@@ -233,6 +229,44 @@ impl Csr {
         )
         .expect("transpose of valid CSC is valid CSR")
     }
+}
+
+/// Counting-sort transpose of a compressed matrix: re-buckets the entries
+/// of `major_ptr`/`minor_idx` (and `values`, when `VALUES`) by minor
+/// index, returning the transposed `(ptr, idx, values)` arrays — `values`
+/// empty without `VALUES`, which also leaves the scatter loop free of a
+/// per-entry branch. Each output bucket lists its entries in
+/// ascending major index, ties in stored order: the order every
+/// conversion in this crate produces. The one transpose behind
+/// [`Csr::to_csc`], [`Csr::to_csc_pattern`] and [`Csc::to_csr`].
+pub(crate) fn transpose_compressed<const VALUES: bool>(
+    n_minor: usize,
+    major_ptr: &[usize],
+    minor_idx: &[u32],
+    values: &[f32],
+) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
+    let mut ptr = vec![0usize; n_minor + 1];
+    for &m in minor_idx {
+        ptr[m as usize + 1] += 1;
+    }
+    for i in 0..n_minor {
+        ptr[i + 1] += ptr[i];
+    }
+    let mut idx = vec![0u32; minor_idx.len()];
+    let mut out_values = vec![0.0f32; if VALUES { values.len() } else { 0 }];
+    let mut cursor = ptr[..n_minor].to_vec();
+    for (major, span) in major_ptr.windows(2).enumerate() {
+        for p in span[0]..span[1] {
+            let m = minor_idx[p] as usize;
+            let q = cursor[m];
+            cursor[m] += 1;
+            idx[q] = major as u32;
+            if VALUES {
+                out_values[q] = values[p];
+            }
+        }
+    }
+    (ptr, idx, out_values)
 }
 
 /// Validation shared between CSR and CSC (`major_ptr` semantics).

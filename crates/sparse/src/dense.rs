@@ -279,18 +279,39 @@ impl DenseMatrix {
         Ok(out)
     }
 
-    /// Converts directly to CSC, keeping entries with `|v| > 0.0`.
+    /// Converts directly to CSC, keeping every entry with `v != 0.0` —
+    /// NaN included: a non-finite hidden feature must reach the next layer
+    /// as the software reference sees it, not be silently zeroed.
     ///
-    /// Equivalent to `self.to_coo(0.0).to_csc()` — same entries, same
-    /// within-column row order — without materializing the intermediate
-    /// triplet list. This is the inter-layer hot path of the GCN runner
-    /// (the ReLU-dense hidden features re-enter the accelerator as the
-    /// next layer's sparse operand).
+    /// On finite data this equals `self.to_coo(0.0).to_csc()` — same
+    /// entries, same within-column row order — without materializing the
+    /// intermediate triplet list.
     pub fn to_csc(&self) -> crate::Csc {
+        let (col_ptr, row_idx, values) = self.compress_columns::<true>();
+        crate::Csc::from_parts(self.rows, self.cols, col_ptr, row_idx, values)
+            .expect("column scan produces a well-formed CSC")
+    }
+
+    /// The column structure [`to_csc`](DenseMatrix::to_csc) would build
+    /// (same entries, same order), without copying values. This is the
+    /// inter-layer hot path of the GCN runner: the ReLU-dense hidden
+    /// features re-enter the accelerator as the next layer's sparse
+    /// operand, whose timing needs only the structure while the numerics
+    /// read this matrix row by row.
+    pub fn to_csc_pattern(&self) -> crate::CscPattern {
+        let (col_ptr, row_idx, _) = self.compress_columns::<false>();
+        crate::CscPattern::from_parts_trusted(self.rows, self.cols, col_ptr, row_idx)
+    }
+
+    /// The CSC arrays of the entries `v != 0.0` (values only with
+    /// `VALUES`, so the structure-only scan carries no per-entry branch).
+    /// The row-major scan fills each column bucket in ascending row order
+    /// — exactly the sorted order `Coo::to_csc`'s compression produces.
+    fn compress_columns<const VALUES: bool>(&self) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
         let mut col_ptr = vec![0usize; self.cols + 1];
         for r in 0..self.rows {
-            for (c, v) in self.row(r).iter().enumerate() {
-                if v.abs() > 0.0 {
+            for (c, &v) in self.row(r).iter().enumerate() {
+                if v != 0.0 {
                     col_ptr[c + 1] += 1;
                 }
             }
@@ -300,22 +321,21 @@ impl DenseMatrix {
         }
         let nnz = col_ptr[self.cols];
         let mut row_idx = vec![0u32; nnz];
-        let mut values = vec![0.0f32; nnz];
-        let mut cursor = col_ptr.clone();
-        // Row-major scan fills each column bucket in ascending row order —
-        // exactly the sorted order `Coo::to_csc`'s compression produces.
+        let mut values = vec![0.0f32; if VALUES { nnz } else { 0 }];
+        let mut cursor = col_ptr[..self.cols].to_vec();
         for r in 0..self.rows {
             for (c, &v) in self.row(r).iter().enumerate() {
-                if v.abs() > 0.0 {
+                if v != 0.0 {
                     let p = cursor[c];
                     row_idx[p] = r as u32;
-                    values[p] = v;
+                    if VALUES {
+                        values[p] = v;
+                    }
                     cursor[c] += 1;
                 }
             }
         }
-        crate::Csc::from_parts(self.rows, self.cols, col_ptr, row_idx, values)
-            .expect("column scan produces a well-formed CSC")
+        (col_ptr, row_idx, values)
     }
 
     /// Converts to COO, keeping entries with `|v| > threshold`.
@@ -496,6 +516,24 @@ mod tests {
         let zeros = DenseMatrix::zeros(2, 5);
         assert_eq!(zeros.to_csc(), zeros.to_coo(0.0).to_csc());
         assert_eq!(zeros.to_csc().nnz(), 0);
+    }
+
+    #[test]
+    fn to_csc_keeps_non_finite_entries() {
+        // Regression: the hop kept `|v| > 0.0`, which is false for NaN, so
+        // an overflowed hidden feature was silently zeroed before the next
+        // layer. `±0.0` still drops; NaN and ±inf stay.
+        let m = DenseMatrix::from_rows(&[
+            &[f32::NAN, 0.0, -0.0],
+            &[f32::INFINITY, f32::NEG_INFINITY, 1.0],
+        ])
+        .unwrap();
+        let csc = m.to_csc();
+        assert_eq!(csc.nnz(), 4);
+        assert!(csc.col_entries(0).next().unwrap().1.is_nan());
+        assert_eq!(csc.col_row_indices(0), &[0, 1]);
+        assert_eq!(csc.col_nnz(2), 1);
+        assert_eq!(&m.to_csc_pattern(), csc.pattern());
     }
 
     #[test]

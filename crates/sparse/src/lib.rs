@@ -8,7 +8,8 @@
 //! * [`Coo`] — coordinate (triplet) format, the usual construction format.
 //! * [`Csr`] — compressed sparse row.
 //! * [`Csc`] — compressed sparse column, the accelerator's native format
-//!   (paper Fig. 4: `Val` / `Row ID` / `Col Ptr` arrays).
+//!   (paper Fig. 4: `Val` / `Row ID` / `Col Ptr` arrays), and its
+//!   values-free [`CscPattern`] (the structure the simulator times).
 //! * [`spmm`] — reference multiply kernels used as functional ground truth.
 //! * [`ops_count`] — multiply-accumulate operation counting for the
 //!   execution-order analysis of the paper's Table 2.
@@ -57,7 +58,7 @@ pub mod spmm;
 pub mod store;
 
 pub use coo::Coo;
-pub use csc::Csc;
+pub use csc::{Csc, CscPattern};
 pub use csr::Csr;
 pub use dense::DenseMatrix;
 pub use error::SparseError;

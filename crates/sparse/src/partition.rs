@@ -39,7 +39,7 @@
 //! ```
 
 use crate::store::ChunkProfile;
-use crate::Csc;
+use crate::{Csc, CscPattern};
 use std::ops::Range;
 
 /// One column shard: a contiguous column range of the partitioned matrix
@@ -156,7 +156,8 @@ impl ColumnPartitioner {
     /// paying the O(cols) partition/profile scan (the combination phase
     /// re-derives its cut per layer per request, so this runs on the
     /// serving hot path).
-    pub fn is_single(&self, a: &Csc) -> bool {
+    pub fn is_single<M: AsRef<CscPattern> + ?Sized>(&self, a: &M) -> bool {
+        let a = a.as_ref();
         match self.target {
             Target::Shards(n) => n.min(a.cols()) <= 1,
             // One greedy budget fill covers all columns iff the whole
@@ -167,9 +168,10 @@ impl ColumnPartitioner {
         }
     }
 
-    /// The shard boundaries and profiles for `a` (see the struct docs for
-    /// the covering guarantees).
-    pub fn partition(&self, a: &Csc) -> Vec<ColumnShard> {
+    /// The shard boundaries and profiles for `a` — a [`Csc`] or just its
+    /// [`CscPattern`] (see the struct docs for the covering guarantees).
+    pub fn partition<M: AsRef<CscPattern> + ?Sized>(&self, a: &M) -> Vec<ColumnShard> {
+        let a = a.as_ref();
         let bounds = match self.target {
             Target::Shards(n) => split_by_shards(a, n),
             Target::MaxNnz(budget) => split_by_max_nnz(a, budget),
@@ -285,7 +287,7 @@ fn group_chunks_by_shards(chunks: &[ChunkProfile], k: usize) -> Vec<Range<usize>
     out
 }
 
-fn profile_shard(a: &Csc, cols: Range<usize>) -> ColumnShard {
+fn profile_shard(a: &CscPattern, cols: Range<usize>) -> ColumnShard {
     let ptr = a.col_ptr();
     let nnz = ptr[cols.end] - ptr[cols.start];
     let max_col_nnz = cols.clone().map(|c| ptr[c + 1] - ptr[c]).max().unwrap_or(0);
@@ -305,7 +307,7 @@ fn profile_shard(a: &Csc, cols: Range<usize>) -> ColumnShard {
 /// Greedy prefix-sum split into `k` shards: boundary `i` lands on the
 /// column whose nnz prefix is closest to `total * (i+1) / k`, constrained
 /// to leave at least one column for every remaining shard.
-fn split_by_shards(a: &Csc, k: usize) -> Vec<usize> {
+fn split_by_shards(a: &CscPattern, k: usize) -> Vec<usize> {
     let cols = a.cols();
     if cols == 0 {
         return Vec::new();
@@ -340,7 +342,7 @@ fn split_by_shards(a: &Csc, k: usize) -> Vec<usize> {
 
 /// Greedy budget fill: extend each shard while the next column still fits,
 /// always taking at least one column.
-fn split_by_max_nnz(a: &Csc, budget: usize) -> Vec<usize> {
+fn split_by_max_nnz(a: &CscPattern, budget: usize) -> Vec<usize> {
     let cols = a.cols();
     if cols == 0 {
         return Vec::new();
@@ -361,7 +363,7 @@ fn split_by_max_nnz(a: &Csc, budget: usize) -> Vec<usize> {
 
 /// Greedy resident-byte fill, same structure as [`split_by_max_nnz`] but
 /// bounding [`Csc::heap_bytes`] of each shard's slice.
-fn split_by_max_bytes(a: &Csc, budget: usize) -> Vec<usize> {
+fn split_by_max_bytes(a: &CscPattern, budget: usize) -> Vec<usize> {
     let cols = a.cols();
     if cols == 0 {
         return Vec::new();
@@ -595,7 +597,7 @@ mod tests {
             // Shard profiles must agree with re-profiling the same column
             // ranges against the resident matrix.
             for s in &shards {
-                let direct = profile_shard(&a, s.cols.clone());
+                let direct = profile_shard(a.pattern(), s.cols.clone());
                 assert_eq!(s, &direct, "{p:?}");
             }
         }

@@ -203,6 +203,166 @@ pub fn csc_times_dense_blocked(a: &Csc, b: &DenseMatrix) -> Result<DenseMatrix> 
     Ok(c)
 }
 
+/// A row-major left operand of the pinned row kernels
+/// ([`row_major_times_dense`]): a CSR matrix, or a dense matrix whose
+/// stored entries are its `!= 0.0` ones — exactly the entries
+/// [`DenseMatrix::to_csc`] keeps.
+#[derive(Debug, Clone, Copy)]
+pub enum RowOperand<'a> {
+    /// A sparse operand (layer 1's `X1`).
+    Sparse(&'a Csr),
+    /// A dense operand (a hidden layer's ReLU output).
+    Dense(&'a DenseMatrix),
+}
+
+impl RowOperand<'_> {
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        match self {
+            RowOperand::Sparse(x) => x.rows(),
+            RowOperand::Dense(x) => x.rows(),
+        }
+    }
+
+    /// Number of columns.
+    pub fn cols(&self) -> usize {
+        match self {
+            RowOperand::Sparse(x) => x.cols(),
+            RowOperand::Dense(x) => x.cols(),
+        }
+    }
+}
+
+/// Which [`ACC_BLOCK_LANES`]-wide column blocks of each row of `W` are
+/// all `±0.0` — the `(j, block)` pairs [`csc_accumulate_block`] skips.
+struct ZeroBlocks {
+    n_blocks: usize,
+    zero: Vec<bool>,
+    any: bool,
+}
+
+impl ZeroBlocks {
+    fn of(w: &DenseMatrix) -> Self {
+        let n_blocks = w.cols().div_ceil(ACC_BLOCK_LANES);
+        let zero: Vec<bool> = (0..w.rows())
+            .flat_map(|j| {
+                w.row(j)
+                    .chunks(ACC_BLOCK_LANES)
+                    .map(|block| block.iter().all(|&s| s == 0.0))
+            })
+            .collect();
+        let any = zero.contains(&true);
+        ZeroBlocks {
+            n_blocks,
+            zero,
+            any,
+        }
+    }
+
+    /// `out += x × W[j, :]` over the blocks the column kernel would visit.
+    #[inline]
+    fn axpy(&self, j: usize, x: f32, w: &DenseMatrix, out: &mut [f32]) {
+        let w_row = w.row(j);
+        if !self.any {
+            for (o, &s) in out.iter_mut().zip(w_row) {
+                *o += x * s;
+            }
+            return;
+        }
+        let zero = &self.zero[j * self.n_blocks..(j + 1) * self.n_blocks];
+        let blocks = out
+            .chunks_mut(ACC_BLOCK_LANES)
+            .zip(w_row.chunks(ACC_BLOCK_LANES));
+        for ((o, s), &skip) in blocks.zip(zero) {
+            if !skip {
+                for (o, &s) in o.iter_mut().zip(s) {
+                    *o += x * s;
+                }
+            }
+        }
+    }
+}
+
+/// Accumulates rows `rows` of `C = X × W` into `out` (row-major,
+/// `rows.len() × w.cols()`, expected all `+0.0`), reading `X` row by row.
+///
+/// # Pinned reduction order
+///
+/// Output element `(i, k)` receives `x(i, j) · w(j, k)` for the stored
+/// `j` of row `i` in ascending order (a row stored out of order is
+/// visited sorted, stably, so duplicates keep their stored order),
+/// skipping the `(j, block)` pairs whose `W` block is all zero. That is
+/// the exact addition sequence [`csc_accumulate_block`] performs for the
+/// same element on `X`'s CSC transpose, so the result is bit-identical to
+/// [`csc_times_dense_blocked`] — for non-finite values too — while no
+/// transpose of `X`'s values is ever built.
+///
+/// # Panics
+///
+/// Panics if `x.cols() != w.rows()`, `rows.end > x.rows()`, or
+/// `out.len() != rows.len() * w.cols()`.
+pub fn row_major_times_dense_into(
+    x: RowOperand<'_>,
+    w: &DenseMatrix,
+    rows: std::ops::Range<usize>,
+    out: &mut [f32],
+) {
+    assert_eq!(x.cols(), w.rows(), "operand dimensions must agree");
+    assert!(rows.end <= x.rows(), "row range {rows:?} out of bounds");
+    assert_eq!(out.len(), rows.len() * w.cols(), "output slice size");
+    if w.cols() == 0 {
+        return;
+    }
+    let blocks = ZeroBlocks::of(w);
+    for (i, out_row) in rows.zip(out.chunks_exact_mut(w.cols())) {
+        match x {
+            RowOperand::Sparse(x) => {
+                let span = x.row_ptr()[i]..x.row_ptr()[i + 1];
+                let cols = &x.col_idx()[span.clone()];
+                let values = &x.values()[span];
+                if cols.windows(2).all(|p| p[0] <= p[1]) {
+                    for (&j, &v) in cols.iter().zip(values) {
+                        blocks.axpy(j as usize, v, w, out_row);
+                    }
+                } else {
+                    let mut entries: Vec<(u32, f32)> =
+                        cols.iter().copied().zip(values.iter().copied()).collect();
+                    entries.sort_by_key(|&(j, _)| j);
+                    for (j, v) in entries {
+                        blocks.axpy(j as usize, v, w, out_row);
+                    }
+                }
+            }
+            RowOperand::Dense(x) => {
+                for (j, &v) in x.row(i).iter().enumerate() {
+                    if v != 0.0 {
+                        blocks.axpy(j, v, w, out_row);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `C = X × W` read row-major, bit-identical to [`csc_times_dense_blocked`]
+/// on `X`'s CSC form (see [`row_major_times_dense_into`]).
+///
+/// # Errors
+///
+/// Returns [`SparseError::DimensionMismatch`] if `x.cols() != w.rows()`.
+pub fn row_major_times_dense(x: RowOperand<'_>, w: &DenseMatrix) -> Result<DenseMatrix> {
+    if x.cols() != w.rows() {
+        return Err(SparseError::DimensionMismatch {
+            left: (x.rows(), x.cols()),
+            right: w.shape(),
+            op: "row_major_times_dense",
+        });
+    }
+    let mut out = vec![0f32; x.rows() * w.cols()];
+    row_major_times_dense_into(x, w, 0..x.rows(), &mut out);
+    DenseMatrix::from_vec(x.rows(), w.cols(), out)
+}
+
 /// `C = A * B` with `A` sparse (CSC) and `B` dense — the accelerator's
 /// native schedule.
 ///

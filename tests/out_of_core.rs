@@ -106,7 +106,9 @@ fn service_reports_streaming_and_serves_identical_outputs() {
     assert!(stream.resident_peak_bytes <= budget);
     assert!(stream.io_bytes > 0);
 
-    let outcome = service.serve("cora", std::slice::from_ref(&input.x1)).unwrap();
+    let outcome = service
+        .serve("cora", std::slice::from_ref(&input.x1))
+        .unwrap();
     assert_eq!(
         bits(&outcome.requests[0].outcome.output),
         bits(&reference.output)

@@ -1,8 +1,9 @@
 //! Property-based tests on the sparse-matrix substrate: format round-trips
 //! and kernel equivalence against the dense ground truth.
 
+use awb_gcn_repro::sparse::spmm::RowOperand;
 use awb_gcn_repro::sparse::store::SparseStore;
-use awb_gcn_repro::sparse::{profile, spmm, Coo, DenseMatrix};
+use awb_gcn_repro::sparse::{profile, spmm, Coo, Csr, DenseMatrix};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -143,6 +144,76 @@ proptest! {
         let scalar_bits: Vec<u32> = scalar.into_vec().iter().map(|v| v.to_bits()).collect();
         let blocked_bits: Vec<u32> = blocked.into_vec().iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(blocked_bits, scalar_bits);
+    }
+
+    /// Row-major `X × W` — the GCN layers' `X × W` numerics — must be
+    /// bit-identical to the blocked column kernel on `X`'s CSC transpose,
+    /// for CSR and dense-row `X` alike: random shapes, ±0.0 in both
+    /// operands (stored in the CSR too), all-zero rows and all-zero lane
+    /// blocks of `W`, widths on both sides of `ACC_BLOCK_LANES`, values
+    /// whose sums round (so any reordering shows), duplicate entries, and
+    /// CSR rows stored out of column order.
+    #[test]
+    fn row_major_bit_identical_to_blocked(
+        shape in (1usize..24, 1usize..24),
+        entries in proptest::collection::vec((0u64..1000, 0usize..24), 0..200),
+        width in 1usize..20,
+        w_zero_rows in proptest::collection::vec(0u32..4, 24),
+        seed in 0u64..1000,
+        sorted in prop_oneof![Just(true), Just(false)],
+    ) {
+        let (rows, cols) = shape;
+        let value = |h: u64| match h % 10 {
+            0 => 0.0,
+            1 => -0.0,
+            v => (v as f32 - 5.5) * 0.1 + (h % 7) as f32 / 3.0,
+        };
+        // X as CSR, entry `e` in row `e % rows`, in draw order unless
+        // sorted; the same entries (last write wins) as a dense matrix.
+        let mut by_row: Vec<Vec<(u32, f32)>> = vec![Vec::new(); rows];
+        let mut x_dense = DenseMatrix::zeros(rows, cols);
+        for (e, &(h, c)) in entries.iter().enumerate() {
+            let (r, c, v) = (e % rows, c % cols, value(h.wrapping_add(seed)));
+            by_row[r].push((c as u32, v));
+            x_dense.set(r, c, v);
+        }
+        let mut row_ptr = vec![0usize];
+        let (mut col_idx, mut values) = (Vec::new(), Vec::new());
+        for mut row in by_row {
+            if sorted {
+                row.sort_by_key(|&(c, _)| c);
+            }
+            for (c, v) in row {
+                col_idx.push(c);
+                values.push(v);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        let x_csr = Csr::from_parts(rows, cols, row_ptr, col_idx, values).unwrap();
+        let w = {
+            let data: Vec<f32> = (0..cols * width)
+                .map(|i| {
+                    let (j, k) = (i / width, i % width);
+                    let h = (i as u64).wrapping_mul(2654435761).wrapping_add(seed) >> 5;
+                    // Whole zero rows, and a zero second lane block.
+                    if w_zero_rows[j] == 0 || (w_zero_rows[j] == 1 && k >= 8) {
+                        if h % 2 == 0 { 0.0 } else { -0.0 }
+                    } else {
+                        value(h)
+                    }
+                })
+                .collect();
+            DenseMatrix::from_vec(cols, width, data).unwrap()
+        };
+        let bits = |m: DenseMatrix| -> Vec<u32> {
+            m.into_vec().iter().map(|v| v.to_bits()).collect()
+        };
+        let blocked = spmm::csc_times_dense_blocked(&x_csr.to_csc(), &w).unwrap();
+        let row_major = spmm::row_major_times_dense(RowOperand::Sparse(&x_csr), &w).unwrap();
+        prop_assert_eq!(bits(row_major), bits(blocked));
+        let blocked = spmm::csc_times_dense_blocked(&x_dense.to_csc(), &w).unwrap();
+        let row_major = spmm::row_major_times_dense(RowOperand::Dense(&x_dense), &w).unwrap();
+        prop_assert_eq!(bits(row_major), bits(blocked));
     }
 
     #[test]
