@@ -25,9 +25,7 @@
 //! two `"workload": "kernel"` records time the scalar vs blocked
 //! (`csc_times_dense_blocked`) accumulate kernels on the Pubmed-shaped
 //! operand and report a `"gflops"` MAC rate (2 FLOPs per MAC over
-//! `csc_times_dense_macs`), and a `"workload": "serve_arena_off"`
-//! record re-runs the warm serving batch with `scratch_reuse` disabled —
-//! the per-request-allocation A/B for the plan-owned scratch arenas.
+//! `csc_times_dense_macs`).
 //! Schema 8 adds the strategy axis: every record carries a `"policy"`
 //! field (`"manual"` for the hand-specified records), and a `"workload":
 //! "auto"` record resolves `StrategyPolicy::Auto` on Cora, measures its
@@ -165,19 +163,12 @@ fn record(design: Design, replay: bool, shards: usize, xw_shards: usize, m: &Mea
 }
 
 /// Shared setup for the serving records: the Cora graph plus an 8-request
-/// feature stream on a warmed `GcnService`. `scratch_reuse` selects the
-/// arena-on/arena-off A/B (schema 7).
-fn serve_fixture(scratch_reuse: bool) -> (GcnInput, Vec<awb_sparse::Csr>, GcnService) {
+/// feature stream on a warmed `GcnService`.
+fn serve_fixture() -> (GcnInput, Vec<awb_sparse::Csr>, GcnService) {
     let design = Design::LocalPlusRemote { hop: 2 };
     let data = GeneratedDataset::generate(&DatasetSpec::cora(), BENCH_SEED).expect("dataset");
     let input = GcnInput::from_dataset(&data).expect("gcn input");
-    let config = design.apply(
-        AccelConfig::builder()
-            .n_pes(1024)
-            .scratch_reuse(scratch_reuse)
-            .build()
-            .unwrap(),
-    );
+    let config = design.apply(AccelConfig::builder().n_pes(1024).build().unwrap());
     let requests: Vec<_> = (0..8)
         .map(|i| {
             if i == 0 {
@@ -230,11 +221,9 @@ fn serve_json(
 /// The serving record (schema 5): the multi-tenant front-end measured end
 /// to end on a warm plan cache. `tasks` is the request count and
 /// `tasks_per_s` is requests/second; the percentile fields are
-/// milliseconds. The schema-7 `"serve_arena_off"` twin runs the identical
-/// batch with `scratch_reuse` disabled — the gap between the two records
-/// is the end-to-end cost of per-request scratch allocation.
-fn serve_record(workload: &str, scratch_reuse: bool) -> String {
-    let (input, requests, mut service) = serve_fixture(scratch_reuse);
+/// milliseconds.
+fn serve_record() -> String {
+    let (input, requests, mut service) = serve_fixture();
     // Warm batch pays the prepare (the cache miss); the timed batch runs
     // on a warm cache — the steady serving state the record tracks.
     service.serve_graph(&input, &requests).expect("warm batch");
@@ -245,7 +234,7 @@ fn serve_record(workload: &str, scratch_reuse: bool) -> String {
     let exec_p = batch.execute_percentiles();
     let stats = service.cache_stats();
     serve_json(
-        workload,
+        "serve",
         batch.requests.len(),
         wall_s,
         &wait,
@@ -262,7 +251,7 @@ fn serve_record(workload: &str, scratch_reuse: bool) -> String {
 /// measures the cost of the fault-tolerance layer when off (required:
 /// within noise).
 fn serve_isolated_record() -> String {
-    let (input, requests, mut service) = serve_fixture(true);
+    let (input, requests, mut service) = serve_fixture();
     service.prepare("cora", &input).expect("prepare");
     service
         .serve_isolated("cora", &requests)
@@ -508,10 +497,7 @@ fn write_bench(path: &str) {
 
     // Serving axis (schema 5): the multi-tenant front-end on a warm plan
     // cache — end-to-end requests/second plus latency percentiles.
-    records.push(serve_record("serve", true));
-
-    // Arena A/B (schema 7): the same warm batch with scratch pooling off.
-    records.push(serve_record("serve_arena_off", false));
+    records.push(serve_record());
 
     // Fault-tolerance axis (schema 6): the same warm batch through the
     // isolated path with injection disabled — the zero-cost-off gate.

@@ -239,14 +239,6 @@ pub struct AccelConfig {
     /// Disabling forces every round through the full queue simulation —
     /// the straight-simulated reference the replay path is tested against.
     pub replay: bool,
-    /// Whether engines and plans pool their steady-state scratch buffers
-    /// (accumulators, simulator queues, output/intermediate matrices) in a
-    /// shared [`ScratchArena`](crate::ScratchArena) instead of allocating
-    /// fresh per request (default `true`). Disabling reverts to the
-    /// pre-arena allocate-per-request behaviour — the A/B baseline; the
-    /// numerics are bit-identical either way (buffers are zeroed at
-    /// checkout).
-    pub scratch_reuse: bool,
     /// How the sparse adjacency is partitioned across devices (default
     /// [`ShardPolicy::Single`], the paper's one-accelerator setup).
     pub shards: ShardPolicy,
@@ -487,7 +479,6 @@ impl Default for AccelConfigBuilder {
                 memory: MemoryModel::unbounded(),
                 threads: None,
                 replay: true,
-                scratch_reuse: true,
                 shards: ShardPolicy::Single,
                 combination_shards: ShardPolicy::Single,
                 faults: None,
@@ -588,13 +579,6 @@ impl AccelConfigBuilder {
     /// [`exec`](crate::exec) default; `Some(n)` requires `n >= 1`).
     pub fn threads(&mut self, threads: Option<usize>) -> &mut Self {
         self.config.threads = threads;
-        self
-    }
-
-    /// Enables or disables scratch-buffer pooling (see
-    /// [`AccelConfig::scratch_reuse`]).
-    pub fn scratch_reuse(&mut self, on: bool) -> &mut Self {
-        self.config.scratch_reuse = on;
         self
     }
 
@@ -748,7 +732,6 @@ mod tests {
         assert_eq!(c.mapping, MappingKind::Block);
         assert_eq!(c.threads, None);
         assert!(c.replay);
-        assert!(c.scratch_reuse);
         assert_eq!(c.shards, ShardPolicy::Single);
         assert_eq!(c.combination_shards, ShardPolicy::Single);
         assert_eq!(c.strategy, StrategyPolicy::Manual);

@@ -31,10 +31,9 @@
 //!   predicted-vs-measured line in `PrepareReport`.
 //!
 //! Auto only *selects among existing kernels*: the execution order is the
-//! implemented `A × (X × W)` schedule (the `(A × X) × W` alternative is
-//! scored and reported per layer, never executed), and the pinned
-//! ascending-`j` reduction order is untouched, so an Auto run is
-//! bit-identical to hand-specifying the same configuration.
+//! implemented `A × (X × W)` schedule, and the pinned ascending-`j`
+//! reduction order is untouched, so an Auto run is bit-identical to
+//! hand-specifying the same configuration.
 
 use crate::config::{AccelConfig, Design, ShardPolicy, StrategyPolicy};
 use awb_gcn_model::GcnInput;
@@ -166,23 +165,14 @@ pub struct CostProfile {
     x1_row_stats: NnzStats,
     /// `(f_in, f_out)` per layer, from the weight shapes.
     layer_dims: Vec<(usize, usize)>,
-    /// Exact MAC count of the unimplemented `(A × X1)` product — the
-    /// layer-1 input to the execution-order comparison.
-    ax_l1_macs: u64,
 }
 
 impl CostProfile {
     /// Profiles `input`: row-nnz vectors and summary stats for `A` and
-    /// `X1`, column-side stats for `A`, layer dimensions, and the
-    /// execution-order MAC counts.
+    /// `X1`, column-side stats for `A`, and layer dimensions.
     pub fn of_input(input: &GcnInput) -> Self {
         let a_row_nnz = input.a_norm.row_nnz_counts();
         let x1_row_nnz = input.x1.row_nnz_counts();
-        let ax_l1_macs = input
-            .a_norm
-            .iter()
-            .map(|(_, c, _)| x1_row_nnz[c] as u64)
-            .sum();
         CostProfile {
             n: input.a_norm.rows(),
             a_nnz: input.a_norm.nnz(),
@@ -194,7 +184,6 @@ impl CostProfile {
             layer_dims: input.weights.iter().map(|w| w.shape()).collect(),
             a_row_nnz,
             x1_row_nnz,
-            ax_l1_macs,
         }
     }
 
@@ -225,16 +214,6 @@ impl CostProfile {
     }
 }
 
-/// The execution order of one GCN layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecOrder {
-    /// `A × (X × W)` — the paper's (and this repo's) implemented schedule.
-    XwFirst,
-    /// `(A × X) × W` — scored for the per-layer comparison, not executed
-    /// (no kernel implements it; Auto only selects among existing ones).
-    AxFirst,
-}
-
 /// Per-layer forecast attached to the winning candidate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerForecast {
@@ -242,14 +221,8 @@ pub struct LayerForecast {
     pub xw_cycles: f64,
     /// Predicted `A × (XW)` cycles.
     pub a_xw_cycles: f64,
-    /// MAC volume of the implemented `A × (X × W)` order.
+    /// MAC volume of the `A × (X × W)` schedule.
     pub a_xw_macs: u64,
-    /// MAC volume the unimplemented `(A × X) × W` order would cost — when
-    /// this is lower the order comparison favours the other schedule, but
-    /// Auto still executes [`ExecOrder::XwFirst`] (see [`ExecOrder`]).
-    pub ax_w_macs: u64,
-    /// The order Auto executes (always [`ExecOrder::XwFirst`] today).
-    pub order: ExecOrder,
 }
 
 /// Host I/O forecast attached to an [`AutoDecision`] when the
@@ -515,19 +488,11 @@ fn score_candidate(
         total_cycles += combine_layer(xw_cycles, a_xw_cycles, f_out, config.pipeline_spmms);
 
         let a_xw_macs = (x_nnz as u64 + profile.a_nnz as u64) * f_out as u64;
-        let ax_macs = if l == 0 {
-            profile.ax_l1_macs
-        } else {
-            profile.a_nnz as u64 * f_in as u64
-        };
-        let ax_w_macs = ax_macs + (profile.n * f_in * f_out) as u64;
         total_macs += a_xw_macs;
         layers.push(LayerForecast {
             xw_cycles,
             a_xw_cycles,
             a_xw_macs,
-            ax_w_macs,
-            order: ExecOrder::XwFirst,
         });
     }
     // Host wall: the numeric MAC work always runs; the simulation side is
@@ -877,8 +842,7 @@ mod tests {
     }
 
     #[test]
-    fn forecast_orders_both_schedules() {
-        // A dense X1 makes (A×X)×W strictly more expensive per layer 1.
+    fn forecast_counts_layer_macs() {
         let n = 32;
         let mut a = Coo::new(n, n);
         for i in 0..n {
@@ -896,11 +860,8 @@ mod tests {
         let config = AccelConfig::builder().n_pes(8).build().unwrap();
         let decision = select(&config, &profile);
         let layer = &decision.layers[0];
-        assert_eq!(layer.order, ExecOrder::XwFirst);
-        // a_xw: (x_nnz + a_nnz) * f_out = (256 + 32) * 4; ax_w: a.iter over
-        // x rows (32 * 8) + n * f_in * f_out (32 * 8 * 4).
+        // (x_nnz + a_nnz) * f_out = (256 + 32) * 4.
         assert_eq!(layer.a_xw_macs, (256 + 32) * 4);
-        assert_eq!(layer.ax_w_macs, 32 * 8 + 32 * 8 * 4);
     }
 
     #[test]

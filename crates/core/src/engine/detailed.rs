@@ -9,7 +9,6 @@
 //! engine — not for full-dataset sweeps.
 
 use crate::config::{AccelConfig, StallMode};
-use crate::engine::arena::ScratchArena;
 use crate::engine::steady::ReplayCache;
 use crate::engine::{check_shapes, PlanOutcome, SpmmEngine, SpmmOutcome, TunedPlan};
 use crate::error::AccelError;
@@ -429,13 +428,6 @@ impl SpmmEngine for DetailedEngine {
                 tuner.total_switches(),
                 self.config.replay,
                 ReplayCache::new(),
-                // A detailed-engine plan starts its own pool: the sessions
-                // it feeds run on the fast model and warm it themselves.
-                std::sync::Arc::new(if self.config.scratch_reuse {
-                    ScratchArena::new()
-                } else {
-                    ScratchArena::disabled()
-                }),
             ),
             warmup: outcome,
         })

@@ -41,7 +41,6 @@
 //! in the crate's integration tests.
 
 use crate::config::AccelConfig;
-use crate::engine::arena::{ArenaStats, ScratchArena};
 use crate::engine::steady::{
     column_pattern, compute_columns, execute_steady, simulate_round, structure_fingerprint,
     MemoryParams, ReplayCache, RoundTiming, SimParams, SteadySpan,
@@ -55,7 +54,6 @@ use crate::rebalance::local::LocalSharing;
 use crate::rebalance::remote::RoundProfile;
 use crate::stats::SpmmStats;
 use awb_sparse::{Csc, CscPattern, DenseMatrix};
-use std::sync::Arc;
 
 /// Fast queue-dynamics engine (see module docs).
 ///
@@ -89,11 +87,6 @@ pub struct FastEngine {
     threads: Option<usize>,
     replay_enabled: bool,
     cache: ReplayCache,
-    /// Scratch pool for accumulator/simulator/output buffers, shared into
-    /// every plan frozen from this engine (and replaceable wholesale via
-    /// [`set_arena`](FastEngine::set_arena), e.g. a GCN runner threading
-    /// one arena through its per-layer combination engines).
-    arena: Arc<ScratchArena>,
 }
 
 impl FastEngine {
@@ -103,11 +96,6 @@ impl FastEngine {
     /// later via [`set_threads`](FastEngine::set_threads)/
     /// [`set_replay_enabled`](FastEngine::set_replay_enabled)).
     pub fn new(config: AccelConfig) -> Self {
-        let arena = if config.scratch_reuse {
-            ScratchArena::new()
-        } else {
-            ScratchArena::disabled()
-        };
         FastEngine {
             threads: config.threads,
             replay_enabled: config.replay,
@@ -116,7 +104,6 @@ impl FastEngine {
             map: None,
             tuner: None,
             cache: ReplayCache::new(),
-            arena: Arc::new(arena),
         }
     }
 
@@ -153,18 +140,6 @@ impl FastEngine {
         }
     }
 
-    /// Replaces the engine's scratch arena with a shared one — used by the
-    /// GCN runner to pool scratch across the per-layer combination engines
-    /// instead of each engine warming its own.
-    pub fn set_arena(&mut self, arena: Arc<ScratchArena>) {
-        self.arena = arena;
-    }
-
-    /// Allocation/reuse counters of the engine's scratch arena.
-    pub fn scratch_stats(&self) -> ArenaStats {
-        self.arena.stats()
-    }
-
     /// Steady-state rounds whose timing was served from the replay cache.
     pub fn replay_hits(&self) -> u64 {
         self.cache.hits()
@@ -198,7 +173,6 @@ impl FastEngine {
             tuner.total_switches(),
             self.replay_enabled,
             self.cache.clone(),
-            Arc::clone(&self.arena),
         ))
     }
 
@@ -261,9 +235,6 @@ impl FastEngine {
             self.cache.guard(structure_fingerprint(a));
         }
 
-        // Local handle so scratch checkouts coexist with the `self.map`/
-        // `self.tuner` mutable borrows below.
-        let arena = Arc::clone(&self.arena);
         let mut rounds = Vec::with_capacity(b.cols());
         let mut queue_high_water = vec![0u32; n_pes];
 
@@ -292,14 +263,8 @@ impl FastEngine {
                 }
                 _ => {
                     let mut row_tasks = tuner.needs_row_counts().then(|| vec![0u32; n_rows]);
-                    let sim = simulate_round(
-                        a,
-                        &cols,
-                        map.pe_of_row(),
-                        params,
-                        row_tasks.as_deref_mut(),
-                        &arena,
-                    );
+                    let sim =
+                        simulate_round(a, &cols, map.pe_of_row(), params, row_tasks.as_deref_mut());
                     let profile = RoundProfile {
                         per_pe_busy: sim.owner_busy,
                         per_row_tasks: row_tasks,
@@ -346,7 +311,6 @@ impl FastEngine {
                 memory,
                 threads,
                 cache: use_replay.then_some(&self.cache),
-                arena: &arena,
             },
             &mut rounds,
             &mut queue_high_water,
@@ -364,14 +328,10 @@ impl FastEngine {
 impl SpmmEngine for FastEngine {
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
         let stats = self.run_timing(a.pattern(), b, label)?;
-        // Numerics: every output column once, through the blocked kernel,
-        // into an output drawn from the arena (zeroed at take, and
-        // recyclable by callers that consume it).
-        let mut c =
-            DenseMatrix::from_vec(a.rows(), b.cols(), self.arena.take_f32(a.rows() * b.cols()))
-                .expect("arena buffer sized to the output matrix");
+        // Numerics: every output column once, through the blocked kernel.
+        let mut c = DenseMatrix::zeros(a.rows(), b.cols());
         let threads = self.threads.unwrap_or_else(exec::num_threads);
-        compute_columns(a, b, threads, &self.arena, &mut c);
+        compute_columns(a, b, threads, &mut c);
         Ok(SpmmOutcome { c, stats })
     }
 
@@ -541,7 +501,6 @@ mod tests {
             initial.pe_of_row(),
             params,
             None,
-            &ScratchArena::new(),
         );
         assert_eq!(
             out.stats.rounds[1],

@@ -36,7 +36,6 @@
 //! sparse bytes stay under a host-memory budget while outputs remain
 //! bit-identical. See `DESIGN.md` §13.
 
-pub(crate) mod arena;
 mod detailed;
 mod fast;
 mod plan;
@@ -44,7 +43,6 @@ mod sharded;
 pub(crate) mod steady;
 pub(crate) mod streaming;
 
-pub use arena::{ArenaStats, Scratch, ScratchArena};
 pub use detailed::{DetailedEngine, TdqMode};
 pub use fast::FastEngine;
 pub use plan::{SpmmSession, TunedPlan};

@@ -25,7 +25,6 @@
 //! sessions race on the same uncached pattern (both count a miss).
 
 use crate::config::AccelConfig;
-use crate::engine::arena::{ArenaStats, ScratchArena};
 use crate::engine::steady::{
     compute_columns, execute_steady, MemoryParams, ReplayCache, SimParams, SteadySpan,
 };
@@ -36,7 +35,6 @@ use crate::mapping::RowMap;
 use crate::rebalance::local::LocalSharing;
 use crate::stats::SpmmStats;
 use awb_sparse::{Csc, CscPattern, DenseMatrix};
-use std::sync::Arc;
 
 pub(crate) use crate::engine::steady::structure_fingerprint;
 
@@ -78,22 +76,11 @@ pub struct TunedPlan {
     total_switches: u64,
     replay_enabled: bool,
     cache: ReplayCache,
-    /// Scratch pool shared with the engine that froze this plan: every
-    /// session checks its accumulator/simulator/output buffers out of
-    /// here, so the buffers warmed during planning serve all later
-    /// requests. Arena scratch is transient (bounded by the concurrent
-    /// worker count) and deliberately *not* part of
-    /// [`memory_bytes`](TunedPlan::memory_bytes) — the plan-cache budget
-    /// tracks resident per-plan state, and evicting a plan frees its
-    /// arena anyway; observe it via
-    /// [`scratch_stats`](TunedPlan::scratch_stats).
-    arena: Arc<ScratchArena>,
 }
 
 impl TunedPlan {
     /// Assembles a plan from an engine's frozen state (crate-internal; use
     /// [`SpmmEngine::plan`]).
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_frozen(
         config: AccelConfig,
         row_map: RowMap,
@@ -102,7 +89,6 @@ impl TunedPlan {
         total_switches: u64,
         replay_enabled: bool,
         cache: ReplayCache,
-        arena: Arc<ScratchArena>,
     ) -> Self {
         let fingerprint = structure_fingerprint(a);
         // The snapshot may hold timings for a *different* operand the
@@ -119,7 +105,6 @@ impl TunedPlan {
             total_switches,
             replay_enabled,
             cache,
-            arena,
         }
     }
 
@@ -158,11 +143,11 @@ impl TunedPlan {
         a.nnz() == self.nnz && structure_fingerprint(a.pattern()) == self.fingerprint
     }
 
-    /// Estimated heap bytes this plan holds resident: the frozen row→PE
-    /// map (`u32` per row) plus the replay cache's memoized timings. The
-    /// serving front-end's plan-cache budget is derived from these
-    /// estimates (`DESIGN.md` §9); they track the dominant arrays, not
-    /// allocator-exact overheads.
+    /// Estimated heap bytes this plan holds: the frozen row→PE map (`u32`
+    /// per row) plus the replay cache's memoized timings — everything the
+    /// plan keeps between requests. The serving front-end's plan-cache
+    /// budget is derived from these estimates (`DESIGN.md` §9); they track
+    /// the dominant arrays, not allocator-exact overheads.
     pub fn memory_bytes(&self) -> u64 {
         (std::mem::size_of_val(self.row_map.pe_of_row()) + self.cache.approx_bytes()) as u64
     }
@@ -181,26 +166,6 @@ impl TunedPlan {
     /// Distinct memoized patterns currently held.
     pub fn cached_patterns(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Allocation/reuse counters of the plan's scratch arena (shared by
-    /// every session on this plan).
-    pub fn scratch_stats(&self) -> ArenaStats {
-        self.arena.stats()
-    }
-
-    /// The plan's scratch arena (crate-internal: the GCN layers recycle
-    /// consumed intermediates into it).
-    pub(crate) fn arena(&self) -> &Arc<ScratchArena> {
-        &self.arena
-    }
-
-    /// Returns a finished output matrix's buffer to the plan's arena. A
-    /// serving loop that hands back each response it is done with makes
-    /// the steady state *exactly* allocation-free — without this, the one
-    /// escaping output per request is the only fresh allocation left.
-    pub fn recycle_output(&self, c: DenseMatrix) {
-        self.arena.recycle_f32(c.into_vec());
     }
 
     /// Opens a per-request execution session against this plan.
@@ -317,7 +282,6 @@ impl SpmmSession<'_> {
                 memory: plan.memory,
                 threads,
                 cache,
-                arena: &plan.arena,
             },
             &mut rounds,
             &mut queue_high_water,
@@ -334,14 +298,9 @@ impl SpmmSession<'_> {
 impl SpmmEngine for SpmmSession<'_> {
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
         let stats = self.run_timing(a.pattern(), b, label)?;
-        // Output and scratch come from the plan's shared arena: a warm
-        // arena makes the per-request steady path allocation-free.
-        let plan = self.plan;
-        let mut c =
-            DenseMatrix::from_vec(a.rows(), b.cols(), plan.arena.take_f32(a.rows() * b.cols()))
-                .expect("arena buffer sized to the output matrix");
+        let mut c = DenseMatrix::zeros(a.rows(), b.cols());
         let threads = self.threads.unwrap_or_else(exec::num_threads);
-        compute_columns(a, b, threads, &plan.arena, &mut c);
+        compute_columns(a, b, threads, &mut c);
         Ok(SpmmOutcome { c, stats })
     }
 

@@ -46,7 +46,6 @@
 //! changes none of them.
 
 use crate::config::AccelConfig;
-use crate::engine::arena::{ArenaStats, ScratchArena};
 use crate::engine::steady::{compute_columns, structure_fingerprint};
 use crate::engine::{check_shapes, FastEngine, PlanOutcome, SpmmEngine, SpmmOutcome, TunedPlan};
 use crate::error::AccelError;
@@ -144,14 +143,12 @@ pub(crate) fn merge_stats(label: &str, per_shard: &[SpmmStats]) -> SpmmStats {
 /// its dense row slice), computes the merged numerics through the pinned
 /// global-order kernel, and merges statistics — the one fan-out/merge
 /// path both the tuning-live engine and the frozen sessions execute.
-#[allow(clippy::too_many_arguments)]
 fn run_shards<S: Sync>(
     threads: usize,
     shards: &[S],
     a: &Csc,
     b: &DenseMatrix,
     label: &str,
-    merge_arena: &ScratchArena,
     cols_of: impl Fn(&S) -> Range<usize> + Sync,
     run_one: impl Fn(&S, &DenseMatrix) -> Result<SpmmStats, AccelError> + Sync,
 ) -> Result<ShardedOutcome, AccelError> {
@@ -160,13 +157,8 @@ fn run_shards<S: Sync>(
         run_one(shard, &b_slice)
     });
     let per_shard = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-    let mut c = DenseMatrix::from_vec(
-        a.rows(),
-        b.cols(),
-        merge_arena.take_f32(a.rows() * b.cols()),
-    )
-    .expect("arena buffer sized to the output matrix");
-    compute_columns(a, b, threads, merge_arena, &mut c);
+    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
+    compute_columns(a, b, threads, &mut c);
     Ok(ShardedOutcome {
         outcome: SpmmOutcome {
             c,
@@ -177,20 +169,18 @@ fn run_shards<S: Sync>(
 }
 
 /// Timing of one SPMM across the column shards `partitioner` cuts from
-/// `a`'s structure: one fresh timing-only device per shard (drawing
-/// simulator scratch from `arena`), stats merged by [`merge_stats`]. The
-/// transient counterpart of [`ShardedEngine`] for the GCN layers' `X × W`,
-/// whose numerics run row-major and whose devices are never frozen into a
-/// plan — so shards are the pattern's column slices and no slice of `X`'s
-/// values exists. Statistics equal a [`ShardedEngine`] run on the same
-/// operand.
+/// `a`'s structure: one fresh timing-only device per shard, stats merged
+/// by [`merge_stats`]. The transient counterpart of [`ShardedEngine`] for
+/// the GCN layers' `X × W`, whose numerics run row-major and whose devices
+/// are never frozen into a plan — so shards are the pattern's column
+/// slices and no slice of `X`'s values exists. Statistics equal a
+/// [`ShardedEngine`] run on the same operand.
 pub(crate) fn shard_timing(
     config: &AccelConfig,
     partitioner: ColumnPartitioner,
     a: &CscPattern,
     b: &DenseMatrix,
     label: &str,
-    arena: &Arc<ScratchArena>,
 ) -> Result<SpmmStats, AccelError> {
     check_shapes(a, b)?;
     let mut cuts: Vec<Range<usize>> = partitioner
@@ -204,9 +194,7 @@ pub(crate) fn shard_timing(
     }
     let threads = config.threads.unwrap_or_else(exec::num_threads);
     let results = exec::par_map_threads(threads, &cuts, |cols| {
-        let mut engine = FastEngine::new(config.clone());
-        engine.set_arena(Arc::clone(arena));
-        engine.run_timing(
+        FastEngine::new(config.clone()).run_timing(
             &a.col_range(cols.clone()),
             &b.row_range(cols.clone()),
             label,
@@ -262,9 +250,6 @@ pub struct ShardedEngine {
     shards: Vec<EngineShard>,
     /// Fingerprint/shape of the partitioned operand (set on first run).
     operand: Option<(u64, usize, usize, usize)>,
-    /// Scratch pool for the merged output and the global-order merge
-    /// kernel's block accumulators; shared into the frozen plan.
-    merge_arena: Arc<ScratchArena>,
 }
 
 impl ShardedEngine {
@@ -280,35 +265,12 @@ impl ShardedEngine {
     /// instead of the configuration's aggregation-side policy — e.g.
     /// [`AccelConfig::combination_partitioner`] for the `X × W` phase.
     pub fn with_partitioner(config: AccelConfig, partitioner: ColumnPartitioner) -> Self {
-        let merge_arena = Arc::new(if config.scratch_reuse {
-            ScratchArena::new()
-        } else {
-            ScratchArena::disabled()
-        });
         ShardedEngine {
             config,
             partitioner,
             shards: Vec::new(),
             operand: None,
-            merge_arena,
         }
-    }
-
-    /// Replaces the merge-phase scratch arena — lets an owner (e.g.
-    /// `GcnRunner`) share one pool across phases instead of holding one
-    /// per engine.
-    pub fn set_arena(&mut self, arena: Arc<ScratchArena>) {
-        self.merge_arena = arena;
-    }
-
-    /// Allocation/reuse counters of the merge arena plus every shard
-    /// member's own arena.
-    pub fn scratch_stats(&self) -> ArenaStats {
-        let mut total = self.merge_arena.stats();
-        for shard in &self.shards {
-            total.absorb(shard.lock_engine().scratch_stats());
-        }
-        total
     }
 
     /// Number of shards (0 before the first run).
@@ -407,7 +369,6 @@ impl ShardedEngine {
             a,
             b,
             label,
-            &self.merge_arena,
             |shard| shard.cols.clone(),
             |shard, b_slice| {
                 shard
@@ -444,7 +405,6 @@ impl ShardedEngine {
             nnz: a.nnz(),
             fingerprint: structure_fingerprint(a.pattern()),
             shards,
-            merge_arena: Arc::clone(&self.merge_arena),
         })
     }
 }
@@ -514,12 +474,6 @@ pub struct ShardedPlan {
     nnz: usize,
     fingerprint: u64,
     shards: Vec<PlanShard>,
-    /// Scratch pool for the merged output and merge-kernel accumulators,
-    /// shared (`Arc`) with the engine that froze the plan and across plan
-    /// clones. Deliberately excluded from [`memory_bytes`]
-    /// (Self::memory_bytes): retention is transient scratch bounded by the
-    /// worker count, observable via [`scratch_stats`](Self::scratch_stats).
-    merge_arena: Arc<ScratchArena>,
 }
 
 impl ShardedPlan {
@@ -575,29 +529,6 @@ impl ShardedPlan {
     /// Replay misses summed over shard caches.
     pub fn replay_misses(&self) -> u64 {
         self.shards.iter().map(|s| s.plan.replay_misses()).sum()
-    }
-
-    /// Allocation/reuse counters of the merge arena plus every shard's
-    /// per-plan arena. `created` stable across warm requests ⇔ sharded
-    /// serving is allocation-free in steady state.
-    pub fn scratch_stats(&self) -> ArenaStats {
-        let mut total = self.merge_arena.stats();
-        for shard in &self.shards {
-            total.absorb(shard.plan.scratch_stats());
-        }
-        total
-    }
-
-    /// The merge-phase arena (crate-internal: `GcnPlan` unifies its layer
-    /// scratch with it).
-    pub(crate) fn merge_arena(&self) -> &Arc<ScratchArena> {
-        &self.merge_arena
-    }
-
-    /// Returns a finished merged-output buffer to the merge arena (see
-    /// [`TunedPlan::recycle_output`]).
-    pub fn recycle_output(&self, c: DenseMatrix) {
-        self.merge_arena.recycle_f32(c.into_vec());
     }
 
     /// Estimated heap bytes resident across all shards: each shard's
@@ -683,7 +614,6 @@ impl ShardedSession<'_> {
             a,
             b,
             label,
-            &plan.merge_arena,
             |shard| shard.cols.clone(),
             |shard, b_slice| {
                 // Timing-only member sessions: the merged numerics come
@@ -982,8 +912,7 @@ mod tests {
         let partitioner = ColumnPartitioner::by_shards(3);
         let mut engine = ShardedEngine::with_partitioner(cfg.clone(), partitioner);
         let expect = engine.run(&a, &b, "t").unwrap().stats;
-        let arena = Arc::new(ScratchArena::new());
-        let stats = shard_timing(&cfg, partitioner, a.pattern(), &b, "t", &arena).unwrap();
+        let stats = shard_timing(&cfg, partitioner, a.pattern(), &b, "t").unwrap();
         assert_eq!(stats, expect);
         assert_eq!(stats.n_pes, 3 * 8);
     }

@@ -20,7 +20,6 @@
 //! an uncached pattern both count a miss).
 
 use crate::config::{AccelConfig, StallMode};
-use crate::engine::arena::ScratchArena;
 use crate::exec;
 use crate::rebalance::local::{rank_bits, rank_offset, tie_rank, LocalSharing};
 use crate::stats::RoundStats;
@@ -136,14 +135,13 @@ pub(crate) fn simulate_round(
     pe_of_row: &[u32],
     p: SimParams,
     row_tasks: Option<&mut [u32]>,
-    arena: &ScratchArena,
 ) -> SimRound {
     match p.sharing.map_or(0, |s| s.hop()) {
-        0 => simulate_round_hop::<0>(a, pattern, pe_of_row, p, row_tasks, arena),
-        1 => simulate_round_hop::<1>(a, pattern, pe_of_row, p, row_tasks, arena),
-        2 => simulate_round_hop::<2>(a, pattern, pe_of_row, p, row_tasks, arena),
-        3 => simulate_round_hop::<3>(a, pattern, pe_of_row, p, row_tasks, arena),
-        _ => simulate_round_hop::<RUNTIME_HOP>(a, pattern, pe_of_row, p, row_tasks, arena),
+        0 => simulate_round_hop::<0>(a, pattern, pe_of_row, p, row_tasks),
+        1 => simulate_round_hop::<1>(a, pattern, pe_of_row, p, row_tasks),
+        2 => simulate_round_hop::<2>(a, pattern, pe_of_row, p, row_tasks),
+        3 => simulate_round_hop::<3>(a, pattern, pe_of_row, p, row_tasks),
+        _ => simulate_round_hop::<RUNTIME_HOP>(a, pattern, pe_of_row, p, row_tasks),
     }
 }
 
@@ -175,7 +173,6 @@ fn simulate_round_hop<const HOP: usize>(
     pe_of_row: &[u32],
     p: SimParams,
     mut row_tasks: Option<&mut [u32]>,
-    arena: &ScratchArena,
 ) -> SimRound {
     let n_pes = p.n_pes;
     let lat = p.lat;
@@ -188,11 +185,8 @@ fn simulate_round_hop<const HOP: usize>(
     let rank_shift = rank_bits(hop);
     let sentinel = u64::MAX >> rank_shift;
 
-    // Per-PE and per-row scratch, checked out (zeroed) from the plan's
-    // arena — only the vectors that stay internal to the round.
-    // `owner_busy` and the queue high-water marks are *moved out* in the
-    // return value, so they must own their allocations.
-    let mut sim_u64 = arena.checkout_u64(3 * n_pes + 2 * hop + a.rows());
+    // Per-PE and per-row queue state in one zeroed allocation.
+    let mut sim_u64 = vec![0u64; 3 * n_pes + 2 * hop + a.rows()];
     let (drain_at, rest) = sim_u64.split_at_mut(n_pes + 2 * hop);
     drain_at[..hop].fill(sentinel);
     drain_at[hop + n_pes..].fill(sentinel);
@@ -320,7 +314,7 @@ pub(crate) fn block_spans(end: usize) -> Vec<(usize, usize)> {
 
 /// Computes every output column of `C = A × B` through the shared
 /// blocked-accumulate kernel, fanning column *blocks* out on the [`exec`]
-/// substrate with per-worker scratch checked out of `arena`. This is the
+/// substrate, each into its own zeroed accumulator. This is the
 /// numerics half of every engine run — the timing half
 /// ([`execute_steady`], or the fast engine's tuning rounds) never reads
 /// the values. The blocked kernel's pinned reduction order keeps it
@@ -328,17 +322,11 @@ pub(crate) fn block_spans(end: usize) -> Vec<(usize, usize)> {
 /// `csc_accumulate_block`), so the sharded executor pins its merged
 /// output bit-identical to the unsharded engines through it while
 /// simulating timing per shard.
-pub(crate) fn compute_columns(
-    a: &Csc,
-    b: &DenseMatrix,
-    threads: usize,
-    arena: &ScratchArena,
-    c: &mut DenseMatrix,
-) {
+pub(crate) fn compute_columns(a: &Csc, b: &DenseMatrix, threads: usize, c: &mut DenseMatrix) {
     let n_rows = a.rows();
     let blocks = block_spans(b.cols());
     let accs = exec::par_map_threads(threads, &blocks, |&(k0, width)| {
-        let mut acc = arena.checkout_f32(n_rows * width);
+        let mut acc = vec![0f32; n_rows * width];
         csc_accumulate_block(a, b, k0, width, &mut acc);
         acc
     });
@@ -350,18 +338,13 @@ pub(crate) fn compute_columns(
 /// Computes `C = X × W` for an operand read row by row — the numerics of
 /// a GCN layer's `X × W`, whose timing runs on `X`'s pattern alone. Rows
 /// are split into one contiguous chunk per worker on the [`exec`]
-/// substrate; every chunk writes its own disjoint slice of the output,
-/// which comes from `arena`. The row kernel's pinned order makes the
-/// result bit-identical to [`compute_columns`] on `X`'s CSC form (see
+/// substrate; every chunk writes its own disjoint slice of the output.
+/// The row kernel's pinned order makes the result bit-identical to
+/// [`compute_columns`] on `X`'s CSC form (see
 /// [`row_major_times_dense_into`]).
-pub(crate) fn compute_rows(
-    x: RowOperand<'_>,
-    w: &DenseMatrix,
-    threads: usize,
-    arena: &ScratchArena,
-) -> DenseMatrix {
+pub(crate) fn compute_rows(x: RowOperand<'_>, w: &DenseMatrix, threads: usize) -> DenseMatrix {
     let (n_rows, width) = (x.rows(), w.cols());
-    let mut data = arena.take_f32(n_rows * width);
+    let mut data = vec![0f32; n_rows * width];
     if width > 0 {
         let chunk_rows = n_rows.div_ceil(threads.max(1)).max(1);
         // One uncontended lock per chunk: it only lets `par_map` hand each
@@ -377,7 +360,7 @@ pub(crate) fn compute_rows(
             row_major_times_dense_into(x, w, rows, &mut out);
         });
     }
-    DenseMatrix::from_vec(n_rows, width, data).expect("arena buffer sized to the output matrix")
+    DenseMatrix::from_vec(n_rows, width, data).expect("buffer sized to the output matrix")
 }
 
 /// FNV-1a over the operand's sparsity structure (shape, column pointers,
@@ -519,9 +502,6 @@ pub(crate) struct SteadySpan<'a> {
     pub threads: usize,
     /// `None` disables replay (straight simulation of every round).
     pub cache: Option<&'a ReplayCache>,
-    /// Scratch pool for simulator buffers (the plan's arena, or the
-    /// engine's own for cold runs).
-    pub arena: &'a ScratchArena,
 }
 
 /// Times columns `start..b.cols()` under a frozen row map: repeated
@@ -564,7 +544,7 @@ pub(crate) fn execute_steady(
                 .hits
                 .fetch_add((patterns.len() - to_sim.len()) as u64, Ordering::Relaxed);
             let fresh = exec::par_map_threads(span.threads, &to_sim, |cols| {
-                simulate_round(span.a, cols, span.pe_of_row, span.params, None, span.arena).timing
+                simulate_round(span.a, cols, span.pe_of_row, span.params, None).timing
             });
             // Promote fresh timings into the shared cache up to the size
             // cap; past it (an all-distinct-patterns operand that would
@@ -596,7 +576,7 @@ pub(crate) fn execute_steady(
                 .collect()
         }
         None => exec::par_map_threads(span.threads, &patterns, |cols| {
-            simulate_round(span.a, cols, span.pe_of_row, span.params, None, span.arena).timing
+            simulate_round(span.a, cols, span.pe_of_row, span.params, None).timing
         }),
     };
 
@@ -639,18 +619,13 @@ mod tests {
         pe_of_row: &[u32],
         p: SimParams,
         mut row_tasks: Option<&mut [u32]>,
-        arena: &ScratchArena,
     ) -> SimRound {
         let n_pes = p.n_pes;
         let lat = p.lat;
         let bandwidth = p.bandwidth;
 
-        // Per-PE and per-row scratch, checked out (zeroed) from the plan's
-        // arena — only the vectors that stay internal to the round.
-        // `owner_busy` and the queue high-water marks are *moved out* in the
-        // return value, so they must own their allocations.
-        let mut pending = arena.checkout_u32(n_pes);
-        let mut sim_u64 = arena.checkout_u64(3 * n_pes + a.rows());
+        let mut pending = vec![0u32; n_pes];
+        let mut sim_u64 = vec![0u64; 3 * n_pes + a.rows()];
         let (last_seen, rest) = sim_u64.split_at_mut(n_pes);
         let (issue_until, rest) = rest.split_at_mut(n_pes);
         // `ready` is the per-row half (the big one on graph-sized operands).
@@ -805,13 +780,12 @@ mod tests {
                 stall_mode: if park { StallMode::Park } else { StallMode::Block },
                 sharing: (hop > 0).then(|| LocalSharing::new(hop, n_pes)),
             };
-            let arena = ScratchArena::new();
             let mut rows_new = count_rows.then(|| vec![0u32; n_rows]);
             let mut rows_ref = count_rows.then(|| vec![0u32; n_rows]);
             let a = a.pattern();
-            let new = simulate_round(a, &pattern, &pe_of_row, params, rows_new.as_deref_mut(), &arena);
+            let new = simulate_round(a, &pattern, &pe_of_row, params, rows_new.as_deref_mut());
             let reference = reference_simulate_round(
-                a, &pattern, &pe_of_row, params, rows_ref.as_deref_mut(), &arena,
+                a, &pattern, &pe_of_row, params, rows_ref.as_deref_mut(),
             );
             prop_assert_eq!(new.timing, reference.timing);
             prop_assert_eq!(new.owner_busy, reference.owner_busy);

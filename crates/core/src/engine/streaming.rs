@@ -41,7 +41,6 @@
 //! accounted honestly as such.
 
 use crate::config::AccelConfig;
-use crate::engine::arena::{ArenaStats, ScratchArena};
 use crate::engine::sharded::merge_stats;
 use crate::engine::steady::block_spans;
 use crate::engine::{check_shapes, PlanOutcome, SpmmEngine, SpmmOutcome, TunedPlan};
@@ -194,8 +193,6 @@ struct StreamPass<'a> {
     shards: &'a [(Range<usize>, usize)],
     b: &'a DenseMatrix,
     label: &'a str,
-    /// Arena for the output matrix and the persistent block accumulators.
-    arena: &'a ScratchArena,
     /// Host worker threads configured for this pass (`AccelConfig.threads`
     /// or a session override); `None` defers to [`exec::num_threads`].
     threads: Option<usize>,
@@ -214,12 +211,10 @@ fn stream_pass(
         shards,
         b,
         label,
-        arena,
         threads,
     } = pass;
     let rows = store.rows();
-    let mut c = DenseMatrix::from_vec(rows, b.cols(), arena.take_f32(rows * b.cols()))
-        .expect("arena buffer sized to the output matrix");
+    let mut c = DenseMatrix::zeros(rows, b.cols());
     let spans = block_spans(b.cols());
     // Persistent per-block accumulators: unlike `compute_columns`, which
     // re-scans a resident operand per block, each block accumulates every
@@ -229,7 +224,7 @@ fn stream_pass(
     let accs = Mutex::new(
         spans
             .iter()
-            .map(|&(_, width)| arena.checkout_f32(rows * width))
+            .map(|&(_, width)| vec![0f32; rows * width])
             .collect::<Vec<_>>(),
     );
 
@@ -359,10 +354,6 @@ pub struct StreamingEngine {
     store: Arc<SparseStore>,
     host_budget: usize,
     shards: Vec<StreamShard>,
-    /// Pool for the merged output and the persistent block accumulators.
-    arena: Arc<ScratchArena>,
-    /// Pool shared by the shard members' (timing-only) simulator scratch.
-    member_arena: Arc<ScratchArena>,
     /// The last run's streaming statistics.
     last_stream: StreamStats,
 }
@@ -388,25 +379,12 @@ impl StreamingEngine {
                 "host memory budget must be >= 1 byte".into(),
             ));
         }
-        let scratch_reuse = config.scratch_reuse;
-        let make_arena = move || {
-            Arc::new(if scratch_reuse {
-                ScratchArena::new()
-            } else {
-                ScratchArena::disabled()
-            })
-        };
-        let member_arena = make_arena();
         let shards = plan_stream_shards(&store, host_budget)
             .into_iter()
-            .map(|(cols, nnz)| {
-                let mut engine = FastEngine::new(config.clone());
-                engine.set_arena(Arc::clone(&member_arena));
-                StreamShard {
-                    cols,
-                    nnz,
-                    engine: Mutex::new(engine),
-                }
+            .map(|(cols, nnz)| StreamShard {
+                cols,
+                nnz,
+                engine: Mutex::new(FastEngine::new(config.clone())),
             })
             .collect();
         Ok(StreamingEngine {
@@ -414,8 +392,6 @@ impl StreamingEngine {
             store,
             host_budget,
             shards,
-            arena: make_arena(),
-            member_arena,
             last_stream: StreamStats::default(),
         })
     }
@@ -480,14 +456,6 @@ impl StreamingEngine {
             .sum()
     }
 
-    /// Scratch counters: the merge/accumulator arena plus the shared
-    /// member-output pool (shard engines' simulator scratch included).
-    pub fn scratch_stats(&self) -> ArenaStats {
-        let mut stats = self.arena.stats();
-        stats.absorb(self.member_arena.stats());
-        stats
-    }
-
     /// Freezes every shard engine's tuned state into a [`StreamedPlan`]
     /// (the streaming analogue of
     /// [`ShardedEngine::freeze_plan`](super::ShardedEngine::freeze_plan)).
@@ -518,7 +486,6 @@ impl StreamingEngine {
             store: Arc::clone(&self.store),
             host_budget: self.host_budget,
             shards,
-            arena: Arc::clone(&self.arena),
             stream_stats: Mutex::new(self.last_stream),
         })
     }
@@ -540,7 +507,6 @@ impl SpmmEngine for StreamingEngine {
                 shards: &shard_ranges,
                 b,
                 label,
-                arena: &self.arena,
                 threads: self.config.threads,
             },
             &|s, cur, b_slice| {
@@ -594,7 +560,6 @@ pub struct StreamedPlan {
     store: Arc<SparseStore>,
     host_budget: usize,
     shards: Vec<StreamPlanShard>,
-    arena: Arc<ScratchArena>,
     /// The most recent session's streaming stats (sessions run with
     /// `&self`, hence the mutex; uncontended in practice).
     stream_stats: Mutex<StreamStats>,
@@ -607,7 +572,6 @@ impl Clone for StreamedPlan {
             store: Arc::clone(&self.store),
             host_budget: self.host_budget,
             shards: self.shards.clone(),
-            arena: Arc::clone(&self.arena),
             stream_stats: Mutex::new(self.stream_stats()),
         }
     }
@@ -680,27 +644,6 @@ impl StreamedPlan {
             .unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The plan's merge/accumulator arena (shared into the per-layer
-    /// `X × W` engines by the GCN runner, mirroring `TunedPlan::arena`).
-    pub(crate) fn arena(&self) -> &Arc<ScratchArena> {
-        &self.arena
-    }
-
-    /// Scratch counters: the plan's merge arena plus every shard plan's.
-    pub fn scratch_stats(&self) -> ArenaStats {
-        let mut stats = self.arena.stats();
-        for s in &self.shards {
-            stats.absorb(s.plan.scratch_stats());
-        }
-        stats
-    }
-
-    /// Returns a finished output's buffer to the plan's arena (see
-    /// [`TunedPlan::recycle_output`]).
-    pub fn recycle_output(&self, c: DenseMatrix) {
-        self.arena.recycle_f32(c.into_vec());
-    }
-
     /// Opens a per-request streaming session against this plan.
     pub fn session(&self) -> StreamedSession<'_> {
         StreamedSession {
@@ -749,7 +692,6 @@ impl SpmmEngine for StreamedSession<'_> {
                 shards: &shard_ranges,
                 b,
                 label,
-                arena: &plan.arena,
                 threads: threads.or(plan.config.threads),
             },
             &|s, cur, b_slice| {

@@ -23,8 +23,8 @@ use crate::cost::{self, AutoDecision, CostProfile};
 use crate::engine::steady::compute_rows;
 use crate::engine::streaming::store_err;
 use crate::engine::{
-    shard_timing, ArenaStats, FastEngine, ScratchArena, ShardedEngine, ShardedPlan, SpmmEngine,
-    StreamStats, StreamedPlan, StreamingEngine, TunedPlan,
+    shard_timing, FastEngine, ShardedEngine, ShardedPlan, SpmmEngine, StreamStats, StreamedPlan,
+    StreamingEngine, TunedPlan,
 };
 use crate::error::AccelError;
 use crate::exec;
@@ -78,26 +78,10 @@ fn run_layers(
     weights: &[DenseMatrix],
     x1: &Csr,
     engine_a: &mut dyn SpmmEngine,
-    xw_arena: Option<&Arc<ScratchArena>>,
 ) -> Result<GcnRunOutcome, AccelError> {
     let n_layers = weights.len();
     let mut layers = Vec::with_capacity(n_layers);
     let mut x_density = Vec::with_capacity(n_layers);
-    // The per-layer X engines are transient, so a caller holding a
-    // long-lived pool (GcnPlan) shares it in — without this every layer of
-    // every request would re-grow a fresh arena. Consumed intermediates go
-    // back only to such a pool: a cold run's own pool dies with the run,
-    // and parking buffers in it would only raise the run's peak memory.
-    let arena = match xw_arena {
-        Some(arena) => Arc::clone(arena),
-        None if config.scratch_reuse => Arc::new(ScratchArena::new()),
-        None => Arc::new(ScratchArena::disabled()),
-    };
-    let recycle = |m: DenseMatrix| {
-        if let Some(arena) = xw_arena {
-            arena.recycle_f32(m.into_vec());
-        }
-    };
     let threads = config.threads.unwrap_or_else(exec::num_threads);
 
     // Layer 1 input: the sparse X1 as given; later layers read the previous
@@ -115,24 +99,20 @@ fn run_layers(
         let xw_stats = if config.combination_shards != ShardPolicy::Single
             && !partitioner.is_single(&x_pattern)
         {
-            shard_timing(config, partitioner, &x_pattern, w, &label, &arena)?
+            shard_timing(config, partitioner, &x_pattern, w, &label)?
         } else {
-            let mut engine = FastEngine::new(config.clone());
-            engine.set_arena(Arc::clone(&arena));
-            engine.run_timing(&x_pattern, w, &label)?
+            FastEngine::new(config.clone()).run_timing(&x_pattern, w, &label)?
         };
         let x_rows = match &x_hidden {
             Some(x) => RowOperand::Dense(x),
             None => RowOperand::Sparse(x1),
         };
-        let xw_c = compute_rows(x_rows, w, threads, &arena);
-        // The layer input is consumed: its buffer feeds a later output.
-        if let Some(x) = x_hidden.take() {
-            recycle(x);
-        }
+        let xw_c = compute_rows(x_rows, w, threads);
+        // Consumed intermediates are freed as soon as they are read.
+        drop(x_hidden.take());
         // Stage 2: A × (XW) on the persistent A engine/session.
         let a_xw = engine_a.run(a_csc, &xw_c, &format!("L{}:A*(XW)", l + 1))?;
-        recycle(xw_c);
+        drop(xw_c);
 
         let mut x_next = a_xw.c;
         if l + 1 < n_layers {
@@ -230,7 +210,6 @@ impl GcnRunner {
                 &input.weights,
                 &input.x1,
                 &mut engine_a,
-                None,
             )?;
             outcome.stream = Some(engine_a.stream_stats());
             return Ok(outcome);
@@ -246,7 +225,6 @@ impl GcnRunner {
             &input.weights,
             &input.x1,
             engine_a.as_mut(),
-            None,
         )
     }
 
@@ -386,15 +364,6 @@ impl GcnRunner {
                 }
             }
         };
-        // One unified pool for the whole plan: the frozen A-side plan's
-        // arena (already warm from the prepare run) also serves the
-        // per-layer X engines — a second pool would double retention and
-        // let recycled XW buffers strand in the wrong pool.
-        let xw_arena = match &a_plan {
-            APlan::Single(plan) => Arc::clone(plan.arena()),
-            APlan::Sharded(plan) => Arc::clone(plan.merge_arena()),
-            APlan::Streamed(plan) => Arc::clone(plan.arena()),
-        };
         Ok((
             GcnPlan {
                 // The resolved configuration (identical to self.config
@@ -412,7 +381,6 @@ impl GcnRunner {
                 a_plan,
                 degraded,
                 auto: decision,
-                xw_arena,
             },
             outcome,
         ))
@@ -430,7 +398,6 @@ impl GcnRunner {
             &input.weights,
             &input.x1,
             &mut engine_a,
-            None,
         )?;
         Ok((
             APlan::Single(engine_a.freeze_plan(&input.a_norm_csc)?),
@@ -472,7 +439,6 @@ impl GcnRunner {
             &input.weights,
             &input.x1,
             &mut engine_a,
-            None,
         )?;
         Ok((APlan::Streamed(engine_a.freeze_plan()?), outcome))
     }
@@ -501,7 +467,6 @@ impl GcnRunner {
                 &input.weights,
                 &input.x1,
                 &mut engine_a,
-                None,
             )?;
             Ok((
                 APlan::Sharded(engine_a.freeze_plan(&input.a_norm_csc)?),
@@ -568,14 +533,6 @@ impl APlan {
             APlan::Streamed(plan) => plan.memory_bytes(),
         }
     }
-
-    fn scratch_stats(&self) -> ArenaStats {
-        match self {
-            APlan::Single(plan) => plan.scratch_stats(),
-            APlan::Sharded(plan) => plan.scratch_stats(),
-            APlan::Streamed(plan) => plan.scratch_stats(),
-        }
-    }
 }
 
 /// A prepared per-graph inference plan: everything that is a function of
@@ -597,13 +554,6 @@ pub struct GcnPlan {
     /// The cost model's resolution when the plan was prepared under
     /// [`StrategyPolicy::Auto`] (see [`GcnPlan::auto_decision`]).
     auto: Option<AutoDecision>,
-    /// Scratch pool shared into every per-layer `X × W` engine (those are
-    /// transient, so without a plan-owned pool each layer of each request
-    /// would re-grow one). The consumed `XW` intermediate is recycled here
-    /// too. Excluded from [`memory_bytes`](GcnPlan::memory_bytes):
-    /// transient scratch bounded by the worker count, observable via
-    /// [`scratch_stats`](GcnPlan::scratch_stats).
-    xw_arena: Arc<ScratchArena>,
 }
 
 impl GcnPlan {
@@ -731,24 +681,6 @@ impl GcnPlan {
         self.a_norm_csc.heap_bytes() as u64 + weights + self.a_plan.memory_bytes()
     }
 
-    /// Allocation/reuse counters over every scratch pool the plan owns.
-    /// `xw_arena` is the `A`-side plan's own pool (unified at prepare), so
-    /// the `A`-plan view already covers it — plus, when sharded, each
-    /// shard member's pool. `created` stable across warm requests ⇔
-    /// steady-state inference is allocation-free on the accumulate path.
-    pub fn scratch_stats(&self) -> ArenaStats {
-        self.a_plan.scratch_stats()
-    }
-
-    /// Returns a finished request's output buffer to the plan's pool. A
-    /// serving loop that hands each response back once consumed makes the
-    /// warm steady state *exactly* allocation-free; without it, the one
-    /// output matrix the caller keeps is the only fresh allocation per
-    /// request.
-    pub fn recycle_output(&self, output: DenseMatrix) {
-        self.xw_arena.recycle_f32(output.into_vec());
-    }
-
     /// True when `input` carries the same graph (by structure fingerprint)
     /// and the same weights this plan was prepared for.
     pub fn matches(&self, input: &GcnInput) -> bool {
@@ -788,7 +720,6 @@ impl GcnPlan {
             &self.weights,
             x1,
             session.as_mut(),
-            Some(&self.xw_arena),
         )?;
         drop(session);
         outcome.stream = self.stream_stats();

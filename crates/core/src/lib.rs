@@ -81,13 +81,12 @@ pub use config::{
     AccelConfig, AccelConfigBuilder, Design, MappingKind, RetryPolicy, ServeOptions, ShardPolicy,
     SltPolicy, StallMode, StrategyPolicy, DEFAULT_HOST_MEM_BUDGET,
 };
-pub use cost::{AutoDecision, Calibration, CostProfile, ExecOrder, IoForecast, LayerForecast};
+pub use cost::{AutoDecision, Calibration, CostProfile, IoForecast, LayerForecast};
 pub use energy::{cycles_to_ms, EnergyModel};
 pub use engine::{
-    ArenaStats, DetailedEngine, FastEngine, PlanOutcome, PlanShard, Scratch, ScratchArena,
-    ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession, SpmmEngine, SpmmOutcome,
-    SpmmSession, StreamPlanShard, StreamStats, StreamedPlan, StreamedSession, StreamingEngine,
-    TdqMode, TunedPlan,
+    DetailedEngine, FastEngine, PlanOutcome, PlanShard, ShardedEngine, ShardedOutcome, ShardedPlan,
+    ShardedSession, SpmmEngine, SpmmOutcome, SpmmSession, StreamPlanShard, StreamStats,
+    StreamedPlan, StreamedSession, StreamingEngine, TdqMode, TunedPlan,
 };
 pub use error::AccelError;
 pub use exec::{num_threads, par_map, par_map_isolated, par_map_threads};

@@ -748,21 +748,6 @@ impl GcnService {
         }
     }
 
-    /// Scratch-arena counters summed over every resident plan (prepared
-    /// graphs and the fingerprint-keyed cache): `created` stable across
-    /// warm batches ⇔ steady-state serving allocates no accumulate
-    /// scratch (see `AccelConfig::scratch_reuse`).
-    pub fn scratch_stats(&self) -> crate::engine::ArenaStats {
-        let mut total = crate::engine::ArenaStats::default();
-        for plan in self.graphs.values() {
-            total.absorb(plan.scratch_stats());
-        }
-        for entry in self.cache.values() {
-            total.absorb(entry.plan.scratch_stats());
-        }
-        total
-    }
-
     /// The cached plan for `input`'s graph, if resident and still
     /// matching (does not touch LRU order or counters).
     pub fn cached_plan(&self, input: &GcnInput) -> Option<Arc<GcnPlan>> {

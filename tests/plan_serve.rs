@@ -3,7 +3,9 @@
 //! N independent fresh-runner runs, with tuning paid exactly once and the
 //! replay cache warm from the first request.
 
-use awb_gcn_repro::accel::{AccelConfig, Design, GcnRunner, GcnService};
+use awb_gcn_repro::accel::{
+    par_map_threads, AccelConfig, Design, GcnPlan, GcnRunner, GcnService, ShardPolicy,
+};
 use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset};
 use awb_gcn_repro::gcn::GcnInput;
 use awb_gcn_repro::sparse::Csr;
@@ -111,7 +113,6 @@ fn combination_sharded_plan_requests_match_fresh_unsharded_runs() {
     // Sharding the combination phase is invisible to the serving
     // contract: warm requests on a doubly sharded plan are bit-identical
     // to fresh *unsharded* runs on the same inputs.
-    use awb_gcn_repro::accel::ShardPolicy;
     let (input, requests) = graph_and_requests();
     let unsharded = config(32);
     let mut cfg = unsharded.clone();
@@ -188,4 +189,45 @@ fn plan_amortizes_tuning_cold_vs_warm_cycles() {
         warm.stats.total_cycles(),
         cold.stats.total_cycles()
     );
+}
+
+/// 16 requests on one shared plan over 8 threads: every output and every
+/// statistic equals the serial run's, bit for bit.
+fn assert_concurrent_runs_match_serial(plan: &GcnPlan, x1: &Csr) {
+    let serial = plan.run(x1).unwrap();
+    let requests: Vec<usize> = (0..16).collect();
+    let outcomes = par_map_threads(8, &requests, |_| plan.run(x1).unwrap());
+    for (i, out) in outcomes.iter().enumerate() {
+        assert_eq!(out.output, serial.output, "request {i} output diverged");
+        assert_eq!(out.stats, serial.stats, "request {i} stats diverged");
+    }
+}
+
+#[test]
+fn concurrent_plan_runs_match_serial() {
+    let data = GeneratedDataset::generate(&spec(), 24).unwrap();
+    let input = GcnInput::from_dataset(&data).unwrap();
+
+    let (single, _) = GcnRunner::new(config(32)).prepare(&input).unwrap();
+    assert_concurrent_runs_match_serial(&single, &input.x1);
+
+    let mut sharded = config(16);
+    sharded.shards = ShardPolicy::Fixed(3);
+    let (sharded, _) = GcnRunner::new(sharded).prepare(&input).unwrap();
+    assert_eq!(sharded.shard_count(), 3);
+    assert_concurrent_runs_match_serial(&sharded, &input.x1);
+
+    let dir = std::env::temp_dir().join(format!("awb-plan-serve-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut streamed = config(32);
+    streamed.store = Some(dir.clone());
+    streamed.host_mem_budget = Some(input.a_norm_csc.heap_bytes() / 2);
+    let (streamed, _) = GcnRunner::new(streamed).prepare(&input).unwrap();
+    assert!(streamed.streamed_plan().is_some());
+    assert!(
+        streamed.shard_count() > 1,
+        "the budget must force streaming shards"
+    );
+    assert_concurrent_runs_match_serial(&streamed, &input.x1);
+    std::fs::remove_dir_all(&dir).ok();
 }
