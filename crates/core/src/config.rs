@@ -260,8 +260,9 @@ pub struct AccelConfig {
     /// Directory of a chunked on-disk sparse store
     /// ([`awb_sparse::store::SparseStore`]) to stream the adjacency from
     /// (default `None` = fully resident). When set, aggregation runs
-    /// out-of-core through the [`StreamingEngine`](crate::StreamingEngine)
-    /// under [`host_mem_budget`](AccelConfig::host_mem_budget).
+    /// out-of-core: `A`'s shards are stored ones
+    /// ([`ShardedEngine::stored`](crate::ShardedEngine::stored)), sized to
+    /// [`host_mem_budget`](AccelConfig::host_mem_budget).
     pub store: Option<std::path::PathBuf>,
     /// *Host*-memory budget in bytes for streamed sparse slices (default
     /// `None` = [`DEFAULT_HOST_MEM_BUDGET`] when a

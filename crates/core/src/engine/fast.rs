@@ -154,21 +154,22 @@ impl FastEngine {
     /// Extracts a [`TunedPlan`] from the engine's current state: the row
     /// map as converged so far (force-frozen if the tuner is still
     /// active — the paper freezes at the round budget regardless) plus a
-    /// snapshot of the replay cache for `a`. The engine stays usable and
-    /// itself runs frozen afterwards.
+    /// snapshot of the replay cache for `a`. Only `a`'s structure is read
+    /// (a plan never holds values). The engine stays usable and itself
+    /// runs frozen afterwards.
     ///
     /// # Errors
     ///
     /// Returns [`AccelError::InvalidConfig`] when the engine was tuned for
     /// a different row count than `a`.
-    pub fn freeze_plan(&mut self, a: &Csc) -> Result<TunedPlan, AccelError> {
+    pub fn freeze_plan(&mut self, a: &CscPattern) -> Result<TunedPlan, AccelError> {
         self.ensure_state(a.rows())?;
         let tuner = self.tuner.as_mut().expect("initialized in ensure_state");
         tuner.freeze();
         Ok(TunedPlan::from_frozen(
             self.config.clone(),
             self.map.clone().expect("initialized in ensure_state"),
-            a.pattern(),
+            a,
             tuner.rounds_done(),
             tuner.total_switches(),
             self.replay_enabled,
@@ -343,7 +344,7 @@ impl SpmmEngine for FastEngine {
     ) -> Result<PlanOutcome, AccelError> {
         let outcome = self.run(a, warmup, label)?;
         Ok(PlanOutcome {
-            plan: self.freeze_plan(a)?,
+            plan: self.freeze_plan(a.pattern())?,
             warmup: outcome,
         })
     }

@@ -22,19 +22,23 @@
 //! requests on one graph pay tuning once and hit the replay cache from
 //! request 1. See `DESIGN.md` §6.
 //!
-//! The sharded layer ([`ShardedEngine`] → [`ShardedPlan`] →
-//! [`ShardedSession`]) mirrors that shape across column-shard devices —
-//! one timing-only `FastEngine`/session per shard, merged numerics
-//! through the pinned global-order kernel — and serves both phases:
-//! `A × (XW)` under `AccelConfig.shards`, each layer's `X × W` under
-//! `AccelConfig.combination_shards`. See `DESIGN.md` §7/§8.
+//! The `A` side of a GCN runs one shard pipeline on top of that split:
+//! [`ShardedEngine`] → [`ShardedPlan`] → [`ShardedSession`], one
+//! timing-only `FastEngine`/`TunedPlan` per column shard, merged through
+//! the pinned global-order numerics. Each shard reads its part of `A`
+//! from one of two sources:
 //!
-//! The streaming layer ([`StreamingEngine`] → [`StreamedPlan`] →
-//! [`StreamedSession`]) lifts the same shard pipeline out of core: shards
-//! are planned from a chunked on-disk store's manifest and materialized
-//! two at a time (compute on one, prefetch the next), so peak resident
-//! sparse bytes stay under a host-memory budget while outputs remain
-//! bit-identical. See `DESIGN.md` §13.
+//! * **resident** — a column-slice pattern, or the whole operand (a single
+//!   device is the one-shard resident case, with no copy of `A` or `B`);
+//!   shards fan out in parallel (`DESIGN.md` §7);
+//! * **stored** — a chunk-aligned range of an on-disk
+//!   [`SparseStore`](awb_sparse::store::SparseStore), read sequentially
+//!   with the next shard prefetched, so peak resident sparse bytes stay
+//!   under a host-memory budget while outputs remain bit-identical
+//!   (`DESIGN.md` §13).
+//!
+//! Each layer's `X × W` under `AccelConfig.combination_shards` uses the
+//! same resident cut and stats merge, timing only (`DESIGN.md` §8).
 
 mod detailed;
 mod fast;
@@ -48,7 +52,7 @@ pub use fast::FastEngine;
 pub use plan::{SpmmSession, TunedPlan};
 pub(crate) use sharded::shard_timing;
 pub use sharded::{PlanShard, ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession};
-pub use streaming::{StreamPlanShard, StreamStats, StreamedPlan, StreamedSession, StreamingEngine};
+pub use streaming::StreamStats;
 
 use crate::config::AccelConfig;
 use crate::error::AccelError;

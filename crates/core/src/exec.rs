@@ -79,7 +79,7 @@ where
 }
 
 /// True on a [`par_map`] worker thread, where nested parallel maps run
-/// inline — callers claiming concurrency (e.g. the streaming engine's
+/// inline — callers claiming concurrency (e.g. a stored shard pass's
 /// prefetch overlap accounting) must not when this holds.
 pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)

@@ -12,7 +12,9 @@
 //! promoted from a per-call optimization to a shareable artifact.
 //!
 //! * [`GcnRunner::prepare`] runs one warm-up inference and extracts a
-//!   [`GcnPlan`] (graph, weights, and the frozen [`TunedPlan`] for `A`).
+//!   [`GcnPlan`] (graph, weights, and the frozen [`ShardedPlan`] for `A`:
+//!   one [`TunedPlan`] per shard, a single device being the one-shard
+//!   case).
 //! * [`GcnPlan::run`] executes one feature-matrix request against the
 //!   shared plan — no tuning, replay cache warm from request 1.
 //! * [`GcnRunner::run`] is the thin compatibility wrapper: one cold
@@ -23,8 +25,7 @@ use crate::cost::{self, AutoDecision, CostProfile};
 use crate::engine::steady::compute_rows;
 use crate::engine::streaming::store_err;
 use crate::engine::{
-    shard_timing, FastEngine, ShardedEngine, ShardedPlan, SpmmEngine, StreamStats, StreamedPlan,
-    StreamingEngine, TunedPlan,
+    shard_timing, FastEngine, ShardedEngine, ShardedOutcome, ShardedPlan, StreamStats, TunedPlan,
 };
 use crate::error::AccelError;
 use crate::exec;
@@ -59,9 +60,10 @@ impl GcnRunOutcome {
     }
 }
 
-/// The per-layer inference schedule, generic over how `A × (XW)` executes:
-/// a mutable [`FastEngine`] during warm-up (tuning live), a
-/// [`SpmmSession`](crate::SpmmSession) during per-request execution.
+/// The per-layer inference schedule, generic over how `A × (XW)` executes
+/// (`a_times`): a [`ShardedEngine`] during warm-up (tuning live), a
+/// [`ShardedSession`](crate::ShardedSession) during per-request
+/// execution. The outcome's `stream` is the last `A × (XW)` pass's.
 ///
 /// `X × W` is split by what each half reads (`DESIGN.md` §8). Its timing
 /// runs on a fresh engine per layer (X differs per layer and request) —
@@ -74,14 +76,14 @@ impl GcnRunOutcome {
 /// column kernel on `X`'s full CSC, which is never built.
 fn run_layers(
     config: &AccelConfig,
-    a_csc: &Csc,
     weights: &[DenseMatrix],
     x1: &Csr,
-    engine_a: &mut dyn SpmmEngine,
+    mut a_times: impl FnMut(&DenseMatrix, &str) -> Result<ShardedOutcome, AccelError>,
 ) -> Result<GcnRunOutcome, AccelError> {
     let n_layers = weights.len();
     let mut layers = Vec::with_capacity(n_layers);
     let mut x_density = Vec::with_capacity(n_layers);
+    let mut stream = None;
     let threads = config.threads.unwrap_or_else(exec::num_threads);
 
     // Layer 1 input: the sparse X1 as given; later layers read the previous
@@ -111,8 +113,10 @@ fn run_layers(
         // Consumed intermediates are freed as soon as they are read.
         drop(x_hidden.take());
         // Stage 2: A × (XW) on the persistent A engine/session.
-        let a_xw = engine_a.run(a_csc, &xw_c, &format!("L{}:A*(XW)", l + 1))?;
+        let a_xw = a_times(&xw_c, &format!("L{}:A*(XW)", l + 1))?;
         drop(xw_c);
+        stream = a_xw.stream;
+        let a_xw = a_xw.outcome;
 
         let mut x_next = a_xw.c;
         if l + 1 < n_layers {
@@ -140,7 +144,7 @@ fn run_layers(
             n_pes: config.n_pes,
         },
         x_density,
-        stream: None,
+        stream,
     })
 }
 
@@ -198,34 +202,12 @@ impl GcnRunner {
             return GcnRunner::new(decision.apply(&self.config)).run(input);
         }
         // One engine per sparse operand: A's engine persists across layers
-        // so its tuned row map is reused. A configured store takes the
-        // out-of-core path (the builder rejects store + sharded A); it
-        // stays a concrete engine so the outcome can carry its streaming
-        // statistics.
-        if self.config.store.is_some() {
-            let mut engine_a = Self::open_streaming(&self.config, &input.a_norm_csc)?;
-            let mut outcome = run_layers(
-                &self.config,
-                &input.a_norm_csc,
-                &input.weights,
-                &input.x1,
-                &mut engine_a,
-            )?;
-            outcome.stream = Some(engine_a.stream_stats());
-            return Ok(outcome);
-        }
-        let mut engine_a: Box<dyn SpmmEngine> = if self.config.shards == ShardPolicy::Single {
-            Box::new(FastEngine::new(self.config.clone()))
-        } else {
-            Box::new(ShardedEngine::new(self.config.clone()))
-        };
-        run_layers(
-            &self.config,
-            &input.a_norm_csc,
-            &input.weights,
-            &input.x1,
-            engine_a.as_mut(),
-        )
+        // so its tuned row map is reused.
+        let a = &input.a_norm_csc;
+        let mut engine_a = Self::engine_a(&self.config, a)?;
+        run_layers(&self.config, &input.weights, &input.x1, |b, label| {
+            engine_a.run_detailed(a, b, label)
+        })
     }
 
     /// Resolves [`StrategyPolicy::Auto`] for `input`: profiles its
@@ -253,9 +235,9 @@ impl GcnRunner {
 
     /// Runs one warm-up inference (identical to [`run`](GcnRunner::run))
     /// and extracts the reusable per-graph [`GcnPlan`]: the graph, the
-    /// weights, and the frozen tuned plan (or per-shard plans, under a
-    /// sharded [`ShardPolicy`]) for `A`. The warm-up's own outcome is
-    /// returned alongside so the tuning pass is never wasted.
+    /// weights, and the frozen per-shard plans for `A` (one shard on a
+    /// single device). The warm-up's own outcome is returned alongside so
+    /// the tuning pass is never wasted.
     ///
     /// # Errors
     ///
@@ -321,29 +303,21 @@ impl GcnRunner {
             None => self.config.clone(),
         };
 
-        let (a_plan, outcome, degraded, decision, plan_config) = if exec_config.store.is_some() {
-            // Out-of-core path: no degradation rung — a store that cannot
-            // be opened (or does not hold this graph) is a typed ingest
-            // error, not a condition a resident fallback could mask (the
-            // caller asked for bounded residency; silently loading the
-            // whole matrix would violate exactly that).
-            let (a_plan, outcome) = Self::prepare_streamed(&exec_config, input)?;
-            (a_plan, outcome, None, decision, exec_config)
-        } else if exec_config.shards == ShardPolicy::Single {
-            let (a_plan, outcome) = Self::prepare_single(&exec_config, input)?;
-            (a_plan, outcome, None, decision, exec_config)
-        } else {
-            match Self::prepare_sharded(&exec_config, input) {
+        let (a_plan, outcome, degraded, decision, plan_config) =
+            match Self::prepare_a(&exec_config, input) {
                 Ok((a_plan, outcome)) => (a_plan, outcome, None, decision, exec_config),
-                Err(reason) => {
-                    // Degradation ladder, rung 2 (DESIGN.md §10): a failing
-                    // sharded prepare falls back to an unsharded plan — the
-                    // tenant gets a correct (bit-identical) plan on one
-                    // device instead of an error, and the fallback is
-                    // recorded on the plan / PrepareReport. Under Auto the
-                    // decision is re-scored against the unsharded candidate
-                    // set: the sharded predictions describe a plan that can
-                    // no longer be built, so keeping them would be stale.
+                // Degradation ladder, rung 2 (DESIGN.md §10): a failing
+                // resident sharded prepare falls back to one device —
+                // the tenant gets a correct (bit-identical) plan instead of
+                // an error, and the fallback is recorded on the plan /
+                // PrepareReport. Under Auto the decision is re-scored
+                // against the unsharded candidate set: the sharded
+                // predictions describe a plan that can no longer be built,
+                // so keeping them would be stale. A stored or single-device
+                // prepare has no rung below it: a store that cannot be
+                // opened (or does not hold this graph) is a typed ingest
+                // error, not a condition a resident fallback could mask.
+                Err(reason) if Self::resident_sharded(&exec_config) => {
                     let (single, decision) = if decision.is_some() {
                         let rescored = match (profile, owned_profile.as_ref()) {
                             (Some(p), _) => cost::select_unsharded(&self.config, p),
@@ -359,11 +333,11 @@ impl GcnRunner {
                         single.shards = ShardPolicy::Single;
                         (single, None)
                     };
-                    let (a_plan, outcome) = Self::prepare_single(&single, input)?;
+                    let (a_plan, outcome) = Self::prepare_a(&single, input)?;
                     (a_plan, outcome, Some(reason.to_string()), decision, single)
                 }
-            }
-        };
+                Err(e) => return Err(e),
+            };
         Ok((
             GcnPlan {
                 // The resolved configuration (identical to self.config
@@ -386,71 +360,57 @@ impl GcnRunner {
         ))
     }
 
-    /// The unsharded prepare path (also the sharded path's fallback).
-    fn prepare_single(
-        config: &AccelConfig,
-        input: &GcnInput,
-    ) -> Result<(APlan, GcnRunOutcome), AccelError> {
-        let mut engine_a = FastEngine::new(config.clone());
-        let outcome = run_layers(
-            config,
-            &input.a_norm_csc,
-            &input.weights,
-            &input.x1,
-            &mut engine_a,
-        )?;
-        Ok((
-            APlan::Single(engine_a.freeze_plan(&input.a_norm_csc)?),
-            outcome,
-        ))
+    /// True when `config` shards a resident `A` (any policy but `Single`,
+    /// even one that resolves to one shard) — the prepare that runs behind
+    /// `catch_unwind` and degrades to one device on failure.
+    fn resident_sharded(config: &AccelConfig) -> bool {
+        config.store.is_none() && config.shards != ShardPolicy::Single
     }
 
-    /// Opens (ingesting on first use) the configured store and builds the
-    /// streaming engine for `A`. When the store directory has no manifest
-    /// yet, the normalized adjacency is written to it first — chunk
-    /// target derived from the host budget so even small graphs split
-    /// finely enough for the budget to bind; an existing store is opened
-    /// as-is (full ingest validation) and must hold exactly this graph.
-    fn open_streaming(config: &AccelConfig, a: &Csc) -> Result<StreamingEngine, AccelError> {
-        let dir = config.store.as_ref().expect("caller checked config.store");
-        let budget = config.host_mem_budget.unwrap_or(DEFAULT_HOST_MEM_BUDGET);
-        let store = if SparseStore::exists(dir) {
-            SparseStore::open(dir).map_err(store_err)?
-        } else {
-            // Aim for ≥ 4 chunks per half-budget shard window: a chunk's
-            // resident bytes (~8 B/nnz) stay under 1/8 of the budget, so
-            // chunk_nnz ≤ budget / 64, capped at the format default.
-            let chunk_nnz = (budget / 64).clamp(1, awb_sparse::store::DEFAULT_CHUNK_NNZ);
-            SparseStore::write_with_chunk_nnz(dir, a, chunk_nnz).map_err(store_err)?
+    /// The `A` engine for the configured source: resident shards cut by
+    /// the aggregation-side policy (one whole-operand shard under
+    /// [`ShardPolicy::Single`]), or — with a store configured — stored
+    /// shards sized to the host budget. A store directory without a
+    /// manifest is ingested first (chunk target derived from the host
+    /// budget so even small graphs split finely enough for the budget to
+    /// bind); an existing store is opened as-is (full ingest validation)
+    /// and must hold exactly this graph.
+    fn engine_a(config: &AccelConfig, a: &Csc) -> Result<ShardedEngine, AccelError> {
+        let Some(dir) = &config.store else {
+            return Ok(ShardedEngine::new(config.clone()));
         };
-        StreamingEngine::new(config.clone(), Arc::new(store), budget)
+        let budget = config.host_mem_budget.unwrap_or(DEFAULT_HOST_MEM_BUDGET);
+        if SparseStore::exists(dir) {
+            return ShardedEngine::open_stored(config.clone(), dir, budget);
+        }
+        // Aim for ≥ 4 chunks per half-budget shard window: a chunk's
+        // resident bytes (~8 B/nnz) stay under 1/8 of the budget, so
+        // chunk_nnz ≤ budget / 64, capped at the format default.
+        let chunk_nnz = (budget / 64).clamp(1, awb_sparse::store::DEFAULT_CHUNK_NNZ);
+        let store = SparseStore::write_with_chunk_nnz(dir, a, chunk_nnz).map_err(store_err)?;
+        ShardedEngine::stored(config.clone(), Arc::new(store), budget)
     }
 
-    /// The out-of-core prepare path: warm up through the streaming engine
-    /// and freeze one tuned plan per stream shard.
-    fn prepare_streamed(
-        config: &AccelConfig,
-        input: &GcnInput,
-    ) -> Result<(APlan, GcnRunOutcome), AccelError> {
-        let mut engine_a = Self::open_streaming(config, &input.a_norm_csc)?;
-        let outcome = run_layers(
-            config,
-            &input.a_norm_csc,
-            &input.weights,
-            &input.x1,
-            &mut engine_a,
-        )?;
-        Ok((APlan::Streamed(engine_a.freeze_plan()?), outcome))
-    }
-
-    /// The sharded prepare path, isolated behind `catch_unwind` so a
+    /// Warms up `A`'s engine for the configured source and freezes it. A
+    /// resident sharded prepare runs behind `catch_unwind`, so a
     /// panicking shard worker (or the fault harness's `prepare:sharded`
     /// site) surfaces as a typed error the caller can degrade on instead
     /// of unwinding through the service.
-    fn prepare_sharded(
+    fn prepare_a(
         config: &AccelConfig,
         input: &GcnInput,
-    ) -> Result<(APlan, GcnRunOutcome), AccelError> {
+    ) -> Result<(ShardedPlan, GcnRunOutcome), AccelError> {
+        let warm_up = || {
+            let a = &input.a_norm_csc;
+            let mut engine_a = Self::engine_a(config, a)?;
+            let outcome = run_layers(config, &input.weights, &input.x1, |b, label| {
+                engine_a.run_detailed(a, b, label)
+            })?;
+            Ok((engine_a.freeze_plan(a)?, outcome))
+        };
+        if !Self::resident_sharded(config) {
+            return warm_up();
+        }
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             if let Some(faults) = config.faults {
                 // Any fault kind at this site means "the sharded prepare
@@ -460,18 +420,7 @@ impl GcnRunner {
                     panic!("injected fault: sharded prepare");
                 }
             }
-            let mut engine_a = ShardedEngine::new(config.clone());
-            let outcome = run_layers(
-                config,
-                &input.a_norm_csc,
-                &input.weights,
-                &input.x1,
-                &mut engine_a,
-            )?;
-            Ok((
-                APlan::Sharded(engine_a.freeze_plan(&input.a_norm_csc)?),
-                outcome,
-            ))
+            warm_up()
         }))
         .unwrap_or_else(|payload| {
             Err(AccelError::WorkerPanicked {
@@ -482,63 +431,10 @@ impl GcnRunner {
     }
 }
 
-/// The frozen `A`-side tuning state a [`GcnPlan`] executes against: one
-/// [`TunedPlan`] on a single device, or one per column shard.
-#[derive(Debug, Clone)]
-enum APlan {
-    Single(TunedPlan),
-    Sharded(ShardedPlan),
-    Streamed(StreamedPlan),
-}
-
-impl APlan {
-    /// The warm-up/replay counters both plan kinds expose; `GcnPlan`'s
-    /// accessors forward here so the variant dispatch lives in one place.
-    fn tuning_rounds(&self) -> usize {
-        match self {
-            APlan::Single(plan) => plan.tuning_rounds(),
-            APlan::Sharded(plan) => plan.tuning_rounds(),
-            APlan::Streamed(plan) => plan.tuning_rounds(),
-        }
-    }
-
-    fn total_switches(&self) -> u64 {
-        match self {
-            APlan::Single(plan) => plan.total_switches(),
-            APlan::Sharded(plan) => plan.total_switches(),
-            APlan::Streamed(plan) => plan.total_switches(),
-        }
-    }
-
-    fn replay_hits(&self) -> u64 {
-        match self {
-            APlan::Single(plan) => plan.replay_hits(),
-            APlan::Sharded(plan) => plan.replay_hits(),
-            APlan::Streamed(plan) => plan.replay_hits(),
-        }
-    }
-
-    fn replay_misses(&self) -> u64 {
-        match self {
-            APlan::Single(plan) => plan.replay_misses(),
-            APlan::Sharded(plan) => plan.replay_misses(),
-            APlan::Streamed(plan) => plan.replay_misses(),
-        }
-    }
-
-    fn memory_bytes(&self) -> u64 {
-        match self {
-            APlan::Single(plan) => plan.memory_bytes(),
-            APlan::Sharded(plan) => plan.memory_bytes(),
-            APlan::Streamed(plan) => plan.memory_bytes(),
-        }
-    }
-}
-
 /// A prepared per-graph inference plan: everything that is a function of
 /// the graph and the model — the normalized adjacency, the layer weights,
-/// and the frozen `A`-side tuning state (one [`TunedPlan`], or one per
-/// column shard under a sharded [`ShardPolicy`]) — none of what is a
+/// and the frozen `A`-side tuning state (one [`ShardedPlan`]: a
+/// [`TunedPlan`] per shard, resident or stored) — none of what is a
 /// function of a request. Produced by [`GcnRunner::prepare`]; executed per
 /// request by [`GcnPlan::run`]. Shareable: `&GcnPlan` may serve concurrent
 /// requests (see the plan concurrency contract in `DESIGN.md` §6/§7).
@@ -547,7 +443,7 @@ pub struct GcnPlan {
     config: AccelConfig,
     a_norm_csc: Csc,
     weights: Vec<DenseMatrix>,
-    a_plan: APlan,
+    a_plan: ShardedPlan,
     /// `Some(reason)` when a failing sharded prepare degraded to this
     /// unsharded plan (see [`GcnPlan::degraded`]).
     degraded: Option<String>,
@@ -593,41 +489,35 @@ impl GcnPlan {
     }
 
     /// The frozen single-device tuned plan for `A`, when the plan was
-    /// prepared unsharded (`None` under a sharded policy — see
-    /// [`sharded_plan`](GcnPlan::sharded_plan)).
+    /// prepared resident under [`ShardPolicy::Single`] (`None` otherwise —
+    /// see [`sharded_plan`](GcnPlan::sharded_plan) and
+    /// [`streamed_plan`](GcnPlan::streamed_plan)). Its one shard covers
+    /// all of `A`, so its fingerprint is `A`'s.
     pub fn plan_a(&self) -> Option<&TunedPlan> {
-        match &self.a_plan {
-            APlan::Single(plan) => Some(plan),
-            _ => None,
-        }
+        let single = self.a_plan.config().shards == ShardPolicy::Single;
+        (single && self.a_plan.store().is_none()).then(|| self.a_plan.shards()[0].plan())
     }
 
     /// The frozen per-shard plans for `A`, when the plan was prepared
-    /// under a sharded policy.
+    /// resident under a sharded policy.
     pub fn sharded_plan(&self) -> Option<&ShardedPlan> {
-        match &self.a_plan {
-            APlan::Sharded(plan) => Some(plan),
-            _ => None,
-        }
+        let sharded = self.a_plan.config().shards != ShardPolicy::Single;
+        (sharded && self.a_plan.store().is_none()).then_some(&self.a_plan)
     }
 
-    /// The frozen out-of-core plan for `A`, when the plan was prepared
-    /// against a configured store.
-    pub fn streamed_plan(&self) -> Option<&StreamedPlan> {
-        match &self.a_plan {
-            APlan::Streamed(plan) => Some(plan),
-            _ => None,
-        }
+    /// The frozen per-shard plans for `A`, when the plan streams `A` from
+    /// a configured store.
+    pub fn streamed_plan(&self) -> Option<&ShardedPlan> {
+        self.a_plan.store().is_some().then_some(&self.a_plan)
     }
 
-    /// The most recent request's streaming statistics (resident peak,
-    /// I/O bytes, prefetch overlap), when this plan streams `A` from a
-    /// store. `None` for resident plans.
+    /// The most recent pass's streaming statistics (resident peak, I/O
+    /// bytes, prefetch overlap), when this plan streams `A` from a store.
+    /// `None` for resident plans. Under concurrent requests this is
+    /// whichever pass finished last; each request's own pass is in its
+    /// [`GcnRunOutcome::stream`].
     pub fn stream_stats(&self) -> Option<StreamStats> {
-        match &self.a_plan {
-            APlan::Streamed(plan) => Some(plan.stream_stats()),
-            _ => None,
-        }
+        self.a_plan.stream_stats()
     }
 
     /// Why the plan was degraded: `Some(reason)` when the configured
@@ -640,11 +530,7 @@ impl GcnPlan {
 
     /// Number of `A`-side shard devices (1 when unsharded).
     pub fn shard_count(&self) -> usize {
-        match &self.a_plan {
-            APlan::Single(_) => 1,
-            APlan::Sharded(plan) => plan.shard_count(),
-            APlan::Streamed(plan) => plan.shard_count(),
-        }
+        self.a_plan.shard_count()
     }
 
     /// Auto-tuning rounds the warm-up spent before freezing (summed over
@@ -671,8 +557,10 @@ impl GcnPlan {
 
     /// Estimated heap bytes this plan keeps resident while cached: the
     /// normalized adjacency (CSC arrays), the layer weights, and the
-    /// frozen `A`-side tuning state (row map(s) + replay cache(s), plus
-    /// per-shard operand slices when sharded). The serving front-end
+    /// frozen `A`-side tuning state (row maps + replay caches, plus the
+    /// column-slice patterns of resident shards that do not span all of
+    /// `A` — so a `Fixed(1)` plan costs what a `Single` one does). The
+    /// serving front-end
     /// evicts against a budget over these estimates — they track the
     /// dominant arrays, not allocator-exact overheads, which is all a
     /// relative LRU budget needs.
@@ -684,12 +572,7 @@ impl GcnPlan {
     /// True when `input` carries the same graph (by structure fingerprint)
     /// and the same weights this plan was prepared for.
     pub fn matches(&self, input: &GcnInput) -> bool {
-        let graph_matches = match &self.a_plan {
-            APlan::Single(plan) => plan.matches(&input.a_norm_csc),
-            APlan::Sharded(plan) => plan.matches(&input.a_norm_csc),
-            APlan::Streamed(plan) => plan.matches(&input.a_norm_csc),
-        };
-        graph_matches && self.weights == input.weights
+        self.a_plan.matches(&input.a_norm_csc) && self.weights == input.weights
     }
 
     /// Executes one feature-matrix request against the shared plan: same
@@ -707,23 +590,10 @@ impl GcnPlan {
     pub fn run(&self, x1: &Csr) -> Result<GcnRunOutcome, AccelError> {
         // The plan owns the adjacency the inner plan was built from, so
         // the session can skip the per-layer O(nnz) fingerprint re-hash.
-        let mut session: Box<dyn SpmmEngine + '_> = match &self.a_plan {
-            APlan::Single(plan) => Box::new(plan.session_trusted()),
-            APlan::Sharded(plan) => Box::new(plan.session_trusted()),
-            // Streamed sessions re-verify against the store's checksummed
-            // column pointer instead of a fingerprint re-hash.
-            APlan::Streamed(plan) => Box::new(plan.session()),
-        };
-        let mut outcome = run_layers(
-            &self.config,
-            &self.a_norm_csc,
-            &self.weights,
-            x1,
-            session.as_mut(),
-        )?;
-        drop(session);
-        outcome.stream = self.stream_stats();
-        Ok(outcome)
+        let session = self.a_plan.session_trusted();
+        run_layers(&self.config, &self.weights, x1, |b, label| {
+            session.run_detailed(&self.a_norm_csc, b, label)
+        })
     }
 
     /// [`run`](GcnPlan::run) for a full [`GcnInput`], first validating it

@@ -26,11 +26,14 @@
 //! front-end on top (prepared per-graph plans, deterministic batch
 //! fan-out, per-request latency + aggregate throughput reporting).
 //!
-//! Graphs bigger than one device run column-sharded ([`ShardPolicy`] /
-//! [`ShardedEngine`] / [`ShardedPlan`]): the adjacency is split into
-//! nnz-balanced column shards, each with its own auto-tuned PE array, and
-//! partial products merge in an order pinned bit-identical to the
-//! unsharded path (see `DESIGN.md` §7).
+//! The adjacency side runs one shard pipeline ([`ShardedEngine`] →
+//! [`ShardedPlan`] → [`ShardedSession`]): `A` is split into column shards,
+//! each with its own auto-tuned PE array, and partial products merge in an
+//! order pinned bit-identical to a single device, which is the one-shard
+//! case. A shard is *resident* — cut nnz-balanced under a [`ShardPolicy`]
+//! for graphs bigger than one device (`DESIGN.md` §7) — or *stored*: a
+//! chunk range read from an on-disk store with prefetch, so peak host
+//! memory stays under a budget (`DESIGN.md` §13).
 //!
 //! Strategy selection itself can be delegated to the calibrated per-layer
 //! cost model ([`StrategyPolicy::Auto`] / [`cost`]): prepare profiles the
@@ -85,8 +88,7 @@ pub use cost::{AutoDecision, Calibration, CostProfile, IoForecast, LayerForecast
 pub use energy::{cycles_to_ms, EnergyModel};
 pub use engine::{
     DetailedEngine, FastEngine, PlanOutcome, PlanShard, ShardedEngine, ShardedOutcome, ShardedPlan,
-    ShardedSession, SpmmEngine, SpmmOutcome, SpmmSession, StreamPlanShard, StreamStats,
-    StreamedPlan, StreamedSession, StreamingEngine, TdqMode, TunedPlan,
+    ShardedSession, SpmmEngine, SpmmOutcome, SpmmSession, StreamStats, TdqMode, TunedPlan,
 };
 pub use error::AccelError;
 pub use exec::{num_threads, par_map, par_map_isolated, par_map_threads};

@@ -4,7 +4,7 @@
 //! replay cache warm from the first request.
 
 use awb_gcn_repro::accel::{
-    par_map_threads, AccelConfig, Design, GcnPlan, GcnRunner, GcnService, ShardPolicy,
+    par_map_threads, AccelConfig, Design, GcnPlan, GcnRunner, GcnService, ShardPolicy, StreamStats,
 };
 use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset};
 use awb_gcn_repro::gcn::GcnInput;
@@ -200,6 +200,16 @@ fn assert_concurrent_runs_match_serial(plan: &GcnPlan, x1: &Csr) {
     for (i, out) in outcomes.iter().enumerate() {
         assert_eq!(out.output, serial.output, "request {i} output diverged");
         assert_eq!(out.stats, serial.stats, "request {i} stats diverged");
+        // Each request reports its own streaming pass; the deterministic
+        // fields must equal the serial pass's.
+        let pass =
+            |s: Option<StreamStats>| s.map(|s| (s.shards, s.io_bytes, s.resident_peak_bytes));
+        assert_eq!(out.stream.is_some(), plan.streamed_plan().is_some());
+        assert_eq!(
+            pass(out.stream),
+            pass(serial.stream),
+            "request {i} stream diverged"
+        );
     }
 }
 

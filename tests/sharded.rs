@@ -102,6 +102,24 @@ fn memory_budget_sharding_end_to_end() {
     assert_eq!(batch.requests[0].outcome.output, reference.output);
 }
 
+/// A shard that spans the whole adjacency holds no copy of it: on one
+/// input, `Single` and `Fixed(1)` plans (one device either way) report
+/// equal `memory_bytes()`, so the plan-cache budget charges them alike.
+#[test]
+fn single_and_one_shard_plans_cost_the_same_memory() {
+    let spec = PaperDataset::Cora.spec().scaled(0.1);
+    let data = GeneratedDataset::generate(&spec, 41).unwrap();
+    let input = GcnInput::from_dataset(&data).unwrap();
+    let (single, _) = GcnRunner::new(config(16, ShardPolicy::Single))
+        .prepare(&input)
+        .unwrap();
+    let (one_shard, _) = GcnRunner::new(config(16, ShardPolicy::Fixed(1)))
+        .prepare(&input)
+        .unwrap();
+    assert_eq!(one_shard.shard_count(), 1);
+    assert_eq!(one_shard.memory_bytes(), single.memory_bytes());
+}
+
 /// The merged stats view: critical-path cycles (max over shard devices per
 /// round), summed tasks, total PE count, and utilization in range.
 #[test]
