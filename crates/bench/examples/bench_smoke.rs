@@ -16,12 +16,10 @@
 //! "serve"`) measures the multi-tenant front-end end to end: a
 //! `GcnService` batch on a warm plan cache, recording requests/second
 //! plus p50/p95/p99 queue-wait and execute latency and the plan-cache
-//! hit/miss counters. A second serving record (schema 6, `"workload":
-//! "serve_isolated"`) drives the same warm batch through the
-//! fault-tolerant path (`serve_isolated`: per-request `catch_unwind`
-//! isolation and the fault hooks) with injection *disabled* — comparing
-//! it against the plain serve record gates the "fault hooks are
-//! zero-cost when off" requirement. Schema 7 adds the raw-kernel axis:
+//! hit/miss counters. `serve` and `serve_isolated` run the same
+//! fault-isolated executor, so this one record covers both: it carries
+//! the fault hooks with injection off, per-request validation and the
+//! deadline check. Schema 7 adds the raw-kernel axis:
 //! two `"workload": "kernel"` records time the scalar vs blocked
 //! (`csc_times_dense_blocked`) accumulate kernels on the Pubmed-shaped
 //! operand and report a `"gflops"` MAC rate (2 FLOPs per MAC over
@@ -236,43 +234,6 @@ fn serve_record() -> String {
     serve_json(
         "serve",
         batch.requests.len(),
-        wall_s,
-        &wait,
-        &exec_p,
-        stats.hits,
-        stats.misses,
-    )
-}
-
-/// The fault-tolerant serving record (schema 6): the identical warm batch
-/// driven through `serve_isolated` — per-request `catch_unwind` isolation,
-/// ingest validation, and the fault hooks all present but with injection
-/// *disabled*. Comparing its requests/second against the `"serve"` record
-/// measures the cost of the fault-tolerance layer when off (required:
-/// within noise).
-fn serve_isolated_record() -> String {
-    let (input, requests, mut service) = serve_fixture();
-    service.prepare("cora", &input).expect("prepare");
-    service
-        .serve_isolated("cora", &requests)
-        .expect("warm batch");
-    let start = Instant::now();
-    let batch = service
-        .serve_isolated("cora", &requests)
-        .expect("timed batch");
-    let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-    assert_eq!(
-        batch.failed_count(),
-        0,
-        "no faults are armed: every slot must complete"
-    );
-    let wait = LatencyPercentiles::from_samples(batch.completed().map(|r| r.queue_wait_s));
-    let exec_p = LatencyPercentiles::from_samples(batch.completed().map(|r| r.wall_s));
-    let tasks = batch.results.len();
-    let stats = service.cache_stats();
-    serve_json(
-        "serve_isolated",
-        tasks,
         wall_s,
         &wait,
         &exec_p,
@@ -498,10 +459,6 @@ fn write_bench(path: &str) {
     // Serving axis (schema 5): the multi-tenant front-end on a warm plan
     // cache — end-to-end requests/second plus latency percentiles.
     records.push(serve_record());
-
-    // Fault-tolerance axis (schema 6): the same warm batch through the
-    // isolated path with injection disabled — the zero-cost-off gate.
-    records.push(serve_isolated_record());
 
     // Strategy axis (schema 8): Auto's pick vs the post-hoc best sweep
     // point, as a machine-independent warm-cycle ratio.

@@ -348,17 +348,19 @@ pub struct ServeOptions {
     /// [`AccelError::QueueFull`](crate::AccelError::QueueFull) — explicit
     /// backpressure instead of unbounded growth. Must be ≥ 1.
     pub queue_depth: usize,
-    /// Plan-cache memory budget in bytes, over
-    /// [`GcnPlan::memory_bytes`](crate::GcnPlan::memory_bytes) estimates.
-    /// Least-recently-used plans are evicted while the resident total
-    /// exceeds the budget (the most recent plan always stays resident,
-    /// even oversized — a budget smaller than one plan must not deadlock
-    /// serving). `None` disables eviction. `Some(0)` is rejected: use
-    /// `None` for "no budget".
+    /// Plan-registry memory budget in bytes, over
+    /// [`GcnPlan::memory_bytes`](crate::GcnPlan::memory_bytes) estimates
+    /// of every resident plan, pinned names included. Least-recently-used
+    /// unpinned plans are evicted while the resident total exceeds the
+    /// budget; pinned plans and the most recent plan always stay
+    /// resident, even oversized — a budget smaller than one plan must not
+    /// deadlock serving. `None` disables eviction. `Some(0)` is rejected:
+    /// use `None` for "no budget".
     pub cache_budget_bytes: Option<u64>,
     /// Per-request deadline budget on *queue wait*: a request whose wait
-    /// between admission and drain pickup exceeds this duration is shed
-    /// with [`AccelError::DeadlineExceeded`](crate::AccelError::DeadlineExceeded)
+    /// exceeds this duration — admission to drain pickup, or batch start
+    /// to pickup for a named or fingerprint batch — is shed with
+    /// [`AccelError::DeadlineExceeded`](crate::AccelError::DeadlineExceeded)
     /// instead of executing stale work. `None` disables shedding;
     /// `Some(Duration::ZERO)` is rejected (it would shed everything).
     pub deadline: Option<std::time::Duration>,

@@ -569,10 +569,19 @@ impl GcnPlan {
         self.a_norm_csc.heap_bytes() as u64 + weights + self.a_plan.memory_bytes()
     }
 
-    /// True when `input` carries the same graph (by structure fingerprint)
-    /// and the same weights this plan was prepared for.
+    /// True when `input` carries the same graph (by structure fingerprint,
+    /// and `A`'s values bit for bit) and the same weights this plan was
+    /// prepared for.
     pub fn matches(&self, input: &GcnInput) -> bool {
-        self.a_plan.matches(&input.a_norm_csc) && self.weights == input.weights
+        // Equal structures have equal nnz, so the zip covers every value.
+        let values = self
+            .a_norm_csc
+            .values()
+            .iter()
+            .zip(input.a_norm_csc.values());
+        self.a_plan.matches(&input.a_norm_csc)
+            && values.fold(true, |eq, (a, b)| eq & (a.to_bits() == b.to_bits()))
+            && self.weights == input.weights
     }
 
     /// Executes one feature-matrix request against the shared plan: same

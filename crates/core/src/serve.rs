@@ -1,33 +1,36 @@
-//! Multi-tenant serving front-end: admission queue, cross-graph LRU plan
-//! cache, and batched execution over prepared per-graph plans.
+//! Multi-tenant serving front-end: one plan registry, an admission queue,
+//! and one batch executor over prepared per-graph plans.
 //!
 //! The ROADMAP's north star is a production-scale system serving heavy
 //! traffic on *fixed graphs*: graphs (and model weights) change rarely,
 //! feature-matrix requests arrive constantly — and in a multi-tenant
 //! deployment many graphs share one accelerator. [`GcnService`] is that
-//! shape made concrete, in three tiers:
+//! shape made concrete:
 //!
-//! * **Named plans** — [`prepare`](GcnService::prepare) pays auto-tuning
-//!   once per graph and stores the [`GcnPlan`] under a name;
-//!   [`serve`](GcnService::serve) fans request batches out over the
-//!   [`exec`](crate::exec) substrate against the shared plan.
-//! * **Fingerprint-keyed plan cache** —
-//!   [`serve_graph`](GcnService::serve_graph) keys plans on the graph's
-//!   sparsity fingerprint instead of a name: prepare-on-miss, LRU
-//!   eviction under the [`ServeOptions::cache_budget_bytes`] budget
-//!   (derived from [`GcnPlan::memory_bytes`] estimates). A cached plan is
-//!   only reused when [`GcnPlan::matches`] confirms graph *and* weights —
-//!   a mutated tenant graph is a well-defined miss (re-prepare), never a
-//!   stale plan.
+//! * **One plan registry** — every prepared [`GcnPlan`] lives in one
+//!   collection keyed on the graph's sparsity fingerprint.
+//!   [`serve_graph`](GcnService::serve_graph) and
+//!   [`enqueue`](GcnService::enqueue) resolve plans through it:
+//!   prepare-on-miss, LRU eviction under the
+//!   [`ServeOptions::cache_budget_bytes`] budget (derived from
+//!   [`GcnPlan::memory_bytes`] estimates). A resident plan is only reused
+//!   when [`GcnPlan::matches`] confirms graph *and* weights — a mutated
+//!   tenant graph is a well-defined miss (re-prepare), never a stale plan.
+//! * **Pinned names** — [`prepare`](GcnService::prepare) pays auto-tuning
+//!   once and pins the plan under a name; [`serve`](GcnService::serve)
+//!   runs batches on it by name. A pinned plan counts in the registry's
+//!   residency but is never an LRU victim, and fingerprint lookups may hit
+//!   it (a graph prepared by name is not prepared a second time).
 //! * **Admission queue** — [`enqueue`](GcnService::enqueue) admits
 //!   requests up to [`ServeOptions::queue_depth`] and rejects beyond it
 //!   with [`AccelError::QueueFull`] (explicit backpressure);
 //!   [`drain`](GcnService::drain) executes everything admitted as one
 //!   deterministic batch.
 //!
-//! Every batch reports per-request latency split into *queue-wait* (from
-//! admission to a worker picking the request up) and *execute* (the
-//! simulation itself), with p50/p95/p99 percentiles over both — see
+//! Every batch runs through one executor once its requests pass
+//! validation against their plan. It reports per-request latency split
+//! into *queue-wait* (admission or batch start to worker pickup) and
+//! *execute* (the simulation itself), with p50/p95/p99 over both — see
 //! [`BatchOutcome::queue_wait_percentiles`] /
 //! [`BatchOutcome::execute_percentiles`].
 //!
@@ -44,13 +47,14 @@
 //! * **Ingest validation** — [`validate_ingest`] rejects NaN/±inf values,
 //!   out-of-bounds indices, and dimension mismatches with
 //!   [`AccelError::InvalidInput`] at admission, before a bad operand can
-//!   enter the plan cache or produce a silent-NaN output.
-//! * **Request isolation** — [`drain_isolated`](GcnService::drain_isolated)
-//!   and [`serve_isolated`](GcnService::serve_isolated) execute each
-//!   request behind [`exec::par_map_isolated`]: a panicking request yields
-//!   its own [`AccelError::WorkerPanicked`] entry while every other
-//!   request completes (and poison-recovering locks keep the shared plan
-//!   serving afterwards).
+//!   enter the plan registry or produce a silent-NaN output.
+//! * **Request isolation** — every batch executes each request behind
+//!   [`exec::par_map_isolated`]: a panicking request yields its own
+//!   [`AccelError::WorkerPanicked`] entry while every other request
+//!   completes (and poison-recovering locks keep the shared plan serving
+//!   afterwards). [`drain_isolated`](GcnService::drain_isolated) and
+//!   [`serve_isolated`](GcnService::serve_isolated) return the
+//!   per-request results; the other batch calls are fail-fast views.
 //! * **Deadlines** — with [`ServeOptions::deadline`] set, a request whose
 //!   queue wait exceeds the budget is shed with
 //!   [`AccelError::DeadlineExceeded`] instead of executing stale work.
@@ -68,11 +72,11 @@ use crate::cost::AutoDecision;
 use crate::engine::steady::structure_fingerprint;
 use crate::error::AccelError;
 use crate::exec;
-use crate::fault::{FaultKind, FaultPlan};
+use crate::fault::FaultKind;
 use crate::gcn_run::{GcnPlan, GcnRunOutcome, GcnRunner};
 use awb_gcn_model::GcnInput;
-use awb_sparse::{Csc, Csr, DenseMatrix};
-use std::collections::{HashMap, VecDeque};
+use awb_sparse::{Csr, DenseMatrix};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,7 +162,8 @@ pub struct RequestOutcome {
     pub wall_s: f64,
     /// Host wall-clock the request waited before a worker picked it up,
     /// in seconds: from admission ([`GcnService::enqueue`]) or batch
-    /// start ([`GcnService::serve`]) to execution start.
+    /// start ([`GcnService::serve`], [`GcnService::serve_graph`]) to
+    /// execution start.
     pub queue_wait_s: f64,
 }
 
@@ -324,9 +329,9 @@ impl IsolatedBatch {
     }
 
     /// Collapses to the fail-fast [`BatchOutcome`] view: the whole batch,
-    /// or the first per-request error. The legacy
-    /// [`drain`](GcnService::drain)/[`serve`](GcnService::serve) semantics
-    /// are exactly this collapse.
+    /// or the first per-request error. [`drain`](GcnService::drain),
+    /// [`serve`](GcnService::serve) and
+    /// [`serve_graph`](GcnService::serve_graph) are exactly this collapse.
     ///
     /// # Errors
     ///
@@ -358,39 +363,38 @@ pub struct AdmissionOutcome {
 }
 
 /// Rejects non-finite values in a slice with a labelled
-/// [`AccelError::InvalidInput`].
+/// [`AccelError::InvalidInput`]. The success path is one branch-free
+/// fold; the position scan runs only on failure, to name the value.
 fn check_finite(label: &str, values: &[f32]) -> Result<(), AccelError> {
-    match values.iter().position(|v| !v.is_finite()) {
-        None => Ok(()),
-        Some(i) => Err(AccelError::InvalidInput(format!(
-            "{label} contains a non-finite value ({}) at position {i}",
-            values[i]
-        ))),
+    if values.iter().fold(true, |ok, v| ok & v.is_finite()) {
+        return Ok(());
     }
+    let i = values.iter().position(|v| !v.is_finite()).unwrap_or(0);
+    Err(AccelError::InvalidInput(format!(
+        "{label} contains a non-finite value ({}) at position {i}",
+        values[i]
+    )))
 }
 
-/// Validates one CSC operand: finite values, in-bounds row indices.
-fn check_csc(label: &str, m: &Csc) -> Result<(), AccelError> {
-    check_finite(label, m.values())?;
-    if let Some(&bad) = m.row_idx().iter().find(|&&r| r as usize >= m.rows()) {
-        return Err(AccelError::InvalidInput(format!(
-            "{label} row index {bad} is out of bounds for {} rows",
-            m.rows()
-        )));
+/// Rejects an index array with an entry `>= bound` (`axis` names the
+/// indexed dimension). The success path is one max-reduction; the first
+/// offender is searched only on failure.
+fn check_indices(label: &str, axis: &str, indices: &[u32], bound: usize) -> Result<(), AccelError> {
+    let max = indices.iter().fold(0, |m, &i| m.max(i));
+    if indices.is_empty() || (max as usize) < bound {
+        return Ok(());
     }
-    Ok(())
+    let bad = indices.iter().find(|&&i| i as usize >= bound);
+    Err(AccelError::InvalidInput(format!(
+        "{label} {axis} index {} is out of bounds for {bound} {axis}s",
+        bad.unwrap_or(&max)
+    )))
 }
 
 /// Validates one CSR operand: finite values, in-bounds column indices.
 fn check_csr(label: &str, m: &Csr) -> Result<(), AccelError> {
     check_finite(label, m.values())?;
-    if let Some(&bad) = m.col_idx().iter().find(|&&c| c as usize >= m.cols()) {
-        return Err(AccelError::InvalidInput(format!(
-            "{label} column index {bad} is out of bounds for {} columns",
-            m.cols()
-        )));
-    }
-    Ok(())
+    check_indices(label, "column", m.col_idx(), m.cols())
 }
 
 /// Validates one feature-matrix request against the plan it will run on:
@@ -435,7 +439,8 @@ pub fn validate_ingest(input: &GcnInput) -> Result<(), AccelError> {
             a.cols()
         )));
     }
-    check_csc("adjacency", a)?;
+    check_finite("adjacency", a.values())?;
+    check_indices("adjacency", "row", a.row_idx(), a.rows())?;
     if input.x1.rows() != a.rows() {
         return Err(AccelError::InvalidInput(format!(
             "x1 has {} rows but the graph has {} nodes",
@@ -460,69 +465,6 @@ pub fn validate_ingest(input: &GcnInput) -> Result<(), AccelError> {
     Ok(())
 }
 
-/// Context one isolated request executes under.
-#[derive(Clone, Copy)]
-struct ExecContext<'a> {
-    /// Fault-injection site name (`"drain"` / `"serve"`).
-    site: &'a str,
-    deadline: Option<Duration>,
-    faults: Option<FaultPlan>,
-}
-
-/// Executes one isolated request: deadline check, fault hooks, run, and
-/// the non-finite output guard. Returns `(outcome, queue_wait_s, wall_s)`.
-///
-/// An injected `Panic` deliberately unwinds from here — the caller runs
-/// this inside [`exec::par_map_isolated`], which is exactly the boundary
-/// under test.
-fn execute_one(
-    plan: &GcnPlan,
-    x1: &Csr,
-    enqueued: Instant,
-    index: usize,
-    ctx: ExecContext<'_>,
-) -> Result<(GcnRunOutcome, f64, f64), AccelError> {
-    let exec_start = Instant::now();
-    let wait = exec_start.duration_since(enqueued);
-    if let Some(budget) = ctx.deadline {
-        if wait > budget {
-            return Err(AccelError::DeadlineExceeded {
-                waited_ms: wait.as_millis() as u64,
-                budget_ms: budget.as_millis() as u64,
-            });
-        }
-    }
-    // Zero-cost when off: with `faults: None` the entire harness is this
-    // one `if let` per request.
-    if let Some(faults) = ctx.faults {
-        match faults.decide(ctx.site, index as u64) {
-            Some(FaultKind::Panic) => panic!("injected fault: {}[{index}]", ctx.site),
-            Some(FaultKind::Delay) => std::thread::sleep(Duration::from_millis(
-                faults.delay_ms(ctx.site, index as u64),
-            )),
-            _ => {}
-        }
-    }
-    let mut outcome = plan.run(x1)?;
-    if let Some(faults) = ctx.faults {
-        if faults.decide(ctx.site, index as u64) == Some(FaultKind::NanPayload) {
-            // Corrupt the response in flight — the guard below must catch
-            // it; a NaN payload may never reach the caller as data.
-            corrupt_output(&mut outcome.output);
-        }
-        if !outcome.output.as_slice().iter().all(|v| v.is_finite()) {
-            return Err(AccelError::NonFiniteOutput {
-                site: format!("{}[{index}]", ctx.site),
-            });
-        }
-    }
-    Ok((
-        outcome,
-        wait.as_secs_f64(),
-        exec_start.elapsed().as_secs_f64(),
-    ))
-}
-
 /// The fault harness's NaN-payload corruption (first element, or a no-op
 /// on an empty output).
 fn corrupt_output(output: &mut DenseMatrix) {
@@ -531,37 +473,19 @@ fn corrupt_output(output: &mut DenseMatrix) {
     }
 }
 
-/// Collapses one [`exec::par_map_isolated`] slot — `Err(panic message)`,
-/// or an inner per-request result — into the typed per-request `Result`.
-fn collapse_slot(
-    site: &str,
-    index: usize,
-    slot: Result<Result<(GcnRunOutcome, f64, f64), AccelError>, String>,
-) -> Result<RequestOutcome, AccelError> {
-    match slot {
-        Ok(Ok((outcome, queue_wait_s, wall_s))) => Ok(RequestOutcome {
-            index,
-            outcome,
-            wall_s,
-            queue_wait_s,
-        }),
-        Ok(Err(e)) => Err(e),
-        Err(message) => Err(AccelError::WorkerPanicked {
-            site: format!("{site}[{index}]"),
-            message,
-        }),
-    }
-}
-
-/// Aggregate counters of the fingerprint-keyed plan cache.
+/// Aggregate counters of the plan registry. Hits, misses and evictions
+/// count fingerprint lookups ([`serve_graph`](GcnService::serve_graph),
+/// [`enqueue`](GcnService::enqueue)) only: calls by name never change
+/// them. Residency covers every plan, pinned names included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Lookups served by a resident, still-matching plan.
+    /// Lookups served by a resident, still-matching plan (pinned or not).
     pub hits: u64,
     /// Lookups that had to prepare (absent, or resident-but-mismatched —
     /// e.g. a tenant mutated weights under an unchanged graph structure).
     pub misses: u64,
-    /// Plans dropped by LRU budget eviction or replaced by a re-prepare.
+    /// Unpinned plans a miss dropped: LRU budget eviction, or replacement
+    /// of a stale entry with the same fingerprint.
     pub evictions: u64,
     /// Estimated bytes currently resident ([`GcnPlan::memory_bytes`] sum).
     pub resident_bytes: u64,
@@ -569,13 +493,19 @@ pub struct CacheStats {
     pub resident_plans: usize,
 }
 
-/// One resident plan-cache entry.
+/// One registered plan.
 #[derive(Debug, Clone)]
 struct CacheEntry {
+    /// Structure fingerprint, mixed with the Auto resolution (see
+    /// `GcnService::plan_key`).
+    key: u64,
     plan: Arc<GcnPlan>,
     bytes: u64,
     /// LRU stamp: the service's logical clock at last use.
     last_use: u64,
+    /// `Some(name)` pins the entry: never an LRU victim, removed only by
+    /// [`GcnService::evict`] or a re-prepare under the same name.
+    name: Option<String>,
 }
 
 /// One admitted, not-yet-drained request.
@@ -583,11 +513,15 @@ struct CacheEntry {
 struct QueuedRequest {
     /// Resolved at admission (prepare-on-miss happens in `enqueue`, so
     /// `drain` is pure execution). The `Arc` keeps the plan alive even if
-    /// the cache evicts it while the request waits.
+    /// the registry evicts it while the request waits.
     plan: Arc<GcnPlan>,
     x1: Csr,
     enqueued: Instant,
 }
+
+/// One request of a batch: the plan it runs on, its features, and the
+/// instant its queue wait starts (admission, or batch start).
+type BatchItem<'a> = (&'a GcnPlan, &'a Csr, Instant);
 
 /// A serving front-end holding prepared per-graph plans (see module docs).
 ///
@@ -619,9 +553,9 @@ struct QueuedRequest {
 pub struct GcnService {
     config: AccelConfig,
     options: ServeOptions,
-    graphs: HashMap<String, GcnPlan>,
-    /// Fingerprint-keyed plan cache (see module docs).
-    cache: HashMap<u64, CacheEntry>,
+    /// The plan registry (see module docs). It holds a few dozen plans at
+    /// most, so every lookup is a linear scan.
+    plans: Vec<CacheEntry>,
     /// Logical clock for LRU stamps (monotone per service).
     lru_clock: u64,
     cache_hits: u64,
@@ -666,7 +600,11 @@ impl GcnService {
     }
 
     /// Prepares (or re-prepares) a graph: runs one warm-up inference on
-    /// `input`, extracts the [`GcnPlan`], and stores it under `name`.
+    /// `input`, extracts the [`GcnPlan`], and pins it under `name` in the
+    /// plan registry (replacing any plan pinned under that name). The
+    /// plan counts in [`cache_stats`](GcnService::cache_stats) residency
+    /// and may push unpinned plans out over the budget, but the call
+    /// leaves the hit/miss/eviction counters alone.
     ///
     /// # Errors
     ///
@@ -679,7 +617,8 @@ impl GcnService {
         let name = name.into();
         validate_ingest(input)?;
         let start = Instant::now();
-        let (plan, warmup) = GcnRunner::new(self.config.clone()).prepare(input)?;
+        let (key, decision) = self.plan_key(input);
+        let (plan, warmup, _) = self.register(input, key, decision, Some(name.clone()))?;
         // The merged X×W stats carry the total PE count over combination
         // shard devices, so the warm-up reveals each layer's shard count
         // without re-partitioning; report the deepest split (layers can
@@ -702,8 +641,8 @@ impl GcnService {
             rescored_unsharded: d.rescored_unsharded,
             io_read_s: d.io.as_ref().map(|io| io.read_s),
         });
-        let report = PrepareReport {
-            graph: name.clone(),
+        Ok(PrepareReport {
+            graph: name,
             tuning_rounds: plan.tuning_rounds(),
             total_switches: plan.total_switches(),
             shards: plan.shard_count(),
@@ -714,90 +653,136 @@ impl GcnService {
             auto,
             stream: plan.stream_stats(),
             warmup,
-        };
-        self.graphs.insert(name, plan);
-        Ok(report)
+        })
     }
 
-    /// The prepared plan for `name`, if any.
+    /// The plan pinned under `name`, if any.
     pub fn plan(&self, name: &str) -> Option<&GcnPlan> {
-        self.graphs.get(name)
+        self.plans
+            .iter()
+            .find(|e| e.name.as_deref() == Some(name))
+            .map(|e| &*e.plan)
     }
 
     /// Names of all prepared graphs (sorted for determinism).
     pub fn graph_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.graphs.keys().map(String::as_str).collect();
+        let mut names: Vec<&str> = self
+            .plans
+            .iter()
+            .filter_map(|e| e.name.as_deref())
+            .collect();
         names.sort_unstable();
         names
     }
 
-    /// Removes a prepared graph, returning whether it existed.
+    /// Removes the plan pinned under `name`, returning whether it existed.
     pub fn evict(&mut self, name: &str) -> bool {
-        self.graphs.remove(name).is_some()
+        let before = self.plans.len();
+        self.plans.retain(|e| e.name.as_deref() != Some(name));
+        self.plans.len() < before
     }
 
-    /// Aggregate plan-cache counters (hits/misses/evictions plus the
+    /// Aggregate plan-registry counters (hits/misses/evictions plus the
     /// current residency footprint).
     pub fn cache_stats(&self) -> CacheStats {
         CacheStats {
             hits: self.cache_hits,
             misses: self.cache_misses,
             evictions: self.cache_evictions,
-            resident_bytes: self.cache.values().map(|e| e.bytes).sum(),
-            resident_plans: self.cache.len(),
+            resident_bytes: self.plans.iter().map(|e| e.bytes).sum(),
+            resident_plans: self.plans.len(),
         }
     }
 
-    /// The cached plan for `input`'s graph, if resident and still
-    /// matching (does not touch LRU order or counters).
+    /// The resident plan for `input`'s graph — pinned or not — if it
+    /// still matches (does not touch LRU order or counters).
     pub fn cached_plan(&self, input: &GcnInput) -> Option<Arc<GcnPlan>> {
         let (key, _) = self.plan_key(input);
-        self.cache
-            .get(&key)
-            .filter(|e| e.plan.matches(input))
-            .map(|e| Arc::clone(&e.plan))
+        self.find(key, input)
+            .map(|i| Arc::clone(&self.plans[i].plan))
     }
 
-    /// Resolves `input`'s plan through the fingerprint-keyed cache:
-    /// a resident plan that still [`matches`](GcnPlan::matches) is a hit;
+    /// Position of the first resident plan on `key` that still
+    /// [`matches`](GcnPlan::matches) `input`.
+    fn find(&self, key: u64, input: &GcnInput) -> Option<usize> {
+        self.plans
+            .iter()
+            .position(|e| e.key == key && e.plan.matches(input))
+    }
+
+    /// Resolves `input`'s plan through the registry: a resident plan
+    /// (pinned or not) that still [`matches`](GcnPlan::matches) is a hit;
     /// anything else (absent, or resident-but-mismatched — weights changed
     /// under an unchanged structure, or a fingerprint collision) is a miss
-    /// that prepares a fresh plan, replaces the stale entry, and then
-    /// evicts least-recently-used plans while the resident total exceeds
-    /// the budget. The returned plan itself is never evicted by its own
-    /// insertion (a budget smaller than one plan keeps exactly that plan).
+    /// that prepares a fresh plan through [`register`](Self::register).
     fn lookup_or_prepare(&mut self, input: &GcnInput) -> Result<Arc<GcnPlan>, AccelError> {
         let (key, decision) = self.plan_key(input);
-        self.lru_clock += 1;
-        if let Some(entry) = self.cache.get_mut(&key) {
-            if entry.plan.matches(input) {
-                entry.last_use = self.lru_clock;
-                self.cache_hits += 1;
-                return Ok(Arc::clone(&entry.plan));
-            }
+        if let Some(i) = self.find(key, input) {
+            self.lru_clock += 1;
+            self.plans[i].last_use = self.lru_clock;
+            self.cache_hits += 1;
+            return Ok(Arc::clone(&self.plans[i].plan));
         }
         self.cache_misses += 1;
-        let (plan, _warmup) =
-            GcnRunner::new(self.config.clone()).prepare_with_decision(input, decision)?;
-        let plan = Arc::new(plan);
-        let entry = CacheEntry {
-            plan: Arc::clone(&plan),
-            bytes: plan.memory_bytes(),
-            last_use: self.lru_clock,
-        };
-        if self.cache.insert(key, entry).is_some() {
-            // Replacing a stale same-fingerprint entry evicts it.
-            self.cache_evictions += 1;
-        }
-        self.evict_over_budget(key);
+        let (plan, _warmup, dropped) = self.register(input, key, decision, None)?;
+        self.cache_evictions += dropped;
         Ok(plan)
     }
 
-    /// The cache key for `input`'s plan, plus the Auto decision (if any)
-    /// that was folded into it. Under [`StrategyPolicy::Manual`] the key is
-    /// the structure fingerprint alone; under `Auto` the resolved choice is
-    /// mixed in, so two tenants whose graphs collide on structure but
-    /// resolve to different configurations occupy distinct cache slots.
+    /// The prepare path of [`prepare`](GcnService::prepare) and a lookup
+    /// miss: prepares under the already-resolved Auto `decision`, so Auto
+    /// resolves once; registers the plan on `key`, replacing the unpinned
+    /// plans on `key` and any plan already pinned under `name`; then
+    /// evicts LRU unpinned plans, never the new one, while the budget is
+    /// exceeded. Returns the plan, its warm-up, and the number of plans
+    /// dropped.
+    fn register(
+        &mut self,
+        input: &GcnInput,
+        key: u64,
+        decision: Option<AutoDecision>,
+        name: Option<String>,
+    ) -> Result<(Arc<GcnPlan>, GcnRunOutcome, u64), AccelError> {
+        let (plan, warmup) =
+            GcnRunner::new(self.config.clone()).prepare_with_decision(input, decision)?;
+        let plan = Arc::new(plan);
+        let before = self.plans.len();
+        self.plans.retain(|e| match &e.name {
+            Some(pinned) => Some(pinned) != name.as_ref(),
+            None => e.key != key,
+        });
+        self.lru_clock += 1;
+        self.plans.push(CacheEntry {
+            key,
+            bytes: plan.memory_bytes(),
+            plan: Arc::clone(&plan),
+            last_use: self.lru_clock,
+            name,
+        });
+        if let Some(budget) = self.options.cache_budget_bytes {
+            while self.plans.iter().map(|e| e.bytes).sum::<u64>() > budget {
+                let victim = self.plans[..self.plans.len() - 1]
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, e)| e.name.is_none())
+                    .min_by_key(|(_, e)| e.last_use)
+                    .map(|(i, _)| i);
+                // Only pinned plans and the new (last) one remain: an oversized
+                // remainder stays resident (documented on ServeOptions).
+                let Some(victim) = victim else { break };
+                self.plans.remove(victim);
+            }
+        }
+        let dropped = (before + 1 - self.plans.len()) as u64;
+        Ok((plan, warmup, dropped))
+    }
+
+    /// The registry key for `input`'s plan, plus the Auto decision (if
+    /// any) that was folded into it. Under [`StrategyPolicy::Manual`] the
+    /// key is the structure fingerprint alone; under `Auto` the resolved
+    /// choice is mixed in, so two tenants whose graphs collide on
+    /// structure but resolve to different configurations occupy distinct
+    /// slots.
     fn plan_key(&self, input: &GcnInput) -> (u64, Option<AutoDecision>) {
         let mut key = structure_fingerprint(input.a_norm_csc.pattern());
         let decision = match self.config.strategy {
@@ -810,37 +795,11 @@ impl GcnService {
         (key, decision)
     }
 
-    /// Evicts least-recently-used entries (never `keep`) while the
-    /// resident estimate exceeds the configured budget.
-    fn evict_over_budget(&mut self, keep: u64) {
-        let Some(budget) = self.options.cache_budget_bytes else {
-            return;
-        };
-        loop {
-            let resident: u64 = self.cache.values().map(|e| e.bytes).sum();
-            if resident <= budget {
-                return;
-            }
-            let victim = self
-                .cache
-                .iter()
-                .filter(|(k, _)| **k != keep)
-                .min_by_key(|(_, e)| e.last_use)
-                .map(|(k, _)| *k);
-            let Some(victim) = victim else {
-                // Only the just-used plan remains; an oversized single
-                // plan stays resident (documented on ServeOptions).
-                return;
-            };
-            self.cache.remove(&victim);
-            self.cache_evictions += 1;
-        }
-    }
-
     /// Serves a batch of feature-matrix requests for `input`'s graph
-    /// through the fingerprint-keyed plan cache (prepare-on-miss — no
-    /// explicit [`prepare`](GcnService::prepare) call needed), fanning
-    /// requests out like [`serve`](GcnService::serve).
+    /// through the plan registry (prepare-on-miss — no explicit
+    /// [`prepare`](GcnService::prepare) call needed; a plan pinned by
+    /// name is a hit), fanning requests out like
+    /// [`serve`](GcnService::serve).
     ///
     /// # Errors
     ///
@@ -853,14 +812,11 @@ impl GcnService {
     ) -> Result<BatchOutcome, AccelError> {
         validate_ingest(input)?;
         let plan = self.lookup_or_prepare(input)?;
-        for x1 in requests {
-            check_request(&plan, x1)?;
-        }
-        serve_on_plan(&plan, requests)
+        self.serve_batch(&plan, requests)?.into_batch()
     }
 
     /// Admits one request to the queue, resolving its plan through the
-    /// cache (prepare-on-miss happens here, at admission, so
+    /// registry (prepare-on-miss happens here, at admission, so
     /// [`drain`](GcnService::drain) is pure execution and its queue-wait
     /// numbers measure queueing, not tuning). Returns the request's queue
     /// position. The admitted request holds its resolved plan: a later
@@ -873,7 +829,7 @@ impl GcnService {
     /// [`ServeOptions::queue_depth`] (the request is NOT admitted);
     /// [`AccelError::InvalidInput`] when ingest validation rejects the
     /// graph, weights, or request features (see [`validate_ingest`] — a
-    /// bad operand never reaches the plan cache); propagates warm-up
+    /// bad operand never reaches the plan registry); propagates warm-up
     /// errors from a cache miss.
     pub fn enqueue(&mut self, input: &GcnInput, x1: Csr) -> Result<usize, AccelError> {
         if self.queue.len() >= self.options.queue_depth {
@@ -966,41 +922,26 @@ impl GcnService {
     /// unconditionally.
     pub fn drain_isolated(&mut self) -> IsolatedBatch {
         let admitted: Vec<QueuedRequest> = self.queue.drain(..).collect();
-        let threads = self.config.threads.unwrap_or_else(exec::num_threads);
-        let ctx = ExecContext {
-            site: "drain",
-            deadline: self.options.deadline,
-            faults: self.config.faults,
-        };
-        let indexed: Vec<(usize, QueuedRequest)> = admitted.into_iter().enumerate().collect();
-        let start = Instant::now();
-        let slots = exec::par_map_isolated(threads, &indexed, |(index, q)| {
-            execute_one(&q.plan, &q.x1, q.enqueued, *index, ctx)
-        });
-        let wall_s = start.elapsed().as_secs_f64();
-        IsolatedBatch {
-            results: slots
-                .into_iter()
-                .enumerate()
-                .map(|(index, slot)| collapse_slot("drain", index, slot))
-                .collect(),
-            wall_s,
-            freq_mhz: self.config.freq_mhz,
-        }
+        let items = admitted
+            .iter()
+            .map(|q| (&*q.plan, &q.x1, q.enqueued))
+            .collect();
+        self.run_batch("drain", items)
     }
 
-    /// Serves a batch of feature-matrix requests against the prepared
-    /// plan for `graph`, fanning requests out over the [`exec`] substrate.
+    /// Serves a batch of feature-matrix requests against the plan pinned
+    /// under `graph`, fanning requests out over the [`exec`] substrate.
     /// Results keep request order at any thread count; each request's
-    /// outcome is bit-identical to a sequential (or cold) run.
+    /// outcome is bit-identical to a sequential (or cold) run. The
+    /// fail-fast collapse of [`serve_isolated`](GcnService::serve_isolated).
     ///
     /// # Errors
     ///
-    /// Returns [`AccelError::InvalidConfig`] when `graph` is not prepared;
+    /// Returns [`AccelError::InvalidConfig`] when `graph` is not prepared,
+    /// [`AccelError::InvalidInput`] when a request fails validation;
     /// propagates the first per-request error otherwise.
     pub fn serve(&self, graph: &str, requests: &[Csr]) -> Result<BatchOutcome, AccelError> {
-        let plan = self.named_plan(graph)?;
-        serve_on_plan(plan, requests)
+        self.serve_isolated(graph, requests)?.into_batch()
     }
 
     /// [`serve`](GcnService::serve) with per-request isolation (the
@@ -1020,65 +961,110 @@ impl GcnService {
         graph: &str,
         requests: &[Csr],
     ) -> Result<IsolatedBatch, AccelError> {
-        let plan = self.named_plan(graph)?;
-        for x1 in requests {
-            check_request(plan, x1)?;
-        }
-        Ok(serve_on_plan_isolated(
-            plan,
-            requests,
-            self.options.deadline,
-        ))
-    }
-
-    /// The prepared plan for `graph`, as a typed error when absent.
-    fn named_plan(&self, graph: &str) -> Result<&GcnPlan, AccelError> {
-        self.graphs.get(graph).ok_or_else(|| {
+        let plan = self.plan(graph).ok_or_else(|| {
             AccelError::InvalidConfig(format!(
                 "graph `{graph}` is not prepared (known: {:?})",
                 self.graph_names()
             ))
-        })
+        })?;
+        self.serve_batch(plan, requests)
     }
-}
 
-/// The shared batch executor: fans `requests` out over the [`exec`]
-/// substrate against one plan, recording per-request queue-wait (batch
-/// start → worker pickup) and execute wall-clock. Fail-fast collapse of
-/// [`serve_on_plan_isolated`].
-fn serve_on_plan(plan: &GcnPlan, requests: &[Csr]) -> Result<BatchOutcome, AccelError> {
-    serve_on_plan_isolated(plan, requests, None).into_batch()
-}
+    /// Validates every request against `plan`, then runs them as one
+    /// `"serve"` batch whose queue wait starts now.
+    fn serve_batch(&self, plan: &GcnPlan, requests: &[Csr]) -> Result<IsolatedBatch, AccelError> {
+        for x1 in requests {
+            check_request(plan, x1)?;
+        }
+        let start = Instant::now();
+        let items = requests.iter().map(|x1| (plan, x1, start)).collect();
+        Ok(self.run_batch("serve", items))
+    }
 
-/// The isolated batch executor behind [`GcnService::serve_isolated`] (and,
-/// collapsed, every named-plan serve path): per-request `Result`s, faults
-/// injected at the `"serve"` site when the plan's config arms a
-/// [`FaultPlan`](crate::fault::FaultPlan).
-fn serve_on_plan_isolated(
-    plan: &GcnPlan,
-    requests: &[Csr],
-    deadline: Option<Duration>,
-) -> IsolatedBatch {
-    let threads = plan.config().threads.unwrap_or_else(exec::num_threads);
-    let ctx = ExecContext {
-        site: "serve",
-        deadline,
-        faults: plan.config().faults,
-    };
-    let indexed: Vec<(usize, &Csr)> = requests.iter().enumerate().collect();
-    let start = Instant::now();
-    let slots = exec::par_map_isolated(threads, &indexed, |(index, x1)| {
-        execute_one(plan, x1, start, *index, ctx)
-    });
-    let wall_s = start.elapsed().as_secs_f64();
-    IsolatedBatch {
-        results: slots
-            .into_iter()
-            .enumerate()
-            .map(|(index, slot)| collapse_slot("serve", index, slot))
-            .collect(),
-        wall_s,
-        freq_mhz: plan.config().freq_mhz,
+    /// The one batch executor: fans `items` out over the [`exec`]
+    /// substrate behind [`exec::par_map_isolated`], so each request gets
+    /// its own `Result` slot and a caught panic becomes
+    /// [`AccelError::WorkerPanicked`]. `site` names the fault-injection
+    /// site (`"serve"` / `"drain"`).
+    fn run_batch(&self, site: &str, items: Vec<BatchItem<'_>>) -> IsolatedBatch {
+        let threads = self.config.threads.unwrap_or_else(exec::num_threads);
+        let indexed: Vec<(usize, BatchItem<'_>)> = items.into_iter().enumerate().collect();
+        let start = Instant::now();
+        let slots = exec::par_map_isolated(threads, &indexed, |&(index, item)| {
+            self.execute_one(site, index, item)
+        });
+        let wall_s = start.elapsed().as_secs_f64();
+        IsolatedBatch {
+            results: slots
+                .into_iter()
+                .enumerate()
+                .map(|(index, slot)| {
+                    slot.unwrap_or_else(|message| {
+                        Err(AccelError::WorkerPanicked {
+                            site: format!("{site}[{index}]"),
+                            message,
+                        })
+                    })
+                })
+                .collect(),
+            wall_s,
+            freq_mhz: self.config.freq_mhz,
+        }
+    }
+
+    /// Executes one request of a batch: deadline check, fault hooks, run,
+    /// and the non-finite output guard.
+    ///
+    /// An injected `Panic` deliberately unwinds from here —
+    /// [`run_batch`](Self::run_batch) runs this inside
+    /// [`exec::par_map_isolated`], which is exactly the boundary under
+    /// test.
+    fn execute_one(
+        &self,
+        site: &str,
+        index: usize,
+        (plan, x1, enqueued): BatchItem<'_>,
+    ) -> Result<RequestOutcome, AccelError> {
+        let exec_start = Instant::now();
+        let wait = exec_start.duration_since(enqueued);
+        if let Some(budget) = self.options.deadline {
+            if wait > budget {
+                return Err(AccelError::DeadlineExceeded {
+                    waited_ms: wait.as_millis() as u64,
+                    budget_ms: budget.as_millis() as u64,
+                });
+            }
+        }
+        // Zero-cost when off: with `faults: None` the entire harness is this
+        // one `if let` per request.
+        if let Some(faults) = self.config.faults {
+            match faults.decide(site, index as u64) {
+                Some(FaultKind::Panic) => panic!("injected fault: {site}[{index}]"),
+                Some(FaultKind::Delay) => {
+                    std::thread::sleep(Duration::from_millis(faults.delay_ms(site, index as u64)))
+                }
+                _ => {}
+            }
+        }
+        let mut outcome = plan.run(x1)?;
+        if let Some(faults) = self.config.faults {
+            if faults.decide(site, index as u64) == Some(FaultKind::NanPayload) {
+                // Corrupt the response in flight — the guard below must catch
+                // it; a NaN payload may never reach the caller as data.
+                corrupt_output(&mut outcome.output);
+            }
+            if !outcome.output.as_slice().iter().all(|v| v.is_finite()) {
+                return Err(AccelError::NonFiniteOutput {
+                    site: format!("{site}[{index}]"),
+                });
+            }
+        }
+        Ok(RequestOutcome {
+            index,
+            outcome,
+            wall_s: exec_start.elapsed().as_secs_f64(),
+            queue_wait_s: wait.as_secs_f64(),
+        })
     }
 }
 
@@ -1088,13 +1074,16 @@ mod tests {
     use crate::config::Design;
     use awb_datasets::{DatasetSpec, GeneratedDataset};
 
+    fn config(n_pes: usize) -> AccelConfig {
+        Design::LocalPlusRemote { hop: 1 }
+            .apply(AccelConfig::builder().n_pes(n_pes).build().unwrap())
+    }
+
     fn service_and_input(nodes: usize, seed: u64, n_pes: usize) -> (GcnService, GcnInput) {
         let data =
             GeneratedDataset::generate(&DatasetSpec::cora().with_nodes(nodes), seed).unwrap();
         let input = GcnInput::from_dataset(&data).unwrap();
-        let config = Design::LocalPlusRemote { hop: 1 }
-            .apply(AccelConfig::builder().n_pes(n_pes).build().unwrap());
-        (GcnService::new(config), input)
+        (GcnService::new(config(n_pes)), input)
     }
 
     #[test]
@@ -1396,5 +1385,141 @@ mod tests {
                 assert_eq!(layer.a_xw.tuning_rounds(), 0);
             }
         }
+    }
+
+    /// `(hits, misses, evictions)`, for before/after comparisons.
+    fn counters(service: &GcnService) -> (u64, u64, u64) {
+        let s = service.cache_stats();
+        (s.hits, s.misses, s.evictions)
+    }
+
+    /// An 8-PE service with a plan budget of `bytes`.
+    fn budgeted(bytes: u64) -> GcnService {
+        let options = ServeOptions {
+            cache_budget_bytes: Some(bytes),
+            ..ServeOptions::default()
+        };
+        GcnService::with_options(config(8), options).unwrap()
+    }
+
+    /// Serves `input`'s own features through the fingerprint path.
+    fn serve_own(service: &mut GcnService, input: &GcnInput) {
+        let requests = std::slice::from_ref(&input.x1);
+        service.serve_graph(input, requests).unwrap();
+    }
+
+    #[test]
+    fn named_plan_counts_in_residency_and_outlives_a_tiny_budget() {
+        let mut service = budgeted(1);
+        let (_, input) = service_and_input(96, 41, 8);
+        service.prepare("g", &input).unwrap();
+        let bytes = service.plan("g").unwrap().memory_bytes();
+        let s = service.cache_stats();
+        assert_eq!((s.resident_plans, s.resident_bytes), (1, bytes));
+        // The second tenant evicts the first, never the pinned plan.
+        for seed in [42, 43] {
+            serve_own(&mut service, &service_and_input(80, seed, 8).1);
+        }
+        assert_eq!(counters(&service), (0, 2, 1));
+        assert_eq!(service.cache_stats().resident_plans, 2);
+        assert!(service.plan("g").is_some());
+    }
+
+    #[test]
+    fn fingerprint_lookups_hit_the_named_plan() {
+        let (mut service, input) = service_and_input(96, 44, 8);
+        service.prepare("g", &input).unwrap();
+        serve_own(&mut service, &input);
+        service.enqueue(&input, input.x1.clone()).unwrap();
+        assert_eq!(service.drain().unwrap().requests.len(), 1);
+        assert_eq!(counters(&service), (2, 0, 0));
+        let cached = service.cached_plan(&input).unwrap();
+        assert!(std::ptr::eq(&*cached, service.plan("g").unwrap()));
+        assert_eq!(service.cache_stats().resident_plans, 1);
+    }
+
+    #[test]
+    fn naming_a_cached_graph_replaces_its_unpinned_plan() {
+        let (mut service, input) = service_and_input(96, 49, 8);
+        serve_own(&mut service, &input);
+        let unpinned = service.cached_plan(&input).unwrap();
+        service.prepare("g", &input).unwrap();
+        let s = service.cache_stats();
+        let bytes = service.plan("g").unwrap().memory_bytes();
+        assert_eq!((s.resident_plans, s.resident_bytes), (1, bytes));
+        // The next fingerprint hit lands on the pinned plan.
+        serve_own(&mut service, &input);
+        let cached = service.cached_plan(&input).unwrap();
+        assert!(std::ptr::eq(&*cached, service.plan("g").unwrap()));
+        assert!(!Arc::ptr_eq(&cached, &unpinned));
+        assert_eq!(counters(&service), (1, 1, 0));
+    }
+
+    #[test]
+    fn same_fingerprint_miss_leaves_the_named_plan() {
+        let (mut service, input) = service_and_input(96, 45, 8);
+        service.prepare("g", &input).unwrap();
+        // Same adjacency, scaled weights: same key, no match. The second
+        // miss replaces the first's unpinned plan only.
+        for (k, misses) in [(2.0, 1), (3.0, 2)] {
+            let scaled = |w: &DenseMatrix| {
+                let data = w.as_slice().iter().map(|v| v * k).collect();
+                DenseMatrix::from_vec(w.rows(), w.cols(), data).unwrap()
+            };
+            let weights = input.weights.iter().map(scaled).collect();
+            let a = input.a_norm.clone();
+            serve_own(
+                &mut service,
+                &GcnInput::from_parts(a, input.x1.clone(), weights).unwrap(),
+            );
+            assert_eq!(counters(&service), (0, misses, misses - 1));
+            assert_eq!(service.cache_stats().resident_plans, 2);
+        }
+        serve_own(&mut service, &input);
+        assert_eq!(counters(&service), (1, 2, 1));
+    }
+
+    #[test]
+    fn named_calls_leave_the_counters_alone() {
+        let mut service = budgeted(1);
+        serve_own(&mut service, &service_and_input(80, 47, 8).1);
+        let before = counters(&service);
+        // Over budget, the prepare pushes the unpinned tenant plan out:
+        // residency changes, the counters do not.
+        let (_, input) = service_and_input(96, 46, 8);
+        service.prepare("g", &input).unwrap();
+        assert_eq!(service.cache_stats().resident_plans, 1);
+        assert!(service.plan("g").is_some());
+        service.serve("g", std::slice::from_ref(&input.x1)).unwrap();
+        service.prepare("g", &input).unwrap();
+        assert!(service.evict("g"));
+        assert_eq!(counters(&service), before);
+        assert_eq!(service.cache_stats().resident_plans, 0);
+    }
+
+    #[test]
+    fn serve_validates_requests_and_honours_deadlines() {
+        let (mut service, input) = service_and_input(96, 48, 8);
+        let x1 = &input.x1;
+        let mut bad = awb_sparse::Coo::new(x1.rows(), x1.cols());
+        bad.push(3, 1, f32::NAN).unwrap();
+        service.prepare("g", &input).unwrap();
+        let err = service.serve("g", &[x1.clone(), bad.to_csr()]);
+        assert!(matches!(err, Err(AccelError::InvalidInput(_))), "{err:?}");
+        // One worker: the second request waits out the first's execution,
+        // far past a 1 ns budget.
+        let mut config = service.config().clone();
+        config.threads = Some(1);
+        let options = ServeOptions {
+            deadline: Some(Duration::from_nanos(1)),
+            ..ServeOptions::default()
+        };
+        let mut service = GcnService::with_options(config, options).unwrap();
+        service.prepare("g", &input).unwrap();
+        let err = service.serve("g", &[x1.clone(), x1.clone()]);
+        assert!(
+            matches!(err, Err(AccelError::DeadlineExceeded { .. })),
+            "{err:?}"
+        );
     }
 }

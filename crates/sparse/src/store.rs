@@ -982,7 +982,7 @@ fn parse_manifest(text: &str) -> std::result::Result<ParsedManifest, String> {
         bytes: text.as_bytes(),
         pos: 0,
     };
-    let root = p.parse_value()?;
+    let root = p.parse_value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!(
@@ -1054,6 +1054,11 @@ fn parse_manifest(text: &str) -> std::result::Result<ParsedManifest, String> {
     })
 }
 
+/// Deepest object/array nesting a manifest has: root object → chunk
+/// array → chunk object. The parser is recursive, so anything deeper is
+/// rejected before it can exhaust the stack.
+const MAX_MANIFEST_DEPTH: usize = 3;
+
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -1080,11 +1085,16 @@ impl JsonParser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> std::result::Result<Json, String> {
+    /// Parses one value with `depth` objects/arrays already open.
+    fn parse_value(&mut self, depth: usize) -> std::result::Result<Json, String> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(b'{' | b'[') if depth == MAX_MANIFEST_DEPTH => Err(format!(
+                "nesting deeper than {MAX_MANIFEST_DEPTH} levels at offset {}",
+                self.pos
+            )),
+            Some(b'{') => self.parse_object(depth + 1),
+            Some(b'[') => self.parse_array(depth + 1),
             Some(b'"') => Ok(Json::Str(self.parse_string()?)),
             Some(b) if b.is_ascii_digit() => self.parse_number(),
             Some(b) => Err(format!(
@@ -1096,7 +1106,7 @@ impl JsonParser<'_> {
         }
     }
 
-    fn parse_object(&mut self) -> std::result::Result<Json, String> {
+    fn parse_object(&mut self, depth: usize) -> std::result::Result<Json, String> {
         self.expect(b'{')?;
         let mut fields = Vec::new();
         self.skip_ws();
@@ -1108,7 +1118,7 @@ impl JsonParser<'_> {
             self.skip_ws();
             let key = self.parse_string()?;
             self.expect(b':')?;
-            let value = self.parse_value()?;
+            let value = self.parse_value(depth)?;
             fields.push((key, value));
             self.skip_ws();
             match self.bytes.get(self.pos) {
@@ -1122,7 +1132,7 @@ impl JsonParser<'_> {
         }
     }
 
-    fn parse_array(&mut self) -> std::result::Result<Json, String> {
+    fn parse_array(&mut self, depth: usize) -> std::result::Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -1131,7 +1141,7 @@ impl JsonParser<'_> {
             return Ok(Json::Arr(items));
         }
         loop {
-            items.push(self.parse_value()?);
+            items.push(self.parse_value(depth)?);
             self.skip_ws();
             match self.bytes.get(self.pos) {
                 Some(b',') => self.pos += 1,
@@ -1490,6 +1500,22 @@ mod tests {
         // Unsupported version is a parse error, not a misread.
         let future = text.replace("\"version\": 1", "\"version\": 2");
         assert!(parse_manifest(&future).is_err());
+    }
+
+    #[test]
+    fn deeply_nested_manifest_is_a_typed_error() {
+        // 200 000 `[` used to overflow the recursive parser's stack.
+        let dir = temp_dir("nesting");
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join("manifest.json"), "[".repeat(200_000)).unwrap();
+        let err = SparseStore::open(&dir);
+        assert!(
+            matches!(&err, Err(StoreError::Manifest { detail, .. }) if detail.contains("nesting"))
+        );
+        // One level past the schema is rejected too.
+        let err = parse_manifest(r#"{"by_row": [{"x": []}]}"#);
+        assert!(matches!(err, Err(e) if e.contains("nesting")));
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

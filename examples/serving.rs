@@ -6,12 +6,13 @@
 //! batch of requests against the shared plan and compares the cost with
 //! re-running a fresh engine per request. It then switches to the
 //! multi-tenant front-end: two tenant graphs through the
-//! fingerprint-keyed plan cache (prepare-on-miss) and the admission
-//! queue, with per-batch queue-wait/execute latency percentiles.
+//! fingerprint-keyed plan registry (prepare-on-miss; the named plan is
+//! a hit) and the admission queue, with per-batch queue-wait/execute
+//! latency percentiles.
 //!
 //! Run: `cargo run --release --example serving`
 
-use awb_gcn_repro::accel::{AccelConfig, Design, GcnRunner, GcnService, ServeOptions};
+use awb_gcn_repro::accel::{AccelConfig, Design, GcnRunner, GcnService};
 use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset};
 use awb_gcn_repro::gcn::GcnInput;
 use std::time::Instant;
@@ -75,28 +76,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         batch.wall_s
     );
 
-    // --- Multi-tenant: two graphs through the plan cache + queue ---
-    // Plans are keyed on the graph's sparsity fingerprint: the first
-    // touch per tenant prepares (a miss), later requests hit. The
-    // admission queue bounds in-flight work with typed backpressure.
+    // --- Multi-tenant: two graphs through the plan registry + queue ---
+    // Plans are keyed on the graph's sparsity fingerprint: cora hits the
+    // plan prepared above under its name, the new tenant's first touch
+    // prepares (a miss), later requests hit. The admission queue bounds
+    // in-flight work with typed backpressure.
     let tenant_spec = DatasetSpec::cora().with_nodes(spec.nodes / 4);
     let tenant_data = GeneratedDataset::generate(&tenant_spec, 7)?;
     let tenant = GcnInput::from_dataset(&tenant_data)?;
-    let mut front = GcnService::with_options(
-        Design::LocalPlusRemote { hop: 2 }.apply(AccelConfig::builder().n_pes(256).build()?),
-        ServeOptions {
-            queue_depth: 16,
-            cache_budget_bytes: None,
-            deadline: None,
-        },
-    )?;
     for graph in [&input, &tenant, &input] {
-        front.enqueue(graph, graph.x1.clone())?;
+        service.enqueue(graph, graph.x1.clone())?;
     }
-    let mixed = front.drain()?;
+    let mixed = service.drain()?;
     let wait = mixed.queue_wait_percentiles();
     let exec = mixed.execute_percentiles();
-    let stats = front.cache_stats();
+    let stats = service.cache_stats();
     println!(
         "multi-tenant drain: {} requests, queue-wait p50/p95/p99 {:.2}/{:.2}/{:.2} ms, \
          execute p50/p95/p99 {:.2}/{:.2}/{:.2} ms",

@@ -133,6 +133,34 @@ fn mutated_weights_replace_the_stale_plan() {
     assert_eq!(service.cache_stats().hits, 1);
 }
 
+/// Scaling `A`'s values under an unchanged structure keeps the
+/// fingerprint but fails `GcnPlan::matches`, which compares the values
+/// bit for bit: a miss that replaces the stale plan, never a stale hit.
+#[test]
+fn mutated_values_are_a_cache_miss() {
+    let cfg = config(16);
+    let mut service = GcnService::new(cfg.clone());
+    let original = tenant(128, 45);
+    let (a, x1) = (&original.a_norm, &original.x1);
+    service
+        .serve_graph(&original, std::slice::from_ref(x1))
+        .unwrap();
+    let doubled = a.values().iter().map(|v| v * 2.0).collect();
+    let (ptr, idx) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
+    let a2 = Csr::from_parts(a.rows(), a.cols(), ptr, idx, doubled).unwrap();
+    let mutated = GcnInput::from_parts(a2, x1.clone(), original.weights.clone()).unwrap();
+    let batch = service
+        .serve_graph(&mutated, std::slice::from_ref(x1))
+        .unwrap();
+    let s = service.cache_stats();
+    assert_eq!(
+        (s.hits, s.misses, s.evictions, s.resident_plans),
+        (0, 2, 1, 1)
+    );
+    let cold = cold_run(&cfg, &mutated, x1);
+    assert_eq!(batch.requests[0].outcome.output, cold.output);
+}
+
 /// Eviction round-trip: a budget sized for one plan forces LRU eviction
 /// when a second tenant arrives; returning to the evicted tenant
 /// re-prepares (a miss, not an error) and stays bit-identical.
