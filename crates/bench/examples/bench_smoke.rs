@@ -12,37 +12,19 @@
 //! `"shards": 1`). A combination-shard axis (schema 4) records the
 //! Design-D point on the `X × W` workload (the Cora feature matrix times
 //! a dense weight block) across 2/4/8 shards; every record carries both
-//! `"shards"` and `"xw_shards"`. A serving record (schema 5, `"workload":
-//! "serve"`) measures the multi-tenant front-end end to end: a
-//! `GcnService` batch on a warm plan cache, recording requests/second
-//! plus p50/p95/p99 queue-wait and execute latency and the plan-cache
-//! hit/miss counters. `serve` and `serve_isolated` run the same
-//! fault-isolated executor, so this one record covers both: it carries
-//! the fault hooks with injection off, per-request validation and the
-//! deadline check. Schema 7 adds the raw-kernel axis:
+//! `"shards"` and `"xw_shards"`. Schema 7 adds the raw-kernel axis:
 //! two `"workload": "kernel"` records time the scalar vs blocked
 //! (`csc_times_dense_blocked`) accumulate kernels on the Pubmed-shaped
 //! operand and report a `"gflops"` MAC rate (2 FLOPs per MAC over
-//! `csc_times_dense_macs`).
-//! Schema 8 adds the strategy axis: every record carries a `"policy"`
-//! field (`"manual"` for the hand-specified records), and a `"workload":
-//! "auto"` record resolves `StrategyPolicy::Auto` on Cora, measures its
-//! warm-path cycles, sweeps the paper lineup post hoc, and records the
-//! machine-independent `"auto_best_ratio"` (auto warm cycles over the
-//! post-hoc best point's) — gated warn-only when it exceeds 1.10.
-//! An out-of-core record (schema 9, `"workload"`: `"streamed"`) runs the
-//! Design-D point on Pubmed from a chunked on-disk store under a host
-//! budget a third of the resident adjacency, recording resident-peak
-//! bytes, exact store-read bytes, and the prefetch overlap fraction —
-//! warn-only in the compare gate like the other end-to-end records.
+//! `csc_times_dense_macs`). Schema 8 stamps a `"policy"` field on every
+//! record (`"manual"`: every record hand-specifies its configuration).
 //! Every record carries `"workload"` (`"spmm"` for the engine records)
 //! and the compare gate matches on (workload, design, replay, shards,
-//! xw_shards); `"spmm"` and `"kernel"` records gate hard (`"kernel"`
-//! records normalize by their own run's scalar rate, so the gated
-//! quantity is the blocked/scalar speedup ratio), serve and auto records
-//! are excluded from the machine-speed geomean and only *warn* on
-//! throughput, p95, or ratio drift (end-to-end wall-clock is noisier
-//! than the kernel records).
+//! xw_shards); every matched record gates (`"kernel"` records normalize
+//! by their own run's scalar rate, so the gated quantity is the
+//! blocked/scalar speedup ratio). End-to-end serving, streaming and
+//! Auto-strategy measurements live in `perfbench` and
+//! `tests/auto_strategy.rs`, not here.
 //!
 //! Usage:
 //!   cargo run --release -p awb_bench --example bench_smoke [-- --out PATH]
@@ -56,13 +38,9 @@
 //! regression in any matched (design, replay) record and warning (only)
 //! on replay hit-rate drift. CI runs write-then-check-then-compare.
 
-use awb_accel::{
-    exec, AccelConfig, Design, DesignSweep, FastEngine, GcnRunner, GcnService, LatencyPercentiles,
-    ShardPolicy, ShardedEngine, SpmmEngine, StrategyPolicy,
-};
+use awb_accel::{exec, AccelConfig, Design, FastEngine, ShardPolicy, ShardedEngine, SpmmEngine};
 use awb_bench::BENCH_SEED;
 use awb_datasets::{DatasetSpec, GeneratedDataset};
-use awb_gcn_model::GcnInput;
 use awb_sparse::{spmm, Csc, DenseMatrix};
 use std::time::Instant;
 
@@ -160,88 +138,6 @@ fn record(design: Design, replay: bool, shards: usize, xw_shards: usize, m: &Mea
     )
 }
 
-/// Shared setup for the serving records: the Cora graph plus an 8-request
-/// feature stream on a warmed `GcnService`.
-fn serve_fixture() -> (GcnInput, Vec<awb_sparse::Csr>, GcnService) {
-    let design = Design::LocalPlusRemote { hop: 2 };
-    let data = GeneratedDataset::generate(&DatasetSpec::cora(), BENCH_SEED).expect("dataset");
-    let input = GcnInput::from_dataset(&data).expect("gcn input");
-    let config = design.apply(AccelConfig::builder().n_pes(1024).build().unwrap());
-    let requests: Vec<_> = (0..8)
-        .map(|i| {
-            if i == 0 {
-                input.x1.clone()
-            } else {
-                GeneratedDataset::with_adjacency(
-                    &data.spec,
-                    data.adjacency.clone(),
-                    BENCH_SEED + i as u64,
-                )
-                .expect("request features")
-                .features
-            }
-        })
-        .collect();
-    let service = GcnService::new(config);
-    (input, requests, service)
-}
-
-/// Serializes a serving measurement under its workload discriminator.
-#[allow(clippy::too_many_arguments)]
-fn serve_json(
-    workload: &str,
-    tasks: usize,
-    wall_s: f64,
-    wait: &LatencyPercentiles,
-    exec_p: &LatencyPercentiles,
-    hits: u64,
-    misses: u64,
-) -> String {
-    format!(
-        "    {{\"dataset\": \"cora\", \"design\": \"{}\", \"replay\": true, \
-         \"shards\": 1, \"xw_shards\": 1, \"workload\": \"{workload}\", \
-         \"policy\": \"manual\", \"n_pes\": 1024, \
-         \"tasks\": {tasks}, \"wall_s\": {wall_s:.6}, \"tasks_per_s\": {:.1}, \
-         \"p50_wait_ms\": {:.3}, \"p95_wait_ms\": {:.3}, \"p99_wait_ms\": {:.3}, \
-         \"p50_exec_ms\": {:.3}, \"p95_exec_ms\": {:.3}, \"p99_exec_ms\": {:.3}, \
-         \"cache_hits\": {hits}, \"cache_misses\": {misses}}}",
-        Design::LocalPlusRemote { hop: 2 }.label(),
-        tasks as f64 / wall_s,
-        wait.p50 * 1e3,
-        wait.p95 * 1e3,
-        wait.p99 * 1e3,
-        exec_p.p50 * 1e3,
-        exec_p.p95 * 1e3,
-        exec_p.p99 * 1e3,
-    )
-}
-
-/// The serving record (schema 5): the multi-tenant front-end measured end
-/// to end on a warm plan cache. `tasks` is the request count and
-/// `tasks_per_s` is requests/second; the percentile fields are
-/// milliseconds.
-fn serve_record() -> String {
-    let (input, requests, mut service) = serve_fixture();
-    // Warm batch pays the prepare (the cache miss); the timed batch runs
-    // on a warm cache — the steady serving state the record tracks.
-    service.serve_graph(&input, &requests).expect("warm batch");
-    let start = Instant::now();
-    let batch = service.serve_graph(&input, &requests).expect("timed batch");
-    let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-    let wait = batch.queue_wait_percentiles();
-    let exec_p = batch.execute_percentiles();
-    let stats = service.cache_stats();
-    serve_json(
-        "serve",
-        batch.requests.len(),
-        wall_s,
-        &wait,
-        &exec_p,
-        stats.hits,
-        stats.misses,
-    )
-}
-
 /// The raw-kernel records (schema 7): scalar vs blocked accumulate on the
 /// Pubmed-shaped operand — the tentpole speedup the trajectory tracks.
 /// `tasks` is the MAC count, `"gflops"` the MAC rate at 2 FLOPs per MAC
@@ -290,98 +186,6 @@ fn kernel_records() -> Vec<String> {
             time3(&|| spmm::csc_times_dense_blocked(&a, &b).expect("blocked kernel")),
         ),
     ]
-}
-
-/// The Auto-strategy record (schema 8): resolve `StrategyPolicy::Auto` on
-/// Cora, measure the chosen plan's warm-path cycles, sweep the paper
-/// lineup post hoc at the same PE count, and record auto-vs-best as the
-/// machine-independent cycle ratio `"auto_best_ratio"` (compare warns —
-/// never fails — when it exceeds the 1.10 honesty bound).
-fn auto_record() -> String {
-    let data = GeneratedDataset::generate(&DatasetSpec::cora(), BENCH_SEED).expect("dataset");
-    let input = GcnInput::from_dataset(&data).expect("gcn input");
-    let base = AccelConfig::builder().n_pes(1024).build().expect("config");
-    let points = DesignSweep::new()
-        .pe_counts(vec![base.n_pes])
-        .base_config(base.clone())
-        .run(&input)
-        .expect("post-hoc sweep");
-    let best = points
-        .iter()
-        .map(|p| p.warm_cycles)
-        .min()
-        .expect("sweep points")
-        .max(1);
-    let mut auto_cfg = base;
-    auto_cfg.strategy = StrategyPolicy::Auto;
-    let decision = GcnRunner::new(auto_cfg.clone())
-        .resolve_strategy(&input)
-        .expect("auto decision");
-    let (plan, _) = GcnRunner::new(auto_cfg).prepare(&input).expect("prepare");
-    let start = Instant::now();
-    let warm = plan.run_input(&input).expect("warm run");
-    let wall_s = start.elapsed().as_secs_f64().max(1e-9);
-    let cycles = warm.stats.total_cycles();
-    format!(
-        "    {{\"dataset\": \"cora\", \"design\": \"auto\", \"replay\": true, \
-         \"shards\": 1, \"xw_shards\": 1, \"workload\": \"auto\", \"policy\": \"auto\", \
-         \"n_pes\": 1024, \"tasks\": {cycles}, \"wall_s\": {wall_s:.6}, \
-         \"tasks_per_s\": {:.1}, \"chosen\": \"{}\", \"predicted_cycles\": {:.1}, \
-         \"auto_best_ratio\": {:.4}}}",
-        cycles as f64 / wall_s,
-        decision.label(),
-        decision.predicted_cycles,
-        cycles as f64 / best as f64,
-    )
-}
-
-/// The out-of-core record (schema 9): the Design-D point on Pubmed
-/// streamed from a chunked on-disk store, best-of-three cold runs under a
-/// host budget a third of the resident adjacency (so the pipeline must
-/// shard). Residency and overlap ride along; the compare gate treats the
-/// `"streamed"` workload warn-only like the other end-to-end records.
-fn streamed_record() -> String {
-    let design = Design::LocalPlusRemote { hop: 2 };
-    let data = GeneratedDataset::generate(&DatasetSpec::pubmed(), BENCH_SEED).expect("dataset");
-    let input = GcnInput::from_dataset(&data).expect("gcn input");
-    let budget = (input.a_norm_csc.heap_bytes() / 3).max(1);
-    let dir = std::env::temp_dir().join(format!("awb-bench-store-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    // Two host workers so the prefetch lane genuinely runs beside compute
-    // (file I/O blocks off-CPU, so this overlaps even on one core).
-    let mut builder = AccelConfig::builder();
-    builder.n_pes(1024).threads(Some(2));
-    let mut config = design.apply(builder.build().expect("config"));
-    config.store = Some(dir.clone());
-    config.host_mem_budget = Some(budget);
-    let runner = GcnRunner::new(config);
-    // First run writes the store; the timed runs below stream it.
-    runner.run(&input).expect("store ingest");
-    let mut wall_s = f64::MAX;
-    let mut last = None;
-    for _ in 0..3 {
-        let start = Instant::now();
-        let out = runner.run(&input).expect("streamed run");
-        wall_s = wall_s.min(start.elapsed().as_secs_f64().max(1e-9));
-        last = Some(out);
-    }
-    let out = last.expect("measured runs");
-    let stream = out.stream.expect("streamed stats");
-    let cycles = out.stats.total_cycles();
-    std::fs::remove_dir_all(&dir).ok();
-    format!(
-        "    {{\"dataset\": \"pubmed\", \"design\": \"{}\", \"replay\": true, \
-         \"shards\": {}, \"xw_shards\": 1, \"workload\": \"streamed\", \
-         \"policy\": \"manual\", \"n_pes\": 1024, \"tasks\": {cycles}, \
-         \"wall_s\": {wall_s:.6}, \"tasks_per_s\": {:.1}, \
-         \"resident_peak_bytes\": {}, \"io_bytes\": {}, \"overlap_fraction\": {:.4}}}",
-        design.label(),
-        stream.shards,
-        cycles as f64 / wall_s,
-        stream.resident_peak_bytes,
-        stream.io_bytes,
-        stream.overlap_fraction(),
-    )
 }
 
 fn write_bench(path: &str) {
@@ -456,18 +260,6 @@ fn write_bench(path: &str) {
     // on the Pubmed-shaped operand.
     records.extend(kernel_records());
 
-    // Serving axis (schema 5): the multi-tenant front-end on a warm plan
-    // cache — end-to-end requests/second plus latency percentiles.
-    records.push(serve_record());
-
-    // Strategy axis (schema 8): Auto's pick vs the post-hoc best sweep
-    // point, as a machine-independent warm-cycle ratio.
-    records.push(auto_record());
-
-    // Out-of-core axis (schema 9): the streamed Design-D point with
-    // residency and prefetch-overlap accounting.
-    records.push(streamed_record());
-
     let json = format!(
         "{{\n  \"schema\": 9,\n  \"bench\": \"engine_throughput\",\n  \"quick\": true,\n  \
          \"threads\": {},\n  \"records\": [\n{}\n  ]\n}}\n",
@@ -501,12 +293,8 @@ fn check(path: &str) {
         "\"tasks\"",
         "\"wall_s\"",
         "\"tasks_per_s\"",
-        "\"p95_exec_ms\"",
         "\"gflops\"",
         "\"policy\"",
-        "\"auto_best_ratio\"",
-        "\"resident_peak_bytes\"",
-        "\"overlap_fraction\"",
     ] {
         if !text.contains(field) {
             eprintln!("BENCH check failed: {path} lacks required field {field}");
@@ -527,19 +315,13 @@ struct Record {
     /// Combination-side (X×W) column-shard devices (1 for records
     /// predating schema 4).
     xw_shards: u64,
-    /// `"spmm"` for the engine records, `"serve"` for the end-to-end
-    /// serving record (`"spmm"` for records predating schema 5).
+    /// `"spmm"` for the engine records, `"kernel"` for the raw-kernel
+    /// records (`"spmm"` for records predating the field).
     workload: String,
     tasks_per_s: f64,
     /// Hit rate `hits / (hits + misses)`, None when the record predates
     /// schema 2 or no steady-state round consulted the cache.
     hit_rate: Option<f64>,
-    /// p95 execute latency in ms, serve records only (schema 5).
-    p95_exec_ms: Option<f64>,
-    /// Auto warm cycles over the post-hoc best sweep point's, `"auto"`
-    /// records only (schema 8). Machine-independent; warned on, never
-    /// gated.
-    auto_best_ratio: Option<f64>,
 }
 
 /// Extracts the records of a bench file (one JSON object per line, as
@@ -582,8 +364,6 @@ fn parse_records(text: &str, path: &str) -> Vec<Record> {
             workload: field("workload").unwrap_or("spmm").to_string(),
             tasks_per_s: tps.parse().unwrap_or(0.0),
             hit_rate,
-            p95_exec_ms: field("p95_exec_ms").and_then(|v| v.parse().ok()),
-            auto_best_ratio: field("auto_best_ratio").and_then(|v| v.parse().ok()),
         });
     }
     records
@@ -593,19 +373,11 @@ fn parse_records(text: &str, path: &str) -> Vec<Record> {
 const REGRESSION_THRESHOLD: f64 = 0.20;
 /// Absolute hit-rate drift that triggers the (warn-only) notice.
 const HIT_RATE_DRIFT: f64 = 0.01;
-/// Normalized p95-execute-latency growth (serve records) that triggers
-/// the warn-only notice.
-const P95_DRIFT_RATIO: f64 = 1.5;
-/// Auto-vs-post-hoc-best warm-cycle ratio (auto records) beyond which the
-/// warn-only honesty notice fires — mirrors the `auto_strategy` test's
-/// 10% bound.
-const AUTO_RATIO_BOUND: f64 = 1.10;
 
 /// Geometric mean of the *engine* (`"spmm"`) records' throughputs — the
-/// run's "machine speed" scalar used to normalize before gating. Serve
-/// and raw-kernel records are excluded: their requests/second and MAC
-/// rates live on different scales than engine tasks/second and would
-/// skew the normalizer.
+/// run's "machine speed" scalar used to normalize before gating.
+/// Raw-kernel records are excluded: their MAC rates live on a different
+/// scale than engine tasks/second and would skew the normalizer.
 fn geomean_tps(records: &[Record]) -> f64 {
     let spmm: Vec<f64> = records
         .iter()
@@ -691,17 +463,9 @@ fn compare(fresh_path: &str, baseline_path: &str) {
             (fresh_mean, base_mean)
         };
         let norm_ratio = (now.tasks_per_s / now_norm) / (base.tasks_per_s / base_norm).max(1e-9);
-        // Serve records warn instead of failing: end-to-end wall-clock
-        // (queueing, threading) is far noisier than the engine and raw
-        // kernel records the hard gate is tuned for.
-        let gated = matches!(base.workload.as_str(), "spmm" | "kernel");
         let verdict = if norm_ratio < 1.0 - REGRESSION_THRESHOLD {
-            if gated {
-                regressions += 1;
-                "REGRESSION"
-            } else {
-                "regression (warn-only: serve)"
-            }
+            regressions += 1;
+            "REGRESSION"
         } else {
             "ok"
         };
@@ -718,18 +482,6 @@ fn compare(fresh_path: &str, baseline_path: &str) {
             (abs_ratio - 1.0) * 100.0,
             (norm_ratio - 1.0) * 100.0
         );
-        if let (Some(b), Some(n)) = (base.p95_exec_ms, now.p95_exec_ms) {
-            // Normalize by machine speed like throughput (latency scales
-            // inversely with speed).
-            let p95_ratio = (n * fresh_mean) / (b * base_mean).max(1e-9);
-            if p95_ratio > P95_DRIFT_RATIO {
-                eprintln!(
-                    "BENCH compare warning: ({}, workload={}) p95 execute latency grew \
-                     {b:.3} -> {n:.3} ms ({:.2}x normalized)",
-                    base.design, base.workload, p95_ratio
-                );
-            }
-        }
         if abs_ratio < 1.0 - REGRESSION_THRESHOLD && verdict == "ok" {
             eprintln!(
                 "BENCH compare warning: ({}, replay={}) absolute throughput dropped {:.1}% \
@@ -744,19 +496,6 @@ fn compare(fresh_path: &str, baseline_path: &str) {
                 eprintln!(
                     "BENCH compare warning: ({}, replay={}) hit rate drifted {:.3} -> {:.3}",
                     base.design, base.replay, b, n
-                );
-            }
-        }
-    }
-    // The honesty notice rides the fresh run alone (cycle counts are
-    // machine-independent, so no baseline is needed): warn — never fail —
-    // when Auto's pick trails the post-hoc best by more than the bound.
-    for rec in &fresh {
-        if let Some(ratio) = rec.auto_best_ratio {
-            if ratio > AUTO_RATIO_BOUND {
-                eprintln!(
-                    "BENCH compare warning: auto strategy warm cycles are {ratio:.3}x the \
-                     post-hoc best sweep point (bound {AUTO_RATIO_BOUND:.2})"
                 );
             }
         }

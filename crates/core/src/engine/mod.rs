@@ -32,9 +32,9 @@
 //!   device is the one-shard resident case, with no copy of `A` or `B`);
 //!   shards fan out in parallel (`DESIGN.md` §7);
 //! * **stored** — a chunk-aligned range of an on-disk
-//!   [`SparseStore`](awb_sparse::store::SparseStore), read sequentially
-//!   with the next shard prefetched, so peak resident sparse bytes stay
-//!   under a host-memory budget while outputs remain bit-identical
+//!   [`SparseStore`](awb_sparse::store::SparseStore), read one shard at
+//!   a time and dropped before the next, so peak resident sparse bytes
+//!   stay under a host-memory budget while outputs remain bit-identical
 //!   (`DESIGN.md` §13).
 //!
 //! Each layer's `X × W` under `AccelConfig.combination_shards` uses the

@@ -19,10 +19,11 @@
 //!   operand. Shards fan out concurrently on [`exec`]; the merged
 //!   numerics run [`compute_columns`] on the caller's `A`.
 //! * **Stored** — shards are chunk-aligned ranges of a
-//!   [`SparseStore`], sized so two fit the host-memory budget, and are
-//!   read on every pass: sequentially, with the next shard prefetched,
-//!   into persistent block accumulators (the `streaming` module). The pass
-//!   reports its [`StreamStats`].
+//!   [`SparseStore`], each sized to half the host-memory budget, and are
+//!   read on every pass: one at a time in ascending column order, each
+//!   slice dropped before the next is read, into persistent block
+//!   accumulators (the `streaming` module). The pass reports its
+//!   [`StreamStats`].
 //!
 //! The numerics path follows the source; nothing else differs.
 //!
@@ -286,7 +287,7 @@ impl Clone for LastPass {
 /// Runs one request over `shards` — `time` simulates a shard's timing on
 /// its device — and merges it. The numerics path follows the source:
 /// resident shards fan out and the merge runs `compute_columns` on `a`;
-/// stored shards run the sequential prefetching pass.
+/// stored shards run the sequential streaming pass.
 fn run_pass<D: Sync>(
     source: &ShardSource,
     shards: &[Shard<D>],
@@ -298,7 +299,7 @@ fn run_pass<D: Sync>(
 ) -> Result<ShardedOutcome, AccelError> {
     let (c, per_shard, stream) = match source {
         ShardSource::Stored(store) => {
-            let (c, per_shard, stream) = stream_pass(store, shards, b, threads, time)?;
+            let (c, per_shard, stream) = stream_pass(store, shards, b, time)?;
             (c, per_shard, Some(stream))
         }
         ShardSource::Resident => {
@@ -1148,10 +1149,19 @@ mod tests {
             "peak {} exceeds budget {budget}",
             stream.resident_peak_bytes
         );
+        // One slice is resident at a time: the peak is the largest shard.
+        let largest_slice = source
+            .engine
+            .shards
+            .iter()
+            .map(|s| store.read_col_range(s.cols.clone()).unwrap().heap_bytes())
+            .max()
+            .unwrap();
+        assert_eq!(stream.resident_peak_bytes, largest_slice);
         assert_eq!(stream.io_bytes, store.column_disk_bytes());
         assert!(stream.compute_s > 0.0);
         assert!(stream.prefetch_s > 0.0);
-        assert!(stream.overlap_fraction() >= 0.0 && stream.overlap_fraction() <= 1.0);
+        assert_eq!(stream.overlap_s, 0.0);
     }
 
     #[test]

@@ -4,20 +4,18 @@
 //! A [`ShardedEngine`](super::ShardedEngine) built with
 //! [`stored`](super::ShardedEngine::stored) plans nnz-balanced,
 //! chunk-aligned column shards from a [`SparseStore`] manifest alone (no
-//! values loaded) and holds no slice of `A`. Each pass then reads the
-//! shards **sequentially** with a bounded working set: while shard `i`
-//! simulates and accumulates, shard `i+1`'s chunks are prefetched on the
-//! existing [`exec`] substrate, and shard `i`'s slice is dropped after its
-//! rounds. Peak resident sparse bytes are therefore bounded by roughly two
-//! shards — the `--host-mem-budget` knob — however large the stored graph
-//! is.
+//! values loaded) and holds no slice of `A`. Each pass then walks the
+//! shards **sequentially** in ascending column order: read the shard's
+//! slice, time it on its device, accumulate it, drop it. Peak resident
+//! sparse bytes are therefore one shard slice, bounded by the
+//! `--host-mem-budget` knob however large the stored graph is.
 //!
 //! # Bit-identity
 //!
 //! The numerics reuse the pinned blocked-accumulate kernels exactly as
 //! the resident merge does. For every output block, shards are visited in
-//! ascending column order and columns within a shard in ascending order,
-//! so the per-block reduction replays `csc_accumulate_block`'s global
+//! ascending column order and each shard runs `csc_accumulate_block` over
+//! its slice, so the per-block reduction replays the global
 //! ascending-`j` column stream — the same skip-if-all-zero rule, the
 //! same `csc_axpy_block` calls, the same final `drain_block_into` — and
 //! outputs are bit-identical to resident runs (asserted by the sharded
@@ -29,26 +27,22 @@
 //! re-scanning a resident operand. Within one block the operation
 //! sequence is unchanged.
 //!
-//! # Overlap accounting
+//! # Accounting
 //!
 //! [`StreamStats`] reports I/O traffic, the peak resident slice bytes
-//! actually observed, and how much prefetch wall-time overlapped compute.
-//! Prefetch runs as a second `par_map` task; when the caller is itself
-//! inside an `exec` worker (nested parallelism runs inline) the pass
-//! degrades to synchronous fetches — still correct, just with
-//! `overlap_s = 0`, and accounted honestly as such.
+//! actually observed, and the wall time split between store reads and
+//! compute. Reads and compute never overlap, so `overlap_s` is always 0;
+//! the field stays for readers of the stats shape.
 
 use crate::engine::sharded::Shard;
 use crate::engine::steady::block_spans;
 use crate::error::AccelError;
-use crate::exec;
 use crate::stats::SpmmStats;
 use awb_sparse::partition::ColumnPartitioner;
-use awb_sparse::spmm::{csc_axpy_block, drain_block_into};
+use awb_sparse::spmm::{csc_accumulate_block, drain_block_into};
 use awb_sparse::store::{SparseStore, StoreError};
 use awb_sparse::{Csc, CscPattern, DenseMatrix};
 use std::ops::Range;
-use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 /// Maps a store failure into the accelerator's typed ingest error (the
@@ -58,29 +52,30 @@ pub(crate) fn store_err(e: StoreError) -> AccelError {
     AccelError::InvalidInput(format!("sparse store: {e}"))
 }
 
-/// I/O, residency, and overlap statistics of one streaming pass.
+/// I/O, residency, and wall-time statistics of one streaming pass.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StreamStats {
     /// Column shards the pass streamed through.
     pub shards: usize,
-    /// Peak bytes of sparse slices resident at once (current shard plus
-    /// the prefetched next shard, at their largest).
+    /// Peak bytes of sparse slices resident at once: the largest single
+    /// shard slice, since each is dropped before the next is read.
     pub resident_peak_bytes: usize,
     /// Compressed bytes read from the store across the pass.
     pub io_bytes: u64,
     /// Wall seconds spent in per-shard simulate + accumulate.
     pub compute_s: f64,
-    /// Wall seconds spent reading shard slices from the store.
+    /// Wall seconds spent reading shard slices from the store (every
+    /// shard's read, the first included).
     pub prefetch_s: f64,
-    /// Wall seconds during which a prefetch ran concurrently with
-    /// compute (per shard step: `min(compute wall, prefetch wall)`; 0
-    /// when the pass ran inside an `exec` worker and fetched inline).
+    /// Wall seconds of store reads overlapped with compute. Always 0:
+    /// the pass reads and computes sequentially.
     pub overlap_s: f64,
 }
 
 impl StreamStats {
-    /// Fraction of compute wall-time that had a prefetch running
-    /// alongside it (0 when there was no compute).
+    /// Fraction of compute wall-time that had a store read running
+    /// alongside it (0 when there was no compute; 0 for every sequential
+    /// pass).
     pub fn overlap_fraction(&self) -> f64 {
         if self.compute_s > 0.0 {
             (self.overlap_s / self.compute_s).min(1.0)
@@ -90,9 +85,10 @@ impl StreamStats {
     }
 }
 
-/// Plans chunk-aligned shards (column range, nnz) for `store` so that two
-/// consecutive shard slices fit the host budget together (double
-/// buffering: compute on one while prefetching the other).
+/// Plans chunk-aligned shards (column range, nnz) for `store`, each sized
+/// to half the host budget. A pass holds only one slice at a time; the
+/// half-budget sizing is kept because it fixes the shard count, and with
+/// it every stored plan's simulated statistics.
 pub(crate) fn plan_stream_shards(
     store: &SparseStore,
     host_budget: usize,
@@ -149,153 +145,54 @@ pub(crate) fn verify_operand(store: &SparseStore, a: &Csc) -> Result<(), AccelEr
     Ok(())
 }
 
-/// One step's task in the two-lane overlap pipeline.
-#[derive(Debug, Clone, Copy)]
-enum Lane {
-    Compute,
-    Prefetch,
-}
-
-/// A lane's result: the shard's timing stats or the next shard's slice,
-/// each with its wall time.
-enum LaneOut {
-    Computed(Result<SpmmStats, AccelError>, f64),
-    Fetched(Result<Csc, StoreError>, f64),
-}
-
-/// Executes one streaming pass over stored `shards`: sequential shards,
-/// prefetch overlapped with compute, pinned-order numerics into
-/// persistent block accumulators drained after the last shard. `time`
+/// Executes one streaming pass over stored `shards`: one shard at a time
+/// in ascending column order, each read, timed, accumulated in pinned
+/// order into persistent block accumulators and dropped before the next
+/// is read; the accumulators drain once after the last shard. `time`
 /// simulates one shard's timing on its device (values-free). Returns the
 /// output, the per-shard stats in shard order, and the pass's I/O stats.
-pub(crate) fn stream_pass<D: Sync>(
+pub(crate) fn stream_pass<D>(
     store: &SparseStore,
     shards: &[Shard<D>],
     b: &DenseMatrix,
-    threads: Option<usize>,
-    time: &(dyn Fn(&D, &CscPattern, &DenseMatrix) -> Result<SpmmStats, AccelError> + Sync),
+    time: &dyn Fn(&D, &CscPattern, &DenseMatrix) -> Result<SpmmStats, AccelError>,
 ) -> Result<(DenseMatrix, Vec<SpmmStats>, StreamStats), AccelError> {
     let rows = store.rows();
-    let mut c = DenseMatrix::zeros(rows, b.cols());
     let spans = block_spans(b.cols());
     // Persistent per-block accumulators: unlike `compute_columns`, which
     // re-scans a resident operand per block, each block accumulates every
-    // shard's contribution and is drained exactly once at the end. The
-    // mutex is uncontended (only the compute lane touches it); it exists
-    // because the lane closure must be `Fn + Sync`.
-    let accs = Mutex::new(
-        spans
-            .iter()
-            .map(|&(_, width)| vec![0f32; rows * width])
-            .collect::<Vec<_>>(),
-    );
-
-    // Two lanes whenever more than one worker is in play — configured
-    // explicitly or ambient — because the prefetch lane blocks on file
-    // I/O, which overlaps with compute even on one core. Nested `par_map`
-    // runs inline inside an exec worker, so overlap is only claimed when
-    // this pass genuinely runs its lanes on separate threads.
-    let workers = threads.unwrap_or_else(exec::num_threads);
-    let lanes = if workers > 1 && !exec::in_worker() {
-        2
-    } else {
-        1
-    };
+    // shard's contribution and is drained exactly once at the end.
+    let mut accs: Vec<Vec<f32>> = spans
+        .iter()
+        .map(|&(_, width)| vec![0f32; rows * width])
+        .collect();
     let mut stats = StreamStats {
         shards: shards.len(),
         ..StreamStats::default()
     };
-    let mut per_shard: Vec<SpmmStats> = Vec::with_capacity(shards.len());
+    let mut per_shard = Vec::with_capacity(shards.len());
 
-    // The first fetch has nothing to overlap with.
-    let t0 = Instant::now();
-    let mut cur = store
-        .read_col_range(shards[0].cols.clone())
-        .map_err(store_err)?;
-    stats.prefetch_s += t0.elapsed().as_secs_f64();
-    stats.io_bytes += range_disk_bytes(store, &shards[0].cols);
-    stats.resident_peak_bytes = cur.heap_bytes();
-
-    for (s, shard) in shards.iter().enumerate() {
+    for shard in shards {
         let range = &shard.cols;
-        let next = shards.get(s + 1).map(|n| n.cols.clone());
-        let tasks: Vec<Lane> = if next.is_some() {
-            vec![Lane::Compute, Lane::Prefetch]
-        } else {
-            vec![Lane::Compute]
-        };
-        let cur_ref = &cur;
-        let accs_ref = &accs;
-        let next_ref = &next;
-        let outs = exec::par_map_threads(lanes, &tasks, |lane| match lane {
-            Lane::Compute => {
-                let t0 = Instant::now();
-                let b_slice = b.row_range(range.clone());
-                let timed = time(&shard.device, cur_ref.pattern(), &b_slice).map(|shard_stats| {
-                    // Numerics: ascending global column order within each
-                    // block (shards ascending, `j` ascending inside the
-                    // shard), the pinned reduction stream.
-                    let mut accs = accs_ref.lock().unwrap_or_else(PoisonError::into_inner);
-                    for (bi, &(k0, width)) in spans.iter().enumerate() {
-                        let acc = &mut accs[bi];
-                        for j in 0..cur_ref.cols() {
-                            let scales = &b.row(range.start + j)[k0..k0 + width];
-                            if scales.iter().all(|&s| s == 0.0) {
-                                continue;
-                            }
-                            csc_axpy_block(cur_ref, j, scales, acc);
-                        }
-                    }
-                    shard_stats
-                });
-                LaneOut::Computed(timed, t0.elapsed().as_secs_f64())
-            }
-            Lane::Prefetch => {
-                let t0 = Instant::now();
-                let fetched =
-                    store.read_col_range(next_ref.clone().expect("prefetch lane only with next"));
-                LaneOut::Fetched(fetched, t0.elapsed().as_secs_f64())
-            }
-        });
+        let t0 = Instant::now();
+        let slice = store.read_col_range(range.clone()).map_err(store_err)?;
+        stats.prefetch_s += t0.elapsed().as_secs_f64();
+        stats.io_bytes += range_disk_bytes(store, range);
+        stats.resident_peak_bytes = stats.resident_peak_bytes.max(slice.heap_bytes());
 
-        let mut fetched_next: Option<Csc> = None;
-        let mut compute_wall = 0.0f64;
-        let mut prefetch_wall: Option<f64> = None;
-        for out in outs {
-            match out {
-                LaneOut::Computed(r, wall) => {
-                    per_shard.push(r?);
-                    compute_wall = wall;
-                }
-                LaneOut::Fetched(r, wall) => {
-                    fetched_next = Some(r.map_err(store_err)?);
-                    prefetch_wall = Some(wall);
-                }
-            }
+        let t0 = Instant::now();
+        let b_slice = b.row_range(range.clone());
+        per_shard.push(time(&shard.device, slice.pattern(), &b_slice)?);
+        // Numerics: ascending global column order within each block
+        // (shards ascending, `j` ascending inside the shard), the pinned
+        // reduction stream.
+        for (&(k0, width), acc) in spans.iter().zip(accs.iter_mut()) {
+            csc_accumulate_block(&slice, &b_slice, k0, width, acc);
         }
-        stats.compute_s += compute_wall;
-        if let Some(wall) = prefetch_wall {
-            stats.prefetch_s += wall;
-            if lanes > 1 {
-                stats.overlap_s += compute_wall.min(wall);
-            }
-        }
-        match fetched_next {
-            Some(next_slice) => {
-                stats.io_bytes += range_disk_bytes(store, next.as_ref().expect("fetched"));
-                // Both buffers were resident while the prefetch completed.
-                stats.resident_peak_bytes = stats
-                    .resident_peak_bytes
-                    .max(cur.heap_bytes() + next_slice.heap_bytes());
-                cur = next_slice; // previous shard's slice drops here
-            }
-            None => {
-                stats.resident_peak_bytes = stats.resident_peak_bytes.max(cur.heap_bytes());
-            }
-        }
+        stats.compute_s += t0.elapsed().as_secs_f64();
     }
 
-    let mut accs = accs.into_inner().unwrap_or_else(PoisonError::into_inner);
+    let mut c = DenseMatrix::zeros(rows, b.cols());
     for (&(k0, width), acc) in spans.iter().zip(accs.iter_mut()) {
         drain_block_into(&mut c, k0, width, acc);
     }

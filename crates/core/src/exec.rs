@@ -78,13 +78,6 @@ where
     par_map_threads(num_threads(), items, f)
 }
 
-/// True on a [`par_map`] worker thread, where nested parallel maps run
-/// inline — callers claiming concurrency (e.g. a stored shard pass's
-/// prefetch overlap accounting) must not when this holds.
-pub fn in_worker() -> bool {
-    IN_WORKER.with(Cell::get)
-}
-
 /// [`par_map`] with an explicit worker count (used by tests and by engines
 /// carrying a per-instance thread override).
 ///

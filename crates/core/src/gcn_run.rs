@@ -47,9 +47,9 @@ pub struct GcnRunOutcome {
     /// Densities of each layer's input feature matrix as the accelerator
     /// saw them (`x_density[0]` = X1).
     pub x_density: Vec<f64>,
-    /// Streaming statistics (resident peak, I/O bytes, prefetch overlap)
-    /// when the run streamed `A` from an on-disk store; `None` for
-    /// resident runs.
+    /// Streaming statistics (resident peak, I/O bytes, read and compute
+    /// wall time) when the run streamed `A` from an on-disk store; `None`
+    /// for resident runs.
     pub stream: Option<StreamStats>,
 }
 
@@ -512,7 +512,8 @@ impl GcnPlan {
     }
 
     /// The most recent pass's streaming statistics (resident peak, I/O
-    /// bytes, prefetch overlap), when this plan streams `A` from a store.
+    /// bytes, read and compute wall time), when this plan streams `A`
+    /// from a store.
     /// `None` for resident plans. Under concurrent requests this is
     /// whichever pass finished last; each request's own pass is in its
     /// [`GcnRunOutcome::stream`].

@@ -32,8 +32,8 @@
 //! order pinned bit-identical to a single device, which is the one-shard
 //! case. A shard is *resident* — cut nnz-balanced under a [`ShardPolicy`]
 //! for graphs bigger than one device (`DESIGN.md` §7) — or *stored*: a
-//! chunk range read from an on-disk store with prefetch, so peak host
-//! memory stays under a budget (`DESIGN.md` §13).
+//! chunk range read from an on-disk store one shard at a time, so peak
+//! host memory stays under a budget (`DESIGN.md` §13).
 //!
 //! Strategy selection itself can be delegated to the calibrated per-layer
 //! cost model ([`StrategyPolicy::Auto`] / [`cost`]): prepare profiles the

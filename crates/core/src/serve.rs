@@ -116,9 +116,10 @@ pub struct PrepareReport {
     /// `Manual`.
     pub auto: Option<AutoReport>,
     /// Streaming statistics of the warm-up pass — stream shard count,
-    /// peak resident sparse bytes, I/O traffic, and prefetch/compute
-    /// overlap — when the plan streams `A` from a configured on-disk
-    /// store ([`AccelConfig::store`]); `None` for fully-resident plans.
+    /// peak resident sparse bytes, I/O traffic, and store-read and
+    /// compute wall time — when the plan streams `A` from a configured
+    /// on-disk store ([`AccelConfig::store`]); `None` for fully-resident
+    /// plans.
     pub stream: Option<crate::StreamStats>,
 }
 

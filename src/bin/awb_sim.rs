@@ -43,8 +43,8 @@
 //! Out-of-core streaming (DESIGN.md §13): `--store DIR` keeps the
 //! normalized adjacency in a chunked on-disk sparse store (written on first
 //! use, revalidated and reused afterwards) and streams it shard by shard —
-//! compute on one shard overlapped with prefetch of the next — instead of
-//! holding the whole matrix resident. `--host-mem-budget MB` bounds the
+//! each shard read, computed and dropped before the next is read — instead
+//! of holding the whole matrix resident. `--host-mem-budget MB` bounds the
 //! streaming pipeline's peak resident sparse bytes (default 256 MB) and
 //! requires `--store`. Streaming replaces device-sharding of `A`, so
 //! `--store` is mutually exclusive with `--shards`/`--mem-budget`
@@ -582,8 +582,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     if let Some(stream) = &outcome.stream {
         println!(
-            "streaming : {} shard(s) from {}, resident peak {}, {} read, \
-             prefetch overlap {:.0}%",
+            "streaming : {} shard(s) from {}, resident peak {}, {} read in {:.1} ms",
             stream.shards,
             config
                 .store
@@ -591,7 +590,7 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
                 .map_or_else(|| "store".to_string(), |d| d.display().to_string()),
             fmt_bytes(stream.resident_peak_bytes as u64),
             fmt_bytes(stream.io_bytes),
-            stream.overlap_fraction() * 100.0,
+            stream.prefetch_s * 1e3,
         );
     }
     for spmm in outcome.stats.spmms() {
@@ -758,8 +757,7 @@ fn serve(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     if let Some(stream) = &report.stream {
         println!(
-            "streaming : {} shard(s) from {}, warm-up resident peak {}, {} read, \
-             prefetch overlap {:.0}%",
+            "streaming : {} shard(s) from {}, warm-up resident peak {}, {} read in {:.1} ms",
             stream.shards,
             config
                 .store
@@ -767,7 +765,7 @@ fn serve(args: &[String]) -> Result<(), Box<dyn Error>> {
                 .map_or_else(|| "store".to_string(), |d| d.display().to_string()),
             fmt_bytes(stream.resident_peak_bytes as u64),
             fmt_bytes(stream.io_bytes),
-            stream.overlap_fraction() * 100.0,
+            stream.prefetch_s * 1e3,
         );
     }
 

@@ -661,7 +661,7 @@ fn serve_trace_fault_tolerant_end_to_end() {
 
 /// Out-of-core streaming flags (DESIGN.md §13): `run --store` writes the
 /// chunked store on first use, streams the aggregation operand, and
-/// reports residency + overlap; `serve` reuses the same store and serves
+/// reports residency + read time; `serve` reuses the same store and serves
 /// outputs bit-identical to resident cold runs.
 #[test]
 fn run_and_serve_stream_from_store() {
@@ -693,7 +693,14 @@ fn run_and_serve_stream_from_store() {
         "missing stream report:\n{text}"
     );
     assert!(text.contains("resident peak"), "{text}");
-    assert!(text.contains("prefetch overlap"), "{text}");
+    let stream_line = text
+        .lines()
+        .find(|l| l.starts_with("streaming :"))
+        .unwrap_or_default();
+    assert!(
+        stream_line.contains(" read in ") && stream_line.ends_with(" ms"),
+        "{text}"
+    );
     assert!(store.join("manifest.json").is_file(), "store not written");
 
     // Second invocation reuses (revalidates) the store and still matches
