@@ -25,8 +25,11 @@
 //! column pattern and replays it for every later round with the same
 //! pattern (in GCN layers most rounds are fully dense in `b[:, k]` and
 //! share one pattern — including across the layer-2 reuse of `A`'s
-//! engine). The round model, the replay cache, and the frozen-map executor
-//! live in the crate-internal `steady` module, shared verbatim with
+//! engine). Rounds are grouped into runs of consecutive columns with
+//! identical patterns first, so a pattern is extracted and looked up
+//! once per run, not once per round. The round model, the replay cache,
+//! and the frozen-map executor live in the crate-internal `steady`
+//! module, shared verbatim with
 //! [`SpmmSession`](super::SpmmSession) — the per-request executor over a
 //! [`TunedPlan`](super::TunedPlan) extracted from this engine by
 //! [`SpmmEngine::plan`]. See `DESIGN.md` §5/§6 for the validity argument
@@ -42,7 +45,7 @@
 
 use crate::config::AccelConfig;
 use crate::engine::steady::{
-    column_pattern, compute_columns, execute_steady, simulate_round, structure_fingerprint,
+    column_runs, compute_columns, execute_steady, simulate_round, structure_fingerprint,
     MemoryParams, ReplayCache, RoundTiming, SimParams, SteadySpan,
 };
 use crate::engine::{check_shapes, PlanOutcome, SpmmEngine, SpmmOutcome, TunedPlan};
@@ -244,65 +247,76 @@ impl FastEngine {
         // produced, so these cannot replay or run concurrently. They are
         // timing only: the numerics of every column run once, blocked,
         // after the steady phase.
+        let mut runs = column_runs(b);
         let map = self.map.as_mut().expect("initialized in ensure_state");
         let tuner = self.tuner.as_mut().expect("initialized in ensure_state");
-        // The previous tuning round, kept for reuse: a round whose pattern
-        // matches and whose map has not changed since (no row exchanged)
-        // would simulate to exactly the same result. Eq. 5 makes this the
-        // common case — a tuple's first observation only profiles, so the
-        // round after a tuner's first observation runs the same map.
-        let mut previous: Option<(Vec<u32>, u64, RoundTiming, RoundProfile)> = None;
-        let mut k = 0usize;
-        while k < b.cols() && tuner.is_active() {
-            let cols = column_pattern(b, k);
-            let exchanged = map.total_exchanged();
-            let (timing, profile) = match previous.take() {
-                Some((prev_cols, prev_exchanged, timing, profile))
-                    if prev_cols == cols && prev_exchanged == exchanged =>
-                {
-                    (timing, profile)
-                }
-                _ => {
-                    let mut row_tasks = tuner.needs_row_counts().then(|| vec![0u32; n_rows]);
-                    let sim =
-                        simulate_round(a, &cols, map.pe_of_row(), params, row_tasks.as_deref_mut());
-                    let profile = RoundProfile {
-                        per_pe_busy: sim.owner_busy,
-                        per_row_tasks: row_tasks,
-                    };
-                    (sim.timing, profile)
-                }
-            };
-
-            // An on-chip operand pays its SPMMeM fill once (charged to
-            // round 0); an off-chip operand's per-round streaming cost is
-            // already captured by the throttled arrival rate.
-            let fill = if k == 0 && memory.on_chip && timing.tasks > 0 {
-                memory.fill_cycles
-            } else {
-                0
-            };
-            let cycles = timing.cycles + fill;
-            rounds.push(timing.to_stats(cycles, true));
-
-            // Auto-tuning between rounds.
-            if timing.tasks > 0 {
-                let util = timing.tasks as f64 / (cycles.max(1) as f64 * n_pes as f64);
-                tuner.observe_round(&profile, util, map);
+        for run in runs.iter_mut() {
+            if !tuner.is_active() {
+                break;
             }
-            previous = Some((cols, exchanged, timing, profile));
-            k += 1;
+            // The previous tuning round of this run, kept for reuse: a
+            // round of the same pattern whose map has not changed since
+            // (no row exchanged) would simulate to exactly the same
+            // result. Eq. 5 makes this the common case — a tuple's first
+            // observation only profiles, so the round after a tuner's
+            // first observation runs the same map.
+            let mut previous: Option<(u64, RoundTiming, RoundProfile)> = None;
+            while !run.cols.is_empty() && tuner.is_active() {
+                let k = run.cols.start;
+                let exchanged = map.total_exchanged();
+                let (timing, profile) = match previous.take() {
+                    Some((prev_exchanged, timing, profile)) if prev_exchanged == exchanged => {
+                        (timing, profile)
+                    }
+                    _ => {
+                        let mut row_tasks = tuner.needs_row_counts().then(|| vec![0u32; n_rows]);
+                        let sim = simulate_round(
+                            a,
+                            &run.pattern,
+                            map.pe_of_row(),
+                            params,
+                            row_tasks.as_deref_mut(),
+                        );
+                        let profile = RoundProfile {
+                            per_pe_busy: sim.owner_busy,
+                            per_row_tasks: row_tasks,
+                        };
+                        (sim.timing, profile)
+                    }
+                };
+
+                // An on-chip operand pays its SPMMeM fill once (charged to
+                // round 0); an off-chip operand's per-round streaming cost
+                // is already captured by the throttled arrival rate.
+                let fill = if k == 0 && memory.on_chip && timing.tasks > 0 {
+                    memory.fill_cycles
+                } else {
+                    0
+                };
+                let cycles = timing.cycles + fill;
+                rounds.push(timing.to_stats(cycles, true));
+
+                // Auto-tuning between rounds.
+                if timing.tasks > 0 {
+                    let util = timing.tasks as f64 / (cycles.max(1) as f64 * n_pes as f64);
+                    tuner.observe_round(&profile, util, map);
+                }
+                previous = Some((exchanged, timing, profile));
+                run.cols.start += 1;
+            }
         }
+        // The tuned rounds are consumed from the front of the runs.
+        runs.retain(|run| !run.cols.is_empty());
 
         // ---- Phase 2: steady-state rounds under the frozen map ----
         // Rounds are now independent; timing is a pure function of the
-        // round's non-zero pattern, so repeated patterns replay from cache
-        // and fresh work runs on `exec`.
+        // round's non-zero pattern, so each run of identical columns
+        // replays from cache or simulates once, and fresh work runs on
+        // `exec`.
         execute_steady(
             SteadySpan {
                 a,
-                b,
-                start: k,
+                runs: &runs,
                 pe_of_row: self
                     .map
                     .as_ref()
@@ -358,6 +372,7 @@ impl SpmmEngine for FastEngine {
 mod tests {
     use super::*;
     use crate::config::{Design, MappingKind, SltPolicy, StallMode};
+    use crate::engine::steady::column_pattern;
     use awb_sparse::{spmm, Coo};
 
     fn config(n_pes: usize) -> AccelConfig {
@@ -436,6 +451,35 @@ mod tests {
         engine.run(&a, &b, "t").unwrap();
         assert_eq!(engine.replay_misses(), 1);
         assert_eq!(engine.replay_hits(), 15);
+    }
+
+    #[test]
+    fn non_consecutive_repeats_miss_once_per_distinct_pattern() {
+        // Column patterns [P, P, Q, P, Q, Q]: P is all-dense, Q zeroes
+        // every third row. Four runs of identical columns, two distinct
+        // patterns — a pattern that reappears after another one is still
+        // a single miss.
+        let a = skewed(64, 40);
+        let mut b = dense_full(64, 6);
+        for k in [2, 4, 5] {
+            for j in (0..64).step_by(3) {
+                b.set(j, k, 0.0);
+            }
+        }
+        let mut engine = FastEngine::new(Design::Baseline.apply(config(8)));
+        engine.run(&a, &b, "t").unwrap();
+        assert_eq!((engine.replay_misses(), engine.replay_hits()), (2, 4));
+        engine.run(&a, &b, "t").unwrap();
+        assert_eq!((engine.replay_misses(), engine.replay_hits()), (2, 10));
+
+        // A session on a cold frozen plan counts the same way.
+        let plan = FastEngine::new(Design::Baseline.apply(config(8)))
+            .freeze_plan(a.pattern())
+            .unwrap();
+        plan.session().run(&a, &b, "t").unwrap();
+        assert_eq!((plan.replay_misses(), plan.replay_hits()), (2, 4));
+        plan.session().run(&a, &b, "t").unwrap();
+        assert_eq!((plan.replay_misses(), plan.replay_hits()), (2, 10));
     }
 
     #[test]

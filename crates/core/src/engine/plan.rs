@@ -26,7 +26,7 @@
 
 use crate::config::AccelConfig;
 use crate::engine::steady::{
-    compute_columns, execute_steady, MemoryParams, ReplayCache, SimParams, SteadySpan,
+    column_runs, compute_columns, execute_steady, MemoryParams, ReplayCache, SimParams, SteadySpan,
 };
 use crate::engine::{check_shapes, PlanOutcome, SpmmEngine, SpmmOutcome};
 use crate::error::AccelError;
@@ -275,8 +275,7 @@ impl SpmmSession<'_> {
         execute_steady(
             SteadySpan {
                 a,
-                b,
-                start: 0,
+                runs: &column_runs(b),
                 pe_of_row: plan.row_map.pe_of_row(),
                 params: plan.sim_params(),
                 memory: plan.memory,

@@ -27,7 +27,8 @@ use awb_sparse::spmm::{
     csc_accumulate_block, drain_block_into, row_major_times_dense_into, RowOperand, ACC_BLOCK_LANES,
 };
 use awb_sparse::{Csc, CscPattern, DenseMatrix};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -298,6 +299,43 @@ pub(crate) fn column_pattern(b: &DenseMatrix, k: usize) -> Vec<u32> {
         .collect()
 }
 
+/// A maximal span of consecutive `b`-columns whose non-zero patterns are
+/// identical: to the round model, every round of the span is the same
+/// round.
+#[derive(Debug, PartialEq)]
+pub(crate) struct ColumnRun {
+    /// The columns (rounds) of the run.
+    pub cols: Range<usize>,
+    /// Their shared [`column_pattern`].
+    pub pattern: Vec<u32>,
+}
+
+/// Splits `b`'s columns into [`ColumnRun`]s, in column order. One
+/// row-major pass marks each column whose pattern differs from its left
+/// neighbour's in some row; [`column_pattern`] then runs once per run.
+pub(crate) fn column_runs(b: &DenseMatrix) -> Vec<ColumnRun> {
+    let n_cols = b.cols();
+    // `differs[k]`: columns `k` and `k + 1` differ in some row's pattern.
+    let mut differs = vec![false; n_cols.saturating_sub(1)];
+    for j in 0..b.rows() {
+        for (d, pair) in differs.iter_mut().zip(b.row(j).windows(2)) {
+            *d |= (pair[0] != 0.0) != (pair[1] != 0.0);
+        }
+    }
+    let mut runs = Vec::new();
+    let mut start = 0;
+    for end in 1..=n_cols {
+        if end == n_cols || differs[end - 1] {
+            runs.push(ColumnRun {
+                cols: start..end,
+                pattern: column_pattern(b, start),
+            });
+            start = end;
+        }
+    }
+    runs
+}
+
 /// The `(k0, width)` column blocks covering `0..end` in
 /// [`ACC_BLOCK_LANES`]-wide steps (narrower final block for widths not
 /// divisible by the lane count).
@@ -493,9 +531,9 @@ impl ReplayCache {
 /// Inputs of one steady-state (frozen-map) execution span.
 pub(crate) struct SteadySpan<'a> {
     pub a: &'a CscPattern,
-    pub b: &'a DenseMatrix,
-    /// First column index of the span (columns `start..b.cols()` run).
-    pub start: usize,
+    /// The rounds to time, as runs of identical columns in ascending
+    /// column order (see [`column_runs`]).
+    pub runs: &'a [ColumnRun],
     pub pe_of_row: &'a [u32],
     pub params: SimParams,
     pub memory: MemoryParams,
@@ -504,84 +542,17 @@ pub(crate) struct SteadySpan<'a> {
     pub cache: Option<&'a ReplayCache>,
 }
 
-/// Times columns `start..b.cols()` under a frozen row map: repeated
-/// patterns replay from the cache and fresh work fans out on the
-/// [`exec`] substrate. Appends to `rounds` and merges per-PE queue
-/// high-water marks. Timing only — the output columns come from
-/// [`compute_columns`].
+/// Times the span's rounds under a frozen row map: each run's pattern is
+/// looked up once — replayed from the cache, or simulated on the [`exec`]
+/// substrate on a miss — and its timing stands for every round of the
+/// run. Appends to `rounds` and merges per-PE queue high-water marks.
+/// Timing only — the output columns come from [`compute_columns`].
 pub(crate) fn execute_steady(
     span: SteadySpan<'_>,
     rounds: &mut Vec<RoundStats>,
     queue_high_water: &mut [u32],
 ) {
-    let b = span.b;
-    if span.start >= b.cols() {
-        return;
-    }
-    let patterns: Vec<Vec<u32>> = (span.start..b.cols())
-        .map(|k| column_pattern(b, k))
-        .collect();
-
-    let timings: Vec<RoundTiming> = match span.cache {
-        Some(cache) => {
-            // First occurrence of an uncached pattern is a miss and is
-            // simulated (in parallel across distinct patterns); every
-            // other round replays.
-            let mut to_sim: Vec<Vec<u32>> = Vec::new();
-            {
-                let cached = cache.read_timings();
-                let mut queued: HashSet<&[u32]> = HashSet::new();
-                for cols in &patterns {
-                    if !cached.contains_key(cols.as_slice()) && queued.insert(cols.as_slice()) {
-                        to_sim.push(cols.clone());
-                    }
-                }
-            }
-            cache
-                .misses
-                .fetch_add(to_sim.len() as u64, Ordering::Relaxed);
-            cache
-                .hits
-                .fetch_add((patterns.len() - to_sim.len()) as u64, Ordering::Relaxed);
-            let fresh = exec::par_map_threads(span.threads, &to_sim, |cols| {
-                simulate_round(span.a, cols, span.pe_of_row, span.params, None).timing
-            });
-            // Promote fresh timings into the shared cache up to the size
-            // cap; past it (an all-distinct-patterns operand that would
-            // never replay anyway) they only serve this call, bounding
-            // the cache's memory. Timings are deterministic per key, so
-            // a concurrent session inserting the same key writes the
-            // same value.
-            let mut overflow: HashMap<Vec<u32>, RoundTiming> = HashMap::new();
-            {
-                let mut cached = cache.write_timings();
-                for (key, timing) in to_sim.into_iter().zip(fresh) {
-                    if cached.len() < REPLAY_CACHE_CAP || cached.contains_key(&key) {
-                        cached.insert(key, timing);
-                    } else {
-                        overflow.insert(key, timing);
-                    }
-                }
-            }
-            let cached = cache.read_timings();
-            patterns
-                .iter()
-                .map(|cols| {
-                    cached
-                        .get(cols.as_slice())
-                        .or_else(|| overflow.get(cols.as_slice()))
-                        .expect("simulated above")
-                        .clone()
-                })
-                .collect()
-        }
-        None => exec::par_map_threads(span.threads, &patterns, |cols| {
-            simulate_round(span.a, cols, span.pe_of_row, span.params, None).timing
-        }),
-    };
-
-    for (i, timing) in timings.iter().enumerate() {
-        let k = span.start + i;
+    let mut record = |cols: Range<usize>, timing: &RoundTiming| {
         // TQ sizing (the area model's input) uses steady-state rounds
         // only: the converged configuration is what production TQs are
         // provisioned for, exactly as the paper's §5.2 depth figures
@@ -589,16 +560,92 @@ pub(crate) fn execute_steady(
         for (hw, &q) in queue_high_water.iter_mut().zip(&timing.queue_high_water) {
             *hw = (*hw).max(q);
         }
-        // An on-chip operand pays its SPMMeM fill once (charged to round
-        // 0); an off-chip operand's per-round streaming cost is already
-        // captured by the throttled arrival rate.
-        let fill = if k == 0 && span.memory.on_chip && timing.tasks > 0 {
-            span.memory.fill_cycles
-        } else {
-            0
-        };
-        rounds.push(timing.to_stats(timing.cycles + fill, false));
+        for k in cols {
+            // An on-chip operand pays its SPMMeM fill once (charged to
+            // round 0); an off-chip operand's per-round streaming cost is
+            // already captured by the throttled arrival rate.
+            let fill = if k == 0 && span.memory.on_chip && timing.tasks > 0 {
+                span.memory.fill_cycles
+            } else {
+                0
+            };
+            rounds.push(timing.to_stats(timing.cycles + fill, false));
+        }
+    };
+    match span.cache {
+        Some(cache) => {
+            for (run, timing) in span.runs.iter().zip(replay_runs(&span, cache)) {
+                record(run.cols.clone(), &timing);
+            }
+        }
+        None => {
+            // Straight simulation: every round goes through the round model.
+            let per_round: Vec<(usize, &[u32])> = span
+                .runs
+                .iter()
+                .flat_map(|run| run.cols.clone().map(|k| (k, run.pattern.as_slice())))
+                .collect();
+            let timings = exec::par_map_threads(span.threads, &per_round, |&(_, cols)| {
+                simulate_round(span.a, cols, span.pe_of_row, span.params, None).timing
+            });
+            for (&(k, _), timing) in per_round.iter().zip(&timings) {
+                record(k..k + 1, timing);
+            }
+        }
     }
+}
+
+/// One timing per run of the span: a cached pattern replays, and the
+/// distinct uncached patterns are simulated once each (in parallel). Each
+/// simulated pattern counts one miss; every other round of the span
+/// counts a hit.
+fn replay_runs(span: &SteadySpan<'_>, cache: &ReplayCache) -> Vec<RoundTiming> {
+    let mut to_sim: Vec<&[u32]> = Vec::new();
+    // Per run: `Ok` holds its cached timing, `Err(i)` points at `to_sim[i]`.
+    let sources: Vec<Result<RoundTiming, usize>> = {
+        let cached = cache.read_timings();
+        let mut queued: HashMap<&[u32], usize> = HashMap::new();
+        span.runs
+            .iter()
+            .map(|run| {
+                let key = run.pattern.as_slice();
+                match cached.get(key) {
+                    Some(timing) => Ok(timing.clone()),
+                    None => Err(*queued.entry(key).or_insert_with(|| {
+                        to_sim.push(key);
+                        to_sim.len() - 1
+                    })),
+                }
+            })
+            .collect()
+    };
+    let n_rounds: usize = span.runs.iter().map(|run| run.cols.len()).sum();
+    cache
+        .misses
+        .fetch_add(to_sim.len() as u64, Ordering::Relaxed);
+    cache
+        .hits
+        .fetch_add((n_rounds - to_sim.len()) as u64, Ordering::Relaxed);
+    let fresh = exec::par_map_threads(span.threads, &to_sim, |cols| {
+        simulate_round(span.a, cols, span.pe_of_row, span.params, None).timing
+    });
+    // Promote fresh timings into the shared cache up to the size cap; past
+    // it (an all-distinct-patterns operand that would never replay anyway)
+    // they only serve this call, bounding the cache's memory. Timings are
+    // deterministic per key, so a concurrent session inserting the same
+    // key writes the same value.
+    {
+        let mut cached = cache.write_timings();
+        for (&key, timing) in to_sim.iter().zip(&fresh) {
+            if cached.len() < REPLAY_CACHE_CAP && !cached.contains_key(key) {
+                cached.insert(key.to_vec(), timing.clone());
+            }
+        }
+    }
+    sources
+        .into_iter()
+        .map(|source| source.unwrap_or_else(|i| fresh[i].clone()))
+        .collect()
 }
 
 #[cfg(test)]
@@ -791,6 +838,90 @@ mod tests {
             prop_assert_eq!(new.owner_busy, reference.owner_busy);
             prop_assert_eq!(rows_new, rows_ref);
         }
+    }
+
+    /// Run detection as the definition reads: walk the columns from
+    /// `start` and extend the last run while [`column_pattern`] repeats.
+    fn reference_runs(b: &DenseMatrix, start: usize) -> Vec<ColumnRun> {
+        let mut runs: Vec<ColumnRun> = Vec::new();
+        for k in start..b.cols() {
+            let pattern = column_pattern(b, k);
+            match runs.last_mut() {
+                Some(run) if run.pattern == pattern => run.cols.end = k + 1,
+                _ => runs.push(ColumnRun {
+                    cols: k..k + 1,
+                    pattern,
+                }),
+            }
+        }
+        runs
+    }
+
+    /// The runs of columns `start..`, cut from the runs of all columns the
+    /// way the fast engine's tuning loop hands its remainder to the
+    /// steady phase.
+    fn runs_from(runs: &[ColumnRun], start: usize) -> Vec<ColumnRun> {
+        runs.iter()
+            .filter(|run| run.cols.end > start)
+            .map(|run| ColumnRun {
+                cols: run.cols.start.max(start)..run.cols.end,
+                pattern: run.pattern.clone(),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        /// [`column_runs`] groups exactly the consecutive columns whose
+        /// [`column_pattern`]s are equal, from column 0 and, cut at any
+        /// later column, from there. Columns copy one of three row masks
+        /// (the first all-zero) or are drawn cell by cell; zero cells are
+        /// `0.0` or `-0.0` (both zero) and non-zero cells may be NaN
+        /// (non-zero), so runs longer than one mix with repeats.
+        #[test]
+        fn column_runs_match_consecutive_pattern_grouping(
+            rows in 0usize..7,
+            cols in 0usize..12,
+            masks in proptest::collection::vec(proptest::collection::vec(0u32..2, 7), 2),
+            sources in proptest::collection::vec(0usize..4, 12),
+            cells in proptest::collection::vec((0u32..2, 0usize..3), 84),
+        ) {
+            const ZERO: [f32; 2] = [0.0, -0.0];
+            const NONZERO: [f32; 3] = [1.5, f32::NAN, -2.0];
+            let mut b = DenseMatrix::zeros(rows, cols);
+            for k in 0..cols {
+                for j in 0..rows {
+                    let (random_nz, pick) = cells[k * 7 + j];
+                    let nz = match sources[k] {
+                        0 => false,
+                        m @ 1..=2 => masks[m - 1][j] != 0,
+                        _ => random_nz != 0,
+                    };
+                    b.set(j, k, if nz { NONZERO[pick] } else { ZERO[pick % 2] });
+                }
+            }
+            let runs = column_runs(&b);
+            for start in 0..=cols {
+                prop_assert_eq!(runs_from(&runs, start), reference_runs(&b, start));
+            }
+        }
+    }
+
+    #[test]
+    fn column_runs_of_empty_operands() {
+        // No rows: every column has the empty pattern, one run.
+        let runs = column_runs(&DenseMatrix::zeros(0, 5));
+        assert_eq!(
+            runs,
+            vec![ColumnRun {
+                cols: 0..5,
+                pattern: vec![]
+            }]
+        );
+        // No columns: no rounds, no runs.
+        assert!(column_runs(&DenseMatrix::zeros(3, 0)).is_empty());
+        assert!(column_runs(&DenseMatrix::zeros(0, 0)).is_empty());
     }
 
     fn timing(cycles: u64) -> RoundTiming {

@@ -31,6 +31,27 @@ fn dense_for(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
     DenseMatrix::from_vec(rows, cols, data).unwrap()
 }
 
+/// A dense operand whose columns are laid out as `(mask, run length)`
+/// pieces: every column of a piece is non-zero exactly where
+/// `masks[mask % masks.len()]` is (a `0` entry marks a zero), with values
+/// varying column to column. Pieces repeat masks, so runs of identical
+/// column patterns longer than one mix with non-consecutive repeats.
+fn masked_dense(rows: usize, masks: &[Vec<u32>], pieces: &[(usize, usize)]) -> DenseMatrix {
+    let columns: Vec<&[u32]> = pieces
+        .iter()
+        .flat_map(|&(mask, len)| std::iter::repeat(masks[mask % masks.len()].as_slice()).take(len))
+        .collect();
+    let mut b = DenseMatrix::zeros(rows, columns.len());
+    for (k, mask) in columns.iter().enumerate() {
+        for (j, &bit) in mask[..rows].iter().enumerate() {
+            if bit != 0 {
+                b.set(j, k, ((j + 3 * k) % 7) as f32 - 3.5);
+            }
+        }
+    }
+    b
+}
+
 fn design_strategy() -> impl Strategy<Value = Design> {
     prop_oneof![
         Just(Design::Baseline),
@@ -120,6 +141,55 @@ proptest! {
         let again = replayed.run(&a, &b, "prop").unwrap();
         prop_assert_eq!(&again.stats, &reference2.stats);
         prop_assert_eq!(&again.c, &reference2.c);
+    }
+
+    /// Replay by runs of identical columns is exact: on operands whose
+    /// columns draw from at most three zero masks — runs longer than one,
+    /// repeats after other patterns, tuning phases that end mid-run and
+    /// cross run boundaries — every round executes its column's tasks, and
+    /// stats, per-PE queue high-water marks and outputs equal a straight
+    /// simulation of every round, on a cold and on a warm engine.
+    #[test]
+    fn multi_run_replay_matches_straight_simulation(
+        a in sparse_strategy(48, 160),
+        masks in proptest::collection::vec(proptest::collection::vec(0u32..4, 48), 1..4),
+        pieces in proptest::collection::vec((0usize..3, 1usize..5), 1..10),
+        design in design_strategy(),
+        threads in prop_oneof![Just(1usize), Just(4usize)],
+        n_pes_log in 2u32..5,
+    ) {
+        let b = masked_dense(a.cols(), &masks, &pieces);
+        let config = design.apply(
+            AccelConfig::builder().n_pes(1 << n_pes_log).build().unwrap(),
+        );
+        let mut straight = FastEngine::new(config.clone());
+        straight.set_replay_enabled(false);
+        straight.set_threads(Some(1));
+        let mut replayed = FastEngine::new(config);
+        replayed.set_threads(Some(threads));
+        // Each round executes one task per (non-zero of `A`'s column j,
+        // non-zero b(j, k)): an oracle independent of run detection and
+        // of the tuning loop's round reuse, which both engines share.
+        let round_tasks: Vec<u64> = (0..b.cols())
+            .map(|k| {
+                (0..b.rows())
+                    .filter(|&j| b.get(j, k) != 0.0)
+                    .map(|j| a.col_nnz(j) as u64)
+                    .sum()
+            })
+            .collect();
+        for _ in 0..2 {
+            let reference = straight.run(&a, &b, "prop").unwrap();
+            let out = replayed.run(&a, &b, "prop").unwrap();
+            let tasks: Vec<u64> = out.stats.rounds.iter().map(|r| r.tasks).collect();
+            prop_assert_eq!(&tasks, &round_tasks);
+            prop_assert_eq!(&out.stats, &reference.stats);
+            prop_assert_eq!(
+                &out.stats.queue_high_water,
+                &reference.stats.queue_high_water
+            );
+            prop_assert_eq!(&out.c, &reference.c);
+        }
     }
 
     /// Column-sharded execution is a pure execution-layer change: for any
