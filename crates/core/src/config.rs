@@ -80,7 +80,7 @@ impl ShardPolicy {
     }
 }
 
-/// Who picks the execution strategy (design point, shard counts, replay):
+/// Who picks the execution strategy (design point and shard counts):
 /// the caller, or the calibrated cost model in [`cost`](crate::cost).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StrategyPolicy {
@@ -90,7 +90,7 @@ pub enum StrategyPolicy {
     /// At [`GcnRunner::prepare`](crate::GcnRunner::prepare), profile the
     /// input's sparsity structure, score the candidate configurations with
     /// the calibrated cost model, and execute the predicted-fastest one.
-    /// The design/shard/replay fields on the configuration then serve only
+    /// The design and shard fields on the configuration then serve only
     /// as the scoring base; the resolved choice is recorded in
     /// [`AutoDecision`](crate::cost::AutoDecision) and outputs stay
     /// bit-identical to hand-specifying the same knobs under `Manual`.
@@ -235,10 +235,6 @@ pub struct AccelConfig {
     /// available parallelism). Purely a host wall-clock knob: results are
     /// bit-identical at any setting.
     pub threads: Option<usize>,
-    /// Whether the steady-state replay cache is enabled (default `true`).
-    /// Disabling forces every round through the full queue simulation —
-    /// the straight-simulated reference the replay path is tested against.
-    pub replay: bool,
     /// How the sparse adjacency is partitioned across devices (default
     /// [`ShardPolicy::Single`], the paper's one-accelerator setup).
     pub shards: ShardPolicy,
@@ -481,7 +477,6 @@ impl Default for AccelConfigBuilder {
                 max_tuning_rounds: 32,
                 memory: MemoryModel::unbounded(),
                 threads: None,
-                replay: true,
                 shards: ShardPolicy::Single,
                 combination_shards: ShardPolicy::Single,
                 faults: None,
@@ -582,12 +577,6 @@ impl AccelConfigBuilder {
     /// [`exec`](crate::exec) default; `Some(n)` requires `n >= 1`).
     pub fn threads(&mut self, threads: Option<usize>) -> &mut Self {
         self.config.threads = threads;
-        self
-    }
-
-    /// Enables or disables the steady-state replay cache.
-    pub fn replay(&mut self, on: bool) -> &mut Self {
-        self.config.replay = on;
         self
     }
 
@@ -734,7 +723,6 @@ mod tests {
         assert_eq!(c.tracking_window, 2);
         assert_eq!(c.mapping, MappingKind::Block);
         assert_eq!(c.threads, None);
-        assert!(c.replay);
         assert_eq!(c.shards, ShardPolicy::Single);
         assert_eq!(c.combination_shards, ShardPolicy::Single);
         assert_eq!(c.strategy, StrategyPolicy::Manual);

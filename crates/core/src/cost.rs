@@ -2,8 +2,8 @@
 //!
 //! The paper's thesis is that workload structure, measured at run time,
 //! should drive execution strategy. This module closes that loop one level
-//! up from the rebalancer: instead of hand-picking the design point, shard
-//! counts, and replay flag per run, [`select`] scores every candidate
+//! up from the rebalancer: instead of hand-picking the design point and
+//! shard counts per run, [`select`] scores every candidate
 //! configuration against the input's sparsity profile and freezes the
 //! predicted-fastest one into the plan that `GcnRunner::prepare` builds.
 //!
@@ -24,8 +24,9 @@
 //!   predicted speedup.
 //! * **A host calibration** (measured once per process). A handful of
 //!   timed [`csc_times_dense_blocked`] probe calls yield `secs_per_mac`,
-//!   which converts the candidate's MAC volume (discounted under replay,
-//!   whose cache skips re-simulating repeated column patterns) into a
+//!   which converts the candidate's MAC volume (with the simulation side
+//!   discounted by the replay cache, which skips re-simulating repeated
+//!   column patterns and is always on for on-chip operands) into a
 //!   predicted wall time — the tie-breaker among candidates with equal
 //!   predicted cycles, and the "predicted" half of the
 //!   predicted-vs-measured line in `PrepareReport`.
@@ -75,32 +76,6 @@ pub struct Calibration {
     pub probe_wall_s: f64,
     /// MACs executed by one probe run.
     pub probe_macs: u64,
-    /// Measured sequential read bandwidth of the host's temp filesystem
-    /// in bytes/second (best of a few timed 1 MiB re-reads — warm-cache,
-    /// so an optimistic bound, which is all the warn-only I/O term
-    /// needs). Falls back to [`FALLBACK_READ_BW`] when probing fails.
-    pub read_bytes_per_s: f64,
-}
-
-/// Read-bandwidth fallback when the I/O probe cannot run (read-only or
-/// full temp dir): 2 GB/s, a mid-range NVMe figure.
-const FALLBACK_READ_BW: f64 = 2.0e9;
-
-/// Times a few 1 MiB reads of a just-written temp file; `None` when the
-/// temp dir is unusable.
-fn probe_read_bandwidth() -> Option<f64> {
-    let path = std::env::temp_dir().join(format!("awb-io-probe-{}", std::process::id()));
-    let payload = vec![0xA5u8; 1 << 20];
-    std::fs::write(&path, &payload).ok()?;
-    let mut best = f64::INFINITY;
-    for _ in 0..3 {
-        let start = std::time::Instant::now();
-        let data = std::fs::read(&path).ok()?;
-        best = best.min(start.elapsed().as_secs_f64());
-        std::hint::black_box(data);
-    }
-    let _ = std::fs::remove_file(&path);
-    Some((payload.len() as f64 / best.max(1e-9)).max(1.0))
 }
 
 /// Runs (once per process) and returns the host micro-probe: a small
@@ -143,7 +118,6 @@ pub fn host_calibration() -> &'static Calibration {
             secs_per_mac,
             probe_wall_s: best,
             probe_macs,
-            read_bytes_per_s: probe_read_bandwidth().unwrap_or(FALLBACK_READ_BW),
         }
     })
 }
@@ -225,26 +199,6 @@ pub struct LayerForecast {
     pub a_xw_macs: u64,
 }
 
-/// Host I/O forecast attached to an [`AutoDecision`] when the
-/// configuration streams `A` from an on-disk store
-/// ([`AccelConfig::store`]). **Warn-only**: the term is added to the
-/// winner's wall prediction *after* selection and is identical for every
-/// candidate (the store and pass count are properties of the input, not
-/// of the candidate knobs), so it never changes the ranking — and with no
-/// store configured it does not exist at all.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IoForecast {
-    /// Estimated bytes streamed from the store per full pass over `A`
-    /// (raw chunk payloads: values + indices + column pointer).
-    pub bytes_per_pass: u64,
-    /// Streaming passes per warm request — one per layer's `A × (XW)`.
-    pub passes: u64,
-    /// Calibrated host read bandwidth the conversion used (bytes/s).
-    pub read_bytes_per_s: f64,
-    /// Predicted store-read seconds per warm request.
-    pub read_s: f64,
-}
-
 /// The frozen outcome of Auto selection: the winning knobs, the model's
 /// predictions for them, and the per-layer breakdown. `apply` turns it
 /// into the concrete `Manual` configuration the plan executes.
@@ -258,8 +212,6 @@ pub struct AutoDecision {
     /// Winning combination-side shard policy (`MemoryBudget` when some
     /// layer's feature matrix overflows on-chip memory, else `Single`).
     pub combination_shards: ShardPolicy,
-    /// Whether the steady-state replay cache is enabled.
-    pub replay: bool,
     /// Predicted end-to-end warm-path cycles for the winner.
     pub predicted_cycles: f64,
     /// Predicted host wall seconds for one warm request (MAC volume times
@@ -273,27 +225,22 @@ pub struct AutoDecision {
     /// candidate set after a degraded sharded prepare (DESIGN.md §10's
     /// fallback rung) — the sharded predictions above would be stale.
     pub rescored_unsharded: bool,
-    /// The warn-only host I/O forecast, when the configuration streams
-    /// `A` from a store; `None` (and nothing changes anywhere in the
-    /// scoring) for resident configurations.
-    pub io: Option<IoForecast>,
 }
 
 impl AutoDecision {
     /// One-line human label of the chosen configuration, e.g.
-    /// `"LS2+RS | A unsharded | X unsharded | replay on"`.
+    /// `"LS2+RS | A unsharded | X unsharded"`.
     pub fn label(&self) -> String {
         format!(
-            "{} | A {} | X {} | replay {}",
+            "{} | A {} | X {}",
             self.design.label(),
             self.shards.label(),
             self.combination_shards.label(),
-            if self.replay { "on" } else { "off" }
         )
     }
 
     /// The concrete configuration the decision resolves to: `base` with
-    /// the winning design/shards/replay applied and the strategy set back
+    /// the winning design and shards applied and the strategy set back
     /// to [`StrategyPolicy::Manual`] — running it hand-specified is
     /// bit-identical to the Auto run (and re-preparing it never
     /// re-resolves).
@@ -301,7 +248,6 @@ impl AutoDecision {
         let mut config = self.design.apply(base.clone());
         config.shards = self.shards;
         config.combination_shards = self.combination_shards;
-        config.replay = self.replay;
         config.strategy = StrategyPolicy::Manual;
         config
     }
@@ -454,7 +400,6 @@ fn score_candidate(
     eff_x1: f64,
     a_shards: usize,
     x_policy: ShardPolicy,
-    replay: bool,
     remote: bool,
     secs_per_mac: f64,
 ) -> (f64, f64, Vec<LayerForecast>) {
@@ -497,8 +442,7 @@ fn score_candidate(
     }
     // Host wall: the numeric MAC work always runs; the simulation side is
     // replay-discounted because dense B columns repeat their nnz patterns.
-    let sim_factor = if replay { REPLAY_MISS_FACTOR } else { 1.0 };
-    let wall_s = secs_per_mac * total_macs as f64 * (1.0 + sim_factor);
+    let wall_s = secs_per_mac * total_macs as f64 * (1.0 + REPLAY_MISS_FACTOR);
     (total_cycles, wall_s, layers)
 }
 
@@ -528,7 +472,6 @@ pub fn predict_config_cycles(config: &AccelConfig, profile: &CostProfile) -> f64
         eff_x1,
         a_shards,
         config.combination_shards,
-        config.replay,
         remote,
         host_calibration().secs_per_mac,
     );
@@ -612,78 +555,48 @@ fn select_constrained(
         let (_, remote) = design_knobs(design);
         for &a_shards in &a_shard_options {
             for &x_policy in &x_options {
-                for replay in [true, false] {
-                    let (cycles, wall_s, layers) = score_candidate(
-                        config,
-                        profile,
-                        eff_a,
-                        eff_x1,
-                        a_shards,
-                        x_policy,
-                        replay,
-                        remote,
-                        secs_per_mac,
-                    );
-                    candidates_scored += 1;
-                    let wins = match &best {
-                        None => true,
-                        Some(b) => {
-                            let tie = (cycles - b.predicted_cycles).abs()
-                                <= CYCLE_TIE_EPS * b.predicted_cycles.max(1.0);
-                            (cycles < b.predicted_cycles && !tie)
-                                || (tie && wall_s < b.predicted_wall_s)
-                        }
-                    };
-                    if wins {
-                        best = Some(AutoDecision {
-                            design,
-                            shards: if a_shards == 1 {
-                                ShardPolicy::Single
-                            } else {
-                                ShardPolicy::Fixed(a_shards)
-                            },
-                            combination_shards: x_policy,
-                            replay,
-                            predicted_cycles: cycles,
-                            predicted_wall_s: wall_s,
-                            layers,
-                            candidates_scored: 0,
-                            rescored_unsharded: false,
-                            io: None,
-                        });
+                let (cycles, wall_s, layers) = score_candidate(
+                    config,
+                    profile,
+                    eff_a,
+                    eff_x1,
+                    a_shards,
+                    x_policy,
+                    remote,
+                    secs_per_mac,
+                );
+                candidates_scored += 1;
+                let wins = match &best {
+                    None => true,
+                    Some(b) => {
+                        let tie = (cycles - b.predicted_cycles).abs()
+                            <= CYCLE_TIE_EPS * b.predicted_cycles.max(1.0);
+                        (cycles < b.predicted_cycles && !tie)
+                            || (tie && wall_s < b.predicted_wall_s)
                     }
+                };
+                if wins {
+                    best = Some(AutoDecision {
+                        design,
+                        shards: if a_shards == 1 {
+                            ShardPolicy::Single
+                        } else {
+                            ShardPolicy::Fixed(a_shards)
+                        },
+                        combination_shards: x_policy,
+                        predicted_cycles: cycles,
+                        predicted_wall_s: wall_s,
+                        layers,
+                        candidates_scored: 0,
+                        rescored_unsharded: false,
+                    });
                 }
             }
         }
     }
     let mut decision = best.expect("candidate space is never empty");
     decision.candidates_scored = candidates_scored;
-    // Warn-only I/O term: applied to the already-chosen winner, identical
-    // for any candidate it could have been, absent without a store — so
-    // the resident ranking is provably untouched.
-    decision.io = io_forecast(config, profile);
-    if let Some(io) = &decision.io {
-        decision.predicted_wall_s += io.read_s;
-    }
     decision
-}
-
-/// Estimates the streaming I/O of one warm request when `config` names a
-/// store: one pass over `A`'s chunk payloads (values + indices + column
-/// pointer, the raw sizes — compression only shrinks them) per layer,
-/// converted through the calibrated read bandwidth.
-fn io_forecast(config: &AccelConfig, profile: &CostProfile) -> Option<IoForecast> {
-    config.store.as_ref()?;
-    let bytes_per_pass = (profile.a_nnz * (size_of::<u32>() + size_of::<f32>())
-        + (profile.n + 1) * size_of::<u64>()) as u64;
-    let passes = profile.layer_dims.len().max(1) as u64;
-    let read_bytes_per_s = host_calibration().read_bytes_per_s.max(1.0);
-    Some(IoForecast {
-        bytes_per_pass,
-        passes,
-        read_bytes_per_s,
-        read_s: (bytes_per_pass * passes) as f64 / read_bytes_per_s,
-    })
 }
 
 #[cfg(test)]
@@ -705,41 +618,6 @@ mod tests {
         assert!(std::ptr::eq(c1, c2), "OnceLock must cache the probe");
         assert!(c1.secs_per_mac > 0.0 && c1.secs_per_mac.is_finite());
         assert!(c1.probe_macs > 0);
-        assert!(c1.read_bytes_per_s >= 1.0 && c1.read_bytes_per_s.is_finite());
-    }
-
-    #[test]
-    fn io_term_is_absent_without_a_store_and_ranking_neutral_with_one() {
-        let profile = profile_for(192, 7);
-        let resident = AccelConfig::builder().n_pes(32).build().unwrap();
-        let resident_decision = select(&resident, &profile);
-        assert_eq!(resident_decision.io, None);
-
-        let streamed = AccelConfig::builder()
-            .n_pes(32)
-            .store(Some("graphs/test.store".into()))
-            .build()
-            .unwrap();
-        let streamed_decision = select(&streamed, &profile);
-        // Same knobs win — the I/O term never reorders candidates…
-        assert_eq!(streamed_decision.design, resident_decision.design);
-        assert_eq!(streamed_decision.shards, resident_decision.shards);
-        assert_eq!(
-            streamed_decision.combination_shards,
-            resident_decision.combination_shards
-        );
-        assert_eq!(streamed_decision.replay, resident_decision.replay);
-        assert_eq!(
-            streamed_decision.predicted_cycles,
-            resident_decision.predicted_cycles
-        );
-        // …it only annotates the winner's wall prediction.
-        let io = streamed_decision.io.expect("store configured");
-        assert!(io.bytes_per_pass > 0);
-        assert_eq!(io.passes, profile.layer_dims().len() as u64);
-        assert!(io.read_s > 0.0 && io.read_s.is_finite());
-        let expected = resident_decision.predicted_wall_s + io.read_s;
-        assert!((streamed_decision.predicted_wall_s - expected).abs() <= 1e-12 * expected);
     }
 
     #[test]
@@ -779,12 +657,11 @@ mod tests {
         );
         assert!(decision.predicted_cycles > 0.0);
         assert!(decision.predicted_wall_s > 0.0);
-        assert!(decision.candidates_scored >= 10);
+        assert!(decision.candidates_scored >= 5);
         assert_eq!(decision.layers.len(), 2);
         // Fits on chip: no phantom shard devices.
         assert_eq!(decision.shards, ShardPolicy::Single);
         assert_eq!(decision.combination_shards, ShardPolicy::Single);
-        assert!(decision.replay, "replay never hurts predicted wall");
     }
 
     #[test]
@@ -824,7 +701,6 @@ mod tests {
         assert_eq!(resolved.strategy, StrategyPolicy::Manual);
         assert_eq!(resolved.shards, decision.shards);
         assert_eq!(resolved.combination_shards, decision.combination_shards);
-        assert_eq!(resolved.replay, decision.replay);
         let (hop, remote) = design_knobs(decision.design);
         assert_eq!(resolved.local_hop, hop);
         assert_eq!(resolved.remote_switching, remote);
@@ -836,7 +712,11 @@ mod tests {
         let config = AccelConfig::builder().n_pes(32).build().unwrap();
         let d = select(&config, &profile);
         let mut other = d.clone();
-        other.replay = !other.replay;
+        other.design = if d.design == Design::Baseline {
+            Design::LocalSharing { hop: 1 }
+        } else {
+            Design::Baseline
+        };
         assert_ne!(d.choice_hash(), other.choice_hash());
         assert_eq!(d.choice_hash(), select(&config, &profile).choice_hash());
     }

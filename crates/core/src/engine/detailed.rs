@@ -10,7 +10,7 @@
 
 use crate::config::{AccelConfig, StallMode};
 use crate::engine::steady::ReplayCache;
-use crate::engine::{check_shapes, PlanOutcome, SpmmEngine, SpmmOutcome, TunedPlan};
+use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome, TunedPlan};
 use crate::error::AccelError;
 use crate::mapping::RowMap;
 use crate::rebalance::autotuner::AutoTuner;
@@ -20,7 +20,7 @@ use crate::stats::{RoundStats, SpmmStats};
 use awb_hw::{
     MacOp, MacPipeline, OmegaNetwork, Packet, RawScoreboard, RoundRobinArbiter, TaskQueue,
 };
-use awb_sparse::{Csc, DenseMatrix};
+use awb_sparse::{Csc, CscPattern, DenseMatrix};
 
 /// Which task-distributor the engine instantiates (paper §3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -95,6 +95,31 @@ impl DetailedEngine {
     /// The current row→PE map (None before the first run).
     pub fn row_map(&self) -> Option<&RowMap> {
         self.map.as_ref()
+    }
+
+    /// Extracts the cycle-stepped model's tuned map into a [`TunedPlan`]
+    /// (force-frozen if the tuner is still active). The plan's replay
+    /// cache starts empty (the detailed engine does not memoize) and is
+    /// warmed by the sessions themselves; sessions always execute with
+    /// the fast queue-dynamics model — only the *map* carries over the
+    /// detailed engine's tuning. The engine runs frozen afterwards.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::InvalidConfig`] when the engine was tuned for
+    /// a different row count than `a`.
+    pub fn freeze_plan(&mut self, a: &CscPattern) -> Result<TunedPlan, AccelError> {
+        self.ensure_state(a.rows())?;
+        let tuner = self.tuner.as_mut().expect("initialized in ensure_state");
+        tuner.freeze();
+        Ok(TunedPlan::from_frozen(
+            self.config.clone(),
+            self.map.clone().expect("initialized in ensure_state"),
+            a,
+            tuner.rounds_done(),
+            tuner.total_switches(),
+            ReplayCache::new(),
+        ))
     }
 
     fn ensure_state(&mut self, n_rows: usize) -> Result<(), AccelError> {
@@ -405,34 +430,6 @@ impl SpmmEngine for DetailedEngine {
         })
     }
 
-    /// Warm-up on the cycle-stepped model, extracting the frozen map into
-    /// a [`TunedPlan`]. The plan's replay cache starts empty (the detailed
-    /// engine does not memoize) and is warmed by the sessions themselves;
-    /// note that sessions always execute with the fast queue-dynamics
-    /// model — only the *map* carries over the detailed engine's tuning.
-    fn plan(
-        &mut self,
-        a: &Csc,
-        warmup: &DenseMatrix,
-        label: &str,
-    ) -> Result<PlanOutcome, AccelError> {
-        let outcome = self.run(a, warmup, label)?;
-        let tuner = self.tuner.as_mut().expect("initialized by run");
-        tuner.freeze();
-        Ok(PlanOutcome {
-            plan: TunedPlan::from_frozen(
-                self.config.clone(),
-                self.map.clone().expect("initialized by run"),
-                a.pattern(),
-                tuner.rounds_done(),
-                tuner.total_switches(),
-                self.config.replay,
-                ReplayCache::new(),
-            ),
-            warmup: outcome,
-        })
-    }
-
     fn config(&self) -> &AccelConfig {
         &self.config
     }
@@ -585,14 +582,15 @@ mod tests {
             Design::LocalPlusRemote { hop: 2 }.apply(config(8)),
             TdqMode::Tdq2,
         );
-        let planned = engine.plan(&a, &b, "warmup").unwrap();
+        engine.run(&a, &b, "warmup").unwrap();
+        let plan = engine.freeze_plan(a.pattern()).unwrap();
         // The plan carries the detailed engine's frozen map and executes
         // requests with correct numerics on the fast session model.
         assert_eq!(
-            planned.plan.row_map().pe_of_row(),
+            plan.row_map().pe_of_row(),
             engine.row_map().unwrap().pe_of_row()
         );
-        let out = planned.plan.session().run(&a, &b, "req").unwrap();
+        let out = plan.session().run(&a, &b, "req").unwrap();
         let expect = spmm::csc_times_dense(&a, &b).unwrap();
         assert!(out.c.approx_eq(&expect, 1e-4));
         assert_eq!(out.stats.tuning_rounds(), 0);

@@ -32,7 +32,7 @@
 //! module, shared verbatim with
 //! [`SpmmSession`](super::SpmmSession) — the per-request executor over a
 //! [`TunedPlan`](super::TunedPlan) extracted from this engine by
-//! [`SpmmEngine::plan`]. See `DESIGN.md` §5/§6 for the validity argument
+//! [`FastEngine::freeze_plan`]. See `DESIGN.md` §5/§6 for the validity argument
 //! and the plan/execute split.
 //!
 //! Frozen-phase rounds are independent (each owns one output column of
@@ -48,7 +48,7 @@ use crate::engine::steady::{
     column_runs, compute_columns, execute_steady, simulate_round, structure_fingerprint,
     MemoryParams, ReplayCache, RoundTiming, SimParams, SteadySpan,
 };
-use crate::engine::{check_shapes, PlanOutcome, SpmmEngine, SpmmOutcome, TunedPlan};
+use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome, TunedPlan};
 use crate::error::AccelError;
 use crate::exec;
 use crate::mapping::RowMap;
@@ -85,23 +85,18 @@ pub struct FastEngine {
     sharing: Option<LocalSharing>,
     map: Option<RowMap>,
     tuner: Option<AutoTuner>,
-    /// Worker-thread override for frozen-phase rounds (None = use
-    /// [`exec::num_threads`], i.e. `AWB_THREADS` / available parallelism).
-    threads: Option<usize>,
     replay_enabled: bool,
     cache: ReplayCache,
 }
 
 impl FastEngine {
     /// Creates an engine; the row map is initialized lazily from the first
-    /// sparse operand. The thread override and replay switch are seeded
-    /// from [`AccelConfig::threads`]/[`AccelConfig::replay`] (adjustable
-    /// later via [`set_threads`](FastEngine::set_threads)/
-    /// [`set_replay_enabled`](FastEngine::set_replay_enabled)).
+    /// sparse operand. Frozen-phase rounds run on
+    /// [`AccelConfig::threads`] workers, and the replay cache starts
+    /// enabled (see [`set_replay_enabled`](FastEngine::set_replay_enabled)).
     pub fn new(config: AccelConfig) -> Self {
         FastEngine {
-            threads: config.threads,
-            replay_enabled: config.replay,
+            replay_enabled: true,
             config,
             sharing: None,
             map: None,
@@ -123,13 +118,6 @@ impl FastEngine {
     /// Whether the auto-tuner is still adjusting.
     pub fn tuning_active(&self) -> bool {
         self.tuner.as_ref().is_some_and(|t| t.is_active())
-    }
-
-    /// Overrides the worker-thread count for frozen-phase rounds
-    /// (`None` restores the [`exec::num_threads`] default). Results are
-    /// bit-identical at any setting; this only affects wall-clock.
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
     }
 
     /// Enables or disables the steady-state replay cache (enabled by
@@ -175,7 +163,6 @@ impl FastEngine {
             a,
             tuner.rounds_done(),
             tuner.total_switches(),
-            self.replay_enabled,
             self.cache.clone(),
         ))
     }
@@ -231,7 +218,7 @@ impl FastEngine {
             sharing: (self.config.local_hop > 0)
                 .then_some(self.sharing.expect("initialized in ensure_state")),
         };
-        let threads = self.threads.unwrap_or_else(exec::num_threads);
+        let threads = self.config.threads.unwrap_or_else(exec::num_threads);
         // Replayed timings describe *this* operand's structure under the
         // frozen map; a structurally different operand invalidates them.
         let use_replay = self.replay_enabled && memory.on_chip;
@@ -345,22 +332,9 @@ impl SpmmEngine for FastEngine {
         let stats = self.run_timing(a.pattern(), b, label)?;
         // Numerics: every output column once, through the blocked kernel.
         let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-        let threads = self.threads.unwrap_or_else(exec::num_threads);
+        let threads = self.config.threads.unwrap_or_else(exec::num_threads);
         compute_columns(a, b, threads, &mut c);
         Ok(SpmmOutcome { c, stats })
-    }
-
-    fn plan(
-        &mut self,
-        a: &Csc,
-        warmup: &DenseMatrix,
-        label: &str,
-    ) -> Result<PlanOutcome, AccelError> {
-        let outcome = self.run(a, warmup, label)?;
-        Ok(PlanOutcome {
-            plan: self.freeze_plan(a.pattern())?,
-            warmup: outcome,
-        })
     }
 
     fn config(&self) -> &AccelConfig {
@@ -583,11 +557,11 @@ mod tests {
     fn thread_count_does_not_change_results() {
         let a = skewed(96, 60);
         let b = dense(96, 12);
-        let cfg = Design::LocalPlusRemote { hop: 2 }.apply(config(8));
+        let mut cfg = Design::LocalPlusRemote { hop: 2 }.apply(config(8));
+        cfg.threads = Some(1);
         let mut seq = FastEngine::new(cfg.clone());
-        seq.set_threads(Some(1));
+        cfg.threads = Some(4);
         let mut par = FastEngine::new(cfg);
-        par.set_threads(Some(4));
         let o1 = seq.run(&a, &b, "t").unwrap();
         let o2 = par.run(&a, &b, "t").unwrap();
         assert_eq!(o1.stats, o2.stats);
@@ -596,21 +570,22 @@ mod tests {
 
     #[test]
     fn config_seeds_threads_and_replay() {
-        // Satellite plumbing: `AccelConfig.threads`/`replay` reach the
-        // engine without per-engine setter calls.
+        // `AccelConfig.threads` reaches the engine without a setter, and
+        // replay is on from construction: it is not a configuration
+        // choice, only `set_replay_enabled` (the straight-simulation
+        // reference) turns it off.
         let a = skewed(64, 40);
         let b = dense_full(64, 8);
         let mut cfg = Design::Baseline.apply(config(8));
-        cfg.replay = false;
         cfg.threads = Some(1);
         let mut engine = FastEngine::new(cfg.clone());
         engine.run(&a, &b, "t").unwrap();
-        assert_eq!(engine.replay_hits() + engine.replay_misses(), 0);
-        cfg.replay = true;
-        let mut engine = FastEngine::new(cfg);
-        engine.run(&a, &b, "t").unwrap();
         assert_eq!(engine.replay_misses(), 1);
         assert_eq!(engine.replay_hits(), 7);
+        let mut straight = FastEngine::new(cfg);
+        straight.set_replay_enabled(false);
+        straight.run(&a, &b, "t").unwrap();
+        assert_eq!(straight.replay_hits() + straight.replay_misses(), 0);
     }
 
     #[test]

@@ -16,8 +16,9 @@
 //! the paper's auto-tuning paradigm is about.
 //!
 //! That reuse is made first-class by the plan/execute split: a warm-up
-//! phase ([`SpmmEngine::plan`]) produces a frozen, shareable [`TunedPlan`]
-//! (row map + replay cache + structure fingerprint + config), and cheap
+//! run followed by [`FastEngine::freeze_plan`] produces a frozen,
+//! shareable [`TunedPlan`] (row map + replay cache + structure
+//! fingerprint + config), and cheap
 //! per-request [`SpmmSession`]s execute against `&TunedPlan` — so N
 //! requests on one graph pay tuning once and hit the replay cache from
 //! request 1. See `DESIGN.md` §6.
@@ -69,16 +70,6 @@ pub struct SpmmOutcome {
     pub stats: SpmmStats,
 }
 
-/// Result of a warm-up/plan phase: the reusable [`TunedPlan`] plus the
-/// warm-up SPMM's own outcome (so the tuning pass is never wasted work).
-#[derive(Debug, Clone)]
-pub struct PlanOutcome {
-    /// The frozen, shareable per-operand plan.
-    pub plan: TunedPlan,
-    /// The warm-up SPMM's result (tuning-phase rounds included).
-    pub warmup: SpmmOutcome,
-}
-
 /// A simulated SPMM engine (one per sparse operand).
 pub trait SpmmEngine {
     /// Simulates `C = A × B`, streaming `B` column by column.
@@ -89,23 +80,6 @@ pub trait SpmmEngine {
     /// [`AccelError::InvalidConfig`] when the engine is reused with a
     /// sparse operand of a different row count than it was tuned for.
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError>;
-
-    /// Runs `warmup` as an auto-tuning warm-up on `a` and extracts a
-    /// frozen [`TunedPlan`] for `a`: the converged row map (force-frozen
-    /// if the warm-up had too few columns for natural convergence), the
-    /// replay cache as warmed, the structure fingerprint, and the
-    /// configuration. Subsequent requests execute via
-    /// [`TunedPlan::session`] without re-paying tuning.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](SpmmEngine::run).
-    fn plan(
-        &mut self,
-        a: &Csc,
-        warmup: &DenseMatrix,
-        label: &str,
-    ) -> Result<PlanOutcome, AccelError>;
 
     /// The engine's configuration.
     fn config(&self) -> &AccelConfig;

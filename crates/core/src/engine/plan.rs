@@ -7,9 +7,12 @@
 //! row→PE map, the steady-state replay cache, the operand's sparsity
 //! fingerprint, and the configuration — everything that is a function of
 //! *the graph*, none of what is a function of *one request*. Plans are
-//! produced once per sparse operand by [`SpmmEngine::plan`] (a warm-up
-//! phase on either engine) and then executed against any number of times
-//! through cheap per-request [`SpmmSession`]s.
+//! frozen once per sparse operand after a warm-up run on either engine
+//! ([`FastEngine::freeze_plan`](crate::FastEngine::freeze_plan),
+//! [`DetailedEngine::freeze_plan`](crate::DetailedEngine::freeze_plan))
+//! and then executed against any number of times through cheap
+//! per-request [`SpmmSession`]s, which replay whenever the operand is on
+//! chip.
 //!
 //! # Concurrency contract
 //!
@@ -28,7 +31,7 @@ use crate::config::AccelConfig;
 use crate::engine::steady::{
     column_runs, compute_columns, execute_steady, MemoryParams, ReplayCache, SimParams, SteadySpan,
 };
-use crate::engine::{check_shapes, PlanOutcome, SpmmEngine, SpmmOutcome};
+use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome};
 use crate::error::AccelError;
 use crate::exec;
 use crate::mapping::RowMap;
@@ -56,10 +59,12 @@ pub(crate) use crate::engine::steady::structure_fingerprint;
 /// let config = Design::LocalPlusRemote { hop: 1 }.apply(AccelConfig::builder().n_pes(2).build()?);
 ///
 /// // Pay tuning once…
-/// let planned = FastEngine::new(config).plan(&a, &warmup, "warmup")?;
+/// let mut engine = FastEngine::new(config);
+/// engine.run(&a, &warmup, "warmup")?;
+/// let plan = engine.freeze_plan(a.pattern())?;
 /// // …then serve N requests against the shared plan.
 /// let b = DenseMatrix::from_rows(&[&[2.0], &[5.0], &[0.5], &[1.0]])?;
-/// let out = planned.plan.session().run(&a, &b, "request")?;
+/// let out = plan.session().run(&a, &b, "request")?;
 /// assert_eq!(out.c.get(0, 0), 10.0);
 /// assert_eq!(out.stats.tuning_rounds(), 0); // sessions never re-tune
 /// # Ok(())
@@ -74,20 +79,18 @@ pub struct TunedPlan {
     memory: MemoryParams,
     tuning_rounds: usize,
     total_switches: u64,
-    replay_enabled: bool,
     cache: ReplayCache,
 }
 
 impl TunedPlan {
     /// Assembles a plan from an engine's frozen state (crate-internal; use
-    /// [`SpmmEngine::plan`]).
+    /// an engine's `freeze_plan`).
     pub(crate) fn from_frozen(
         config: AccelConfig,
         row_map: RowMap,
         a: &CscPattern,
         tuning_rounds: usize,
         total_switches: u64,
-        replay_enabled: bool,
         cache: ReplayCache,
     ) -> Self {
         let fingerprint = structure_fingerprint(a);
@@ -103,7 +106,6 @@ impl TunedPlan {
             nnz: a.nnz(),
             tuning_rounds,
             total_switches,
-            replay_enabled,
             cache,
         }
     }
@@ -172,7 +174,6 @@ impl TunedPlan {
     pub fn session(&self) -> SpmmSession<'_> {
         SpmmSession {
             plan: self,
-            threads: self.config.threads,
             verify_operand: true,
         }
     }
@@ -184,7 +185,6 @@ impl TunedPlan {
     pub(crate) fn session_trusted(&self) -> SpmmSession<'_> {
         SpmmSession {
             plan: self,
-            threads: self.config.threads,
             verify_operand: false,
         }
     }
@@ -210,7 +210,6 @@ impl TunedPlan {
 #[derive(Debug, Clone)]
 pub struct SpmmSession<'p> {
     plan: &'p TunedPlan,
-    threads: Option<usize>,
     /// Whether `run` re-hashes the operand's structure against the plan's
     /// fingerprint (false only via `TunedPlan::session_trusted`).
     verify_operand: bool,
@@ -220,13 +219,6 @@ impl SpmmSession<'_> {
     /// The plan this session executes against.
     pub fn plan(&self) -> &TunedPlan {
         self.plan
-    }
-
-    /// Overrides the worker-thread count for this session (`None` restores
-    /// the [`exec::num_threads`] default). Results are bit-identical at
-    /// any setting; this only affects wall-clock.
-    pub fn set_threads(&mut self, threads: Option<usize>) {
-        self.threads = threads;
     }
 
     /// The timing half of [`run`](SpmmEngine::run), from `A`'s structure
@@ -270,8 +262,8 @@ impl SpmmSession<'_> {
         let mut queue_high_water = vec![0u32; n_pes];
         // The cache is shared only when the operand is resident on chip
         // (the same validity condition as the engine's replay path).
-        let cache = (plan.replay_enabled && plan.memory.on_chip).then_some(&plan.cache);
-        let threads = self.threads.unwrap_or_else(exec::num_threads);
+        let cache = plan.memory.on_chip.then_some(&plan.cache);
+        let threads = plan.config.threads.unwrap_or_else(exec::num_threads);
         execute_steady(
             SteadySpan {
                 a,
@@ -298,25 +290,9 @@ impl SpmmEngine for SpmmSession<'_> {
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
         let stats = self.run_timing(a.pattern(), b, label)?;
         let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-        let threads = self.threads.unwrap_or_else(exec::num_threads);
+        let threads = self.plan.config.threads.unwrap_or_else(exec::num_threads);
         compute_columns(a, b, threads, &mut c);
         Ok(SpmmOutcome { c, stats })
-    }
-
-    fn plan(
-        &mut self,
-        a: &Csc,
-        warmup: &DenseMatrix,
-        label: &str,
-    ) -> Result<PlanOutcome, AccelError> {
-        // A session is already backed by a plan; "planning" on it runs the
-        // warm-up through the session and hands back a snapshot of the
-        // underlying plan (cache included).
-        let outcome = self.run(a, warmup, label)?;
-        Ok(PlanOutcome {
-            plan: self.plan.clone(),
-            warmup: outcome,
-        })
     }
 
     fn config(&self) -> &AccelConfig {
@@ -361,8 +337,10 @@ mod tests {
         let warmup = dense_full(n, 8);
         let config = Design::LocalPlusRemote { hop: 1 }
             .apply(AccelConfig::builder().n_pes(n_pes).build().unwrap());
-        let out = FastEngine::new(config).plan(&a, &warmup, "warmup").unwrap();
-        (a, out.plan)
+        let mut engine = FastEngine::new(config);
+        engine.run(&a, &warmup, "warmup").unwrap();
+        let plan = engine.freeze_plan(a.pattern()).unwrap();
+        (a, plan)
     }
 
     #[test]
@@ -385,9 +363,10 @@ mod tests {
         let config = Design::LocalPlusRemote { hop: 2 }
             .apply(AccelConfig::builder().n_pes(8).build().unwrap());
         let mut engine = FastEngine::new(config);
-        let planned = engine.plan(&a, &b, "warmup").unwrap();
+        engine.run(&a, &b, "warmup").unwrap();
+        let plan = engine.freeze_plan(a.pattern()).unwrap();
         let from_engine = engine.run(&a, &b, "req").unwrap();
-        let from_session = planned.plan.session().run(&a, &b, "req").unwrap();
+        let from_session = plan.session().run(&a, &b, "req").unwrap();
         assert_eq!(from_engine.stats, from_session.stats);
         assert_eq!(from_engine.c, from_session.c);
     }

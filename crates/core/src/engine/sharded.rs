@@ -64,7 +64,7 @@ use crate::engine::steady::{compute_columns, structure_fingerprint};
 use crate::engine::streaming::{
     plan_stream_shards, store_err, stream_pass, verify_operand, StreamStats,
 };
-use crate::engine::{check_shapes, FastEngine, PlanOutcome, SpmmEngine, SpmmOutcome, TunedPlan};
+use crate::engine::{check_shapes, FastEngine, SpmmEngine, SpmmOutcome, TunedPlan};
 use crate::error::AccelError;
 use crate::exec;
 use crate::stats::{RoundStats, SpmmStats};
@@ -587,21 +587,6 @@ impl SpmmEngine for ShardedEngine {
         self.run_detailed(a, b, label).map(|s| s.outcome)
     }
 
-    fn plan(
-        &mut self,
-        _a: &Csc,
-        _warmup: &DenseMatrix,
-        _label: &str,
-    ) -> Result<PlanOutcome, AccelError> {
-        // A sharded warm-up freezes into a ShardedPlan, which is not a
-        // single TunedPlan; use `ShardedEngine::freeze_plan` instead.
-        Err(AccelError::InvalidConfig(
-            "sharded engines freeze via ShardedEngine::freeze_plan (a ShardedPlan is not a \
-             single TunedPlan)"
-                .into(),
-        ))
-    }
-
     fn config(&self) -> &AccelConfig {
         &self.config
     }
@@ -788,18 +773,6 @@ impl ShardedSession<'_> {
 impl SpmmEngine for ShardedSession<'_> {
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
         self.run_detailed(a, b, label).map(|s| s.outcome)
-    }
-
-    fn plan(
-        &mut self,
-        _a: &Csc,
-        _warmup: &DenseMatrix,
-        _label: &str,
-    ) -> Result<PlanOutcome, AccelError> {
-        Err(AccelError::InvalidConfig(
-            "sharded sessions execute an existing ShardedPlan; they do not produce TunedPlans"
-                .into(),
-        ))
     }
 
     fn config(&self) -> &AccelConfig {
@@ -1043,32 +1016,6 @@ mod tests {
             assert!(
                 matches!(
                     plan.session().run_detailed(&other, &b, "t"),
-                    Err(AccelError::InvalidConfig(_))
-                ),
-                "{name}"
-            );
-        }
-    }
-
-    #[test]
-    fn spmm_engine_plan_is_a_typed_error() {
-        let a = skewed(64, 40);
-        let b = dense(64, 2);
-        for mut source in sources("plan-stub", &a) {
-            let name = source.name;
-            let engine = &mut source.engine;
-            assert!(
-                matches!(
-                    SpmmEngine::plan(engine, &a, &b, "t"),
-                    Err(AccelError::InvalidConfig(_))
-                ),
-                "{name}"
-            );
-            engine.run(&a, &b, "t").unwrap();
-            let plan = engine.freeze_plan(&a).unwrap();
-            assert!(
-                matches!(
-                    SpmmEngine::plan(&mut plan.session(), &a, &b, "t"),
                     Err(AccelError::InvalidConfig(_))
                 ),
                 "{name}"

@@ -78,8 +78,8 @@ where
     par_map_threads(num_threads(), items, f)
 }
 
-/// [`par_map`] with an explicit worker count (used by tests and by engines
-/// carrying a per-instance thread override).
+/// [`par_map`] with an explicit worker count (used by tests and by
+/// callers that honour [`AccelConfig::threads`](crate::AccelConfig::threads)).
 ///
 /// `threads <= 1` (or a single-item input) runs inline on the calling
 /// thread — the guaranteed-sequential reference path.

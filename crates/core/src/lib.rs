@@ -19,7 +19,7 @@
 //! reproduce the paper's CLB and inferences-per-kJ reporting.
 //!
 //! The converged tuning state is a first-class artifact: a warm-up phase
-//! ([`SpmmEngine::plan`] / [`GcnRunner::prepare`]) produces a frozen,
+//! ([`FastEngine::freeze_plan`] / [`GcnRunner::prepare`]) produces a frozen,
 //! shareable [`TunedPlan`]/[`GcnPlan`], and per-request
 //! [`SpmmSession`]s/[`GcnPlan::run`] execute against it without re-paying
 //! tuning. [`GcnService`] builds the batched multi-request serving
@@ -37,7 +37,7 @@
 //!
 //! Strategy selection itself can be delegated to the calibrated per-layer
 //! cost model ([`StrategyPolicy::Auto`] / [`cost`]): prepare profiles the
-//! input, scores the candidate design/shard/replay space, and freezes the
+//! input, scores the candidate design/shard space, and freezes the
 //! predicted-fastest configuration — bit-identical to hand-specifying it.
 //!
 //! # Quickstart
@@ -84,10 +84,10 @@ pub use config::{
     AccelConfig, AccelConfigBuilder, Design, MappingKind, RetryPolicy, ServeOptions, ShardPolicy,
     SltPolicy, StallMode, StrategyPolicy, DEFAULT_HOST_MEM_BUDGET,
 };
-pub use cost::{AutoDecision, Calibration, CostProfile, IoForecast, LayerForecast};
+pub use cost::{AutoDecision, Calibration, CostProfile, LayerForecast};
 pub use energy::{cycles_to_ms, EnergyModel};
 pub use engine::{
-    DetailedEngine, FastEngine, PlanOutcome, PlanShard, ShardedEngine, ShardedOutcome, ShardedPlan,
+    DetailedEngine, FastEngine, PlanShard, ShardedEngine, ShardedOutcome, ShardedPlan,
     ShardedSession, SpmmEngine, SpmmOutcome, SpmmSession, StreamStats, TdqMode, TunedPlan,
 };
 pub use error::AccelError;

@@ -146,10 +146,6 @@ pub struct AutoReport {
     /// True when the decision was re-scored against the unsharded
     /// candidate set after a degraded sharded prepare.
     pub rescored_unsharded: bool,
-    /// Predicted store-read seconds per warm request, from the cost
-    /// model's warn-only [`IoForecast`](crate::IoForecast); `None` for
-    /// resident configurations.
-    pub io_read_s: Option<f64>,
 }
 
 /// One served request's result.
@@ -640,7 +636,6 @@ impl GcnService {
             measured_wall_s: wall_s,
             candidates_scored: d.candidates_scored,
             rescored_unsharded: d.rescored_unsharded,
-            io_read_s: d.io.as_ref().map(|io| io.read_s),
         });
         Ok(PrepareReport {
             graph: name,

@@ -19,6 +19,11 @@ enum MmField {
     Pattern,
 }
 
+/// Entries reserved up front from the size line. Larger files grow the
+/// buffer as entries arrive, so a header that overstates `nnz` cannot
+/// force a huge allocation before a single entry is read.
+const MAX_UPFRONT_RESERVE: usize = 1 << 20;
+
 /// Symmetry declared in the Matrix Market header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MmSymmetry {
@@ -33,8 +38,8 @@ enum MmSymmetry {
 ///
 /// Returns [`SparseError::MalformedFormat`] for syntax errors, unsupported
 /// header variants (`array` storage, `complex`/`hermitian`/`skew-symmetric`
-/// qualifiers), out-of-range indices, non-finite (NaN/±inf) values, or
-/// entry-count mismatches.
+/// qualifiers), dimensions beyond the `u32` index space, out-of-range
+/// indices, non-finite (NaN/±inf) values, or entry-count mismatches.
 ///
 /// # Example
 ///
@@ -85,12 +90,19 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Coo> {
         )));
     };
 
+    if rows > u32::MAX as usize || cols > u32::MAX as usize {
+        return Err(SparseError::MalformedFormat(format!(
+            "dimensions {rows}x{cols} exceed the u32 index space"
+        )));
+    }
+    let stored = match symmetry {
+        MmSymmetry::Symmetric => nnz.checked_mul(2).ok_or_else(|| {
+            SparseError::MalformedFormat(format!("declared nnz {nnz} overflows when mirrored"))
+        })?,
+        MmSymmetry::General => nnz,
+    };
     let mut coo = Coo::new(rows, cols);
-    coo.reserve(if symmetry == MmSymmetry::Symmetric {
-        nnz * 2
-    } else {
-        nnz
-    });
+    coo.reserve(stored.min(MAX_UPFRONT_RESERVE));
     let mut read = 0usize;
     for line in lines {
         let line = line.map_err(io_err)?;
@@ -338,6 +350,41 @@ mod tests {
         // Finite extremes still pass.
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 3.4e38\n";
         assert!(read_matrix_market(text.as_bytes()).is_ok());
+    }
+
+    #[test]
+    fn oversized_dimensions_are_a_typed_error() {
+        for size in ["5000000000 1 0", "1 5000000000 0"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
+            let err = read_matrix_market(text.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, SparseError::MalformedFormat(ref m) if m.contains("u32")),
+                "{size} -> {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn huge_declared_nnz_is_not_reserved_up_front() {
+        // A header declaring 10^12 entries followed by one entry: the
+        // reader must reach the count check instead of aborting on a
+        // multi-terabyte reservation.
+        let text = "%%MatrixMarket matrix coordinate real general\n1 1 1000000000000\n1 1 1.0\n";
+        let err = read_matrix_market(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, SparseError::MalformedFormat(ref m) if m.contains("file contained 1")),
+            "{err:?}"
+        );
+        // The symmetric mirror of a usize-max count overflows: typed too.
+        let text = format!(
+            "%%MatrixMarket matrix coordinate real symmetric\n1 1 {}\n1 1 1.0\n",
+            usize::MAX
+        );
+        let err = read_matrix_market(text.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, SparseError::MalformedFormat(ref m) if m.contains("overflows")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -29,8 +29,8 @@
 //! memory budget of MB megabytes per device (mutually exclusive with the
 //! fixed counts). Outputs are bit-identical in every combination.
 //!
-//! `--auto` delegates the whole choice — design point, shard counts,
-//! replay — to the calibrated per-layer cost model (`StrategyPolicy::Auto`):
+//! `--auto` delegates the whole choice — design point and shard counts —
+//! to the calibrated per-layer cost model (`StrategyPolicy::Auto`):
 //! prepare profiles the input, scores the candidate space, and freezes the
 //! predicted-fastest configuration. It therefore rejects `--design`,
 //! `--shards`, and `--xw-shards` (the model owns those knobs), while
@@ -94,7 +94,6 @@ const USAGE: &str = "usage:
   --scale:    node-scale factor                  (default 1.0)
   --seed:     generator seed                     (default 42)
   --threads:  host worker threads                (default AWB_THREADS/auto)
-  --no-replay: disable the steady-state replay cache
   --shards:   nnz-balanced column shards of A (>= 1) for the aggregation
               phase A*(XW)                       (default unsharded)
   --xw-shards: nnz-balanced column shards of each layer's X (>= 1) for
@@ -107,8 +106,8 @@ const USAGE: &str = "usage:
               mutually exclusive with --shards/--mem-budget
   --host-mem-budget: peak resident sparse bytes of the streaming pipeline
               in MB (>= 1; default 256); requires --store
-  --auto:     let the calibrated cost model pick the design point, shard
-              counts, and replay at prepare time; rejects --design,
+  --auto:     let the calibrated cost model pick the design point and
+              shard counts at prepare time; rejects --design,
               --shards and --xw-shards (--mem-budget still applies: it
               shapes the memory model candidates are scored against)
   sweep: runs the paper design lineup at one PE count and prints per-point
@@ -178,7 +177,6 @@ struct Options {
     auto: bool,
     csv: bool,
     threads: Option<usize>,
-    replay: bool,
     shards: Option<usize>,
     xw_shards: Option<usize>,
     mem_budget_mb: Option<usize>,
@@ -207,7 +205,6 @@ fn parse_options(args: &[String]) -> Result<Options, Box<dyn Error>> {
     let mut auto = false;
     let mut csv = false;
     let mut threads = None;
-    let mut replay = true;
     let mut shards = None;
     let mut xw_shards = None;
     let mut mem_budget_mb = None;
@@ -235,7 +232,6 @@ fn parse_options(args: &[String]) -> Result<Options, Box<dyn Error>> {
             "--auto" => auto = true,
             "--csv" => csv = true,
             "--threads" => threads = Some(next_value(&mut it, "--threads")?.parse()?),
-            "--no-replay" => replay = false,
             "--shards" => shards = Some(next_value(&mut it, "--shards")?.parse()?),
             "--xw-shards" => xw_shards = Some(next_value(&mut it, "--xw-shards")?.parse()?),
             "--mem-budget" => mem_budget_mb = Some(next_value(&mut it, "--mem-budget")?.parse()?),
@@ -349,7 +345,6 @@ fn parse_options(args: &[String]) -> Result<Options, Box<dyn Error>> {
         auto,
         csv,
         threads,
-        replay,
         shards,
         xw_shards,
         mem_budget_mb,
@@ -429,7 +424,7 @@ fn config_for(opts: &Options) -> Result<AccelConfig, Box<dyn Error>> {
         .pes
         .unwrap_or_else(|| ((1024.0 * opts.scale).round() as usize).max(32));
     let mut builder = AccelConfig::builder();
-    builder.n_pes(pes).threads(opts.threads).replay(opts.replay);
+    builder.n_pes(pes).threads(opts.threads);
     builder
         .store(opts.store.clone())
         .host_mem_budget(opts.host_mem_budget_mb.map(|mb| mb << 20));
@@ -508,25 +503,6 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
                 decision.predicted_cycles,
                 decision.candidates_scored,
             );
-            if let Some(io) = &decision.io {
-                let compute_s = (decision.predicted_wall_s - io.read_s).max(0.0);
-                println!(
-                    "            store I/O forecast (warn-only): {:.1} MB/pass x {} passes \
-                     at {:.0} MB/s = {:.3}s read",
-                    io.bytes_per_pass as f64 / 1e6,
-                    io.passes,
-                    io.read_bytes_per_s / 1e6,
-                    io.read_s,
-                );
-                if io.read_s > compute_s {
-                    println!(
-                        "            warning: predicted store reads ({:.3}s) dominate predicted \
-                         compute ({:.3}s) — the run is I/O-bound; consider a larger \
-                         --host-mem-budget or faster storage",
-                        io.read_s, compute_s,
-                    );
-                }
-            }
         }
         config = decision.apply(&config);
         design_label = decision.design.label();
@@ -748,12 +724,6 @@ fn serve(args: &[String]) -> Result<(), Box<dyn Error>> {
                 ""
             },
         );
-        if let Some(read_s) = auto.io_read_s {
-            println!(
-                "auto      : store I/O forecast (warn-only): {read_s:.3}s predicted read per \
-                 request",
-            );
-        }
     }
     if let Some(stream) = &report.stream {
         println!(

@@ -168,7 +168,7 @@ fn serve_prepares_once_and_verifies_against_cold_runs() {
 
 #[test]
 fn serve_threads_and_replay_flags_accepted() {
-    let out = awb_sim(&[
+    let args = [
         "serve",
         "cora",
         "--scale",
@@ -179,18 +179,25 @@ fn serve_threads_and_replay_flags_accepted() {
         "2",
         "--threads",
         "2",
-        "--no-replay",
         "--seed",
         "3",
-    ]);
+    ];
+    let out = awb_sim(&args);
     assert!(
         out.status.success(),
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    // With replay disabled the cache is never consulted.
-    assert!(text.contains("replay 0 hits / 0 misses"), "{text}");
+    // Replay is not a knob: the on-chip plan's cache is always consulted.
+    assert!(text.contains(" hits / "), "{text}");
+    assert!(!text.contains("replay 0 hits / 0 misses"), "{text}");
+
+    // `--no-replay` is not a flag: replay is not a configuration choice.
+    let out = awb_sim(&[&args[..], &["--no-replay"]].concat());
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag `--no-replay`"), "{err}");
 }
 
 /// Golden-structure test of sharded serving: the graph is partitioned
@@ -513,7 +520,8 @@ fn run_auto_reports_resolved_choice() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("auto      : chose "), "{text}");
     assert!(text.contains("candidates scored"), "{text}");
-    assert!(text.contains("| replay "), "{text}");
+    assert!(text.contains(" | A ") && text.contains(" | X "), "{text}");
+    assert!(!text.contains("| replay "), "{text}");
     assert!(
         text.contains("design ") && text.contains(" on 32 PEs"),
         "{text}"

@@ -116,16 +116,16 @@ proptest! {
         n_pes_log in 2u32..5,
     ) {
         let b = dense_for(a.cols(), cols, seed);
-        let config = design.apply(
+        let mut config = design.apply(
             AccelConfig::builder().n_pes(1 << n_pes_log).build().unwrap(),
         );
+        config.threads = Some(1);
         let mut straight = FastEngine::new(config.clone());
         straight.set_replay_enabled(false);
-        straight.set_threads(Some(1));
         let reference = straight.run(&a, &b, "prop").unwrap();
 
+        config.threads = Some(threads);
         let mut replayed = FastEngine::new(config);
-        replayed.set_threads(Some(threads));
         let out = replayed.run(&a, &b, "prop").unwrap();
 
         prop_assert_eq!(&out.stats, &reference.stats);
@@ -148,7 +148,9 @@ proptest! {
     /// repeats after other patterns, tuning phases that end mid-run and
     /// cross run boundaries — every round executes its column's tasks, and
     /// stats, per-PE queue high-water marks and outputs equal a straight
-    /// simulation of every round, on a cold and on a warm engine.
+    /// simulation of every round, on a cold and on a warm engine, and
+    /// through a session on the plan frozen from the replaying engine
+    /// (sessions always replay an on-chip operand).
     #[test]
     fn multi_run_replay_matches_straight_simulation(
         a in sparse_strategy(48, 160),
@@ -159,14 +161,14 @@ proptest! {
         n_pes_log in 2u32..5,
     ) {
         let b = masked_dense(a.cols(), &masks, &pieces);
-        let config = design.apply(
+        let mut config = design.apply(
             AccelConfig::builder().n_pes(1 << n_pes_log).build().unwrap(),
         );
+        config.threads = Some(1);
         let mut straight = FastEngine::new(config.clone());
         straight.set_replay_enabled(false);
-        straight.set_threads(Some(1));
+        config.threads = Some(threads);
         let mut replayed = FastEngine::new(config);
-        replayed.set_threads(Some(threads));
         // Each round executes one task per (non-zero of `A`'s column j,
         // non-zero b(j, k)): an oracle independent of run detection and
         // of the tuning loop's round reuse, which both engines share.
@@ -190,6 +192,22 @@ proptest! {
             );
             prop_assert_eq!(&out.c, &reference.c);
         }
+
+        // Freeze both engines the same way (the tuner may still be active
+        // after two short runs); the session on the replaying engine's
+        // plan must equal the straight engine's next, frozen, run.
+        let plan = replayed.freeze_plan(a.pattern()).unwrap();
+        straight.freeze_plan(a.pattern()).unwrap();
+        let consulted = plan.replay_hits() + plan.replay_misses();
+        let reference = straight.run(&a, &b, "prop").unwrap();
+        let served = plan.session().run(&a, &b, "prop").unwrap();
+        prop_assert_eq!(&served.stats, &reference.stats);
+        prop_assert_eq!(&served.c, &reference.c);
+        prop_assert_eq!(
+            plan.replay_hits() + plan.replay_misses() - consulted,
+            b.cols() as u64
+        );
+        prop_assert_eq!(straight.replay_hits() + straight.replay_misses(), 0);
     }
 
     /// Column-sharded execution is a pure execution-layer change: for any
