@@ -72,8 +72,9 @@ fn bench_kernel_old_vs_new(c: &mut Criterion) {
     group.finish();
 }
 
-/// Blocked (multi-column accumulate, `csc_times_dense_blocked`) vs scalar
-/// (one column per pass, `csc_times_dense`) kernels across operand scales
+/// Blocked (one pass over `A` into every output lane, skipping all-zero
+/// 8-lane blocks, `csc_times_dense_blocked`) vs scalar (one column per
+/// pass, `csc_times_dense`) kernels across operand scales
 /// and B widths — ISSUE 8's tentpole. Outputs are bit-identical (pinned
 /// reduction order, asserted in `awb_sparse::spmm` tests and the blocked
 /// proptest), so this group is pure speed; the headline target is ≥1.5×

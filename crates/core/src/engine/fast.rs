@@ -45,7 +45,7 @@
 
 use crate::config::AccelConfig;
 use crate::engine::steady::{
-    column_runs, compute_columns, execute_steady, simulate_round, structure_fingerprint,
+    column_runs, compute_columns, execute_steady, simulate_round, structure_fingerprint, ColumnRun,
     MemoryParams, ReplayCache, RoundTiming, SimParams, SteadySpan,
 };
 use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome, TunedPlan};
@@ -204,6 +204,34 @@ impl FastEngine {
         label: &str,
     ) -> Result<SpmmStats, AccelError> {
         check_shapes(a, b)?;
+        self.time_runs(a, column_runs(b, 0..b.rows()), label, true)
+    }
+
+    /// The timing of one SPMM on a fresh engine that is dropped after the
+    /// call — the GCN layers' `X × W`, whose `X` differs per layer and
+    /// request. Nothing can replay its cache later, so it skips the
+    /// structure fingerprint that guards a reusable engine's cache; every
+    /// statistic is what [`run_timing`](FastEngine::run_timing) reports.
+    /// `runs` are the dense operand's [`column_runs`] for `a`'s columns
+    /// (shapes checked by the caller).
+    pub(crate) fn time_once(
+        config: &AccelConfig,
+        a: &CscPattern,
+        runs: Vec<ColumnRun>,
+        label: &str,
+    ) -> Result<SpmmStats, AccelError> {
+        FastEngine::new(config.clone()).time_runs(a, runs, label, false)
+    }
+
+    /// [`run_timing`](FastEngine::run_timing) over the dense operand's
+    /// column runs; `guard` fingerprints `a` against the replay cache.
+    pub(crate) fn time_runs(
+        &mut self,
+        a: &CscPattern,
+        mut runs: Vec<ColumnRun>,
+        label: &str,
+        guard: bool,
+    ) -> Result<SpmmStats, AccelError> {
         self.ensure_state(a.rows())?;
         let n_pes = self.config.n_pes;
         let n_rows = a.rows();
@@ -222,19 +250,18 @@ impl FastEngine {
         // Replayed timings describe *this* operand's structure under the
         // frozen map; a structurally different operand invalidates them.
         let use_replay = self.replay_enabled && memory.on_chip;
-        if use_replay {
+        if use_replay && guard {
             self.cache.guard(structure_fingerprint(a));
         }
 
-        let mut rounds = Vec::with_capacity(b.cols());
+        let mut rounds = Vec::with_capacity(runs.last().map_or(0, |run| run.cols.end));
         let mut queue_high_water = vec![0u32; n_pes];
 
         // ---- Phase 1: tuning rounds, inherently sequential ----
         // Each round observes the map the previous round's switching
         // produced, so these cannot replay or run concurrently. They are
-        // timing only: the numerics of every column run once, blocked,
+        // timing only: the numerics of every column run once, in one pass,
         // after the steady phase.
-        let mut runs = column_runs(b);
         let map = self.map.as_mut().expect("initialized in ensure_state");
         let tuner = self.tuner.as_mut().expect("initialized in ensure_state");
         for run in runs.iter_mut() {
@@ -330,10 +357,9 @@ impl FastEngine {
 impl SpmmEngine for FastEngine {
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
         let stats = self.run_timing(a.pattern(), b, label)?;
-        // Numerics: every output column once, through the blocked kernel.
-        let mut c = DenseMatrix::zeros(a.rows(), b.cols());
+        // Numerics: one pass over `A` into every output column.
         let threads = self.config.threads.unwrap_or_else(exec::num_threads);
-        compute_columns(a, b, threads, &mut c);
+        let c = compute_columns(a, b, threads);
         Ok(SpmmOutcome { c, stats })
     }
 
@@ -516,7 +542,7 @@ mod tests {
         let initial = RowMap::new(a.rows(), cfg.n_pes, cfg.mapping);
         let fresh = simulate_round(
             a.pattern(),
-            &column_pattern(&b, 1),
+            &column_pattern(&b, 1, 0..b.rows()),
             initial.pe_of_row(),
             params,
             None,

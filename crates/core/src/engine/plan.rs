@@ -29,7 +29,8 @@
 
 use crate::config::AccelConfig;
 use crate::engine::steady::{
-    column_runs, compute_columns, execute_steady, MemoryParams, ReplayCache, SimParams, SteadySpan,
+    column_runs, compute_columns, execute_steady, ColumnRun, MemoryParams, ReplayCache, SimParams,
+    SteadySpan,
 };
 use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome};
 use crate::error::AccelError;
@@ -239,6 +240,17 @@ impl SpmmSession<'_> {
         label: &str,
     ) -> Result<SpmmStats, AccelError> {
         check_shapes(a, b)?;
+        self.time_runs(a, &column_runs(b, 0..b.rows()), label)
+    }
+
+    /// [`run_timing`](SpmmSession::run_timing) over the dense operand's
+    /// column runs for `a`'s columns (shapes checked by the caller).
+    pub(crate) fn time_runs(
+        &self,
+        a: &CscPattern,
+        runs: &[ColumnRun],
+        label: &str,
+    ) -> Result<SpmmStats, AccelError> {
         let plan = self.plan;
         if a.rows() != plan.row_map.n_rows() {
             return Err(AccelError::InvalidConfig(format!(
@@ -258,7 +270,7 @@ impl SpmmSession<'_> {
             }
         }
         let n_pes = plan.config.n_pes;
-        let mut rounds = Vec::with_capacity(b.cols());
+        let mut rounds = Vec::with_capacity(runs.last().map_or(0, |run| run.cols.end));
         let mut queue_high_water = vec![0u32; n_pes];
         // The cache is shared only when the operand is resident on chip
         // (the same validity condition as the engine's replay path).
@@ -267,7 +279,7 @@ impl SpmmSession<'_> {
         execute_steady(
             SteadySpan {
                 a,
-                runs: &column_runs(b),
+                runs,
                 pe_of_row: plan.row_map.pe_of_row(),
                 params: plan.sim_params(),
                 memory: plan.memory,
@@ -289,9 +301,8 @@ impl SpmmSession<'_> {
 impl SpmmEngine for SpmmSession<'_> {
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
         let stats = self.run_timing(a.pattern(), b, label)?;
-        let mut c = DenseMatrix::zeros(a.rows(), b.cols());
         let threads = self.plan.config.threads.unwrap_or_else(exec::num_threads);
-        compute_columns(a, b, threads, &mut c);
+        let c = compute_columns(a, b, threads);
         Ok(SpmmOutcome { c, stats })
     }
 

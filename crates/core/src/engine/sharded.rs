@@ -21,9 +21,8 @@
 //! * **Stored** — shards are chunk-aligned ranges of a
 //!   [`SparseStore`], each sized to half the host-memory budget, and are
 //!   read on every pass: one at a time in ascending column order, each
-//!   slice dropped before the next is read, into persistent block
-//!   accumulators (the `streaming` module). The pass reports its
-//!   [`StreamStats`].
+//!   accumulated straight into the output and dropped before the next is
+//!   read (the `streaming` module). The pass reports its [`StreamStats`].
 //!
 //! The numerics path follows the source; nothing else differs.
 //!
@@ -60,7 +59,7 @@
 //! directly.
 
 use crate::config::AccelConfig;
-use crate::engine::steady::{compute_columns, structure_fingerprint};
+use crate::engine::steady::{column_runs, compute_columns, structure_fingerprint, ColumnRun};
 use crate::engine::streaming::{
     plan_stream_shards, store_err, stream_pass, verify_operand, StreamStats,
 };
@@ -185,11 +184,8 @@ pub(crate) fn shard_timing(
     }
     let threads = config.threads.unwrap_or_else(exec::num_threads);
     let results = exec::par_map_threads(threads, &cuts, |cols| {
-        FastEngine::new(config.clone()).run_timing(
-            &a.col_range(cols.clone()),
-            &b.row_range(cols.clone()),
-            label,
-        )
+        let runs = column_runs(b, cols.clone());
+        FastEngine::time_once(config, &a.col_range(cols.clone()), runs, label)
     });
     let per_shard = results.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(merge_stats(label, &per_shard))
@@ -284,6 +280,11 @@ impl Clone for LastPass {
     }
 }
 
+/// Simulates one shard's timing on its device from the shard's pattern
+/// and the dense operand's column runs over the shard's rows of `B`.
+pub(crate) type TimeShard<'f, D> =
+    dyn Fn(&D, &CscPattern, Vec<ColumnRun>) -> Result<SpmmStats, AccelError> + Sync + 'f;
+
 /// Runs one request over `shards` — `time` simulates a shard's timing on
 /// its device — and merges it. The numerics path follows the source:
 /// resident shards fan out and the merge runs `compute_columns` on `a`;
@@ -295,7 +296,7 @@ fn run_pass<D: Sync>(
     b: &DenseMatrix,
     label: &str,
     threads: Option<usize>,
-    time: &(dyn Fn(&D, &CscPattern, &DenseMatrix) -> Result<SpmmStats, AccelError> + Sync),
+    time: &TimeShard<'_, D>,
 ) -> Result<ShardedOutcome, AccelError> {
     let (c, per_shard, stream) = match source {
         ShardSource::Stored(store) => {
@@ -304,14 +305,16 @@ fn run_pass<D: Sync>(
         }
         ShardSource::Resident => {
             let workers = threads.unwrap_or_else(exec::num_threads);
-            let results = exec::par_map_threads(workers, shards, |shard| match &shard.slice {
-                Some(slice) => time(&shard.device, slice, &b.row_range(shard.cols.clone())),
-                None => time(&shard.device, a.pattern(), b),
+            let results = exec::par_map_threads(workers, shards, |shard| {
+                let runs = column_runs(b, shard.cols.clone());
+                time(
+                    &shard.device,
+                    shard.slice.as_deref().unwrap_or(a.pattern()),
+                    runs,
+                )
             });
             let per_shard = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-            let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-            compute_columns(a, b, workers, &mut c);
-            (c, per_shard, None)
+            (compute_columns(a, b, workers), per_shard, None)
         }
     };
     Ok(ShardedOutcome {
@@ -533,7 +536,7 @@ impl ShardedEngine {
             b,
             label,
             self.config.threads,
-            &|engine, a, b| lock(engine).run_timing(a, b, label),
+            &|engine, a, runs| lock(engine).time_runs(a, runs, label, true),
         )?;
         self.last_stream = out.stream;
         Ok(out)
@@ -761,7 +764,7 @@ impl ShardedSession<'_> {
             plan.config.threads,
             // Timing-only member sessions: the merged numerics follow the
             // shard source in `run_pass`.
-            &|shard_plan, a, b| shard_plan.session_trusted().run_timing(a, b, label),
+            &|shard_plan, a, runs| shard_plan.session_trusted().time_runs(a, &runs, label),
         )?;
         if out.stream.is_some() {
             *lock(&plan.last_stream.0) = out.stream;

@@ -24,7 +24,7 @@ use crate::exec;
 use crate::rebalance::local::{rank_bits, rank_offset, tie_rank, LocalSharing};
 use crate::stats::RoundStats;
 use awb_sparse::spmm::{
-    csc_accumulate_block, drain_block_into, row_major_times_dense_into, RowOperand, ACC_BLOCK_LANES,
+    csc_accumulate_into, row_major_times_dense_into, RowOperand, ZeroBlocks, ACC_BLOCK_LANES,
 };
 use awb_sparse::{Csc, CscPattern, DenseMatrix};
 use std::collections::HashMap;
@@ -289,13 +289,14 @@ fn simulate_round_hop<const HOP: usize>(
     }
 }
 
-/// The non-zero positions of `b[:, k]`, ascending — one round's worth of
-/// dense-operand input as the round model sees it (timing is a pure
+/// The non-zero positions of `b[rows, k]`, ascending and relative to
+/// `rows.start` — one round's worth of dense-operand input as the round
+/// model of a column shard `A[:, rows]` sees it (timing is a pure
 /// function of the pattern, never of the values).
-pub(crate) fn column_pattern(b: &DenseMatrix, k: usize) -> Vec<u32> {
-    (0..b.rows())
-        .filter(|&j| b.get(j, k) != 0.0)
-        .map(|j| j as u32)
+pub(crate) fn column_pattern(b: &DenseMatrix, k: usize, rows: Range<usize>) -> Vec<u32> {
+    let start = rows.start;
+    rows.filter(|&j| b.get(j, k) != 0.0)
+        .map(|j| (j - start) as u32)
         .collect()
 }
 
@@ -310,14 +311,15 @@ pub(crate) struct ColumnRun {
     pub pattern: Vec<u32>,
 }
 
-/// Splits `b`'s columns into [`ColumnRun`]s, in column order. One
+/// Splits the columns of `b[rows, :]` into [`ColumnRun`]s, in column
+/// order, reading `b` in place (a column shard's rows need no copy). One
 /// row-major pass marks each column whose pattern differs from its left
 /// neighbour's in some row; [`column_pattern`] then runs once per run.
-pub(crate) fn column_runs(b: &DenseMatrix) -> Vec<ColumnRun> {
+pub(crate) fn column_runs(b: &DenseMatrix, rows: Range<usize>) -> Vec<ColumnRun> {
     let n_cols = b.cols();
     // `differs[k]`: columns `k` and `k + 1` differ in some row's pattern.
     let mut differs = vec![false; n_cols.saturating_sub(1)];
-    for j in 0..b.rows() {
+    for j in rows.clone() {
         for (d, pair) in differs.iter_mut().zip(b.row(j).windows(2)) {
             *d |= (pair[0] != 0.0) != (pair[1] != 0.0);
         }
@@ -328,7 +330,7 @@ pub(crate) fn column_runs(b: &DenseMatrix) -> Vec<ColumnRun> {
         if end == n_cols || differs[end - 1] {
             runs.push(ColumnRun {
                 cols: start..end,
-                pattern: column_pattern(b, start),
+                pattern: column_pattern(b, start, rows.clone()),
             });
             start = end;
         }
@@ -336,41 +338,55 @@ pub(crate) fn column_runs(b: &DenseMatrix) -> Vec<ColumnRun> {
     runs
 }
 
-/// The `(k0, width)` column blocks covering `0..end` in
-/// [`ACC_BLOCK_LANES`]-wide steps (narrower final block for widths not
-/// divisible by the lane count).
-pub(crate) fn block_spans(end: usize) -> Vec<(usize, usize)> {
-    let mut spans = Vec::new();
-    let mut k0 = 0;
-    while k0 < end {
-        let width = ACC_BLOCK_LANES.min(end - k0);
-        spans.push((k0, width));
-        k0 += width;
-    }
-    spans
+/// Splits `width` output lanes into at most `groups` contiguous ranges
+/// of whole [`ACC_BLOCK_LANES`] blocks (one range when there is nothing
+/// to split).
+fn lane_groups(width: usize, groups: usize) -> Vec<Range<usize>> {
+    let n_blocks = width.div_ceil(ACC_BLOCK_LANES);
+    let groups = groups.min(n_blocks).max(1);
+    (0..groups)
+        .map(|g| {
+            let lo = g * n_blocks / groups * ACC_BLOCK_LANES;
+            let hi = ((g + 1) * n_blocks / groups * ACC_BLOCK_LANES).min(width);
+            lo..hi
+        })
+        .collect()
 }
 
-/// Computes every output column of `C = A × B` through the shared
-/// blocked-accumulate kernel, fanning column *blocks* out on the [`exec`]
-/// substrate, each into its own zeroed accumulator. This is the
-/// numerics half of every engine run — the timing half
-/// ([`execute_steady`], or the fast engine's tuning rounds) never reads
-/// the values. The blocked kernel's pinned reduction order keeps it
-/// bit-identical to the per-column scalar path (see
-/// `csc_accumulate_block`), so the sharded executor pins its merged
-/// output bit-identical to the unsharded engines through it while
-/// simulating timing per shard.
-pub(crate) fn compute_columns(a: &Csc, b: &DenseMatrix, threads: usize, c: &mut DenseMatrix) {
-    let n_rows = a.rows();
-    let blocks = block_spans(b.cols());
-    let accs = exec::par_map_threads(threads, &blocks, |&(k0, width)| {
-        let mut acc = vec![0f32; n_rows * width];
-        csc_accumulate_block(a, b, k0, width, &mut acc);
-        acc
-    });
-    for (&(k0, width), mut acc) in blocks.iter().zip(accs) {
-        drain_block_into(c, k0, width, &mut acc);
+/// Computes `C = A × B` through the one-pass accumulate kernel
+/// ([`csc_accumulate_into`]). This is the numerics half of every engine
+/// run — the timing half ([`execute_steady`], or the fast engine's tuning
+/// rounds) never reads the values. The kernel's pinned reduction order
+/// keeps it bit-identical to the per-column scalar path, so the sharded
+/// executor pins its merged output bit-identical to the unsharded engines
+/// through it while simulating timing per shard.
+///
+/// The output lanes are split into at most `threads` block-aligned groups
+/// on the [`exec`] substrate. One group (always the case on a worker
+/// thread, e.g. a request served inside a batch) accumulates straight
+/// into `C`; several each fill their own buffer, copied into `C` in one
+/// row-major pass.
+pub(crate) fn compute_columns(a: &Csc, b: &DenseMatrix, threads: usize) -> DenseMatrix {
+    let (n_rows, width) = (a.rows(), b.cols());
+    let zero = ZeroBlocks::of(b);
+    let groups = lane_groups(width, exec::workers(threads));
+    let mut data = vec![0f32; n_rows * width];
+    if let [lanes] = &groups[..] {
+        csc_accumulate_into(a, b, 0, &zero, lanes.clone(), &mut data);
+    } else {
+        let parts = exec::par_map_threads(threads, &groups, |lanes| {
+            let mut part = vec![0f32; n_rows * lanes.len()];
+            csc_accumulate_into(a, b, 0, &zero, lanes.clone(), &mut part);
+            part
+        });
+        for (i, row) in data.chunks_exact_mut(width).enumerate() {
+            for (lanes, part) in groups.iter().zip(&parts) {
+                let w = lanes.len();
+                row[lanes.clone()].copy_from_slice(&part[i * w..(i + 1) * w]);
+            }
+        }
     }
+    DenseMatrix::from_vec(n_rows, width, data).expect("buffer sized to the output matrix")
 }
 
 /// Computes `C = X × W` for an operand read row by row — the numerics of
@@ -845,7 +861,7 @@ mod tests {
     fn reference_runs(b: &DenseMatrix, start: usize) -> Vec<ColumnRun> {
         let mut runs: Vec<ColumnRun> = Vec::new();
         for k in start..b.cols() {
-            let pattern = column_pattern(b, k);
+            let pattern = column_pattern(b, k, 0..b.rows());
             match runs.last_mut() {
                 Some(run) if run.pattern == pattern => run.cols.end = k + 1,
                 _ => runs.push(ColumnRun {
@@ -878,7 +894,8 @@ mod tests {
         /// later column, from there. Columns copy one of three row masks
         /// (the first all-zero) or are drawn cell by cell; zero cells are
         /// `0.0` or `-0.0` (both zero) and non-zero cells may be NaN
-        /// (non-zero), so runs longer than one mix with repeats.
+        /// (non-zero), so runs longer than one mix with repeats. A row
+        /// sub-range gives the runs of its copied rows.
         #[test]
         fn column_runs_match_consecutive_pattern_grouping(
             rows in 0usize..7,
@@ -886,6 +903,7 @@ mod tests {
             masks in proptest::collection::vec(proptest::collection::vec(0u32..2, 7), 2),
             sources in proptest::collection::vec(0usize..4, 12),
             cells in proptest::collection::vec((0u32..2, 0usize..3), 84),
+            cut in 0usize..64,
         ) {
             const ZERO: [f32; 2] = [0.0, -0.0];
             const NONZERO: [f32; 3] = [1.5, f32::NAN, -2.0];
@@ -901,17 +919,138 @@ mod tests {
                     b.set(j, k, if nz { NONZERO[pick] } else { ZERO[pick % 2] });
                 }
             }
-            let runs = column_runs(&b);
+            let runs = column_runs(&b, 0..rows);
             for start in 0..=cols {
                 prop_assert_eq!(runs_from(&runs, start), reference_runs(&b, start));
             }
+            // A row range is read in place exactly as its copy would be.
+            let (lo, hi) = (cut % (rows + 1), (cut / 8) % (rows + 1));
+            let (lo, hi) = (lo.min(hi), lo.max(hi));
+            prop_assert_eq!(column_runs(&b, lo..hi), column_runs(&b.row_range(lo..hi), 0..hi - lo));
+        }
+    }
+
+    /// The per-`(j, 8-lane block)` skip rule as the definition reads: for
+    /// each row `j` of `b` and each lane block not all `±0.0`, add
+    /// `a(i, j) · b(j, k)` for every lane `k` of the block, in CSC order.
+    /// Returns the output's bits.
+    fn block_skip_reference(a: &Csc, b: &DenseMatrix) -> Vec<u32> {
+        let width = b.cols();
+        let mut c = vec![0f32; a.rows() * width];
+        for j in 0..a.cols() {
+            for k0 in (0..width).step_by(ACC_BLOCK_LANES) {
+                let lanes = k0..(k0 + ACC_BLOCK_LANES).min(width);
+                if b.row(j)[lanes.clone()].iter().all(|&s| s == 0.0) {
+                    continue;
+                }
+                for (i, v) in a.col_entries(j) {
+                    for k in lanes.clone() {
+                        c[i * width + k] += v * b.get(j, k);
+                    }
+                }
+            }
+        }
+        bits(&c)
+    }
+
+    /// Output bits, every NaN mapped to one pattern: Rust leaves NaN
+    /// payloads and signs unspecified (codegen may commute an addition's
+    /// operands), so NaNs compare by position.
+    fn bits(m: &[f32]) -> Vec<u32> {
+        m.iter()
+            .map(|v| if v.is_nan() { f32::NAN } else { *v }.to_bits())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The one-pass accumulate equals the scalar column kernel bit for
+        /// bit on finite operands, and the per-`(j, block)` skip reference
+        /// on operands with `±inf`/NaN in `b` and in `A` (where skipping a
+        /// zero block or not shows: `inf × 0.0` is NaN) — through `compute_columns`
+        /// at 1, 2 and 3 lane groups, and through three or more column
+        /// shards accumulated in turn into one output, each reading `b`'s
+        /// global rows at its non-zero offset (the streamed pass). `b` mixes
+        /// `±0.0` cells, all-zero rows, all-zero lane blocks and rows
+        /// repeating their predecessor; `A`'s values mix exact quarters
+        /// with values whose sums round, and some entries get a negated
+        /// twin in the next column, which cancels exactly to `+0.0` where
+        /// that `b` row repeats; widths cover 0–20 and above 128.
+        #[test]
+        fn one_pass_accumulate_matches_scalar_and_block_skip(
+            shape in (1usize..24, 1usize..24),
+            entries in proptest::collection::vec((0usize..24, 0usize..24, 0u64..1000), 0..160),
+            width in prop_oneof![0usize..21, 129usize..140],
+            row_modes in proptest::collection::vec(0u32..6, 24),
+            seed in 0u64..1000,
+            cuts in proptest::collection::vec(0usize..24, 2..5),
+            non_finite in prop_oneof![Just(false), Just(true)],
+        ) {
+            let (n_rows, n_cols) = shape;
+            let mut coo = Coo::new(n_rows, n_cols);
+            for &(r, c, h) in &entries {
+                let v = if non_finite && h % 7 == 0 {
+                    [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][(h % 3) as usize]
+                } else if h % 3 == 0 {
+                    (h % 9) as f32 * 0.25 - 1.0
+                } else {
+                    (h % 17) as f32 * 0.1 - 0.85
+                };
+                coo.push(r % n_rows, c % n_cols, v).unwrap();
+                if h % 4 == 0 {
+                    coo.push(r % n_rows, (c + 1) % n_cols, -v).unwrap();
+                }
+            }
+            let a = coo.to_csc();
+            let data: Vec<f32> = (0..n_cols * width)
+                .map(|i| {
+                    let (j, k) = (i / width, i % width);
+                    let h = (i as u64).wrapping_mul(2_654_435_761).wrapping_add(seed) >> 7;
+                    let zero = if h % 2 == 0 { 0.0 } else { -0.0 };
+                    match row_modes[j] {
+                        0 => zero,
+                        1 if k < ACC_BLOCK_LANES => zero,
+                        _ => match h % 11 {
+                            0 | 1 => zero,
+                            2 if non_finite => [f32::INFINITY, f32::NEG_INFINITY, f32::NAN][(h % 3) as usize],
+                            v => (v as f32 - 5.5) * 0.5,
+                        },
+                    }
+                })
+                .collect();
+            let mut b = DenseMatrix::from_vec(n_cols, width, data).unwrap();
+            let repeats = row_modes[..n_cols].iter().enumerate().skip(1);
+            for (j, _) in repeats.filter(|&(_, &mode)| mode == 5) {
+                let previous = b.row(j - 1).to_vec();
+                b.row_mut(j).copy_from_slice(&previous);
+            }
+            let reference = block_skip_reference(&a, &b);
+            if !non_finite {
+                let scalar = awb_sparse::spmm::csc_times_dense(&a, &b).unwrap();
+                prop_assert_eq!(&bits(scalar.as_slice()), &reference);
+            }
+            for threads in 1..=3 {
+                let c = compute_columns(&a, &b, threads);
+                prop_assert_eq!(&bits(c.as_slice()), &reference, "threads {}", threads);
+            }
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c % (n_cols + 1)).collect();
+            bounds.sort_unstable();
+            let zero = ZeroBlocks::of(&b);
+            let mut out = vec![0f32; n_rows * width];
+            let mut lo = 0;
+            for hi in bounds.into_iter().chain([n_cols]) {
+                csc_accumulate_into(&a.col_range(lo..hi), &b, lo, &zero, 0..width, &mut out);
+                lo = hi;
+            }
+            prop_assert_eq!(&bits(&out), &reference);
         }
     }
 
     #[test]
     fn column_runs_of_empty_operands() {
         // No rows: every column has the empty pattern, one run.
-        let runs = column_runs(&DenseMatrix::zeros(0, 5));
+        let runs = column_runs(&DenseMatrix::zeros(0, 5), 0..0);
         assert_eq!(
             runs,
             vec![ColumnRun {
@@ -920,8 +1059,8 @@ mod tests {
             }]
         );
         // No columns: no rounds, no runs.
-        assert!(column_runs(&DenseMatrix::zeros(3, 0)).is_empty());
-        assert!(column_runs(&DenseMatrix::zeros(0, 0)).is_empty());
+        assert!(column_runs(&DenseMatrix::zeros(3, 0), 0..3).is_empty());
+        assert!(column_runs(&DenseMatrix::zeros(0, 0), 0..0).is_empty());
     }
 
     fn timing(cycles: u64) -> RoundTiming {

@@ -12,20 +12,17 @@
 //!
 //! # Bit-identity
 //!
-//! The numerics reuse the pinned blocked-accumulate kernels exactly as
-//! the resident merge does. For every output block, shards are visited in
-//! ascending column order and each shard runs `csc_accumulate_block` over
-//! its slice, so the per-block reduction replays the global
-//! ascending-`j` column stream — the same skip-if-all-zero rule, the
-//! same `csc_axpy_block` calls, the same final `drain_block_into` — and
-//! outputs are bit-identical to resident runs (asserted by the sharded
-//! unit tests and `tests/out_of_core.rs`).
-//!
-//! The only difference from `compute_columns` is *when* blocks see each
-//! column: block accumulators persist across shards (one per output
-//! block, drained once after the last shard) instead of each block
-//! re-scanning a resident operand. Within one block the operation
-//! sequence is unchanged.
+//! The numerics reuse the pinned one-pass accumulate kernel
+//! (`csc_accumulate_into`) exactly as the resident merge does. Shards are
+//! visited in ascending column order and each accumulates its slice
+//! straight into the output `C`, reading `B`'s global rows in place, so
+//! every output element receives its additions in the global
+//! ascending-`j` column stream — the same skip-if-all-zero rule (one
+//! zero-block table per pass, shared by every shard), the same addition
+//! sequence — and outputs are bit-identical to resident runs (asserted
+//! by the sharded unit tests and `tests/out_of_core.rs`). There are no
+//! per-block accumulators and no drain: the accumulator is never `−0.0`,
+//! so accumulating into the zeroed output is the drained result.
 //!
 //! # Accounting
 //!
@@ -34,14 +31,14 @@
 //! compute. Reads and compute never overlap, so `overlap_s` is always 0;
 //! the field stays for readers of the stats shape.
 
-use crate::engine::sharded::Shard;
-use crate::engine::steady::block_spans;
+use crate::engine::sharded::{Shard, TimeShard};
+use crate::engine::steady::column_runs;
 use crate::error::AccelError;
 use crate::stats::SpmmStats;
 use awb_sparse::partition::ColumnPartitioner;
-use awb_sparse::spmm::{csc_accumulate_block, drain_block_into};
+use awb_sparse::spmm::{csc_accumulate_into, ZeroBlocks};
 use awb_sparse::store::{SparseStore, StoreError};
-use awb_sparse::{Csc, CscPattern, DenseMatrix};
+use awb_sparse::{Csc, DenseMatrix};
 use std::ops::Range;
 use std::time::Instant;
 
@@ -147,25 +144,19 @@ pub(crate) fn verify_operand(store: &SparseStore, a: &Csc) -> Result<(), AccelEr
 
 /// Executes one streaming pass over stored `shards`: one shard at a time
 /// in ascending column order, each read, timed, accumulated in pinned
-/// order into persistent block accumulators and dropped before the next
-/// is read; the accumulators drain once after the last shard. `time`
-/// simulates one shard's timing on its device (values-free). Returns the
-/// output, the per-shard stats in shard order, and the pass's I/O stats.
+/// order straight into the output and dropped before the next is read.
+/// `time` simulates one shard's timing on its device (values-free) from
+/// the column runs of the shard's rows of `b`. Returns the output, the
+/// per-shard stats in shard order, and the pass's I/O stats.
 pub(crate) fn stream_pass<D>(
     store: &SparseStore,
     shards: &[Shard<D>],
     b: &DenseMatrix,
-    time: &dyn Fn(&D, &CscPattern, &DenseMatrix) -> Result<SpmmStats, AccelError>,
+    time: &TimeShard<'_, D>,
 ) -> Result<(DenseMatrix, Vec<SpmmStats>, StreamStats), AccelError> {
-    let rows = store.rows();
-    let spans = block_spans(b.cols());
-    // Persistent per-block accumulators: unlike `compute_columns`, which
-    // re-scans a resident operand per block, each block accumulates every
-    // shard's contribution and is drained exactly once at the end.
-    let mut accs: Vec<Vec<f32>> = spans
-        .iter()
-        .map(|&(_, width)| vec![0f32; rows * width])
-        .collect();
+    let (rows, width) = (store.rows(), b.cols());
+    let zero = ZeroBlocks::of(b);
+    let mut c = vec![0f32; rows * width];
     let mut stats = StreamStats {
         shards: shards.len(),
         ..StreamStats::default()
@@ -181,20 +172,14 @@ pub(crate) fn stream_pass<D>(
         stats.resident_peak_bytes = stats.resident_peak_bytes.max(slice.heap_bytes());
 
         let t0 = Instant::now();
-        let b_slice = b.row_range(range.clone());
-        per_shard.push(time(&shard.device, slice.pattern(), &b_slice)?);
-        // Numerics: ascending global column order within each block
-        // (shards ascending, `j` ascending inside the shard), the pinned
-        // reduction stream.
-        for (&(k0, width), acc) in spans.iter().zip(accs.iter_mut()) {
-            csc_accumulate_block(&slice, &b_slice, k0, width, acc);
-        }
+        let runs = column_runs(b, range.clone());
+        per_shard.push(time(&shard.device, slice.pattern(), runs)?);
+        // Numerics: shards ascending, `j` ascending inside the shard — the
+        // pinned global reduction stream.
+        csc_accumulate_into(&slice, b, range.start, &zero, 0..width, &mut c);
         stats.compute_s += t0.elapsed().as_secs_f64();
     }
 
-    let mut c = DenseMatrix::zeros(rows, b.cols());
-    for (&(k0, width), acc) in spans.iter().zip(accs.iter_mut()) {
-        drain_block_into(&mut c, k0, width, acc);
-    }
+    let c = DenseMatrix::from_vec(rows, width, c).expect("buffer sized to the output matrix");
     Ok((c, per_shard, stats))
 }

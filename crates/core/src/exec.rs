@@ -67,6 +67,17 @@ pub fn num_threads() -> usize {
     })
 }
 
+/// The workers a [`par_map_threads`] call with `threads` uses on this
+/// thread at most: `threads` (at least 1), or 1 on a `par_map` worker
+/// thread, where nested calls run inline.
+pub(crate) fn workers(threads: usize) -> usize {
+    if IN_WORKER.with(Cell::get) {
+        1
+    } else {
+        threads.max(1)
+    }
+}
+
 /// Maps `f` over `items` on [`num_threads`] workers, returning results in
 /// item order (see the module-level determinism contract).
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
@@ -89,8 +100,8 @@ where
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len());
-    if threads <= 1 || IN_WORKER.with(Cell::get) {
+    let threads = workers(threads).min(items.len());
+    if threads <= 1 {
         return items.iter().map(f).collect();
     }
 

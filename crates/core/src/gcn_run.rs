@@ -22,10 +22,11 @@
 
 use crate::config::{AccelConfig, ShardPolicy, StrategyPolicy, DEFAULT_HOST_MEM_BUDGET};
 use crate::cost::{self, AutoDecision, CostProfile};
-use crate::engine::steady::compute_rows;
+use crate::engine::steady::{column_runs, compute_rows};
 use crate::engine::streaming::store_err;
 use crate::engine::{
-    shard_timing, FastEngine, ShardedEngine, ShardedOutcome, ShardedPlan, StreamStats, TunedPlan,
+    check_shapes, shard_timing, FastEngine, ShardedEngine, ShardedOutcome, ShardedPlan,
+    StreamStats, TunedPlan,
 };
 use crate::error::AccelError;
 use crate::exec;
@@ -103,7 +104,8 @@ fn run_layers(
         {
             shard_timing(config, partitioner, &x_pattern, w, &label)?
         } else {
-            FastEngine::new(config.clone()).run_timing(&x_pattern, w, &label)?
+            check_shapes(&x_pattern, w)?;
+            FastEngine::time_once(config, &x_pattern, column_runs(w, 0..w.rows()), &label)?
         };
         let x_rows = match &x_hidden {
             Some(x) => RowOperand::Dense(x),

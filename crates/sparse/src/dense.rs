@@ -200,8 +200,10 @@ impl DenseMatrix {
 
     /// Copies the row block `range` into a standalone matrix. Row-major
     /// storage makes this one contiguous slice copy — the dense mirror of
-    /// [`Csr::row_range`](crate::Csr::row_range), used to cut the dense
-    /// operand `B[lo..hi, :]` that a column shard `A[:, lo..hi]` multiplies.
+    /// [`Csr::row_range`](crate::Csr::row_range): the dense operand
+    /// `B[lo..hi, :]` that a column shard `A[:, lo..hi]` multiplies, for
+    /// callers that want it standalone (the engines read `B`'s rows in
+    /// place).
     ///
     /// # Panics
     ///
@@ -233,11 +235,11 @@ impl DenseMatrix {
     /// Applies ReLU (`max(0, x)`) element-wise, in place.
     ///
     /// This is the activation `σ(.)` of the paper's Eq. 1.
+    /// A select, not a conditional store, so the loop vectorizes: NaN and
+    /// `−0.0` pass through unchanged (`v < 0.0` is false for both).
     pub fn relu_in_place(&mut self) {
         for v in &mut self.data {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
+            *v = if *v < 0.0 { 0.0 } else { *v };
         }
     }
 
@@ -304,16 +306,34 @@ impl DenseMatrix {
     }
 
     /// The CSC arrays of the entries `v != 0.0` (values only with
-    /// `VALUES`, so the structure-only scan carries no per-entry branch).
-    /// The row-major scan fills each column bucket in ascending row order
-    /// — exactly the sorted order `Coo::to_csc`'s compression produces.
+    /// `VALUES`). No branch depends on an entry: one pass packs each row's
+    /// predicate into 64-column bitmask words while counting per column,
+    /// and the scatter then visits only the set bits of each word. Rows
+    /// are scattered in ascending order, so each column bucket is filled
+    /// in ascending row order — exactly the sorted order `Coo::to_csc`'s
+    /// compression produces.
     fn compress_columns<const VALUES: bool>(&self) -> (Vec<usize>, Vec<u32>, Vec<f32>) {
+        const WORD: usize = u64::BITS as usize;
         let mut col_ptr = vec![0usize; self.cols + 1];
-        for r in 0..self.rows {
-            for (c, &v) in self.row(r).iter().enumerate() {
-                if v != 0.0 {
-                    col_ptr[c + 1] += 1;
+        if self.cols == 0 {
+            return (col_ptr, Vec::new(), Vec::new());
+        }
+        let words = self.cols.div_ceil(WORD);
+        let mut masks = vec![0u64; self.rows * words];
+        for (row, row_masks) in self
+            .data
+            .chunks_exact(self.cols)
+            .zip(masks.chunks_exact_mut(words))
+        {
+            let spans = row.chunks(WORD).zip(col_ptr[1..].chunks_mut(WORD));
+            for ((span, counts), mask) in spans.zip(row_masks) {
+                let mut bits = 0u64;
+                for (bit, (&v, count)) in span.iter().zip(counts).enumerate() {
+                    let nonzero = v != 0.0;
+                    bits |= u64::from(nonzero) << bit;
+                    *count += usize::from(nonzero);
                 }
+                *mask = bits;
             }
         }
         for c in 0..self.cols {
@@ -323,15 +343,19 @@ impl DenseMatrix {
         let mut row_idx = vec![0u32; nnz];
         let mut values = vec![0.0f32; if VALUES { nnz } else { 0 }];
         let mut cursor = col_ptr[..self.cols].to_vec();
-        for r in 0..self.rows {
-            for (c, &v) in self.row(r).iter().enumerate() {
-                if v != 0.0 {
+        for (r, row_masks) in masks.chunks_exact(words).enumerate() {
+            let row = &self.data[r * self.cols..(r + 1) * self.cols];
+            for (w, &mask) in row_masks.iter().enumerate() {
+                let mut bits = mask;
+                while bits != 0 {
+                    let c = w * WORD + bits.trailing_zeros() as usize;
                     let p = cursor[c];
                     row_idx[p] = r as u32;
                     if VALUES {
-                        values[p] = v;
+                        values[p] = row[c];
                     }
                     cursor[c] += 1;
+                    bits &= bits - 1;
                 }
             }
         }

@@ -24,6 +24,16 @@ enum MmField {
 /// force a huge allocation before a single entry is read.
 const MAX_UPFRONT_RESERVE: usize = 1 << 20;
 
+/// Rows and columns a size line may declare whatever its nnz: the
+/// compressed formats allocate one pointer per column (CSC) or row (CSR),
+/// and up to this many cost at most 128 MiB.
+const DIM_FLOOR: usize = 1 << 24;
+
+/// Beyond [`DIM_FLOOR`], rows and columns may each exceed the stored
+/// entry count at most this many times, so the pointer arrays stay within
+/// a fixed multiple of the entries the file must actually contain.
+const DIM_PER_ENTRY: usize = 16;
+
 /// Symmetry declared in the Matrix Market header.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MmSymmetry {
@@ -38,8 +48,20 @@ enum MmSymmetry {
 ///
 /// Returns [`SparseError::MalformedFormat`] for syntax errors, unsupported
 /// header variants (`array` storage, `complex`/`hermitian`/`skew-symmetric`
-/// qualifiers), dimensions beyond the `u32` index space, out-of-range
-/// indices, non-finite (NaN/±inf) values, or entry-count mismatches.
+/// qualifiers), dimensions beyond the `u32` index space, implausible
+/// dimensions, out-of-range indices, non-finite (NaN/±inf) values, or
+/// entry-count mismatches.
+///
+/// # Dimension cap
+///
+/// Compressing the result allocates a pointer per row or column, so a
+/// size line like `4000000000 4000000000 1` would make a later
+/// `to_csc` abort on a 32 GB allocation. Dimensions up to 2^24 are always
+/// accepted; above that, `max(rows, cols)` may be at most 16 × the stored
+/// entry count (the declared nnz, doubled for `symmetric`). Anything else
+/// is rejected at the size line, before the matrix is allocated. An
+/// overstated nnz cannot slip a large shape past the cap: the file must
+/// then contain that many entries, or the count check rejects it.
 ///
 /// # Example
 ///
@@ -101,6 +123,13 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Coo> {
         })?,
         MmSymmetry::General => nnz,
     };
+    let plausible = DIM_FLOOR.max(stored.saturating_mul(DIM_PER_ENTRY));
+    if rows.max(cols) > plausible {
+        return Err(SparseError::MalformedFormat(format!(
+            "dimensions {rows}x{cols} are implausible for {stored} stored entries \
+             (above {DIM_FLOOR} rows or columns, at most {DIM_PER_ENTRY} per entry)"
+        )));
+    }
     let mut coo = Coo::new(rows, cols);
     coo.reserve(stored.min(MAX_UPFRONT_RESERVE));
     let mut read = 0usize;
@@ -362,6 +391,40 @@ mod tests {
                 "{size} -> {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn implausible_dimensions_are_a_typed_error() {
+        // Regression: this size line passed the u32 check and the reader
+        // returned a 1-entry matrix whose `to_csc` aborted allocating a
+        // 32 GB column pointer.
+        for (size, entry) in [
+            ("4000000000 4000000000 1", "1 1 1.0"),
+            ("20000000 3 1", "1 1 1.0"),
+            ("3 20000000 1", "1 1 1.0"),
+        ] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n{entry}\n");
+            let err = read_matrix_market(text.as_bytes()).unwrap_err();
+            assert!(
+                matches!(err, SparseError::MalformedFormat(ref m) if m.contains("implausible")),
+                "{size} -> {err:?}"
+            );
+        }
+        // Small shapes pass whatever the nnz, empty ones included; large
+        // ones pass with enough entries (symmetric entries count twice).
+        let text = "%%MatrixMarket matrix coordinate real general\n16777216 3 1\n1 1 1.0\n";
+        assert_eq!(read_matrix_market(text.as_bytes()).unwrap().nnz(), 1);
+        let text = "%%MatrixMarket matrix coordinate real general\n1000 1000 0\n";
+        assert_eq!(
+            read_matrix_market(text.as_bytes()).unwrap().shape(),
+            (1000, 1000)
+        );
+        let header = "%%MatrixMarket matrix coordinate pattern symmetric\n32 33554432 1048576\n";
+        let err = read_matrix_market(header.as_bytes()).unwrap_err();
+        assert!(
+            matches!(err, SparseError::MalformedFormat(ref m) if m.contains("file contained 0")),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! per output element, so results are bit-identical).
 
 use crate::{Csc, Csr, DenseMatrix, Result, SparseError};
+use std::ops::Range;
 
 /// Accumulates `scale × A[:, j]` into the column accumulator `acc`
 /// (`acc[i] += a(i, j) * scale` for every non-zero of column `j`).
@@ -59,125 +60,159 @@ pub fn drain_column_into(c: &mut DenseMatrix, k: usize, acc: &mut [f32]) {
     }
 }
 
-/// Lane count of the blocked accumulate kernels: B-columns are processed
-/// in blocks of up to this many `f32` lanes per accumulator row, sized so
-/// one row's lane group fills a single 256-bit vector register.
+/// Skip granularity of the accumulate kernels: for every row `j` of the
+/// dense operand, each [`ACC_BLOCK_LANES`]-wide block of lanes that is
+/// all `±0.0` is skipped as a whole (a narrower final block for widths
+/// not divisible by the lane count).
 pub const ACC_BLOCK_LANES: usize = 8;
 
-/// The innermost blocked loop, monomorphized per lane count so the
-/// compiler sees a fixed-width `[f32; L]` FMA group it can vectorize.
+/// Which [`ACC_BLOCK_LANES`]-wide lane blocks of each row of a dense
+/// operand are all `±0.0` — the `(j, block)` pairs the accumulate kernels
+/// skip. Built once per SPMM and shared by every shard and lane group.
+#[derive(Debug, Clone)]
+pub struct ZeroBlocks {
+    n_blocks: usize,
+    zero: Vec<bool>,
+    any: bool,
+}
+
+impl ZeroBlocks {
+    /// The zero-block table of `b`.
+    pub fn of(b: &DenseMatrix) -> Self {
+        let n_blocks = b.cols().div_ceil(ACC_BLOCK_LANES);
+        let zero: Vec<bool> = (0..b.rows())
+            .flat_map(|j| {
+                b.row(j)
+                    .chunks(ACC_BLOCK_LANES)
+                    .map(|block| block.iter().all(|&s| s == 0.0))
+            })
+            .collect();
+        let any = zero.contains(&true);
+        ZeroBlocks {
+            n_blocks,
+            zero,
+            any,
+        }
+    }
+
+    /// The skip flags of row `j`'s blocks `blocks`.
+    #[inline]
+    fn row(&self, j: usize, blocks: Range<usize>) -> &[bool] {
+        &self.zero[j * self.n_blocks + blocks.start..j * self.n_blocks + blocks.end]
+    }
+
+    /// `out += x × W[j, :]` over the blocks the column kernel would visit
+    /// (`self` is `W`'s table).
+    #[inline]
+    fn axpy(&self, j: usize, x: f32, w: &DenseMatrix, out: &mut [f32]) {
+        if self.any {
+            axpy_blocks(x, w.row(j), self.row(j, 0..self.n_blocks), out);
+        } else {
+            axpy_full(x, w.row(j), out);
+        }
+    }
+}
+
+/// `out += x × s` over the lane blocks whose flag in `skip` is false
+/// (`out`, `s` and `skip` cover the same blocks).
 #[inline(always)]
-fn axpy_lanes<const L: usize>(a: &Csc, j: usize, scales: &[f32; L], acc: &mut [f32]) {
-    let lo = a.col_ptr()[j];
-    let hi = a.col_ptr()[j + 1];
-    for (&i, &v) in a.row_idx()[lo..hi].iter().zip(&a.values()[lo..hi]) {
-        let base = i as usize * L;
-        let dst: &mut [f32; L] = (&mut acc[base..base + L]).try_into().unwrap();
-        for l in 0..L {
-            dst[l] += v * scales[l];
-        }
-    }
-}
-
-/// Blocked form of [`csc_axpy_column`]: accumulates `scales[l] × A[:, j]`
-/// into lane `l` of the block accumulator for every lane at once.
-///
-/// `acc` is row-major over lanes — `acc[i * W + l]` holds output element
-/// `(i, k0 + l)` for block width `W = scales.len()` — so each non-zero of
-/// the sparse column touches one contiguous `W`-lane group, which the
-/// compiler vectorizes for the fixed widths ([`ACC_BLOCK_LANES`] and its
-/// half). Width 1 degenerates to the scalar kernel's addition sequence.
-///
-/// # Panics
-///
-/// Panics if `j >= a.cols()` or `acc.len() < a.rows() * scales.len()`.
-#[inline]
-pub fn csc_axpy_block(a: &Csc, j: usize, scales: &[f32], acc: &mut [f32]) {
-    match scales.len() {
-        8 => axpy_lanes::<8>(a, j, scales.try_into().unwrap(), acc),
-        4 => axpy_lanes::<4>(a, j, scales.try_into().unwrap(), acc),
-        w => {
-            let lo = a.col_ptr()[j];
-            let hi = a.col_ptr()[j + 1];
-            for (&i, &v) in a.row_idx()[lo..hi].iter().zip(&a.values()[lo..hi]) {
-                let base = i as usize * w;
-                for (dst, &s) in acc[base..base + w].iter_mut().zip(scales) {
-                    *dst += v * s;
-                }
+fn axpy_blocks(x: f32, s: &[f32], skip: &[bool], out: &mut [f32]) {
+    let blocks = out
+        .chunks_mut(ACC_BLOCK_LANES)
+        .zip(s.chunks(ACC_BLOCK_LANES));
+    for ((o, s), &skip) in blocks.zip(skip) {
+        if !skip {
+            for (o, &s) in o.iter_mut().zip(s) {
+                *o += x * s;
             }
         }
     }
 }
 
-/// Accumulates the numerics of output columns `k0 .. k0 + width` into the
-/// block accumulator `acc` (layout as in [`csc_axpy_block`]).
-///
-/// # Pinned reduction order (bit-identity with the scalar kernels)
-///
-/// The scalar schedule visits, per output column `k`, the non-zero
-/// `b(j, k)` in ascending `j` and adds `a(i, j) * b(j, k)` in CSC index
-/// order. This kernel iterates `j` ascending over the *union* of the
-/// block's column patterns and lets zero lanes ride along: for a lane
-/// where `b(j, k0 + l)` is `±0.0`, the addition `acc += v * (±0.0)` is a
-/// bit-exact no-op, because the accumulator is never `-0.0` (it starts
-/// `+0.0`, `(+0.0) + (-0.0) = +0.0` in round-to-nearest, and an exact
-/// cancellation yields `+0.0`). Every value-changing addition therefore
-/// happens in exactly the scalar order, and the result is bit-identical
-/// to [`csc_times_dense`] — asserted by tests and proptests.
-///
-/// The no-op argument needs *finite* operands (`inf × 0.0` is NaN); the
-/// engines guarantee this via ingest validation, and the graph/feature
-/// loaders reject non-finite tokens at parse.
-///
-/// # Panics
-///
-/// Panics if `a.cols() != b.rows()`, `k0 + width > b.cols()`, or
-/// `acc.len() < a.rows() * width`.
-pub fn csc_accumulate_block(a: &Csc, b: &DenseMatrix, k0: usize, width: usize, acc: &mut [f32]) {
-    assert_eq!(a.cols(), b.rows(), "operand dimensions must agree");
-    for j in 0..a.cols() {
-        let scales = &b.row(j)[k0..k0 + width];
-        if scales.iter().all(|&s| s == 0.0) {
-            continue;
-        }
-        csc_axpy_block(a, j, scales, acc);
+/// `out += x × s`, every lane.
+#[inline(always)]
+fn axpy_full(x: f32, s: &[f32], out: &mut [f32]) {
+    for (o, &s) in out.iter_mut().zip(s) {
+        *o += x * s;
     }
 }
 
-/// Blocked form of [`drain_column_into`]: writes the non-zero entries of
-/// the block accumulator into columns `k0 .. k0 + width` of `c` (one
-/// contiguous row-slice store per accumulator row), then resets `acc` to
-/// all-`+0.0`. The write stays conditional (`!= 0.0`, matching the scalar
-/// drain's `DenseMatrix::set` sequence) and the reset unconditional (a
-/// `-0.0` residue must not leak into the next block).
+/// Accumulates `A × B[b_row0.., lanes]` straight into `out` in one pass
+/// over `A`: for each column `j` ascending and each non-zero `(i, v)` of
+/// `A[:, j]` in CSC order, adds `v · b[b_row0 + j, lanes]` into row `i` of
+/// `out` (row-major, `a.rows() × lanes.len()`), skipping the lane blocks
+/// `zero` marks all `±0.0` for that row of `B`. `lanes` must start on a
+/// block boundary; `b_row0` lets a column shard of `A` read `B`'s global
+/// rows without copying them.
+///
+/// # Pinned reduction order (bit-identity with the scalar kernel)
+///
+/// Output element `(i, k)` receives `a(i, j) · b(j, k)` for ascending `j`,
+/// in CSC index order within a column — the order [`csc_times_dense`]
+/// adds in. Lanes of a non-skipped block whose own `b(j, k)` is `±0.0`
+/// ride along: `acc += v · (±0.0)` is a bit-exact no-op for finite `v`
+/// because the accumulator is never `−0.0` (it starts `+0.0`,
+/// `(+0.0) + (−0.0) = +0.0` in round-to-nearest, and an exact
+/// cancellation yields `+0.0`). So on finite operands the result equals
+/// [`csc_times_dense`] bit for bit — and since no element is ever `−0.0`,
+/// accumulating into a zeroed output equals accumulating into a scratch
+/// column and copying its non-zero entries out. With non-finite values in
+/// `B` a riding lane can turn NaN (`inf × 0.0`); the kernel then matches
+/// the per-`(j, block)` skip rule exactly (pinned by proptest).
 ///
 /// # Panics
 ///
-/// Panics if `acc.len() != c.rows() * width` or `k0 + width > c.cols()`.
-pub fn drain_block_into(c: &mut DenseMatrix, k0: usize, width: usize, acc: &mut [f32]) {
+/// Panics if `lanes` is out of `b`'s columns or unaligned, a row
+/// `b_row0 + j` is out of bounds, or `out.len() != a.rows() * lanes.len()`.
+pub fn csc_accumulate_into(
+    a: &Csc,
+    b: &DenseMatrix,
+    b_row0: usize,
+    zero: &ZeroBlocks,
+    lanes: Range<usize>,
+    out: &mut [f32],
+) {
+    assert!(lanes.end <= b.cols(), "lanes {lanes:?} out of bounds");
     assert_eq!(
-        acc.len(),
-        c.rows() * width,
-        "block accumulator length must match rows × width"
+        lanes.start % ACC_BLOCK_LANES,
+        0,
+        "lanes must be block-aligned"
     );
-    for (i, src) in acc.chunks_exact_mut(width).enumerate() {
-        let dst = &mut c.row_mut(i)[k0..k0 + width];
-        for (d, s) in dst.iter_mut().zip(src.iter_mut()) {
-            if *s != 0.0 {
-                *d = *s;
+    let width = lanes.len();
+    assert_eq!(out.len(), a.rows() * width, "output slice size");
+    if width == 0 {
+        return;
+    }
+    let blocks = lanes.start / ACC_BLOCK_LANES..lanes.end.div_ceil(ACC_BLOCK_LANES);
+    let (col_ptr, row_idx, values) = (a.col_ptr(), a.row_idx(), a.values());
+    for j in 0..a.cols() {
+        let s = &b.row(b_row0 + j)[lanes.clone()];
+        let entries = row_idx[col_ptr[j]..col_ptr[j + 1]]
+            .iter()
+            .zip(&values[col_ptr[j]..col_ptr[j + 1]]);
+        let skip = if zero.any {
+            zero.row(b_row0 + j, blocks.clone())
+        } else {
+            &[]
+        };
+        if !skip.contains(&true) {
+            for (&i, &v) in entries {
+                let i = i as usize;
+                axpy_full(v, s, &mut out[i * width..(i + 1) * width]);
             }
-            *s = 0.0;
+        } else if skip.contains(&false) {
+            for (&i, &v) in entries {
+                let i = i as usize;
+                axpy_blocks(v, s, skip, &mut out[i * width..(i + 1) * width]);
+            }
         }
     }
 }
 
-/// Blocked form of [`csc_times_dense`]: processes B-columns in
-/// [`ACC_BLOCK_LANES`]-wide blocks (narrower final block for widths not
-/// divisible by the lane count) through [`csc_accumulate_block`]. The
-/// result is bit-identical to [`csc_times_dense`] — the pinned reduction
-/// order is the whole point (see [`csc_accumulate_block`]); this is the
-/// raw-speed variant, walking `A`'s non-zeros once per *block* instead of
-/// once per column.
+/// `C = A × B` through [`csc_accumulate_into`]: one pass over `A`, every
+/// output lane at once. Bit-identical to [`csc_times_dense`] on finite
+/// operands (see the pinned reduction order there); the raw-speed
+/// variant, walking `A`'s non-zeros once instead of once per column.
 ///
 /// # Errors
 ///
@@ -190,17 +225,9 @@ pub fn csc_times_dense_blocked(a: &Csc, b: &DenseMatrix) -> Result<DenseMatrix> 
             op: "csc_times_dense_blocked",
         });
     }
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    let mut acc = vec![0f32; a.rows() * ACC_BLOCK_LANES.min(b.cols())];
-    let mut k0 = 0;
-    while k0 < b.cols() {
-        let width = ACC_BLOCK_LANES.min(b.cols() - k0);
-        let block = &mut acc[..a.rows() * width];
-        csc_accumulate_block(a, b, k0, width, block);
-        drain_block_into(&mut c, k0, width, block);
-        k0 += width;
-    }
-    Ok(c)
+    let mut out = vec![0f32; a.rows() * b.cols()];
+    csc_accumulate_into(a, b, 0, &ZeroBlocks::of(b), 0..b.cols(), &mut out);
+    DenseMatrix::from_vec(a.rows(), b.cols(), out)
 }
 
 /// A row-major left operand of the pinned row kernels
@@ -233,56 +260,6 @@ impl RowOperand<'_> {
     }
 }
 
-/// Which [`ACC_BLOCK_LANES`]-wide column blocks of each row of `W` are
-/// all `±0.0` — the `(j, block)` pairs [`csc_accumulate_block`] skips.
-struct ZeroBlocks {
-    n_blocks: usize,
-    zero: Vec<bool>,
-    any: bool,
-}
-
-impl ZeroBlocks {
-    fn of(w: &DenseMatrix) -> Self {
-        let n_blocks = w.cols().div_ceil(ACC_BLOCK_LANES);
-        let zero: Vec<bool> = (0..w.rows())
-            .flat_map(|j| {
-                w.row(j)
-                    .chunks(ACC_BLOCK_LANES)
-                    .map(|block| block.iter().all(|&s| s == 0.0))
-            })
-            .collect();
-        let any = zero.contains(&true);
-        ZeroBlocks {
-            n_blocks,
-            zero,
-            any,
-        }
-    }
-
-    /// `out += x × W[j, :]` over the blocks the column kernel would visit.
-    #[inline]
-    fn axpy(&self, j: usize, x: f32, w: &DenseMatrix, out: &mut [f32]) {
-        let w_row = w.row(j);
-        if !self.any {
-            for (o, &s) in out.iter_mut().zip(w_row) {
-                *o += x * s;
-            }
-            return;
-        }
-        let zero = &self.zero[j * self.n_blocks..(j + 1) * self.n_blocks];
-        let blocks = out
-            .chunks_mut(ACC_BLOCK_LANES)
-            .zip(w_row.chunks(ACC_BLOCK_LANES));
-        for ((o, s), &skip) in blocks.zip(zero) {
-            if !skip {
-                for (o, &s) in o.iter_mut().zip(s) {
-                    *o += x * s;
-                }
-            }
-        }
-    }
-}
-
 /// Accumulates rows `rows` of `C = X × W` into `out` (row-major,
 /// `rows.len() × w.cols()`, expected all `+0.0`), reading `X` row by row.
 ///
@@ -292,7 +269,7 @@ impl ZeroBlocks {
 /// `j` of row `i` in ascending order (a row stored out of order is
 /// visited sorted, stably, so duplicates keep their stored order),
 /// skipping the `(j, block)` pairs whose `W` block is all zero. That is
-/// the exact addition sequence [`csc_accumulate_block`] performs for the
+/// the exact addition sequence [`csc_accumulate_into`] performs for the
 /// same element on `X`'s CSC transpose, so the result is bit-identical to
 /// [`csc_times_dense_blocked`] — for non-finite values too — while no
 /// transpose of `X`'s values is ever built.
@@ -304,7 +281,7 @@ impl ZeroBlocks {
 pub fn row_major_times_dense_into(
     x: RowOperand<'_>,
     w: &DenseMatrix,
-    rows: std::ops::Range<usize>,
+    rows: Range<usize>,
     out: &mut [f32],
 ) {
     assert_eq!(x.cols(), w.rows(), "operand dimensions must agree");
@@ -314,6 +291,10 @@ pub fn row_major_times_dense_into(
         return;
     }
     let blocks = ZeroBlocks::of(w);
+    let mut nonzero = match x {
+        RowOperand::Dense(x) => vec![0u32; x.cols()],
+        RowOperand::Sparse(_) => Vec::new(),
+    };
     for (i, out_row) in rows.zip(out.chunks_exact_mut(w.cols())) {
         match x {
             RowOperand::Sparse(x) => {
@@ -334,10 +315,16 @@ pub fn row_major_times_dense_into(
                 }
             }
             RowOperand::Dense(x) => {
-                for (j, &v) in x.row(i).iter().enumerate() {
-                    if v != 0.0 {
-                        blocks.axpy(j, v, w, out_row);
-                    }
+                // The row's non-zero positions, gathered without a branch
+                // per entry, then the axpys in ascending `j`.
+                let row = x.row(i);
+                let mut n = 0;
+                for (j, &v) in row.iter().enumerate() {
+                    nonzero[n] = j as u32;
+                    n += usize::from(v != 0.0);
+                }
+                for &j in &nonzero[..n] {
+                    blocks.axpy(j as usize, row[j as usize], w, out_row);
                 }
             }
         }
@@ -799,43 +786,25 @@ mod tests {
     }
 
     #[test]
-    fn blocked_drain_resets_block_to_positive_zero() {
-        let mut c = DenseMatrix::zeros(2, 5);
-        // Block covering columns 1..4 (width 3, off-origin).
-        let mut acc = vec![1.5f32, -0.0, 0.0, 0.0, 2.5, -0.75];
-        drain_block_into(&mut c, 1, 3, &mut acc);
-        for (i, v) in acc.iter().enumerate() {
-            assert_eq!(v.to_bits(), 0, "acc[{i}] must reset to +0.0");
+    fn accumulate_into_sums_shards_and_lane_groups_in_place() {
+        // Column shards of `A` reading `B`'s global rows, accumulated one
+        // after another into the same output, and lane groups computed
+        // separately: both equal the one-pass product bit for bit.
+        let (a, b) = blocked_fixture(19);
+        let whole = csc_times_dense_blocked(&a, &b).unwrap();
+        let zero = ZeroBlocks::of(&b);
+        let mut out = vec![0f32; a.rows() * 19];
+        for cols in [0..9, 9..10, 10..31] {
+            let start = cols.start;
+            csc_accumulate_into(&a.col_range(cols), &b, start, &zero, 0..19, &mut out);
         }
-        assert_eq!(c.get(0, 1), 1.5);
-        assert_eq!(c.get(0, 2).to_bits(), 0, "-0.0 residue must not be written");
-        assert_eq!(c.get(1, 2), 2.5);
-        assert_eq!(c.get(1, 3), -0.75);
-        assert_eq!(c.get(0, 0).to_bits(), 0);
-        assert_eq!(c.get(0, 4).to_bits(), 0);
-    }
-
-    #[test]
-    fn blocked_axpy_matches_scalar_axpy_per_lane() {
-        let (a, b) = blocked_fixture(8);
-        let rows = a.rows();
-        let mut block_acc = vec![0f32; rows * 8];
-        for j in 0..a.cols() {
-            csc_axpy_block(&a, j, &b.row(j)[0..8], &mut block_acc);
-        }
-        for l in 0..8 {
-            let mut acc = vec![0f32; rows];
-            for j in 0..a.cols() {
-                // Mirror the blocked kernel: zero scales ride along (they
-                // are bit-exact no-ops), so no skip here either.
-                csc_axpy_column(&a, j, b.get(j, l), &mut acc);
-            }
-            for i in 0..rows {
-                assert_eq!(
-                    acc[i].to_bits(),
-                    block_acc[i * 8 + l].to_bits(),
-                    "lane {l} row {i}"
-                );
+        assert_eq!(DenseMatrix::from_vec(a.rows(), 19, out).unwrap(), whole);
+        for lanes in [0..8, 8..16, 16..19, 8..19] {
+            let mut group = vec![0f32; a.rows() * lanes.len()];
+            csc_accumulate_into(&a, &b, 0, &zero, lanes.clone(), &mut group);
+            for i in 0..a.rows() {
+                let got = &group[i * lanes.len()..(i + 1) * lanes.len()];
+                assert_eq!(got, &whole.row(i)[lanes.clone()], "row {i} lanes {lanes:?}");
             }
         }
     }

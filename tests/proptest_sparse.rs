@@ -411,3 +411,88 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 }
+
+/// The inter-layer hop as the definitions read, one entry at a time:
+/// with `activate`, ReLU as a conditional store (`v < 0.0` → `+0.0`; NaN
+/// and `-0.0` stay); then the CSC of the entries `v != 0.0`, column by
+/// column in ascending row order. Returns the (activated) matrix's bits
+/// and the CSC arrays, values as bits.
+fn hop_reference(m: &DenseMatrix, activate: bool) -> (Vec<u32>, Vec<usize>, Vec<u32>, Vec<u32>) {
+    let mut x = m.as_slice().to_vec();
+    if activate {
+        for v in &mut x {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+    }
+    let (rows, cols) = m.shape();
+    let mut col_ptr = vec![0usize];
+    let (mut row_idx, mut values) = (Vec::new(), Vec::new());
+    for c in 0..cols {
+        for r in 0..rows {
+            let v = x[r * cols + c];
+            if v != 0.0 {
+                row_idx.push(r as u32);
+                values.push(v.to_bits());
+            }
+        }
+        col_ptr.push(row_idx.len());
+    }
+    let x_bits = x.iter().map(|v| v.to_bits()).collect();
+    (x_bits, col_ptr, row_idx, values)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The branch-free hop kernels — `relu_in_place` (a select) and the
+    /// bitmask `to_csc_pattern`/`to_csc` — equal the per-entry reference
+    /// bit for bit: widths on both sides of the 64-column mask word (0, 1,
+    /// 63, 64, 65, 130), cells drawn from `±0.0`, NaN, `±inf` and finite
+    /// values of both signs, with all-zero rows and columns. The CSC of
+    /// the un-activated matrix (negatives kept) is checked too.
+    #[test]
+    fn hop_kernels_match_per_entry_reference(
+        rows in 0usize..12,
+        width in prop_oneof![Just(0usize), Just(1), Just(63), Just(64), Just(65), Just(130)],
+        cells in proptest::collection::vec(0u32..16, 12 * 130),
+        zero_rows in proptest::collection::vec(0u32..4, 12),
+        zero_col_phase in 0usize..5,
+    ) {
+        let data: Vec<f32> = (0..rows * width)
+            .map(|i| {
+                let (r, c) = (i / width, i % width);
+                let cell = cells[i];
+                if zero_rows[r] == 0 || (c + zero_col_phase) % 5 == 0 {
+                    return if cell % 2 == 0 { 0.0 } else { -0.0 };
+                }
+                match cell {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => f32::NAN,
+                    3 => f32::INFINITY,
+                    4 => f32::NEG_INFINITY,
+                    v => (v as f32 - 10.5) * 0.75,
+                }
+            })
+            .collect();
+        let m = DenseMatrix::from_vec(rows, width, data).unwrap();
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|v| v.to_bits()).collect() };
+        for activate in [false, true] {
+            let mut x = m.clone();
+            if activate {
+                x.relu_in_place();
+            }
+            let (x_bits, col_ptr, row_idx, values) = hop_reference(&m, activate);
+            prop_assert_eq!(bits(x.as_slice()), x_bits);
+            let csc = x.to_csc();
+            prop_assert_eq!(csc.col_ptr(), &col_ptr[..]);
+            prop_assert_eq!(csc.row_idx(), &row_idx[..]);
+            prop_assert_eq!(bits(csc.values()), values);
+            let pattern = x.to_csc_pattern();
+            prop_assert_eq!(pattern.col_ptr(), &col_ptr[..]);
+            prop_assert_eq!(pattern.row_idx(), &row_idx[..]);
+        }
+    }
+}
