@@ -34,44 +34,6 @@ fn bench_spmm_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-/// Old (per-element `get`/`set`) vs new (slice-accumulate) kernels — the
-/// upgrade tracked by ISSUE 2's satellite; both orderings are bit-identical
-/// (asserted in `awb_sparse::spmm` tests), so this group is pure speed.
-fn bench_kernel_old_vs_new(c: &mut Criterion) {
-    let data = GeneratedDataset::generate(&DatasetSpec::cora(), 5).expect("dataset");
-    let a_csc = data.adjacency.to_csc();
-    let b = DenseMatrix::from_vec(
-        a_csc.cols(),
-        16,
-        (0..a_csc.cols() * 16).map(|i| (i % 7) as f32).collect(),
-    )
-    .expect("dense B");
-    let macs = spmm::csc_times_dense_macs(&a_csc, &b).unwrap() as u64;
-
-    let mut group = c.benchmark_group("kernels_old_vs_new");
-    group.throughput(Throughput::Elements(macs));
-    group.bench_function("csc_times_dense/naive", |bench| {
-        bench.iter(|| spmm::csc_times_dense_naive(black_box(&a_csc), black_box(&b)).unwrap())
-    });
-    group.bench_function("csc_times_dense/slice", |bench| {
-        bench.iter(|| spmm::csc_times_dense(black_box(&a_csc), black_box(&b)).unwrap())
-    });
-    group.finish();
-
-    // SpGEMM on a smaller graph (dense result is rows x rows).
-    let small = GeneratedDataset::generate(&DatasetSpec::cora().with_nodes(512), 5).expect("data");
-    let a_csr = &small.adjacency;
-    let mut group = c.benchmark_group("kernels_old_vs_new");
-    group.throughput(Throughput::Elements(a_csr.nnz() as u64));
-    group.bench_function("csr_times_csr/naive", |bench| {
-        bench.iter(|| spmm::csr_times_csr_naive(black_box(a_csr), black_box(a_csr)).unwrap())
-    });
-    group.bench_function("csr_times_csr/slice", |bench| {
-        bench.iter(|| spmm::csr_times_csr(black_box(a_csr), black_box(a_csr)).unwrap())
-    });
-    group.finish();
-}
-
 /// Blocked (one pass over `A` into every output lane, skipping all-zero
 /// 8-lane blocks, `csc_times_dense_blocked`) vs scalar (one column per
 /// pass, `csc_times_dense`) kernels across operand scales
@@ -196,7 +158,6 @@ fn bench_omega_network(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_spmm_kernels,
-    bench_kernel_old_vs_new,
     bench_blocked_vs_scalar,
     bench_format_conversion,
     bench_fast_engine,

@@ -963,6 +963,29 @@ mod tests {
     }
 
     #[test]
+    fn version_1_store_is_rejected_not_re_ingested() {
+        let input = small_input(128, 24);
+        let dir = std::env::temp_dir().join(format!(
+            "awb-gcnrun-v1-store-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        awb_sparse::store::SparseStore::write(&dir, &input.a_norm_csc).unwrap();
+        let manifest = dir.join("manifest.json");
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let v1 = text.replace("\"version\": 2,", "\"version\": 1,");
+        assert_ne!(v1, text);
+        std::fs::write(&manifest, &v1).unwrap();
+        let mut cfg = config(16);
+        cfg.store = Some(dir.clone());
+        let err = GcnRunner::new(cfg).run(&input).unwrap_err();
+        assert!(matches!(err, AccelError::InvalidInput(_)), "{err}");
+        assert_eq!(std::fs::read_to_string(&manifest).unwrap(), v1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn overflowed_hidden_features_keep_nan_positions() {
         // Regression: the inter-layer hop kept `|v| > 0.0`, which is false
         // for NaN, so a NaN born in layer 1 was silently zeroed before

@@ -18,9 +18,9 @@
 //! * [`partition`] — nnz-balanced column sharding (plus zero-rebuild
 //!   `col_range`/`row_range` slicing on the formats) for graphs bigger
 //!   than one device.
-//! * [`store`] — chunked on-disk store (`by_column`/`by_row` mirrors with
-//!   a JSON manifest) so graphs bigger than host memory stream in bounded
-//!   column windows.
+//! * [`store`] — chunked on-disk store (column-major chunks with a JSON
+//!   manifest) so graphs bigger than host memory stream in bounded column
+//!   windows.
 //!
 //! # Example
 //!

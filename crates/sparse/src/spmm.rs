@@ -1,34 +1,28 @@
-//! Reference multiply kernels.
+//! Multiply kernels.
 //!
-//! These are the software ground truth that the accelerator simulator's
-//! functional output is cross-checked against. `csc_times_dense` mirrors the
+//! [`csc_times_dense`] is the software ground truth that the accelerator
+//! simulator's functional output is cross-checked against. It mirrors the
 //! accelerator's own column-streaming schedule (paper Eq. 4 / Fig. 5):
 //! for each output column `k`, each non-zero `b(j,k)` of the dense operand
-//! is broadcast to the whole column `j` of the sparse operand.
-//!
-//! The production kernels accumulate through flat slices
-//! ([`csc_axpy_column`], `DenseMatrix::row_mut`) instead of per-element
-//! `get`/`set`; the original per-element implementations are retained as
-//! `*_naive` for the `kernels` criterion group and for exact-equivalence
-//! tests (both orderings perform the identical sequence of f32 additions
-//! per output element, so results are bit-identical).
+//! is broadcast to the whole column `j` of the sparse operand. It is the
+//! one naive oracle: the production kernels ([`csc_accumulate_into`] and
+//! the row-major [`row_major_times_dense_into`]) pin the same per-element
+//! addition order, so their results equal it bit for bit on finite
+//! operands.
 
 use crate::{Csc, Csr, DenseMatrix, Result, SparseError};
 use std::ops::Range;
 
 /// Accumulates `scale × A[:, j]` into the column accumulator `acc`
-/// (`acc[i] += a(i, j) * scale` for every non-zero of column `j`).
-///
-/// This is the tight inner kernel of the accelerator's column-streaming
-/// schedule: one call per non-zero `b(j, k)` of the dense operand, walking
-/// the CSC column slice in index order. The simulator's replay path uses it
-/// for the numerics of rounds whose queue dynamics are served from cache.
+/// (`acc[i] += a(i, j) * scale` for every non-zero of column `j`, in CSC
+/// index order): [`csc_times_dense`]'s inner step, one call per non-zero
+/// `b(j, k)` of the dense operand.
 ///
 /// # Panics
 ///
 /// Panics if `j >= a.cols()` or `acc.len() < a.rows()`.
 #[inline]
-pub fn csc_axpy_column(a: &Csc, j: usize, scale: f32, acc: &mut [f32]) {
+fn csc_axpy_column(a: &Csc, j: usize, scale: f32, acc: &mut [f32]) {
     let lo = a.col_ptr()[j];
     let hi = a.col_ptr()[j + 1];
     for (&i, &v) in a.row_idx()[lo..hi].iter().zip(&a.values()[lo..hi]) {
@@ -39,9 +33,8 @@ pub fn csc_axpy_column(a: &Csc, j: usize, scale: f32, acc: &mut [f32]) {
 /// Writes the non-zero entries of the column accumulator `acc` into column
 /// `k` of `c`, then resets `acc` to all-`+0.0` for the next round-column.
 ///
-/// The *write* stays conditional (`*v != 0.0`) so the fast kernel performs
-/// the identical sequence of `DenseMatrix::set` calls as the naive
-/// reference and stays bit-identical to it. The *reset* is unconditional:
+/// The *write* is conditional (`*v != 0.0`): untouched output slots keep
+/// the `+0.0` they were initialised with. The *reset* is unconditional:
 /// `-0.0 != 0.0` is `false` in IEEE-754, so a conditional reset would skip
 /// `-0.0` slots and leak the sign bit into every later column that touches
 /// the same row.
@@ -50,7 +43,7 @@ pub fn csc_axpy_column(a: &Csc, j: usize, scale: f32, acc: &mut [f32]) {
 ///
 /// Panics if `acc.len() != c.rows()` or `k >= c.cols()`.
 #[inline]
-pub fn drain_column_into(c: &mut DenseMatrix, k: usize, acc: &mut [f32]) {
+fn drain_column_into(c: &mut DenseMatrix, k: usize, acc: &mut [f32]) {
     assert_eq!(acc.len(), c.rows(), "accumulator length must match rows");
     for (i, v) in acc.iter_mut().enumerate() {
         if *v != 0.0 {
@@ -355,7 +348,7 @@ pub fn row_major_times_dense(x: RowOperand<'_>, w: &DenseMatrix) -> Result<Dense
 ///
 /// For each column `k` of `B` ("round" in the paper's terminology) and each
 /// non-zero `b(j, k)`, the entire sparse column `A[:, j]` is scaled and
-/// accumulated into `C[:, k]` via [`csc_axpy_column`].
+/// accumulated into `C[:, k]` through a column accumulator.
 ///
 /// # Errors
 ///
@@ -394,36 +387,6 @@ pub fn csc_times_dense(a: &Csc, b: &DenseMatrix) -> Result<DenseMatrix> {
             csc_axpy_column(a, j, bjk, &mut acc);
         }
         drain_column_into(&mut c, k, &mut acc);
-    }
-    Ok(c)
-}
-
-/// Per-element reference implementation of [`csc_times_dense`], retained
-/// for the `kernels` criterion group and bit-exactness tests.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
-pub fn csc_times_dense_naive(a: &Csc, b: &DenseMatrix) -> Result<DenseMatrix> {
-    if a.cols() != b.rows() {
-        return Err(SparseError::DimensionMismatch {
-            left: a.shape(),
-            right: b.shape(),
-            op: "csc_times_dense_naive",
-        });
-    }
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    for k in 0..b.cols() {
-        for j in 0..a.cols() {
-            let bjk = b.get(j, k);
-            if bjk == 0.0 {
-                continue;
-            }
-            for (i, aij) in a.col_entries(j) {
-                let cur = c.get(i, k);
-                c.set(i, k, cur + aij * bjk);
-            }
-        }
     }
     Ok(c)
 }
@@ -478,32 +441,6 @@ pub fn csr_times_csr(a: &Csr, b: &Csr) -> Result<DenseMatrix> {
         for (j, aij) in a.row_entries(i) {
             for (k, bjk) in b.row_entries(j) {
                 c_row[k] += aij * bjk;
-            }
-        }
-    }
-    Ok(c)
-}
-
-/// Per-element reference implementation of [`csr_times_csr`], retained for
-/// the `kernels` criterion group and bit-exactness tests.
-///
-/// # Errors
-///
-/// Returns [`SparseError::DimensionMismatch`] if `a.cols() != b.rows()`.
-pub fn csr_times_csr_naive(a: &Csr, b: &Csr) -> Result<DenseMatrix> {
-    if a.cols() != b.rows() {
-        return Err(SparseError::DimensionMismatch {
-            left: a.shape(),
-            right: b.shape(),
-            op: "csr_times_csr_naive",
-        });
-    }
-    let mut c = DenseMatrix::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        for (j, aij) in a.row_entries(i) {
-            for (k, bjk) in b.row_entries(j) {
-                let cur = c.get(i, k);
-                c.set(i, k, cur + aij * bjk);
             }
         }
     }
@@ -586,27 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn slice_kernels_bit_identical_to_naive() {
-        // Same per-element f32 addition order -> exact equality, not approx.
-        let mut a = Coo::new(24, 24);
-        for s in 0..96u32 {
-            let r = (s.wrapping_mul(17) % 24) as usize;
-            let c = (s.wrapping_mul(29) % 24) as usize;
-            a.push(r, c, (s % 11) as f32 * 0.25 - 1.0).unwrap();
-        }
-        let b_data: Vec<f32> = (0..24 * 5).map(|i| ((i % 7) as f32) - 3.0).collect();
-        let b = DenseMatrix::from_vec(24, 5, b_data).unwrap();
-        assert_eq!(
-            csc_times_dense(&a.to_csc(), &b).unwrap(),
-            csc_times_dense_naive(&a.to_csc(), &b).unwrap()
-        );
-        assert_eq!(
-            csr_times_csr(&a.to_csr(), &a.to_csr()).unwrap(),
-            csr_times_csr_naive(&a.to_csr(), &a.to_csr()).unwrap()
-        );
-    }
-
-    #[test]
     fn axpy_column_accumulates_in_index_order() {
         let a = sparse_3x3().to_csc();
         let mut acc = vec![1.0f32; 3];
@@ -620,11 +536,9 @@ mod tests {
         let a = sparse_3x3();
         let bad = DenseMatrix::zeros(2, 2);
         assert!(csc_times_dense(&a.to_csc(), &bad).is_err());
-        assert!(csc_times_dense_naive(&a.to_csc(), &bad).is_err());
         assert!(csr_times_dense(&a.to_csr(), &bad).is_err());
         let bad_sparse = Coo::new(2, 2).to_csr();
         assert!(csr_times_csr(&a.to_csr(), &bad_sparse).is_err());
-        assert!(csr_times_csr_naive(&a.to_csr(), &bad_sparse).is_err());
     }
 
     #[test]
@@ -695,8 +609,6 @@ mod tests {
         }
         let csc = a.to_csc();
         let fast = csc_times_dense(&csc, &b).unwrap();
-        let naive = csc_times_dense_naive(&csc, &b).unwrap();
-        assert_eq!(fast, naive);
         for k in 0..5 {
             assert_eq!(fast.get(0, k).to_bits(), 0, "row 0 must cancel to +0.0");
             assert_eq!(fast.get(1, k).to_bits(), 0, "row 1 must cancel to +0.0");
@@ -740,7 +652,6 @@ mod tests {
             let scalar = csc_times_dense(&a, &b).unwrap();
             let blocked = csc_times_dense_blocked(&a, &b).unwrap();
             assert_eq!(scalar, blocked, "width {cols} must be bit-identical");
-            assert_eq!(csc_times_dense_naive(&a, &b).unwrap(), blocked);
         }
     }
 
