@@ -125,7 +125,7 @@ impl BenchDataset {
 
     /// Runs one design point's warm-up and extracts its reusable
     /// [`GcnPlan`] alongside the (cold, tuning-inclusive) outcome. The
-    /// warm-up outcome is bit-identical to [`run_design`]; the plan lets
+    /// warm-up outcome is bit-identical to [`run_design`](Self::run_design); the plan lets
     /// grid code that needs more runs on the same (dataset, design) point
     /// execute them without re-paying tuning.
     pub fn prepare_design(&self, design: Design) -> (GcnPlan, GcnRunOutcome) {

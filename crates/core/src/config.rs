@@ -81,19 +81,22 @@ impl ShardPolicy {
 }
 
 /// Who picks the execution strategy (design point and shard counts):
-/// the caller, or the calibrated cost model in [`cost`](crate::cost).
+/// the caller, or Auto — a fixed design rule plus the layout cost model in
+/// [`cost`](crate::cost).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StrategyPolicy {
     /// Execute exactly the knobs set on the configuration (default).
     #[default]
     Manual,
-    /// At [`GcnRunner::prepare`](crate::GcnRunner::prepare), profile the
-    /// input's sparsity structure, score the candidate configurations with
-    /// the calibrated cost model, and execute the predicted-fastest one.
-    /// The design and shard fields on the configuration then serve only
-    /// as the scoring base; the resolved choice is recorded in
-    /// [`AutoDecision`](crate::cost::AutoDecision) and outputs stay
-    /// bit-identical to hand-specifying the same knobs under `Manual`.
+    /// At [`GcnRunner::prepare`](crate::GcnRunner::prepare), take the
+    /// largest LS+RS design that fits the PE count
+    /// (`LocalPlusRemote { hop: min(2, n_pes − 1) }`), profile the input's
+    /// sparsity structure, score the candidate shard layouts with the cost
+    /// model, and execute the predicted-fastest one. The design and shard
+    /// fields on the configuration are then overridden; the resolved
+    /// choice is recorded in [`AutoDecision`](crate::cost::AutoDecision)
+    /// and outputs stay bit-identical to hand-specifying the same knobs
+    /// under `Manual`.
     Auto,
 }
 
@@ -250,8 +253,9 @@ pub struct AccelConfig {
     /// [`FaultPlan`](crate::fault::FaultPlan).
     pub faults: Option<crate::fault::FaultPlan>,
     /// Who picks the execution strategy: the caller (default
-    /// [`StrategyPolicy::Manual`]) or the calibrated per-layer cost model
-    /// ([`StrategyPolicy::Auto`], resolved once per graph at prepare time).
+    /// [`StrategyPolicy::Manual`]) or Auto — LS+RS by rule and the shard
+    /// layout by the per-layer cost model ([`StrategyPolicy::Auto`],
+    /// resolved once per graph at prepare time).
     pub strategy: StrategyPolicy,
     /// Directory of a chunked on-disk sparse store
     /// ([`awb_sparse::store::SparseStore`]) to stream the adjacency from

@@ -212,9 +212,10 @@ impl GcnRunner {
         })
     }
 
-    /// Resolves [`StrategyPolicy::Auto`] for `input`: profiles its
-    /// structure and scores the candidate space with the calibrated cost
-    /// model ([`cost::select`]). Returns `None` under
+    /// Resolves [`StrategyPolicy::Auto`] for `input`: takes the largest
+    /// LS+RS design that fits the PE count, profiles the input's structure
+    /// and scores the shard-layout candidates with the cost model
+    /// ([`cost::select`]). Returns `None` under
     /// [`StrategyPolicy::Manual`] (nothing to resolve).
     pub fn resolve_strategy(&self, input: &GcnInput) -> Option<AutoDecision> {
         if self.config.strategy != StrategyPolicy::Auto {
@@ -224,9 +225,9 @@ impl GcnRunner {
         Some(Self::auto_select(&self.config, &profile))
     }
 
-    /// The Auto candidate space, store-aware: with a store configured the
+    /// The Auto layout space, store-aware: with a store configured the
     /// aggregation operand streams out of core (device-sharding `A` is a
-    /// config conflict), so only the unsharded candidates are scored.
+    /// config conflict), so only the unsharded layout is scored.
     fn auto_select(config: &AccelConfig, profile: &CostProfile) -> AutoDecision {
         if config.store.is_some() {
             cost::select_unsharded(config, profile)
@@ -281,9 +282,9 @@ impl GcnRunner {
         profile: Option<&CostProfile>,
         decision: Option<AutoDecision>,
     ) -> Result<(GcnPlan, GcnRunOutcome), AccelError> {
-        // Resolve Auto up front: every candidate is scored against the
-        // structure profile and the winner becomes the concrete (Manual)
-        // configuration the plan is built under.
+        // Resolve Auto up front: every layout candidate is scored against
+        // the structure profile and the winner becomes the concrete
+        // (Manual) configuration the plan is built under.
         let is_auto = self.config.strategy == StrategyPolicy::Auto;
         let mut owned_profile: Option<CostProfile> = None;
         let decision = match (is_auto, decision) {
@@ -292,10 +293,7 @@ impl GcnRunner {
             (true, None) => {
                 let profile = match profile {
                     Some(p) => p,
-                    None => {
-                        owned_profile = Some(CostProfile::of_input(input));
-                        owned_profile.as_ref().expect("just set")
-                    }
+                    None => owned_profile.insert(CostProfile::of_input(input)),
                 };
                 Some(Self::auto_select(&self.config, profile))
             }
@@ -321,14 +319,13 @@ impl GcnRunner {
                 // error, not a condition a resident fallback could mask.
                 Err(reason) if Self::resident_sharded(&exec_config) => {
                     let (single, decision) = if decision.is_some() {
-                        let rescored = match (profile, owned_profile.as_ref()) {
-                            (Some(p), _) => cost::select_unsharded(&self.config, p),
-                            (None, Some(p)) => cost::select_unsharded(&self.config, p),
-                            (None, None) => {
-                                let p = CostProfile::of_input(input);
-                                cost::select_unsharded(&self.config, &p)
+                        let profile = match profile {
+                            Some(p) => p,
+                            None => {
+                                owned_profile.get_or_insert_with(|| CostProfile::of_input(input))
                             }
                         };
+                        let rescored = cost::select_unsharded(&self.config, profile);
                         (rescored.apply(&self.config), Some(rescored))
                     } else {
                         let mut single = exec_config.clone();

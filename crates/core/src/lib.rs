@@ -35,10 +35,11 @@
 //! chunk range read from an on-disk store one shard at a time, so peak
 //! host memory stays under a budget (`DESIGN.md` §13).
 //!
-//! Strategy selection itself can be delegated to the calibrated per-layer
-//! cost model ([`StrategyPolicy::Auto`] / [`cost`]): prepare profiles the
-//! input, scores the candidate design/shard space, and freezes the
-//! predicted-fastest configuration — bit-identical to hand-specifying it.
+//! Layout selection can be delegated to the per-layer cost model
+//! ([`StrategyPolicy::Auto`] / [`cost`]): prepare takes the largest LS+RS
+//! design that fits the PE count, profiles the input, scores the candidate
+//! shard layouts, and freezes the predicted-fastest configuration —
+//! bit-identical to hand-specifying it.
 //!
 //! # Quickstart
 //!
@@ -84,7 +85,7 @@ pub use config::{
     AccelConfig, AccelConfigBuilder, Design, MappingKind, RetryPolicy, ServeOptions, ShardPolicy,
     SltPolicy, StallMode, StrategyPolicy, DEFAULT_HOST_MEM_BUDGET,
 };
-pub use cost::{AutoDecision, Calibration, CostProfile, LayerForecast};
+pub use cost::{AutoDecision, CostProfile};
 pub use energy::{cycles_to_ms, EnergyModel};
 pub use engine::{
     DetailedEngine, FastEngine, PlanShard, ShardedEngine, ShardedOutcome, ShardedPlan,

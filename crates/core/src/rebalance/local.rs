@@ -55,7 +55,7 @@ impl LocalSharing {
     /// This is the distributor's comparator tree: the winner is the
     /// minimum of `(queue length, tie rank)` over the window, each
     /// candidate packed into one `u128` key (length in the high 64 bits,
-    /// the [`tie_rank`] of its offset from the owner in the low bits), so
+    /// the `tie_rank` of its offset from the owner in the low bits), so
     /// the scan is a chain of branch-free integer minimums. The fields
     /// never overlap — a `usize` length, a rank below `2 × hop + 1` — so
     /// the key is lossless for every PE count.

@@ -124,7 +124,7 @@ pub struct PrepareReport {
 }
 
 /// The Auto-strategy scorecard attached to a [`PrepareReport`]: which
-/// configuration the calibrated cost model chose, and its predictions next
+/// configuration Auto resolved, and the cost model's cycle prediction next
 /// to what the warm-up actually measured.
 #[derive(Debug, Clone)]
 pub struct AutoReport {
@@ -137,11 +137,7 @@ pub struct AutoReport {
     /// rounds the prediction deliberately excludes, so expect
     /// `predicted <= measured` on skew-heavy graphs.
     pub measured_cycles: u64,
-    /// Predicted host wall seconds for one warm request.
-    pub predicted_wall_s: f64,
-    /// Host wall seconds of the (cold, tuning-inclusive) warm-up pass.
-    pub measured_wall_s: f64,
-    /// Candidate configurations the model scored.
+    /// Layout candidates the model scored.
     pub candidates_scored: usize,
     /// True when the decision was re-scored against the unsharded
     /// candidate set after a degraded sharded prepare.
@@ -272,8 +268,8 @@ impl BatchOutcome {
     }
 
     /// Average simulated PE utilization over all requests (weighted by
-    /// each request's busy/denominator, like [`RunStats::avg_utilization`]
-    /// (crate::RunStats::avg_utilization)).
+    /// each request's busy/denominator, like
+    /// [`RunStats::avg_utilization`](crate::RunStats::avg_utilization)).
     pub fn avg_utilization(&self) -> f64 {
         let (busy, denom) = self
             .requests
@@ -632,8 +628,6 @@ impl GcnService {
             chosen: d.label(),
             predicted_cycles: d.predicted_cycles,
             measured_cycles: warmup.stats.total_cycles(),
-            predicted_wall_s: d.predicted_wall_s,
-            measured_wall_s: wall_s,
             candidates_scored: d.candidates_scored,
             rescored_unsharded: d.rescored_unsharded,
         });

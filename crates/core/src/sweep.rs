@@ -33,7 +33,7 @@ pub struct SweepPoint {
     pub tq_slots: usize,
     /// Modeled total area in CLBs.
     pub clb_total: f64,
-    /// The calibrated cost model's warm-path cycle prediction for this
+    /// The cost model's warm-path cycle prediction for this
     /// point (see [`crate::cost::predict_config_cycles`]) — computed from
     /// one structure profile shared across the whole grid, so sweeps put
     /// the model next to every measurement for free.

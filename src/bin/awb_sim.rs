@@ -29,16 +29,17 @@
 //! memory budget of MB megabytes per device (mutually exclusive with the
 //! fixed counts). Outputs are bit-identical in every combination.
 //!
-//! `--auto` delegates the whole choice — design point and shard counts —
-//! to the calibrated per-layer cost model (`StrategyPolicy::Auto`):
-//! prepare profiles the input, scores the candidate space, and freezes the
-//! predicted-fastest configuration. It therefore rejects `--design`,
-//! `--shards`, and `--xw-shards` (the model owns those knobs), while
-//! `--mem-budget` still applies (it shapes the memory model the candidates
-//! are scored against). `sweep` runs the paper's design lineup at one PE
-//! count and prints per-point CSV (cold/warm measurements next to the cost
-//! model's prediction); with `--auto` it additionally reports the model's
-//! pick against the post-hoc best point.
+//! `--auto` delegates the whole choice to `StrategyPolicy::Auto`: the
+//! design is LS2+RS (LS1+RS on 2 PEs, where hop 2 does not fit), and the
+//! per-layer cost model picks the shard layout — prepare profiles the
+//! input, scores the layout candidates, and freezes the predicted-fastest
+//! one. It therefore rejects `--design`, `--shards`, and `--xw-shards`
+//! (Auto owns those knobs), while `--mem-budget` still applies (it shapes
+//! the memory model the layouts are scored against). `sweep` runs the
+//! paper's design lineup at one PE count and prints per-point CSV
+//! (cold/warm measurements next to the cost model's prediction); with
+//! `--auto` it additionally reports Auto's pick against the post-hoc best
+//! point.
 //!
 //! Out-of-core streaming (DESIGN.md §13): `--store DIR` keeps the
 //! normalized adjacency in a chunked on-disk sparse store (written on first
@@ -106,10 +107,10 @@ const USAGE: &str = "usage:
               mutually exclusive with --shards/--mem-budget
   --host-mem-budget: peak resident sparse bytes of the streaming pipeline
               in MB (>= 1; default 256); requires --store
-  --auto:     let the calibrated cost model pick the design point and
-              shard counts at prepare time; rejects --design,
+  --auto:     run LS2+RS (LS1+RS on 2 PEs) and let the cost model pick
+              the shard layout at prepare time; rejects --design,
               --shards and --xw-shards (--mem-budget still applies: it
-              shapes the memory model candidates are scored against)
+              shapes the memory model layouts are scored against)
   sweep: runs the paper design lineup at one PE count and prints per-point
          CSV (cold/warm cycles next to the cost model prediction); with
          --auto also reports the model's pick vs the post-hoc best point
@@ -328,10 +329,10 @@ fn parse_options(args: &[String]) -> Result<Options, Box<dyn Error>> {
         );
     }
     if auto && (design_set || shards.is_some() || xw_shards.is_some()) {
-        // Same typed rejection the service gives malformed ingest: the
-        // cost model owns these knobs under --auto.
+        // Same typed rejection the service gives malformed ingest: Auto
+        // owns these knobs under --auto.
         return Err(Box::new(AccelError::InvalidInput(
-            "--auto derives the design and shard counts from the cost model; drop \
+            "--auto derives the design and shard counts itself; drop \
              --design/--shards/--xw-shards"
                 .into(),
         )));

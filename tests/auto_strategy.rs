@@ -1,8 +1,8 @@
-//! Honesty and identity tests for `StrategyPolicy::Auto` — the calibrated
-//! cost model must pick a configuration within 10% of the post-hoc best
-//! sweep point, execute bit-identically to hand-specifying its choice, and
-//! re-score against the unsharded candidate set when a sharded prepare
-//! degrades.
+//! Honesty and identity tests for `StrategyPolicy::Auto` — LS+RS by rule
+//! plus the cost model's shard layout must land within 10% of the post-hoc
+//! best sweep point, execute bit-identically to hand-specifying its
+//! choice, and re-score against the unsharded layout when a sharded
+//! prepare degrades.
 
 use awb_gcn_repro::accel::{
     cost, AccelConfig, Design, DesignSweep, FaultPlan, GcnRunner, ShardPolicy, StrategyPolicy,
@@ -157,6 +157,37 @@ fn auto_within_ten_percent_of_best_on_paper_datasets() {
 fn auto_within_ten_percent_of_best_on_adversarial_synthetics() {
     check_honesty("power-law tail", &power_law_input());
     check_honesty("near-dense block", &near_dense_block_input());
+}
+
+/// Auto resolves the design by rule, not by search: the largest LS+RS of
+/// the paper lineup whose hop fits the PE count — LS2+RS on every
+/// honesty input, and LS1+RS on two PEs.
+#[test]
+fn auto_resolves_largest_fitting_ls_rs() {
+    let inputs = [
+        paper_input(DatasetSpec::cora().with_nodes(256), 7),
+        paper_input(DatasetSpec::citeseer().with_nodes(256), 11),
+        paper_input(DatasetSpec::pubmed().with_nodes(256), 13),
+        paper_input(DatasetSpec::nell().with_nodes(256), 17),
+        paper_input(DatasetSpec::reddit().with_nodes(192), 19),
+        power_law_input(),
+        near_dense_block_input(),
+    ];
+    for (n_pes, hop) in [(N_PES, 2), (2, 1)] {
+        let mut config = base_config();
+        config.n_pes = n_pes;
+        config.strategy = StrategyPolicy::Auto;
+        let runner = GcnRunner::new(config);
+        for input in &inputs {
+            let decision = runner.resolve_strategy(input).unwrap();
+            assert_eq!(
+                decision.design,
+                Design::LocalPlusRemote { hop },
+                "{n_pes} PEs: {}",
+                decision.label()
+            );
+        }
+    }
 }
 
 /// Auto must be a pure selector: running under Auto and running with the
