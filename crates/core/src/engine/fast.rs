@@ -27,10 +27,13 @@
 //! share one pattern — including across the layer-2 reuse of `A`'s
 //! engine). Rounds are grouped into runs of consecutive columns with
 //! identical patterns first, so a pattern is extracted and looked up
-//! once per run, not once per round. The round model, the replay cache,
-//! and the frozen-map executor live in the crate-internal `steady`
-//! module, shared verbatim with
-//! [`SpmmSession`](super::SpmmSession) — the per-request executor over a
+//! once per run, not once per round. The round the tuner freezes on
+//! seeds the cache when it exchanged no rows: the frozen map is then the
+//! map it ran under, so its timing is its pattern's steady timing, and the
+//! steady phase replays it instead of simulating the same (pattern, map)
+//! pair again. The round model, the replay cache, and the frozen-map
+//! executor live in the crate-internal `steady` module, shared verbatim
+//! with [`SpmmSession`](super::SpmmSession) — the per-request executor over a
 //! [`TunedPlan`](super::TunedPlan) extracted from this engine by
 //! [`FastEngine::freeze_plan`]. See `DESIGN.md` §5/§6 for the validity argument
 //! and the plan/execute split.
@@ -209,9 +212,11 @@ impl FastEngine {
 
     /// The timing of one SPMM on a fresh engine that is dropped after the
     /// call — the GCN layers' `X × W`, whose `X` differs per layer and
-    /// request. Nothing can replay its cache later, so it skips the
-    /// structure fingerprint that guards a reusable engine's cache; every
-    /// statistic is what [`run_timing`](FastEngine::run_timing) reports.
+    /// request. Only this call's own steady phase replays its cache (the
+    /// freezing round's seed, and one simulation per further pattern), so
+    /// it skips the structure fingerprint that guards a reusable engine's
+    /// cache across calls; every statistic is what
+    /// [`run_timing`](FastEngine::run_timing) reports.
     /// `runs` are the dense operand's [`column_runs`] for `a`'s columns
     /// (shapes checked by the caller).
     pub(crate) fn time_once(
@@ -264,22 +269,25 @@ impl FastEngine {
         // after the steady phase.
         let map = self.map.as_mut().expect("initialized in ensure_state");
         let tuner = self.tuner.as_mut().expect("initialized in ensure_state");
-        for run in runs.iter_mut() {
+        // The last tuning round — its run, the `total_exchanged()` it ran
+        // under, its timing and profile — kept for reuse: a round of the
+        // same run (so the same pattern) whose map has not changed since
+        // (no row exchanged) would simulate to exactly the same result.
+        // Eq. 5 makes this the common case — a tuple's first observation
+        // only profiles, so the round after a tuner's first observation
+        // runs the same map.
+        let mut previous: Option<(usize, u64, RoundTiming, RoundProfile)> = None;
+        for (i, run) in runs.iter_mut().enumerate() {
             if !tuner.is_active() {
                 break;
             }
-            // The previous tuning round of this run, kept for reuse: a
-            // round of the same pattern whose map has not changed since
-            // (no row exchanged) would simulate to exactly the same
-            // result. Eq. 5 makes this the common case — a tuple's first
-            // observation only profiles, so the round after a tuner's
-            // first observation runs the same map.
-            let mut previous: Option<(u64, RoundTiming, RoundProfile)> = None;
             while !run.cols.is_empty() && tuner.is_active() {
                 let k = run.cols.start;
                 let exchanged = map.total_exchanged();
                 let (timing, profile) = match previous.take() {
-                    Some((prev_exchanged, timing, profile)) if prev_exchanged == exchanged => {
+                    Some((prev_run, prev_exchanged, timing, profile))
+                        if prev_run == i && prev_exchanged == exchanged =>
+                    {
                         (timing, profile)
                     }
                     _ => {
@@ -315,8 +323,27 @@ impl FastEngine {
                     let util = timing.tasks as f64 / (cycles.max(1) as f64 * n_pes as f64);
                     tuner.observe_round(&profile, util, map);
                 }
-                previous = Some((exchanged, timing, profile));
+                previous = Some((i, exchanged, timing, profile));
                 run.cols.start += 1;
+            }
+        }
+        // The round the tuner froze on ran under the frozen map when it
+        // exchanged no rows, so its timing is the steady timing of its
+        // pattern: memoized without counting a miss, it is replayed by
+        // every steady round of that pattern instead of being simulated
+        // again. Only a pattern the steady phase meets is seeded, so the
+        // cache (and a plan frozen from it) holds the patterns it would
+        // hold without the seed.
+        if let Some((i, exchanged, timing, _)) = previous {
+            let pattern = &runs[i].pattern;
+            if use_replay
+                && !tuner.is_active()
+                && map.total_exchanged() == exchanged
+                && runs[i..]
+                    .iter()
+                    .any(|run| !run.cols.is_empty() && run.pattern == *pattern)
+            {
+                self.cache.memoize([(pattern.as_slice(), &timing)]);
             }
         }
         // The tuned rounds are consumed from the front of the runs.
@@ -495,6 +522,64 @@ mod tests {
             out.stats.rounds.len() as u64 - tuning,
             "exactly the steady-state rounds consult the cache"
         );
+    }
+
+    /// Whether the round the tuner froze on exchanged rows. That round ran
+    /// under the map a tuner with one round less of budget freezes on, so
+    /// it exchanged rows exactly when the two maps' switch counts differ.
+    fn freeze_round_exchanged(cfg: &AccelConfig, a: &Csc, b: &DenseMatrix) -> bool {
+        let mut engine = FastEngine::new(cfg.clone());
+        let tuning = engine.run(a, b, "t").unwrap().stats.tuning_rounds();
+        assert!(tuning >= 2 && !engine.tuning_active());
+        let mut shorter = cfg.clone();
+        shorter.max_tuning_rounds = tuning - 1;
+        let mut before = FastEngine::new(shorter);
+        before.run(a, b, "t").unwrap();
+        engine.total_switches() != before.total_switches()
+    }
+
+    /// Runs `cfg` on a fresh engine with replay on and off; checks that
+    /// the two agree bit for bit and that exactly the steady rounds
+    /// consulted the cache. Returns the replaying engine's misses.
+    fn steady_misses_against_straight(cfg: &AccelConfig, a: &Csc, b: &DenseMatrix) -> u64 {
+        let mut engine = FastEngine::new(cfg.clone());
+        let out = engine.run(a, b, "t").unwrap();
+        let mut straight = FastEngine::new(cfg.clone());
+        straight.set_replay_enabled(false);
+        let reference = straight.run(a, b, "t").unwrap();
+        assert_eq!(out.stats, reference.stats);
+        assert_eq!(out.c, reference.c);
+        let steady = (out.stats.rounds.len() - out.stats.tuning_rounds()) as u64;
+        assert!(steady > 0);
+        assert_eq!(engine.replay_hits() + engine.replay_misses(), steady);
+        engine.replay_misses()
+    }
+
+    #[test]
+    fn steady_phase_reuses_freeze_round_simulation() {
+        // Rows move early, but the round the tuner freezes on exchanges
+        // none: the frozen map is the one that round ran under, so every
+        // steady round of its (all-dense) pattern replays its timing.
+        let a = skewed(128, 10);
+        let b = dense_full(128, 16);
+        let cfg = Design::LocalPlusRemote { hop: 2 }.apply(config(16));
+        assert!(!freeze_round_exchanged(&cfg, &a, &b));
+        let mut engine = FastEngine::new(cfg.clone());
+        engine.run(&a, &b, "t").unwrap();
+        assert!(engine.total_switches() > 0);
+        assert_eq!(steady_misses_against_straight(&cfg, &a, &b), 0);
+    }
+
+    #[test]
+    fn freeze_round_with_exchange_simulates_steady_round() {
+        // The freezing round moved rows, so its timing describes a map
+        // that is no longer current: the steady phase simulates the
+        // pattern once under the frozen map.
+        let a = skewed(128, 100);
+        let b = dense_full(128, 16);
+        let cfg = Design::LocalPlusRemote { hop: 1 }.apply(config(16));
+        assert!(freeze_round_exchanged(&cfg, &a, &b));
+        assert_eq!(steady_misses_against_straight(&cfg, &a, &b), 1);
     }
 
     #[test]

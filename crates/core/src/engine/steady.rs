@@ -400,7 +400,7 @@ pub(crate) fn compute_rows(x: RowOperand<'_>, w: &DenseMatrix, threads: usize) -
     let (n_rows, width) = (x.rows(), w.cols());
     let mut data = vec![0f32; n_rows * width];
     if width > 0 {
-        let chunk_rows = n_rows.div_ceil(threads.max(1)).max(1);
+        let chunk_rows = n_rows.div_ceil(exec::workers(threads)).max(1);
         // One uncontended lock per chunk: it only lets `par_map` hand each
         // worker a `&mut` slice through a shared item list.
         let chunks: Vec<(usize, Mutex<&mut [f32]>)> = data
@@ -520,6 +520,25 @@ impl ReplayCache {
     /// Rounds that had to be simulated and were then memoized.
     pub(crate) fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Memoizes each `(pattern, timing)` whose pattern is not cached yet,
+    /// up to [`REPLAY_CACHE_CAP`] entries; past the cap (an
+    /// all-distinct-patterns operand that would never replay anyway) fresh
+    /// timings only serve their own call, bounding the cache's memory.
+    /// Timings are deterministic per key, so a concurrent session
+    /// inserting the same key writes the same value. Counts neither a hit
+    /// nor a miss.
+    pub(crate) fn memoize<'t>(
+        &self,
+        entries: impl IntoIterator<Item = (&'t [u32], &'t RoundTiming)>,
+    ) {
+        let mut cached = self.write_timings();
+        for (key, timing) in entries {
+            if cached.len() < REPLAY_CACHE_CAP && !cached.contains_key(key) {
+                cached.insert(key.to_vec(), timing.clone());
+            }
+        }
     }
 
     /// Cached distinct patterns.
@@ -645,19 +664,7 @@ fn replay_runs(span: &SteadySpan<'_>, cache: &ReplayCache) -> Vec<RoundTiming> {
     let fresh = exec::par_map_threads(span.threads, &to_sim, |cols| {
         simulate_round(span.a, cols, span.pe_of_row, span.params, None).timing
     });
-    // Promote fresh timings into the shared cache up to the size cap; past
-    // it (an all-distinct-patterns operand that would never replay anyway)
-    // they only serve this call, bounding the cache's memory. Timings are
-    // deterministic per key, so a concurrent session inserting the same
-    // key writes the same value.
-    {
-        let mut cached = cache.write_timings();
-        for (&key, timing) in to_sim.iter().zip(&fresh) {
-            if cached.len() < REPLAY_CACHE_CAP && !cached.contains_key(key) {
-                cached.insert(key.to_vec(), timing.clone());
-            }
-        }
-    }
+    cache.memoize(to_sim.iter().copied().zip(&fresh));
     sources
         .into_iter()
         .map(|source| source.unwrap_or_else(|i| fresh[i].clone()))
@@ -1044,6 +1051,30 @@ mod tests {
                 lo = hi;
             }
             prop_assert_eq!(&bits(&out), &reference);
+        }
+    }
+
+    #[test]
+    fn compute_rows_inside_a_worker_matches_outside() {
+        // On a `par_map` worker the rows run as one chunk (one worker),
+        // outside as one chunk per thread; both are the same pinned row
+        // kernel, so the output bits agree for sparse and dense operands.
+        let mut coo = Coo::new(37, 19);
+        for i in 0..37 {
+            for j in [i % 19, (i * 5 + 3) % 19, (i * 11 + 7) % 19] {
+                coo.push(i, j, (i + 2 * j) as f32 * 0.1 - 1.3).unwrap();
+            }
+        }
+        let x_sparse = coo.to_csr();
+        let x_dense = coo.to_dense();
+        let w_data: Vec<f32> = (0..19 * 21).map(|i| ((i % 9) as f32 - 4.0) * 0.3).collect();
+        let w = DenseMatrix::from_vec(19, 21, w_data).unwrap();
+        for x in [RowOperand::Sparse(&x_sparse), RowOperand::Dense(&x_dense)] {
+            let outside = bits(compute_rows(x, &w, 3).as_slice());
+            assert_eq!(bits(compute_rows(x, &w, 1).as_slice()), outside);
+            for inside in exec::par_map_threads(2, &[0, 1], |_| compute_rows(x, &w, 3)) {
+                assert_eq!(bits(inside.as_slice()), outside);
+            }
         }
     }
 
