@@ -374,50 +374,42 @@ const REGRESSION_THRESHOLD: f64 = 0.20;
 /// Absolute hit-rate drift that triggers the (warn-only) notice.
 const HIT_RATE_DRIFT: f64 = 0.01;
 
-/// Geometric mean of the *engine* (`"spmm"`) records' throughputs — the
-/// run's "machine speed" scalar used to normalize before gating.
-/// Raw-kernel records are excluded: their MAC rates live on a different
-/// scale than engine tasks/second and would skew the normalizer.
-fn geomean_tps(records: &[Record]) -> f64 {
-    let spmm: Vec<f64> = records
-        .iter()
-        .filter(|r| r.workload == "spmm")
-        .map(|r| r.tasks_per_s.max(1e-9).ln())
-        .collect();
-    if spmm.is_empty() {
+/// Median of `ratios` (mean of the middle two for an even count); 1.0
+/// when there are none.
+fn median(mut ratios: Vec<f64>) -> f64 {
+    if ratios.is_empty() {
         return 1.0;
     }
-    (spmm.iter().sum::<f64>() / spmm.len() as f64).exp()
-}
-
-/// The run's scalar-kernel MAC rate — the normalizer for the raw-kernel
-/// records. Kernel wall-clock does not covary with the engine records'
-/// (they time different code at a different moment of the process), so
-/// normalizing the blocked record by its *own run's* scalar record
-/// cancels machine speed exactly: the gated quantity is the blocked/scalar
-/// speedup ratio, the invariant the records exist to protect. Falls back
-/// to the spmm geomean for files predating schema 7.
-fn kernel_norm(records: &[Record], fallback: f64) -> f64 {
-    records
-        .iter()
-        .find(|r| r.workload == "kernel" && r.design == "scalar")
-        .map(|r| r.tasks_per_s.max(1e-9))
-        .unwrap_or(fallback)
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    }
 }
 
 /// Diffs `fresh` against `baseline`: exits non-zero when any matched
 /// (design, replay, shards, xw_shards) record lost more than 20%
 /// *normalized* throughput.
 ///
-/// Each record's tasks/s is divided by its own run's geometric-mean
-/// tasks/s before comparing, so a uniformly faster/slower machine (the
-/// committed baseline comes from a different host than the CI runner)
-/// cancels out and the gate measures the code's relative performance
-/// profile, not the hardware. The blind spot — a perfectly uniform
-/// slowdown across every record — is indistinguishable from a slower
-/// machine by construction; absolute drops are still printed and warned
-/// about. Hit-rate drift also only warns (wall-clock is noisy, hit
-/// counts are not — a drift means caching behaviour itself changed).
+/// Each matched record's fresh/baseline throughput ratio is divided by
+/// the machine-speed factor before gating, so a uniformly faster/slower
+/// machine (the committed baseline comes from a different host than the
+/// CI runner) cancels out and the gate measures the code's relative
+/// performance profile, not the hardware. For the engine (`"spmm"`)
+/// records the factor is the *median* of their fresh/baseline ratios: a
+/// change that legitimately speeds up or slows down a minority of records
+/// cannot move it, so it neither flags the untouched records nor hides a
+/// slowed one. Raw-kernel records live on a different scale and divide
+/// by their own run's scalar-kernel ratio instead (kernel wall-clock does
+/// not covary with the engine records', so the gated quantity is the
+/// blocked/scalar speedup; files predating schema 7 fall back to the
+/// engine factor). The blind spot — a slowdown shared by most records —
+/// is indistinguishable from a slower machine by construction; absolute
+/// drops are still printed and warned about. Hit-rate drift also only
+/// warns (wall-clock is noisy, hit counts are not — a drift means caching
+/// behaviour itself changed).
 fn compare(fresh_path: &str, baseline_path: &str) {
     let read = |path: &str| -> String {
         std::fs::read_to_string(path).unwrap_or_else(|e| {
@@ -431,15 +423,7 @@ fn compare(fresh_path: &str, baseline_path: &str) {
         eprintln!("BENCH compare failed: no records ({fresh_path} / {baseline_path})");
         std::process::exit(1);
     }
-    let fresh_mean = geomean_tps(&fresh);
-    let base_mean = geomean_tps(&baseline);
-    let fresh_kernel = kernel_norm(&fresh, fresh_mean);
-    let base_kernel = kernel_norm(&baseline, base_mean);
-    println!(
-        "machine-speed normalizer (geomean tasks/s): baseline {base_mean:.1}, fresh {fresh_mean:.1}"
-    );
-    let mut regressions = 0usize;
-    let mut matched = 0usize;
+    let mut pairs: Vec<(&Record, &Record)> = Vec::new();
     for base in &baseline {
         let Some(now) = fresh.iter().find(|r| {
             r.design == base.design
@@ -455,14 +439,38 @@ fn compare(fresh_path: &str, baseline_path: &str) {
             );
             continue;
         };
-        matched += 1;
-        let abs_ratio = now.tasks_per_s / base.tasks_per_s.max(1e-9);
-        let (now_norm, base_norm) = if base.workload == "kernel" {
-            (fresh_kernel, base_kernel)
+        pairs.push((base, now));
+    }
+    if pairs.is_empty() {
+        eprintln!("BENCH compare failed: no matching records between the two files");
+        std::process::exit(1);
+    }
+    let ratio = |(base, now): &(&Record, &Record)| now.tasks_per_s / base.tasks_per_s.max(1e-9);
+    let engine: Vec<f64> = pairs
+        .iter()
+        .filter(|(base, _)| base.workload == "spmm")
+        .map(ratio)
+        .collect();
+    let engine_records = engine.len();
+    let engine_speed = median(engine);
+    let kernel_speed = pairs
+        .iter()
+        .find(|(base, _)| base.workload == "kernel" && base.design == "scalar")
+        .map(ratio)
+        .unwrap_or(engine_speed);
+    println!(
+        "machine-speed factor (fresh/baseline): engine {engine_speed:.3} \
+         (median over {engine_records} records), kernel {kernel_speed:.3} (scalar record)"
+    );
+    let mut regressions = 0usize;
+    for pair @ (base, now) in &pairs {
+        let abs_ratio = ratio(pair);
+        let speed = if base.workload == "kernel" {
+            kernel_speed
         } else {
-            (fresh_mean, base_mean)
+            engine_speed
         };
-        let norm_ratio = (now.tasks_per_s / now_norm) / (base.tasks_per_s / base_norm).max(1e-9);
+        let norm_ratio = abs_ratio / speed;
         let verdict = if norm_ratio < 1.0 - REGRESSION_THRESHOLD {
             regressions += 1;
             "REGRESSION"
@@ -500,10 +508,6 @@ fn compare(fresh_path: &str, baseline_path: &str) {
             }
         }
     }
-    if matched == 0 {
-        eprintln!("BENCH compare failed: no matching records between the two files");
-        std::process::exit(1);
-    }
     if regressions > 0 {
         eprintln!(
             "BENCH compare failed: {regressions} record(s) regressed by more than {:.0}% \
@@ -512,7 +516,10 @@ fn compare(fresh_path: &str, baseline_path: &str) {
         );
         std::process::exit(1);
     }
-    println!("{fresh_path} vs {baseline_path}: {matched} records compared, no regression");
+    println!(
+        "{fresh_path} vs {baseline_path}: {} records compared, no regression",
+        pairs.len()
+    );
 }
 
 /// Minimal JSON syntax validator (objects, arrays, strings, numbers,

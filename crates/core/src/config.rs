@@ -100,16 +100,6 @@ pub enum StrategyPolicy {
     Auto,
 }
 
-impl StrategyPolicy {
-    /// Short human-readable label (`"manual"` / `"auto"`).
-    pub fn label(&self) -> &'static str {
-        match self {
-            StrategyPolicy::Manual => "manual",
-            StrategyPolicy::Auto => "auto",
-        }
-    }
-}
-
 /// Named design points evaluated in the paper (§5.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Design {
@@ -733,9 +723,7 @@ mod tests {
     }
 
     #[test]
-    fn strategy_policy_labels_and_builder() {
-        assert_eq!(StrategyPolicy::Manual.label(), "manual");
-        assert_eq!(StrategyPolicy::Auto.label(), "auto");
+    fn strategy_policy_builder() {
         let c = AccelConfig::builder()
             .strategy(StrategyPolicy::Auto)
             .build()

@@ -55,8 +55,8 @@ const CYCLE_TIE_EPS: f64 = 1e-6;
 
 /// The sparsity-structure inputs the model scores against, computed once
 /// per graph (an `O(n)` row-count scan) and shared across every candidate
-/// — and, via `GcnRunner::prepare_profiled`, across every `DesignSweep`
-/// point on the same input.
+/// — and across every `DesignSweep` point on the same input, whose
+/// `predicted_cycles` column scores each point against it.
 #[derive(Debug, Clone)]
 pub struct CostProfile {
     n: usize,
@@ -103,10 +103,6 @@ pub struct AutoDecision {
     /// How many layout candidates were scored (1 when the graph fits on
     /// chip).
     pub candidates_scored: usize,
-    /// True when this decision was re-scored against the unsharded
-    /// candidate set after a degraded sharded prepare (DESIGN.md §10's
-    /// fallback rung) — the sharded predictions above would be stale.
-    pub rescored_unsharded: bool,
 }
 
 impl AutoDecision {
@@ -329,27 +325,11 @@ pub fn predict_config_cycles(config: &AccelConfig, profile: &CostProfile) -> f64
 /// Resolves Auto for `config` against `profile`: the rule's design and the
 /// layout candidate with the lowest [`predict_config_cycles`].
 /// Deterministic for a given profile and config, and infallible: the
-/// candidate space always contains the unsharded layout.
+/// candidate space always contains the unsharded layout. With a store
+/// configured, `A` streams out of core (device-sharding it is a config
+/// conflict), so the unsharded layout is the only candidate scored.
 pub fn select(config: &AccelConfig, profile: &CostProfile) -> AutoDecision {
-    select_constrained(config, profile, true)
-}
-
-/// [`select`] restricted to the unsharded layout — the re-scoring path
-/// after a degraded sharded prepare (the sharded candidates' plans can no
-/// longer be built, so keeping their predictions would be stale). The
-/// returned decision has
-/// [`rescored_unsharded`](AutoDecision::rescored_unsharded) set.
-pub fn select_unsharded(config: &AccelConfig, profile: &CostProfile) -> AutoDecision {
-    let mut decision = select_constrained(config, profile, false);
-    decision.rescored_unsharded = true;
-    decision
-}
-
-fn select_constrained(
-    config: &AccelConfig,
-    profile: &CostProfile,
-    allow_sharded: bool,
-) -> AutoDecision {
+    let allow_sharded = config.store.is_none();
     // The largest LS+RS of the paper lineup whose hop fits the PE count.
     let design = Design::LocalPlusRemote {
         hop: config.n_pes.saturating_sub(1).min(2),
@@ -394,7 +374,6 @@ fn select_constrained(
                 combination_shards: x_policy,
                 predicted_cycles: 0.0,
                 candidates_scored: 0,
-                rescored_unsharded: false,
             };
             candidate.predicted_cycles = predict_config_cycles(&candidate.apply(config), profile);
             candidates_scored += 1;
@@ -483,13 +462,14 @@ mod tests {
             "memory-bound adjacency must shard: {}",
             decision.label()
         );
-        // The unsharded re-score is forced back onto one device and must
-        // predict slower (the delivery floor binds).
-        let rescored = select_unsharded(&config, &profile);
-        assert!(rescored.rescored_unsharded);
-        assert_eq!(rescored.shards, ShardPolicy::Single);
-        assert_eq!(rescored.combination_shards, ShardPolicy::Single);
-        assert!(rescored.predicted_cycles > decision.predicted_cycles);
+        // With a store, `A` streams out of core: only the unsharded layout
+        // is scored, and it must predict slower (the delivery floor binds).
+        config.store = Some(std::path::PathBuf::from("unused.store"));
+        let unsharded = select(&config, &profile);
+        assert_eq!(unsharded.candidates_scored, 1);
+        assert_eq!(unsharded.shards, ShardPolicy::Single);
+        assert_eq!(unsharded.combination_shards, ShardPolicy::Single);
+        assert!(unsharded.predicted_cycles > decision.predicted_cycles);
     }
 
     #[test]

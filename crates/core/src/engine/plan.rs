@@ -166,11 +166,6 @@ impl TunedPlan {
         self.cache.misses()
     }
 
-    /// Distinct memoized patterns currently held.
-    pub fn cached_patterns(&self) -> usize {
-        self.cache.len()
-    }
-
     /// Opens a per-request execution session against this plan.
     pub fn session(&self) -> SpmmSession<'_> {
         SpmmSession {

@@ -164,7 +164,10 @@ pub(crate) fn merge_stats(label: &str, per_shard: &[SpmmStats]) -> SpmmStats {
 /// the GCN layers' `X × W`, whose numerics run row-major and whose devices
 /// are never frozen into a plan — so shards are the pattern's column
 /// slices and no slice of `X`'s values exists. Statistics equal a
-/// [`ShardedEngine`] run on the same operand.
+/// [`ShardedEngine`] run on the same operand. A cut of one shard
+/// (`is_single` is O(1)) times `a` itself on one device: no partition
+/// scan and no column-slice copy, and a one-shard merge is that shard's
+/// stats.
 pub(crate) fn shard_timing(
     config: &AccelConfig,
     partitioner: ColumnPartitioner,
@@ -173,6 +176,9 @@ pub(crate) fn shard_timing(
     label: &str,
 ) -> Result<SpmmStats, AccelError> {
     check_shapes(a, b)?;
+    if partitioner.is_single(a) {
+        return FastEngine::time_once(config, a, column_runs(b, 0..b.rows()), label);
+    }
     let mut cuts: Vec<Range<usize>> = partitioner
         .partition(a)
         .into_iter()
@@ -1233,15 +1239,18 @@ mod tests {
     #[test]
     fn shard_timing_matches_sharded_engine() {
         // The GCN layers' transient X × W shard timing must report exactly
-        // what a ShardedEngine reports on the same operand and cut.
+        // what a ShardedEngine reports on the same operand and cut — the
+        // one-shard cut (timed on the whole pattern) included.
         let a = skewed(96, 60);
         let b = dense(96, 8);
         let cfg = config(8, 1);
-        let partitioner = ColumnPartitioner::by_shards(3);
-        let mut engine = ShardedEngine::with_partitioner(cfg.clone(), partitioner);
-        let expect = engine.run(&a, &b, "t").unwrap().stats;
-        let stats = shard_timing(&cfg, partitioner, a.pattern(), &b, "t").unwrap();
-        assert_eq!(stats, expect);
-        assert_eq!(stats.n_pes, 3 * 8);
+        for shards in [1, 3] {
+            let partitioner = ColumnPartitioner::by_shards(shards);
+            let mut engine = ShardedEngine::with_partitioner(cfg.clone(), partitioner);
+            let expect = engine.run(&a, &b, "t").unwrap().stats;
+            let stats = shard_timing(&cfg, partitioner, a.pattern(), &b, "t").unwrap();
+            assert_eq!(stats, expect, "{shards} shard(s)");
+            assert_eq!(stats.n_pes, shards * 8);
+        }
     }
 }

@@ -541,11 +541,6 @@ impl ReplayCache {
         }
     }
 
-    /// Cached distinct patterns.
-    pub(crate) fn len(&self) -> usize {
-        self.read_timings().len()
-    }
-
     /// Approximate heap bytes held by the memoized timings: per entry, the
     /// key's pattern (`u32` per non-zero position), the per-PE queue
     /// high-water vector (`u32` per PE), and the fixed `RoundTiming`
@@ -1132,7 +1127,7 @@ mod tests {
 
         // Reads recover and see the pre-panic entry (inserts are atomic:
         // complete key→value pairs only).
-        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.read_timings().len(), 1);
         assert_eq!(
             cache.read_timings().get([0, 1, 2].as_slice()),
             Some(&timing(42))
@@ -1141,14 +1136,14 @@ mod tests {
 
         // A matching guard keeps the entry; the clone snapshots it.
         cache.guard(7);
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.clone().len(), 1);
+        assert_eq!(cache.read_timings().len(), 1);
+        assert_eq!(cache.clone().read_timings().len(), 1);
 
         // Writes recover too: re-guard to a new fingerprint, then clear.
         cache.guard(8);
-        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.read_timings().len(), 0);
         cache.write_timings().insert(vec![5], timing(9));
         cache.clear();
-        assert_eq!(cache.len(), 0);
+        assert_eq!(cache.read_timings().len(), 0);
     }
 }

@@ -22,11 +22,10 @@
 
 use crate::config::{AccelConfig, ShardPolicy, StrategyPolicy, DEFAULT_HOST_MEM_BUDGET};
 use crate::cost::{self, AutoDecision, CostProfile};
-use crate::engine::steady::{column_runs, compute_rows};
+use crate::engine::steady::compute_rows;
 use crate::engine::streaming::store_err;
 use crate::engine::{
-    check_shapes, shard_timing, FastEngine, ShardedEngine, ShardedOutcome, ShardedPlan,
-    StreamStats, TunedPlan,
+    shard_timing, ShardedEngine, ShardedOutcome, ShardedPlan, StreamStats, TunedPlan,
 };
 use crate::error::AccelError;
 use crate::exec;
@@ -93,20 +92,15 @@ fn run_layers(
     let mut x_hidden: Option<DenseMatrix> = None;
     for (l, w) in weights.iter().enumerate() {
         x_density.push(x_pattern.density());
-        // Stage 1: X × W. A policy that resolves to a single shard for
-        // this X (Fixed(1), or a memory budget the whole matrix fits) runs
-        // one device: `is_single` is O(1), so the dispatch never pays a
-        // partition scan the sharded timing would then repeat.
+        // Stage 1: X × W, timed on one device per column shard of X.
         let label = format!("L{}:X*W", l + 1);
-        let partitioner = config.combination_partitioner();
-        let xw_stats = if config.combination_shards != ShardPolicy::Single
-            && !partitioner.is_single(&x_pattern)
-        {
-            shard_timing(config, partitioner, &x_pattern, w, &label)?
-        } else {
-            check_shapes(&x_pattern, w)?;
-            FastEngine::time_once(config, &x_pattern, column_runs(w, 0..w.rows()), &label)?
-        };
+        let xw_stats = shard_timing(
+            config,
+            config.combination_partitioner(),
+            &x_pattern,
+            w,
+            &label,
+        )?;
         let x_rows = match &x_hidden {
             Some(x) => RowOperand::Dense(x),
             None => RowOperand::Sparse(x1),
@@ -218,22 +212,8 @@ impl GcnRunner {
     /// ([`cost::select`]). Returns `None` under
     /// [`StrategyPolicy::Manual`] (nothing to resolve).
     pub fn resolve_strategy(&self, input: &GcnInput) -> Option<AutoDecision> {
-        if self.config.strategy != StrategyPolicy::Auto {
-            return None;
-        }
-        let profile = CostProfile::of_input(input);
-        Some(Self::auto_select(&self.config, &profile))
-    }
-
-    /// The Auto layout space, store-aware: with a store configured the
-    /// aggregation operand streams out of core (device-sharding `A` is a
-    /// config conflict), so only the unsharded layout is scored.
-    fn auto_select(config: &AccelConfig, profile: &CostProfile) -> AutoDecision {
-        if config.store.is_some() {
-            cost::select_unsharded(config, profile)
-        } else {
-            cost::select(config, profile)
-        }
+        (self.config.strategy == StrategyPolicy::Auto)
+            .then(|| cost::select(&self.config, &CostProfile::of_input(input)))
     }
 
     /// Runs one warm-up inference (identical to [`run`](GcnRunner::run))
@@ -246,109 +226,49 @@ impl GcnRunner {
     ///
     /// Propagates configuration/shape errors from the engines.
     pub fn prepare(&self, input: &GcnInput) -> Result<(GcnPlan, GcnRunOutcome), AccelError> {
-        self.prepare_seeded(input, None, None)
+        self.prepare_with_decision(input, self.resolve_strategy(input))
     }
 
-    /// [`prepare`](GcnRunner::prepare) against a structure profile the
-    /// caller already computed — [`DesignSweep`](crate::DesignSweep) runs
-    /// many prepares on one input, and the `O(n + nnz)` profile scan is a
-    /// function of the input alone, so it is computed once and shared.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration/shape errors from the engines.
-    pub fn prepare_profiled(
-        &self,
-        input: &GcnInput,
-        profile: &CostProfile,
-    ) -> Result<(GcnPlan, GcnRunOutcome), AccelError> {
-        self.prepare_seeded(input, Some(profile), None)
-    }
-
-    /// [`prepare`](GcnRunner::prepare) with an Auto decision the caller
-    /// already resolved (the serving front-end resolves it for the
-    /// plan-cache key first; re-resolving here would double the work).
+    /// [`prepare`](GcnRunner::prepare) under the Auto `decision` the
+    /// caller already resolved (`None` under Manual; the serving
+    /// front-end resolves it for the plan-cache key first, and
+    /// re-resolving here would double the work). The decision's winner
+    /// is the concrete (Manual) configuration the plan is built under.
     pub(crate) fn prepare_with_decision(
         &self,
         input: &GcnInput,
-        decision: Option<AutoDecision>,
+        mut decision: Option<AutoDecision>,
     ) -> Result<(GcnPlan, GcnRunOutcome), AccelError> {
-        self.prepare_seeded(input, None, decision)
-    }
-
-    fn prepare_seeded(
-        &self,
-        input: &GcnInput,
-        profile: Option<&CostProfile>,
-        decision: Option<AutoDecision>,
-    ) -> Result<(GcnPlan, GcnRunOutcome), AccelError> {
-        // Resolve Auto up front: every layout candidate is scored against
-        // the structure profile and the winner becomes the concrete
-        // (Manual) configuration the plan is built under.
-        let is_auto = self.config.strategy == StrategyPolicy::Auto;
-        let mut owned_profile: Option<CostProfile> = None;
-        let decision = match (is_auto, decision) {
-            (false, _) => None,
-            (true, Some(decision)) => Some(decision),
-            (true, None) => {
-                let profile = match profile {
-                    Some(p) => p,
-                    None => owned_profile.insert(CostProfile::of_input(input)),
-                };
-                Some(Self::auto_select(&self.config, profile))
-            }
-        };
-        let exec_config = match &decision {
+        let mut config = match &decision {
             Some(decision) => decision.apply(&self.config),
             None => self.config.clone(),
         };
-
-        let (a_plan, outcome, degraded, decision, plan_config) =
-            match Self::prepare_a(&exec_config, input) {
-                Ok((a_plan, outcome)) => (a_plan, outcome, None, decision, exec_config),
-                // Degradation ladder, rung 2 (DESIGN.md §10): a failing
-                // resident sharded prepare falls back to one device —
-                // the tenant gets a correct (bit-identical) plan instead of
-                // an error, and the fallback is recorded on the plan /
-                // PrepareReport. Under Auto the decision is re-scored
-                // against the unsharded candidate set: the sharded
-                // predictions describe a plan that can no longer be built,
-                // so keeping them would be stale. A stored or single-device
-                // prepare has no rung below it: a store that cannot be
-                // opened (or does not hold this graph) is a typed ingest
-                // error, not a condition a resident fallback could mask.
-                Err(reason) if Self::resident_sharded(&exec_config) => {
-                    let (single, decision) = if decision.is_some() {
-                        let profile = match profile {
-                            Some(p) => p,
-                            None => {
-                                owned_profile.get_or_insert_with(|| CostProfile::of_input(input))
-                            }
-                        };
-                        let rescored = cost::select_unsharded(&self.config, profile);
-                        (rescored.apply(&self.config), Some(rescored))
-                    } else {
-                        let mut single = exec_config.clone();
-                        single.shards = ShardPolicy::Single;
-                        (single, None)
-                    };
-                    let (a_plan, outcome) = Self::prepare_a(&single, input)?;
-                    (a_plan, outcome, Some(reason.to_string()), decision, single)
+        let (a_plan, outcome, degraded) = match Self::prepare_a(&config, input) {
+            Ok((a_plan, outcome)) => (a_plan, outcome, None),
+            // Degradation ladder, rung 2 (DESIGN.md §10): a failing
+            // resident sharded prepare falls back to one device — the
+            // tenant gets a correct (bit-identical) plan instead of an
+            // error, and the fallback is recorded on the plan /
+            // PrepareReport. Only the `A` layout changes; an Auto decision
+            // is updated to describe the plan that was built. A stored or
+            // single-device prepare has no rung below it: a store that
+            // cannot be opened (or does not hold this graph) is a typed
+            // ingest error, not a condition a resident fallback could mask.
+            Err(reason) if Self::resident_sharded(&config) => {
+                config.shards = ShardPolicy::Single;
+                if let Some(decision) = &mut decision {
+                    decision.shards = ShardPolicy::Single;
+                    decision.predicted_cycles =
+                        cost::predict_config_cycles(&config, &CostProfile::of_input(input));
                 }
-                Err(e) => return Err(e),
-            };
+                let (a_plan, outcome) = Self::prepare_a(&config, input)?;
+                (a_plan, outcome, Some(reason.to_string()))
+            }
+            Err(e) => return Err(e),
+        };
         Ok((
             GcnPlan {
-                // The resolved configuration (identical to self.config
-                // under Manual, except that a degraded Auto prepare records
-                // its re-scored unsharded resolution): per-request
-                // execution must replay exactly the knobs the plan was
-                // built under.
-                config: if is_auto {
-                    plan_config
-                } else {
-                    self.config.clone()
-                },
+                config,
                 a_norm_csc: input.a_norm_csc.clone(),
                 weights: input.weights.clone(),
                 a_plan,
@@ -452,22 +372,22 @@ pub struct GcnPlan {
 }
 
 impl GcnPlan {
-    /// The configuration the plan was prepared under. For a plan prepared
-    /// under [`StrategyPolicy::Auto`] this is the *resolved* configuration
-    /// (the cost model's winning knobs, strategy set back to `Manual`) —
-    /// per-request execution replays exactly what the warm-up ran.
+    /// The configuration the plan was built under — per-request execution
+    /// replays exactly what the warm-up ran. For a plan prepared under
+    /// [`StrategyPolicy::Auto`] this is the *resolved* configuration (the
+    /// cost model's winning knobs, strategy set back to `Manual`); for a
+    /// [`degraded`](GcnPlan::degraded) plan its `shards` is
+    /// [`ShardPolicy::Single`].
     pub fn config(&self) -> &AccelConfig {
         &self.config
     }
 
     /// The cost model's resolution when the plan was prepared under
-    /// [`StrategyPolicy::Auto`]: the chosen design and shards, the
-    /// predicted cycles/wall, and the per-layer forecast. `None` for a
+    /// [`StrategyPolicy::Auto`]: the design, the `A` and `X` layouts and
+    /// the predicted cycles of the plan that was built. `None` for a
     /// `Manual` prepare. When [`degraded`](GcnPlan::degraded) is also set,
-    /// the decision carries
-    /// [`rescored_unsharded`](AutoDecision::rescored_unsharded): it was
-    /// re-scored against the unsharded candidate set after the sharded
-    /// prepare failed.
+    /// its `shards` is [`ShardPolicy::Single`] and its prediction is
+    /// [`cost::predict_config_cycles`] for [`config`](GcnPlan::config).
     pub fn auto_decision(&self) -> Option<&AutoDecision> {
         self.auto.as_ref()
     }

@@ -98,8 +98,8 @@ pub use gcn_run::{verify_against_reference, GcnPlan, GcnRunOutcome, GcnRunner};
 pub use mapping::RowMap;
 pub use rebalance::{AutoTuner, LocalSharing, RemoteSwitcher, RoundProfile, SwitchPlan};
 pub use serve::{
-    validate_ingest, AdmissionOutcome, AutoReport, BatchOutcome, CacheStats, GcnService,
-    IsolatedBatch, LatencyPercentiles, PrepareReport, RequestOutcome,
+    validate_ingest, AdmissionOutcome, BatchOutcome, CacheStats, GcnService, IsolatedBatch,
+    LatencyPercentiles, PrepareReport, RequestOutcome,
 };
 pub use stats::{LayerStats, RoundStats, RunStats, SpmmStats};
 pub use sweep::{sweep_csv, DesignSweep, SweepPoint};

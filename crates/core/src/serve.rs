@@ -108,40 +108,13 @@ pub struct PrepareReport {
     /// runner degraded to an unsharded plan (see [`GcnPlan::degraded`]);
     /// `None` when the plan was prepared exactly as configured.
     pub degraded: Option<String>,
-    /// Strategy policy the plan was prepared under (`"manual"`/`"auto"`).
-    pub policy: &'static str,
-    /// The cost model's resolution and its predicted-vs-measured scorecard
-    /// when the plan was prepared under
+    /// The cost model's resolution of the plan that was built (see
+    /// [`GcnPlan::auto_decision`]) when it was prepared under
     /// [`StrategyPolicy::Auto`](crate::StrategyPolicy::Auto); `None` under
-    /// `Manual`.
-    pub auto: Option<AutoReport>,
-    /// Streaming statistics of the warm-up pass — stream shard count,
-    /// peak resident sparse bytes, I/O traffic, and store-read and
-    /// compute wall time — when the plan streams `A` from a configured
-    /// on-disk store ([`AccelConfig::store`]); `None` for fully-resident
-    /// plans.
-    pub stream: Option<crate::StreamStats>,
-}
-
-/// The Auto-strategy scorecard attached to a [`PrepareReport`]: which
-/// configuration Auto resolved, and the cost model's cycle prediction next
-/// to what the warm-up actually measured.
-#[derive(Debug, Clone)]
-pub struct AutoReport {
-    /// Human label of the winning configuration
-    /// (see [`AutoDecision::label`]).
-    pub chosen: String,
-    /// Predicted warm-path cycles for the chosen configuration.
-    pub predicted_cycles: f64,
-    /// Cycles the warm-up actually took. Includes the one-time tuning
-    /// rounds the prediction deliberately excludes, so expect
-    /// `predicted <= measured` on skew-heavy graphs.
-    pub measured_cycles: u64,
-    /// Layout candidates the model scored.
-    pub candidates_scored: usize,
-    /// True when the decision was re-scored against the unsharded
-    /// candidate set after a degraded sharded prepare.
-    pub rescored_unsharded: bool,
+    /// `Manual`. Its `predicted_cycles` sits next to the measured
+    /// `warmup.stats.total_cycles()`, which includes the one-time tuning
+    /// rounds the prediction deliberately excludes.
+    pub auto: Option<AutoDecision>,
 }
 
 /// One served request's result.
@@ -624,13 +597,6 @@ impl GcnService {
             .max()
             .unwrap_or(1);
         let wall_s = start.elapsed().as_secs_f64();
-        let auto = plan.auto_decision().map(|d| AutoReport {
-            chosen: d.label(),
-            predicted_cycles: d.predicted_cycles,
-            measured_cycles: warmup.stats.total_cycles(),
-            candidates_scored: d.candidates_scored,
-            rescored_unsharded: d.rescored_unsharded,
-        });
         Ok(PrepareReport {
             graph: name,
             tuning_rounds: plan.tuning_rounds(),
@@ -639,9 +605,7 @@ impl GcnService {
             combination_shards,
             wall_s,
             degraded: plan.degraded().map(String::from),
-            policy: self.config.strategy.label(),
-            auto,
-            stream: plan.stream_stats(),
+            auto: plan.auto_decision().cloned(),
             warmup,
         })
     }

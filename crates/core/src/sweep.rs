@@ -138,8 +138,8 @@ impl DesignSweep {
             }
         }
         // The structure profile depends only on the input, not the grid
-        // point, so compute it once here and share it with every prepare
-        // instead of re-profiling per point.
+        // point, so compute it once here for every point's
+        // `predicted_cycles` instead of re-profiling per point.
         let profile = CostProfile::of_input(input);
         exec::par_map(&grid, |&(n_pes, design)| {
             let mut config = design.apply(self.base.clone());
@@ -152,8 +152,7 @@ impl DesignSweep {
             // (tuning-inclusive) measurement, and the extracted plan is
             // reused for a warm request — the steady-state serving figure
             // (plan shared between both, tuning paid exactly once).
-            let (plan, outcome) =
-                GcnRunner::new(config.clone()).prepare_profiled(input, &profile)?;
+            let (plan, outcome) = GcnRunner::new(config.clone()).prepare(input)?;
             let warm = plan.run_input(input)?;
             let tq_slots = outcome
                 .stats

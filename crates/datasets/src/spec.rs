@@ -315,12 +315,6 @@ impl DatasetSpec {
         self
     }
 
-    /// Replaces the degree shape.
-    pub fn with_degree_shape(mut self, shape: DegreeShape) -> Self {
-        self.degree_shape = shape;
-        self
-    }
-
     /// Expected average row degree of `A` (`nodes × a_density`).
     pub fn avg_degree(&self) -> f64 {
         self.nodes as f64 * self.a_density

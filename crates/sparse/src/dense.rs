@@ -243,13 +243,6 @@ impl DenseMatrix {
         }
     }
 
-    /// Returns a ReLU-ed copy.
-    pub fn relu(&self) -> DenseMatrix {
-        let mut out = self.clone();
-        out.relu_in_place();
-        out
-    }
-
     /// Dense-dense matrix product `self * rhs`.
     ///
     /// # Errors

@@ -21,7 +21,9 @@
 //! accepts `base`, `eie`, `ls<H>` (local sharing, hop H) or `ls<H>+rs`
 //! (plus remote switching), default `ls2+rs`. `serve` prepares the graph
 //! once (paying auto-tuning) and then serves batches of feature-matrix
-//! requests against the shared plan. `--shards S` partitions the graph
+//! requests against the shared plan; when a sharded prepare fails (e.g.
+//! under `--faults`) it falls back to one device and prints the reason on
+//! a `degraded  :` line. `--shards S` partitions the graph
 //! into S nnz-balanced column shards (one rebalanced PE array each) for
 //! the aggregation phase `A × (XW)`; `--xw-shards S` does the same for
 //! each layer's feature matrix in the combination phase `X × W`;
@@ -634,10 +636,8 @@ fn sweep(args: &[String]) -> Result<(), Box<dyn Error>> {
     if opts.auto {
         let mut auto_config = base;
         auto_config.strategy = StrategyPolicy::Auto;
-        let decision = GcnRunner::new(auto_config.clone())
-            .resolve_strategy(&input)
-            .ok_or("--auto produced no decision")?;
         let (plan, _) = GcnRunner::new(auto_config).prepare(&input)?;
+        let decision = plan.auto_decision().ok_or("--auto produced no decision")?;
         let auto_warm = plan.run_input(&input)?.stats.total_cycles();
         let best = points
             .iter()
@@ -714,19 +714,17 @@ fn serve(args: &[String]) -> Result<(), Box<dyn Error>> {
     if let Some(auto) = &report.auto {
         println!(
             "auto      : chose {} — predicted {:.0} cycles vs {} measured warm-up \
-             (tuning-inclusive), {} candidates scored{}",
-            auto.chosen,
+             (tuning-inclusive), {} candidates scored",
+            auto.label(),
             auto.predicted_cycles,
-            auto.measured_cycles,
+            report.warmup.stats.total_cycles(),
             auto.candidates_scored,
-            if auto.rescored_unsharded {
-                ", re-scored unsharded after degraded prepare"
-            } else {
-                ""
-            },
         );
     }
-    if let Some(stream) = &report.stream {
+    if let Some(reason) = &report.degraded {
+        println!("degraded  : {reason}");
+    }
+    if let Some(stream) = &report.warmup.stream {
         println!(
             "streaming : {} shard(s) from {}, warm-up resident peak {}, {} read in {:.1} ms",
             stream.shards,

@@ -1,11 +1,12 @@
 //! Honesty and identity tests for `StrategyPolicy::Auto` — LS+RS by rule
 //! plus the cost model's shard layout must land within 10% of the post-hoc
 //! best sweep point, execute bit-identically to hand-specifying its
-//! choice, and re-score against the unsharded layout when a sharded
+//! choice, and describe the unsharded plan it built when a sharded
 //! prepare degrades.
 
 use awb_gcn_repro::accel::{
-    cost, AccelConfig, Design, DesignSweep, FaultPlan, GcnRunner, ShardPolicy, StrategyPolicy,
+    cost, AccelConfig, CostProfile, Design, DesignSweep, FaultPlan, GcnRunner, ShardPolicy,
+    StrategyPolicy,
 };
 use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset};
 use awb_gcn_repro::gcn::GcnInput;
@@ -223,9 +224,10 @@ fn auto_is_bit_identical_to_hand_specified_choice() {
     assert_eq!(a.stats.total_cycles(), m.stats.total_cycles());
 }
 
-/// When the sharded prepare degrades (PR 7's fallback rung), an Auto plan
-/// must re-score against the unsharded candidate set instead of keeping
-/// the stale sharded prediction.
+/// When the sharded prepare degrades (DESIGN.md §10's fallback rung), the
+/// plan is built with `A` on one device and every other setting kept: the
+/// plan's config says so, and an Auto decision describes that plan — its
+/// prediction re-scored for the built config, not the stale sharded one.
 #[test]
 fn degraded_sharded_prepare_rescores_unsharded() {
     let input = paper_input(DatasetSpec::cora().with_nodes(256), 5);
@@ -245,6 +247,7 @@ fn degraded_sharded_prepare_rescores_unsharded() {
         "the memory bound must force a sharded pick, got {:?}",
         clean.shards
     );
+    let profile = CostProfile::of_input(&input);
 
     let mut exercised = false;
     for seed in 1..400u64 {
@@ -254,8 +257,8 @@ fn degraded_sharded_prepare_rescores_unsharded() {
         let mut faulted = config.clone();
         faulted.faults = Some(FaultPlan::new(seed));
         // Other fault sites may take the whole prepare down; any seed that
-        // produces a degraded plan exercises the rescore path.
-        let Ok((plan, _)) = GcnRunner::new(faulted).prepare(&input) else {
+        // produces a degraded plan exercises the fallback.
+        let Ok((plan, _)) = GcnRunner::new(faulted.clone()).prepare(&input) else {
             continue;
         };
         if plan.degraded().is_none() {
@@ -264,13 +267,25 @@ fn degraded_sharded_prepare_rescores_unsharded() {
         let d = plan
             .auto_decision()
             .expect("auto decision survives degrade");
-        assert!(
-            d.rescored_unsharded,
-            "decision not re-scored: {}",
-            d.label()
+        assert_eq!(d.shards, ShardPolicy::Single, "{}", d.label());
+        assert_eq!(d.design, clean.design);
+        assert_eq!(d.combination_shards, clean.combination_shards);
+        assert_eq!(plan.config(), &d.apply(&faulted));
+        assert_eq!(
+            d.predicted_cycles.to_bits(),
+            cost::predict_config_cycles(plan.config(), &profile).to_bits()
         );
-        assert_eq!(d.shards, ShardPolicy::Single);
-        assert_eq!(plan.config().shards, ShardPolicy::Single);
+        assert_eq!(plan.shard_count(), 1);
+
+        // The same fault under the hand-specified (Manual) choice degrades
+        // by the same rule: `A` on one device, every other knob kept.
+        let manual = clean.apply(&faulted);
+        let (plan, _) = GcnRunner::new(manual.clone()).prepare(&input).unwrap();
+        assert!(plan.degraded().is_some());
+        assert!(plan.auto_decision().is_none());
+        let mut expect = manual;
+        expect.shards = ShardPolicy::Single;
+        assert_eq!(plan.config(), &expect);
         exercised = true;
         break;
     }

@@ -625,6 +625,76 @@ fn serve_faults_reports_typed_errors_and_survives() {
     );
 }
 
+/// A sharded prepare killed by an injected fault (seed 1 faults
+/// `prepare:sharded`) degrades to one device, and `serve` says so with
+/// the reason; outputs stay bit-identical to cold runs.
+#[test]
+fn serve_reports_degraded_sharded_prepare() {
+    let out = awb_sim(&[
+        "serve",
+        "cora",
+        "--scale",
+        "0.1",
+        "--pes",
+        "16",
+        "--shards",
+        "2",
+        "--requests",
+        "2",
+        "--faults",
+        "1",
+        "--compare-cold",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains(", 1 shard(s),"), "{text}");
+    let line = text
+        .lines()
+        .find(|l| l.starts_with("degraded  : "))
+        .unwrap_or_else(|| panic!("missing degraded line:\n{text}"));
+    assert!(line.contains("prepare:sharded"), "{text}");
+    assert!(text.contains("outputs bit-identical"), "{text}");
+}
+
+/// `serve --auto` with a store scores only the unsharded layout; nothing
+/// degrades, so nothing may claim it did.
+#[test]
+fn serve_auto_with_store_reports_no_degradation() {
+    let dir = std::env::temp_dir().join(format!("awb-cli-auto-store-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store_arg = dir.join("cora.store").to_string_lossy().into_owned();
+    let out = awb_sim(&[
+        "serve",
+        "cora",
+        "--scale",
+        "0.25",
+        "--pes",
+        "64",
+        "--auto",
+        "--requests",
+        "2",
+        "--store",
+        &store_arg,
+    ]);
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains("auto      : chose LS2+RS | A unsharded | X unsharded"),
+        "{text}"
+    );
+    assert!(text.contains("streaming :"), "{text}");
+    assert!(!text.contains("degrade"), "{text}");
+}
+
 /// Golden-structure test of the full fault-tolerant trace: deadline,
 /// retries, and fault seed wired together; the run must report the
 /// fault-tolerance banner, the fault summary, percentiles over the

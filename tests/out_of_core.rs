@@ -101,7 +101,10 @@ fn service_reports_streaming_and_serves_identical_outputs() {
 
     let mut service = GcnService::new(config);
     let report = service.prepare("cora", &input).unwrap();
-    let stream = report.stream.expect("streamed prepare reports stats");
+    let stream = report
+        .warmup
+        .stream
+        .expect("streamed prepare reports stats");
     assert!(stream.shards > 1);
     assert!(stream.resident_peak_bytes <= budget);
     assert!(stream.io_bytes > 0);
