@@ -625,42 +625,6 @@ mod tests {
     }
 
     #[test]
-    fn prepare_matches_cold_run_and_freezes_plan() {
-        let input = small_input(192, 12);
-        let runner = GcnRunner::new(Design::LocalPlusRemote { hop: 1 }.apply(config(32)));
-        let cold = runner.run(&input).unwrap();
-        let (plan, warmup) = runner.prepare(&input).unwrap();
-        // prepare's warm-up is the cold run, bit for bit.
-        assert_eq!(warmup.stats, cold.stats);
-        assert_eq!(warmup.output, cold.output);
-        assert!(plan.matches(&input));
-        assert!(plan.tuning_rounds() > 0);
-        assert!(plan.plan_a().is_some(), "unsharded plan is single-device");
-        assert_eq!(plan.shard_count(), 1);
-        assert_eq!(plan.layers(), 2);
-    }
-
-    #[test]
-    fn plan_requests_are_bit_identical_and_tune_free() {
-        let input = small_input(192, 13);
-        let runner = GcnRunner::new(Design::LocalPlusRemote { hop: 1 }.apply(config(32)));
-        let (plan, warmup) = runner.prepare(&input).unwrap();
-        let served = plan.run_input(&input).unwrap();
-        // Outputs are bit-identical to the cold run (numerics never depend
-        // on the row map or on replay)…
-        assert_eq!(served.output, warmup.output);
-        assert_eq!(served.x_density, warmup.x_density);
-        // …and the served request never re-tunes.
-        for layer in &served.stats.layers {
-            assert_eq!(layer.a_xw.tuning_rounds(), 0);
-        }
-        // A second request keeps hitting the shared cache.
-        let hits_before = plan.replay_hits();
-        plan.run_input(&input).unwrap();
-        assert!(plan.replay_hits() > hits_before);
-    }
-
-    #[test]
     fn plan_rejects_foreign_input() {
         let input = small_input(128, 14);
         let other = small_input(128, 15); // different graph, same shapes
@@ -719,89 +683,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_runs_are_bit_identical_to_unsharded() {
-        use crate::config::ShardPolicy;
-        let input = small_input(192, 16);
-        let base = Design::LocalPlusRemote { hop: 1 }.apply(config(16));
-        let reference = GcnRunner::new(base.clone()).run(&input).unwrap();
-        for shards in [1, 2, 4] {
-            let mut cfg = base.clone();
-            cfg.shards = ShardPolicy::Fixed(shards);
-            let runner = GcnRunner::new(cfg);
-            let cold = runner.run(&input).unwrap();
-            assert_eq!(cold.output, reference.output, "{shards} shards, cold");
-            assert_eq!(cold.x_density, reference.x_density);
-            // Prepared plan requests: bit-identical too, and tune-free.
-            let (plan, warmup) = runner.prepare(&input).unwrap();
-            assert_eq!(warmup.output, reference.output);
-            assert_eq!(plan.shard_count(), shards);
-            // Any Fixed policy (even Fixed(1)) takes the sharded path.
-            assert!(plan.plan_a().is_none());
-            assert!(plan.sharded_plan().is_some());
-            assert!(plan.matches(&input));
-            let served = plan.run_input(&input).unwrap();
-            assert_eq!(served.output, reference.output, "{shards} shards, warm");
-            for layer in &served.stats.layers {
-                assert_eq!(layer.a_xw.tuning_rounds(), 0);
-            }
-        }
-    }
-
-    #[test]
-    fn combination_sharded_runs_are_bit_identical_to_unsharded() {
-        use crate::config::ShardPolicy;
-        let input = small_input(192, 18);
-        let base = Design::LocalPlusRemote { hop: 1 }.apply(config(16));
-        let reference = GcnRunner::new(base.clone()).run(&input).unwrap();
-        for xw_shards in [1, 2, 4] {
-            let mut cfg = base.clone();
-            cfg.combination_shards = ShardPolicy::Fixed(xw_shards);
-            let runner = GcnRunner::new(cfg);
-            let cold = runner.run(&input).unwrap();
-            assert_eq!(cold.output, reference.output, "{xw_shards} X shards, cold");
-            assert_eq!(cold.x_density, reference.x_density);
-            if xw_shards == 1 {
-                // A 1-resolved policy dispatches to the plain engine:
-                // stats (not just outputs) degenerate to the unsharded run.
-                assert_eq!(cold.stats, reference.stats);
-            }
-            // Warm requests against the prepared plan shard X too.
-            let (plan, warmup) = runner.prepare(&input).unwrap();
-            assert_eq!(warmup.output, reference.output);
-            let served = plan.run_input(&input).unwrap();
-            assert_eq!(
-                served.output, reference.output,
-                "{xw_shards} X shards, warm"
-            );
-        }
-    }
-
-    #[test]
-    fn both_shard_axes_compose_bit_identically() {
-        use crate::config::ShardPolicy;
-        let input = small_input(192, 19);
-        let base = Design::LocalPlusRemote { hop: 1 }.apply(config(16));
-        let reference = GcnRunner::new(base.clone()).run(&input).unwrap();
-        let mut cfg = base;
-        cfg.shards = ShardPolicy::Fixed(3);
-        cfg.combination_shards = ShardPolicy::Fixed(2);
-        let runner = GcnRunner::new(cfg);
-        let cold = runner.run(&input).unwrap();
-        assert_eq!(cold.output, reference.output);
-        let (plan, warmup) = runner.prepare(&input).unwrap();
-        assert_eq!(warmup.output, reference.output);
-        assert_eq!(plan.shard_count(), 3);
-        let served = plan.run_input(&input).unwrap();
-        assert_eq!(served.output, reference.output);
-        for layer in &served.stats.layers {
-            assert_eq!(layer.a_xw.tuning_rounds(), 0);
-            // Both phases report their own device totals.
-            assert_eq!(layer.a_xw.n_pes, 3 * 16);
-            assert_eq!(layer.xw.n_pes, 2 * 16);
-        }
-    }
-
-    #[test]
     fn sharded_stats_report_total_pes() {
         use crate::config::ShardPolicy;
         let input = small_input(128, 17);
@@ -815,49 +696,6 @@ mod tests {
         }
         let util = outcome.stats.avg_utilization();
         assert!(util > 0.0 && util <= 1.0);
-    }
-
-    #[test]
-    fn streamed_runs_are_bit_identical_to_resident() {
-        let input = small_input(192, 21);
-        let base = Design::LocalPlusRemote { hop: 1 }.apply(config(16));
-        let reference = GcnRunner::new(base.clone()).run(&input).unwrap();
-        let dir = std::env::temp_dir().join(format!(
-            "awb-gcnrun-store-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut cfg = base;
-        cfg.store = Some(dir.clone());
-        // A budget half the adjacency forces a genuinely out-of-core run.
-        cfg.host_mem_budget = Some(input.a_norm_csc.heap_bytes() / 2);
-        let runner = GcnRunner::new(cfg);
-        // Cold run ingests the store on first use, then streams from it.
-        let cold = runner.run(&input).unwrap();
-        assert_eq!(cold.output, reference.output);
-        assert_eq!(cold.x_density, reference.x_density);
-        // Prepared plans stream too, bit-identically and tune-free.
-        let (plan, warmup) = runner.prepare(&input).unwrap();
-        assert_eq!(warmup.output, reference.output);
-        assert!(plan.streamed_plan().is_some());
-        assert!(plan.plan_a().is_none());
-        assert!(plan.shard_count() > 1, "budget must force stream shards");
-        let served = plan.run_input(&input).unwrap();
-        assert_eq!(served.output, reference.output);
-        for layer in &served.stats.layers {
-            assert_eq!(layer.a_xw.tuning_rounds(), 0);
-        }
-        let stream = plan.stream_stats().expect("streamed plan reports stats");
-        assert!(stream.shards > 1);
-        assert!(stream.io_bytes > 0);
-        assert!(
-            stream.resident_peak_bytes < input.a_norm_csc.heap_bytes(),
-            "peak {} should undercut the resident adjacency {}",
-            stream.resident_peak_bytes,
-            input.a_norm_csc.heap_bytes()
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -1,17 +1,19 @@
-//! Honesty and identity tests for `StrategyPolicy::Auto` — LS+RS by rule
-//! plus the cost model's shard layout must land within 10% of the post-hoc
-//! best sweep point, execute bit-identically to hand-specifying its
-//! choice, and describe the unsharded plan it built when a sharded
-//! prepare degrades.
+//! Honesty tests for `StrategyPolicy::Auto` — LS+RS by rule plus the cost
+//! model's shard layout must land within 10% of the post-hoc best sweep
+//! point, and describe the unsharded plan it built when a sharded prepare
+//! degrades. That an Auto run is bit-identical to hand-specifying its
+//! choice is checked on every path by `tests/exec_paths.rs`.
+
+mod common;
 
 use awb_gcn_repro::accel::{
     cost, AccelConfig, CostProfile, Design, DesignSweep, FaultPlan, GcnRunner, ShardPolicy,
     StrategyPolicy,
 };
-use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset};
+use awb_gcn_repro::datasets::DatasetSpec;
 use awb_gcn_repro::gcn::GcnInput;
 use awb_gcn_repro::hw::MemoryModel;
-use awb_gcn_repro::sparse::{Coo, DenseMatrix};
+use common::{design_strategy, near_dense_block_input, power_law_input, spec_input};
 use proptest::prelude::*;
 
 const N_PES: usize = 32;
@@ -20,81 +22,6 @@ fn base_config() -> AccelConfig {
     let mut builder = AccelConfig::builder();
     builder.n_pes(N_PES);
     builder.build().unwrap()
-}
-
-fn paper_input(spec: DatasetSpec, seed: u64) -> GcnInput {
-    let data = GeneratedDataset::generate(&spec, seed).unwrap();
-    GcnInput::from_dataset(&data).unwrap()
-}
-
-/// Deterministic weights/features around a hand-built adjacency.
-fn assemble(a: Coo, n: usize) -> GcnInput {
-    let (f1, f2, f3) = (24usize, 12usize, 6usize);
-    let mut x = Coo::new(n, f1);
-    for i in 0..n {
-        for k in 0..3 {
-            // Offsets 0/7/14 are distinct mod 24, so no duplicate pushes.
-            x.push(i, (i * 5 + k * 7) % f1, ((i + k) % 5 + 1) as f32)
-                .unwrap();
-        }
-    }
-    let weight = |rows: usize, cols: usize, salt: usize| {
-        let data: Vec<f32> = (0..rows * cols)
-            .map(|i| ((i * 3 + salt) % 7) as f32 / 4.0 - 0.75)
-            .collect();
-        DenseMatrix::from_vec(rows, cols, data).unwrap()
-    };
-    GcnInput::from_parts(
-        a.to_csr(),
-        x.to_csr(),
-        vec![weight(f1, f2, 1), weight(f2, f3, 2)],
-    )
-    .unwrap()
-}
-
-/// Adversarial synthetic 1: a power-law degree tail — a few super-hub rows
-/// next to a long tail of near-empty ones (the skew AWB-GCN rebalances).
-fn power_law_input() -> GcnInput {
-    let n = 256;
-    let mut a = Coo::new(n, n);
-    for i in 0..n {
-        a.push(i, i, 1.0).unwrap();
-        let deg = ((n as f64 / ((i + 1) as f64).powf(1.2)).ceil() as usize).min(n - 1);
-        for k in 0..deg {
-            // 13 is coprime with any power of two >= n, so columns are
-            // distinct for k < n.
-            let c = (i * 7 + k * 13 + 1) % n;
-            if c != i {
-                a.push(i, c, 0.5).unwrap();
-            }
-        }
-    }
-    assemble(a, n)
-}
-
-/// Adversarial synthetic 2: a near-dense block riding a sparse ring — high
-/// aggregate density concentrated in one corner of the adjacency.
-fn near_dense_block_input() -> GcnInput {
-    let n = 192;
-    let block = 32;
-    let mut a = Coo::new(n, n);
-    for i in 0..n {
-        a.push(i, i, 1.0).unwrap();
-    }
-    for r in 0..block {
-        for c in 0..block {
-            if r != c {
-                a.push(r, c, 0.25).unwrap();
-            }
-        }
-    }
-    for i in block..n {
-        let c = (i + 1) % n;
-        if c != i {
-            a.push(i, c, 0.5).unwrap();
-        }
-    }
-    assemble(a, n)
 }
 
 /// Auto's warm-path cycles must land within 10% of the best point of a
@@ -135,22 +62,22 @@ fn check_honesty(name: &str, input: &GcnInput) {
 
 #[test]
 fn auto_within_ten_percent_of_best_on_paper_datasets() {
-    check_honesty("cora", &paper_input(DatasetSpec::cora().with_nodes(256), 7));
+    check_honesty("cora", &spec_input(&DatasetSpec::cora().with_nodes(256), 7));
     check_honesty(
         "citeseer",
-        &paper_input(DatasetSpec::citeseer().with_nodes(256), 11),
+        &spec_input(&DatasetSpec::citeseer().with_nodes(256), 11),
     );
     check_honesty(
         "pubmed",
-        &paper_input(DatasetSpec::pubmed().with_nodes(256), 13),
+        &spec_input(&DatasetSpec::pubmed().with_nodes(256), 13),
     );
     check_honesty(
         "nell",
-        &paper_input(DatasetSpec::nell().with_nodes(256), 17),
+        &spec_input(&DatasetSpec::nell().with_nodes(256), 17),
     );
     check_honesty(
         "reddit",
-        &paper_input(DatasetSpec::reddit().with_nodes(192), 19),
+        &spec_input(&DatasetSpec::reddit().with_nodes(192), 19),
     );
 }
 
@@ -166,11 +93,11 @@ fn auto_within_ten_percent_of_best_on_adversarial_synthetics() {
 #[test]
 fn auto_resolves_largest_fitting_ls_rs() {
     let inputs = [
-        paper_input(DatasetSpec::cora().with_nodes(256), 7),
-        paper_input(DatasetSpec::citeseer().with_nodes(256), 11),
-        paper_input(DatasetSpec::pubmed().with_nodes(256), 13),
-        paper_input(DatasetSpec::nell().with_nodes(256), 17),
-        paper_input(DatasetSpec::reddit().with_nodes(192), 19),
+        spec_input(&DatasetSpec::cora().with_nodes(256), 7),
+        spec_input(&DatasetSpec::citeseer().with_nodes(256), 11),
+        spec_input(&DatasetSpec::pubmed().with_nodes(256), 13),
+        spec_input(&DatasetSpec::nell().with_nodes(256), 17),
+        spec_input(&DatasetSpec::reddit().with_nodes(192), 19),
         power_law_input(),
         near_dense_block_input(),
     ];
@@ -191,46 +118,13 @@ fn auto_resolves_largest_fitting_ls_rs() {
     }
 }
 
-/// Auto must be a pure selector: running under Auto and running with the
-/// chosen configuration hand-specified are bit-identical, on both the
-/// direct-run path and the prepare/run-input path.
-#[test]
-fn auto_is_bit_identical_to_hand_specified_choice() {
-    let input = paper_input(DatasetSpec::nell().with_nodes(256), 23);
-    let base = base_config();
-    let mut auto_cfg = base.clone();
-    auto_cfg.strategy = StrategyPolicy::Auto;
-
-    let decision = GcnRunner::new(auto_cfg.clone())
-        .resolve_strategy(&input)
-        .expect("auto resolves a decision");
-    let manual_cfg = decision.apply(&base);
-    assert_eq!(manual_cfg.strategy, StrategyPolicy::Manual);
-
-    let auto_run = GcnRunner::new(auto_cfg.clone()).run(&input).unwrap();
-    let manual_run = GcnRunner::new(manual_cfg.clone()).run(&input).unwrap();
-    assert_eq!(auto_run.output, manual_run.output);
-    assert_eq!(
-        auto_run.stats.total_cycles(),
-        manual_run.stats.total_cycles()
-    );
-
-    let (auto_plan, auto_warm) = GcnRunner::new(auto_cfg).prepare(&input).unwrap();
-    let (manual_plan, manual_warm) = GcnRunner::new(manual_cfg).prepare(&input).unwrap();
-    assert_eq!(auto_warm.output, manual_warm.output);
-    let a = auto_plan.run_input(&input).unwrap();
-    let m = manual_plan.run_input(&input).unwrap();
-    assert_eq!(a.output, m.output);
-    assert_eq!(a.stats.total_cycles(), m.stats.total_cycles());
-}
-
 /// When the sharded prepare degrades (DESIGN.md §10's fallback rung), the
 /// plan is built with `A` on one device and every other setting kept: the
 /// plan's config says so, and an Auto decision describes that plan — its
 /// prediction re-scored for the built config, not the stale sharded one.
 #[test]
 fn degraded_sharded_prepare_rescores_unsharded() {
-    let input = paper_input(DatasetSpec::cora().with_nodes(256), 5);
+    let input = spec_input(&DatasetSpec::cora().with_nodes(256), 5);
     let mut config = base_config();
     config.strategy = StrategyPolicy::Auto;
     // A quarter of the adjacency's footprint: the model must shard the
@@ -290,15 +184,6 @@ fn degraded_sharded_prepare_rescores_unsharded() {
         break;
     }
     assert!(exercised, "no fault seed degraded the sharded prepare");
-}
-
-fn design_strategy() -> impl Strategy<Value = Design> {
-    prop_oneof![
-        Just(Design::Baseline),
-        (1usize..3).prop_map(|hop| Design::LocalSharing { hop }),
-        (1usize..3).prop_map(|hop| Design::LocalPlusRemote { hop }),
-        Just(Design::EieLike),
-    ]
 }
 
 proptest! {

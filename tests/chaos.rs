@@ -4,40 +4,16 @@
 //! exact typed error — and that everything else stays bit-identical to an
 //! independent, fault-free cold run.
 
+mod common;
+
 use std::time::Duration;
 
 use awb_gcn_repro::accel::{
-    AccelConfig, AccelError, Design, FaultKind, FaultPlan, GcnRunner, GcnService, RetryPolicy,
-    ServeOptions, ShardPolicy,
+    AccelError, FaultKind, FaultPlan, GcnService, RetryPolicy, ServeOptions, ShardPolicy,
 };
-use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset};
 use awb_gcn_repro::gcn::GcnInput;
 use awb_gcn_repro::sparse::{Coo, Csr};
-
-fn spec(nodes: usize) -> DatasetSpec {
-    DatasetSpec::cora().with_nodes(nodes)
-}
-
-fn config(n_pes: usize) -> AccelConfig {
-    Design::LocalPlusRemote { hop: 1 }.apply(AccelConfig::builder().n_pes(n_pes).build().unwrap())
-}
-
-/// A tenant graph: distinct seed → distinct structure → distinct
-/// fingerprint and plan.
-fn tenant(nodes: usize, seed: u64) -> GcnInput {
-    let data = GeneratedDataset::generate(&spec(nodes), seed).unwrap();
-    GcnInput::from_dataset(&data).unwrap()
-}
-
-/// Cold, fault-free reference for one request: independent prepare + run
-/// with no fault plan armed.
-fn cold_run(cfg: &AccelConfig, input: &GcnInput, x1: &Csr) -> awb_gcn_repro::accel::GcnRunOutcome {
-    let mut clean = cfg.clone();
-    clean.faults = None;
-    let cold_input =
-        GcnInput::from_parts(input.a_norm.clone(), x1.clone(), input.weights.clone()).unwrap();
-    GcnRunner::new(clean).run(&cold_input).unwrap()
-}
+use common::{bits, cold_run, cora_input, ls1_rs};
 
 /// Deterministically searches for a fault seed whose `site` decisions over
 /// `0..n` satisfy `want` — the suite never depends on luck.
@@ -66,11 +42,11 @@ fn chaos_drain_isolates_faults_and_preserves_survivors() {
             && kinds.contains(&Some(FaultKind::Delay))
             && kinds.contains(&None)
     });
-    let mut cfg = config(16);
+    let mut cfg = ls1_rs(16);
     cfg.faults = Some(FaultPlan::new(seed));
     let plan = cfg.faults.unwrap();
 
-    let tenants = [tenant(96, 11), tenant(80, 12), tenant(112, 13)];
+    let tenants = [cora_input(96, 11), cora_input(80, 12), cora_input(112, 13)];
     let options = ServeOptions {
         queue_depth: REQUESTS as usize,
         ..ServeOptions::default()
@@ -116,7 +92,8 @@ fn chaos_drain_isolates_faults_and_preserves_survivors() {
                 });
                 let cold = cold_run(&cfg, &tenants[*t], x1);
                 assert_eq!(
-                    outcome.outcome.output, cold.output,
+                    bits(&outcome.outcome.output),
+                    bits(&cold.output),
                     "request {i}: non-faulted output must be bit-identical to cold"
                 );
             }
@@ -132,7 +109,8 @@ fn chaos_drain_isolates_faults_and_preserves_survivors() {
         let out = cached.run(&input.x1).unwrap();
         let cold = cold_run(&cfg, input, &input.x1);
         assert_eq!(
-            out.output, cold.output,
+            bits(&out.output),
+            bits(&cold.output),
             "tenant {t}: post-chaos request must be bit-identical"
         );
     }
@@ -146,9 +124,9 @@ fn panicked_session_leaves_cached_plan_usable() {
     let seed = find_seed("serve", 2, |kinds| {
         kinds[0] == Some(FaultKind::Panic) && kinds[1].is_none()
     });
-    let mut cfg = config(16);
+    let mut cfg = ls1_rs(16);
     cfg.faults = Some(FaultPlan::new(seed));
-    let input = tenant(128, 21);
+    let input = cora_input(128, 21);
 
     let mut service = GcnService::new(cfg.clone());
     service.prepare("g", &input).unwrap();
@@ -162,25 +140,25 @@ fn panicked_session_leaves_cached_plan_usable() {
     );
     let survivor = batch.results[1].as_ref().unwrap();
     let cold = cold_run(&cfg, &input, &x1);
-    assert_eq!(survivor.outcome.output, cold.output);
+    assert_eq!(bits(&survivor.outcome.output), bits(&cold.output));
 
     // Session 2 on the same plan: the panic must not have wedged it.
     let plan = service.plan("g").expect("named plan still registered");
-    assert_eq!(plan.run(&x1).unwrap().output, cold.output);
+    assert_eq!(bits(&plan.run(&x1).unwrap().output), bits(&cold.output));
 }
 
 /// Queue-wait deadlines shed stale requests with the typed error and
 /// never execute them; a generous budget sheds nothing.
 #[test]
 fn blown_deadlines_shed_with_typed_errors() {
-    let input = tenant(96, 31);
+    let input = cora_input(96, 31);
     let x1 = input.x1.clone();
 
     let tight = ServeOptions {
         deadline: Some(Duration::from_millis(1)),
         ..ServeOptions::default()
     };
-    let mut service = GcnService::with_options(config(16), tight).unwrap();
+    let mut service = GcnService::with_options(ls1_rs(16), tight).unwrap();
     for _ in 0..3 {
         service.enqueue(&input, x1.clone()).unwrap();
     }
@@ -199,7 +177,7 @@ fn blown_deadlines_shed_with_typed_errors() {
         deadline: Some(Duration::from_secs(100)),
         ..ServeOptions::default()
     };
-    let mut service = GcnService::with_options(config(16), generous).unwrap();
+    let mut service = GcnService::with_options(ls1_rs(16), generous).unwrap();
     for _ in 0..3 {
         service.enqueue(&input, x1.clone()).unwrap();
     }
@@ -213,13 +191,13 @@ fn blown_deadlines_shed_with_typed_errors() {
 /// invalid inputs fail immediately without burning retries.
 #[test]
 fn backoff_retries_drain_past_queue_full() {
-    let input = tenant(96, 41);
+    let input = cora_input(96, 41);
     let x1 = input.x1.clone();
     let options = ServeOptions {
         queue_depth: 2,
         ..ServeOptions::default()
     };
-    let mut service = GcnService::with_options(config(16), options).unwrap();
+    let mut service = GcnService::with_options(ls1_rs(16), options).unwrap();
     service.enqueue(&input, x1.clone()).unwrap();
     service.enqueue(&input, x1.clone()).unwrap();
     // Third admission hits QueueFull; one retry drains the two queued
@@ -259,8 +237,8 @@ fn backoff_retries_drain_past_queue_full() {
 /// can enter the plan cache or produce a silent-NaN output.
 #[test]
 fn malformed_ingest_is_rejected_before_the_plan_cache() {
-    let input = tenant(96, 51);
-    let mut service = GcnService::new(config(16));
+    let input = cora_input(96, 51);
+    let mut service = GcnService::new(ls1_rs(16));
 
     // NaN in the feature matrix of an enqueued request.
     let mut bad = Coo::new(input.x1.rows(), input.x1.cols());
@@ -303,9 +281,9 @@ fn malformed_ingest_is_rejected_before_the_plan_cache() {
 #[test]
 fn faulted_sharded_prepare_degrades_to_unsharded() {
     let seed = find_seed("prepare:sharded", 1, |kinds| kinds[0].is_some());
-    let input = tenant(128, 61);
+    let input = cora_input(128, 61);
 
-    let mut cfg = config(16);
+    let mut cfg = ls1_rs(16);
     cfg.shards = ShardPolicy::Fixed(2);
     cfg.faults = Some(FaultPlan::new(seed));
     let mut service = GcnService::new(cfg.clone());
@@ -324,7 +302,8 @@ fn faulted_sharded_prepare_degrades_to_unsharded() {
     let out = plan.run(&input.x1).unwrap();
     let cold = cold_run(&cfg, &input, &input.x1);
     assert_eq!(
-        out.output, cold.output,
+        bits(&out.output),
+        bits(&cold.output),
         "degraded plan must stay bit-identical"
     );
 

@@ -1,14 +1,11 @@
 //! End-to-end: dataset generation → normalization → accelerated inference
 //! → functional verification, across dataset shapes and design points.
 
-use awb_gcn_repro::accel::{verify_against_reference, AccelConfig, Design, GcnRunner};
-use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset, PaperDataset, RowOrdering};
-use awb_gcn_repro::gcn::GcnInput;
+mod common;
 
-fn input_for(spec: &DatasetSpec, seed: u64) -> GcnInput {
-    let data = GeneratedDataset::generate(spec, seed).unwrap();
-    GcnInput::from_dataset(&data).unwrap()
-}
+use awb_gcn_repro::accel::{verify_against_reference, AccelConfig, Design, GcnRunner};
+use awb_gcn_repro::datasets::{DatasetSpec, PaperDataset, RowOrdering};
+use common::spec_input;
 
 fn config(n_pes: usize) -> AccelConfig {
     AccelConfig::builder().n_pes(n_pes).build().unwrap()
@@ -19,7 +16,7 @@ fn every_paper_dataset_shape_verifies_functionally() {
     // Scaled-down instances of all five shapes.
     for paper in PaperDataset::all() {
         let spec = paper.spec().with_nodes(256);
-        let input = input_for(&spec, 21);
+        let input = spec_input(&spec, 21);
         let outcome = GcnRunner::new(Design::LocalPlusRemote { hop: 2 }.apply(config(32)))
             .run(&input)
             .unwrap();
@@ -33,7 +30,7 @@ fn every_paper_dataset_shape_verifies_functionally() {
 fn design_progression_improves_utilization_on_skewed_graphs() {
     // Nell-like clustering is the adversarial case the paper leads with.
     let spec = DatasetSpec::nell().with_nodes(1024);
-    let input = input_for(&spec, 33);
+    let input = spec_input(&spec, 33);
     let mut utils = Vec::new();
     for design in [
         Design::Baseline,
@@ -60,7 +57,7 @@ fn rebalancing_gain_grows_with_imbalance() {
     let balanced = DatasetSpec::reddit().with_nodes(1024);
     let clustered = DatasetSpec::nell().with_nodes(1024);
     let speedup = |spec: &DatasetSpec| {
-        let input = input_for(spec, 5);
+        let input = spec_input(spec, 5);
         let base = GcnRunner::new(Design::Baseline.apply(config(64)))
             .run(&input)
             .unwrap();
@@ -84,7 +81,7 @@ fn shuffled_ordering_reduces_baseline_imbalance() {
     let hubs_first = DatasetSpec::nell().with_nodes(1024);
     let shuffled = hubs_first.clone().with_ordering(RowOrdering::Shuffled);
     let util = |spec: &DatasetSpec| {
-        let input = input_for(spec, 17);
+        let input = spec_input(spec, 17);
         GcnRunner::new(Design::Baseline.apply(config(128)))
             .run(&input)
             .unwrap()
@@ -97,7 +94,7 @@ fn shuffled_ordering_reduces_baseline_imbalance() {
 #[test]
 fn tq_requirement_shrinks_with_rebalancing() {
     let spec = DatasetSpec::nell().with_nodes(1024);
-    let input = input_for(&spec, 41);
+    let input = spec_input(&spec, 41);
     let depth = |design: Design| {
         GcnRunner::new(design.apply(config(128)))
             .run(&input)
@@ -116,7 +113,7 @@ fn tq_requirement_shrinks_with_rebalancing() {
 #[test]
 fn latency_scales_down_with_more_pes() {
     let spec = DatasetSpec::pubmed().with_nodes(2048);
-    let input = input_for(&spec, 3);
+    let input = spec_input(&spec, 3);
     let cycles = |n_pes: usize| {
         GcnRunner::new(Design::LocalPlusRemote { hop: 1 }.apply(config(n_pes)))
             .run(&input)
@@ -138,7 +135,7 @@ fn latency_scales_down_with_more_pes() {
 #[test]
 fn deterministic_given_seed() {
     let spec = DatasetSpec::cora().with_nodes(256);
-    let input = input_for(&spec, 77);
+    let input = spec_input(&spec, 77);
     let run = || {
         GcnRunner::new(Design::LocalPlusRemote { hop: 1 }.apply(config(32)))
             .run(&input)

@@ -4,34 +4,19 @@
 //! the fully resident run, with peak resident sparse bytes bounded by the
 //! budget and the store's exact byte volume accounted as I/O.
 
+mod common;
+
 use awb_gcn_repro::accel::{AccelConfig, Design, GcnRunner, GcnService};
-use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset};
-use awb_gcn_repro::gcn::GcnInput;
+use awb_gcn_repro::datasets::DatasetSpec;
 use awb_gcn_repro::sparse::store::SparseStore;
-
-fn input_for(spec: &DatasetSpec, seed: u64) -> GcnInput {
-    let data = GeneratedDataset::generate(spec, seed).unwrap();
-    GcnInput::from_dataset(&data).unwrap()
-}
-
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!(
-        "awb-ooc-{tag}-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id(),
-    ))
-}
-
-fn bits(m: &awb_gcn_repro::sparse::DenseMatrix) -> Vec<u32> {
-    m.as_slice().iter().map(|v| v.to_bits()).collect()
-}
+use common::{bits, spec_input, ScratchDir};
 
 /// The acceptance path of the feature: adjacency larger than the budget,
 /// streamed from disk, bit-identical under budget.
 #[test]
 fn pubmed_streams_from_store_bit_identical_under_budget() {
     let spec = DatasetSpec::pubmed().with_nodes(2048);
-    let input = input_for(&spec, 21);
+    let input = spec_input(&spec, 21);
     let resident_bytes = input.a_norm_csc.heap_bytes();
     // A budget well below the matrix, so streaming *must* shard.
     let budget = resident_bytes / 3;
@@ -44,10 +29,10 @@ fn pubmed_streams_from_store_bit_identical_under_budget() {
         "resident runs carry no stream stats"
     );
 
-    let dir = scratch_dir("pubmed");
-    std::fs::remove_dir_all(&dir).ok();
+    let scratch = ScratchDir::new("ooc-pubmed");
+    let dir = scratch.path();
     let mut config = base.clone();
-    config.store = Some(dir.clone());
+    config.store = Some(dir.to_path_buf());
     config.host_mem_budget = Some(budget);
 
     // Cold run: the store is written on first use, then streamed.
@@ -61,7 +46,7 @@ fn pubmed_streams_from_store_bit_identical_under_budget() {
         stream.resident_peak_bytes,
     );
     assert!(stream.resident_peak_bytes < resident_bytes);
-    let store = SparseStore::open(&dir).unwrap();
+    let store = SparseStore::open(dir).unwrap();
     assert_eq!(
         stream.io_bytes,
         store.column_disk_bytes(),
@@ -77,8 +62,6 @@ fn pubmed_streams_from_store_bit_identical_under_budget() {
     let warm_stream = warm.stream.expect("warm streamed run reports stats");
     assert!(warm_stream.resident_peak_bytes <= budget);
     assert_eq!(plan.shard_count(), stream.shards);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The serving front-end surfaces streaming in its prepare report and
@@ -86,17 +69,17 @@ fn pubmed_streams_from_store_bit_identical_under_budget() {
 #[test]
 fn service_reports_streaming_and_serves_identical_outputs() {
     let spec = DatasetSpec::cora().with_nodes(512);
-    let input = input_for(&spec, 9);
+    let input = spec_input(&spec, 9);
     let budget = input.a_norm_csc.heap_bytes() / 2;
 
     let base =
         Design::LocalPlusRemote { hop: 1 }.apply(AccelConfig::builder().n_pes(32).build().unwrap());
     let reference = GcnRunner::new(base.clone()).run(&input).unwrap();
 
-    let dir = scratch_dir("serve");
-    std::fs::remove_dir_all(&dir).ok();
+    let scratch = ScratchDir::new("ooc-serve");
+    let dir = scratch.path();
     let mut config = base;
-    config.store = Some(dir.clone());
+    config.store = Some(dir.to_path_buf());
     config.host_mem_budget = Some(budget);
 
     let mut service = GcnService::new(config);
@@ -116,8 +99,6 @@ fn service_reports_streaming_and_serves_identical_outputs() {
         bits(&outcome.requests[0].outcome.output),
         bits(&reference.output)
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Ingest validation end to end: a corrupted chunk blob is rejected at
@@ -125,12 +106,12 @@ fn service_reports_streaming_and_serves_identical_outputs() {
 #[test]
 fn corrupted_store_is_rejected_with_typed_error() {
     let spec = DatasetSpec::cora().with_nodes(256);
-    let input = input_for(&spec, 5);
-    let dir = scratch_dir("corrupt");
-    std::fs::remove_dir_all(&dir).ok();
+    let input = spec_input(&spec, 5);
+    let scratch = ScratchDir::new("ooc-corrupt");
+    let dir = scratch.path();
 
     let mut config = AccelConfig::builder().n_pes(16).build().unwrap();
-    config.store = Some(dir.clone());
+    config.store = Some(dir.to_path_buf());
     // Write a valid store via a first run, then truncate one chunk blob.
     GcnRunner::new(config.clone()).run(&input).unwrap();
     let chunk = std::fs::read_dir(dir.join("by_column").join("data"))
@@ -151,6 +132,4 @@ fn corrupted_store_is_rejected_with_typed_error() {
         text.contains("sparse store"),
         "expected a typed store error, got: {text}"
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,12 @@
 //! Integration tests of the plan/execute split and the serving front-end:
 //! N requests on one graph against a shared plan must be bit-identical to
-//! N independent fresh-runner runs, with tuning paid exactly once and the
-//! replay cache warm from the first request.
+//! N independent fresh-runner runs, with tuning paid exactly once; the
+//! replay cache warms from the first request, a plan rejects foreign
+//! graphs, warm requests amortize tuning, and concurrent requests on one
+//! plan equal the serial one. That every entry point's output is also
+//! bit-identical to the software reference is `tests/exec_paths.rs`'s job.
+
+mod common;
 
 use awb_gcn_repro::accel::{
     par_map_threads, AccelConfig, Design, GcnPlan, GcnRunner, GcnService, ShardPolicy, StreamStats,
@@ -9,29 +14,23 @@ use awb_gcn_repro::accel::{
 use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset};
 use awb_gcn_repro::gcn::GcnInput;
 use awb_gcn_repro::sparse::Csr;
+use common::{bits, cold_run, cora_input, ls1_rs, spec_input};
 
 const NODES: usize = 192;
 const N_REQUESTS: usize = 5;
 
-fn spec() -> DatasetSpec {
-    DatasetSpec::cora().with_nodes(NODES)
-}
-
-fn config(n_pes: usize) -> AccelConfig {
-    Design::LocalPlusRemote { hop: 1 }.apply(AccelConfig::builder().n_pes(n_pes).build().unwrap())
-}
-
 /// The serving traffic shape: one fixed graph, per-request feature
 /// matrices (request 0 reuses the warm-up features).
 fn graph_and_requests() -> (GcnInput, Vec<Csr>) {
-    let data = GeneratedDataset::generate(&spec(), 31).unwrap();
+    let spec = DatasetSpec::cora().with_nodes(NODES);
+    let data = GeneratedDataset::generate(&spec, 31).unwrap();
     let input = GcnInput::from_dataset(&data).unwrap();
     let requests: Vec<Csr> = (0..N_REQUESTS)
         .map(|i| {
             if i == 0 {
                 input.x1.clone()
             } else {
-                GeneratedDataset::with_adjacency(&spec(), data.adjacency.clone(), 400 + i as u64)
+                GeneratedDataset::with_adjacency(&spec, data.adjacency.clone(), 400 + i as u64)
                     .unwrap()
                     .features
             }
@@ -40,33 +39,19 @@ fn graph_and_requests() -> (GcnInput, Vec<Csr>) {
     (input, requests)
 }
 
-/// Reference: a fresh runner per request (tuning re-paid every time).
-fn fresh_runs(
-    input: &GcnInput,
-    requests: &[Csr],
-    cfg: &AccelConfig,
-) -> Vec<awb_gcn_repro::accel::GcnRunOutcome> {
-    let runner = GcnRunner::new(cfg.clone());
-    requests
-        .iter()
-        .map(|x1| {
-            let cold_input =
-                GcnInput::from_parts(input.a_norm.clone(), x1.clone(), input.weights.clone())
-                    .unwrap();
-            runner.run(&cold_input).unwrap()
-        })
-        .collect()
-}
-
 #[test]
 fn sequential_plan_requests_match_fresh_runs_bitwise() {
     let (input, requests) = graph_and_requests();
-    let cfg = config(32);
+    let cfg = ls1_rs(32);
     let (plan, _) = GcnRunner::new(cfg.clone()).prepare(&input).unwrap();
-    let reference = fresh_runs(&input, &requests, &cfg);
-    for (x1, fresh) in requests.iter().zip(&reference) {
+    for x1 in &requests {
+        let fresh = cold_run(&cfg, &input, x1);
         let served = plan.run(x1).unwrap();
-        assert_eq!(served.output, fresh.output, "outputs must be bit-identical");
+        assert_eq!(
+            bits(&served.output),
+            bits(&fresh.output),
+            "outputs must be bit-identical"
+        );
         assert_eq!(served.x_density, fresh.x_density);
         // The served request never pays tuning (the fresh run does, in
         // layer 1's A*(XW)).
@@ -79,15 +64,15 @@ fn sequential_plan_requests_match_fresh_runs_bitwise() {
 #[test]
 fn batched_service_requests_match_fresh_runs_bitwise() {
     let (input, requests) = graph_and_requests();
-    let cfg = config(32);
+    let cfg = ls1_rs(32);
     let mut service = GcnService::new(cfg.clone());
     service.prepare("graph", &input).unwrap();
     let batch = service.serve("graph", &requests).unwrap();
     assert_eq!(batch.requests.len(), requests.len());
-    let reference = fresh_runs(&input, &requests, &cfg);
-    for ((i, served), fresh) in batch.requests.iter().enumerate().zip(&reference) {
+    for ((i, served), x1) in batch.requests.iter().enumerate().zip(&requests) {
         assert_eq!(served.index, i, "batch results keep request order");
-        assert_eq!(served.outcome.output, fresh.output);
+        let fresh = cold_run(&cfg, &input, x1);
+        assert_eq!(bits(&served.outcome.output), bits(&fresh.output));
     }
     assert!(batch.mean_cycles() > 0.0);
     assert!(batch.throughput_rps() > 0.0);
@@ -97,13 +82,13 @@ fn batched_service_requests_match_fresh_runs_bitwise() {
 #[test]
 fn batched_equals_sequential_on_shared_plan() {
     let (input, requests) = graph_and_requests();
-    let mut service = GcnService::new(config(32));
+    let mut service = GcnService::new(ls1_rs(32));
     service.prepare("graph", &input).unwrap();
     let batch = service.serve("graph", &requests).unwrap();
     let plan = service.plan("graph").unwrap();
     for (served, x1) in batch.requests.iter().zip(&requests) {
         let sequential = plan.run(x1).unwrap();
-        assert_eq!(served.outcome.output, sequential.output);
+        assert_eq!(bits(&served.outcome.output), bits(&sequential.output));
         assert_eq!(served.outcome.stats, sequential.stats);
     }
 }
@@ -114,7 +99,7 @@ fn combination_sharded_plan_requests_match_fresh_unsharded_runs() {
     // contract: warm requests on a doubly sharded plan are bit-identical
     // to fresh *unsharded* runs on the same inputs.
     let (input, requests) = graph_and_requests();
-    let unsharded = config(32);
+    let unsharded = ls1_rs(32);
     let mut cfg = unsharded.clone();
     cfg.shards = ShardPolicy::Fixed(2);
     cfg.combination_shards = ShardPolicy::Fixed(3);
@@ -123,9 +108,9 @@ fn combination_sharded_plan_requests_match_fresh_unsharded_runs() {
     assert_eq!(report.shards, 2);
     assert_eq!(report.combination_shards, 3);
     let batch = service.serve("graph", &requests).unwrap();
-    let reference = fresh_runs(&input, &requests, &unsharded);
-    for (served, fresh) in batch.requests.iter().zip(&reference) {
-        assert_eq!(served.outcome.output, fresh.output);
+    for (served, x1) in batch.requests.iter().zip(&requests) {
+        let fresh = cold_run(&unsharded, &input, x1);
+        assert_eq!(bits(&served.outcome.output), bits(&fresh.output));
         for layer in &served.outcome.stats.layers {
             assert_eq!(layer.a_xw.tuning_rounds(), 0);
         }
@@ -134,8 +119,12 @@ fn combination_sharded_plan_requests_match_fresh_unsharded_runs() {
 
 #[test]
 fn replay_hits_strictly_increase_across_requests() {
-    let (input, _) = graph_and_requests();
-    let (plan, _) = GcnRunner::new(config(32)).prepare(&input).unwrap();
+    let input = cora_input(NODES, 31);
+    let (plan, _) = GcnRunner::new(ls1_rs(32)).prepare(&input).unwrap();
+    assert!(
+        plan.tuning_rounds() > 0,
+        "the warm-up tunes before freezing"
+    );
     // Identical requests: every round's pattern was cached by the warm-up
     // or by the first request, so hits grow strictly and misses freeze.
     let mut last_hits = plan.replay_hits();
@@ -158,11 +147,10 @@ fn replay_hits_strictly_increase_across_requests() {
 
 #[test]
 fn plan_rejects_structurally_different_graph() {
-    let (input, _) = graph_and_requests();
-    let (plan, _) = GcnRunner::new(config(32)).prepare(&input).unwrap();
+    let input = cora_input(NODES, 31);
+    let (plan, _) = GcnRunner::new(ls1_rs(32)).prepare(&input).unwrap();
     // Same node count and shapes, different adjacency structure.
-    let other_data = GeneratedDataset::generate(&spec(), 77).unwrap();
-    let other = GcnInput::from_dataset(&other_data).unwrap();
+    let other = cora_input(NODES, 77);
     assert!(!plan.matches(&other));
     assert!(plan.run_input(&other).is_err());
     // The underlying SPMM plan also rejects the foreign operand directly.
@@ -177,8 +165,7 @@ fn plan_amortizes_tuning_cold_vs_warm_cycles() {
     // The serving premise quantified: warm requests (frozen map) are never
     // slower than the cold run that had to tune, and on a skewed graph the
     // tuned map makes them strictly faster.
-    let data = GeneratedDataset::generate(&DatasetSpec::nell().with_nodes(512), 8).unwrap();
-    let input = GcnInput::from_dataset(&data).unwrap();
+    let input = spec_input(&DatasetSpec::nell().with_nodes(512), 8);
     let cfg =
         Design::LocalPlusRemote { hop: 2 }.apply(AccelConfig::builder().n_pes(64).build().unwrap());
     let (plan, cold) = GcnRunner::new(cfg).prepare(&input).unwrap();
@@ -198,7 +185,11 @@ fn assert_concurrent_runs_match_serial(plan: &GcnPlan, x1: &Csr) {
     let requests: Vec<usize> = (0..16).collect();
     let outcomes = par_map_threads(8, &requests, |_| plan.run(x1).unwrap());
     for (i, out) in outcomes.iter().enumerate() {
-        assert_eq!(out.output, serial.output, "request {i} output diverged");
+        assert_eq!(
+            bits(&out.output),
+            bits(&serial.output),
+            "request {i} output diverged"
+        );
         assert_eq!(out.stats, serial.stats, "request {i} stats diverged");
         // Each request reports its own streaming pass; the deterministic
         // fields must equal the serial pass's.
@@ -215,13 +206,12 @@ fn assert_concurrent_runs_match_serial(plan: &GcnPlan, x1: &Csr) {
 
 #[test]
 fn concurrent_plan_runs_match_serial() {
-    let data = GeneratedDataset::generate(&spec(), 24).unwrap();
-    let input = GcnInput::from_dataset(&data).unwrap();
+    let input = cora_input(NODES, 24);
 
-    let (single, _) = GcnRunner::new(config(32)).prepare(&input).unwrap();
+    let (single, _) = GcnRunner::new(ls1_rs(32)).prepare(&input).unwrap();
     assert_concurrent_runs_match_serial(&single, &input.x1);
 
-    let mut sharded = config(16);
+    let mut sharded = ls1_rs(16);
     sharded.shards = ShardPolicy::Fixed(3);
     let (sharded, _) = GcnRunner::new(sharded).prepare(&input).unwrap();
     assert_eq!(sharded.shard_count(), 3);
@@ -229,7 +219,7 @@ fn concurrent_plan_runs_match_serial() {
 
     let dir = std::env::temp_dir().join(format!("awb-plan-serve-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
-    let mut streamed = config(32);
+    let mut streamed = ls1_rs(32);
     streamed.store = Some(dir.clone());
     streamed.host_mem_budget = Some(input.a_norm_csc.heap_bytes() / 2);
     let (streamed, _) = GcnRunner::new(streamed).prepare(&input).unwrap();

@@ -1,35 +1,19 @@
 //! Property-based tests on the accelerator: functional equivalence, task
 //! conservation, partition invariants under remote switching, and bounds
-//! on the pipeline model.
+//! on the pipeline model, and sharded whole-GCN runs against unsharded
+//! ones. Random whole-GCN runs on every execution path against the
+//! software reference are the property arm of `tests/exec_paths.rs`.
+
+mod common;
 
 use awb_gcn_repro::accel::pipeline::{pipeline_chain, pipeline_two_stage};
 use awb_gcn_repro::accel::{
     AccelConfig, Design, FastEngine, GcnRunner, LocalSharing, MappingKind, RemoteSwitcher,
     RoundProfile, RowMap, ShardPolicy, SltPolicy, SpmmEngine,
 };
-use awb_gcn_repro::gcn::GcnInput;
-use awb_gcn_repro::sparse::{spmm, Coo, Csc, DenseMatrix};
+use awb_gcn_repro::sparse::{spmm, DenseMatrix};
+use common::{bits, dense_for, design_strategy, random_input, sparse_strategy};
 use proptest::prelude::*;
-
-/// Random sparse square matrix with quantized values.
-fn sparse_strategy(max_n: usize, max_nnz: usize) -> impl Strategy<Value = Csc> {
-    (4..max_n).prop_flat_map(move |n| {
-        proptest::collection::vec((0..n, 0..n, -4i32..5), 1..max_nnz).prop_map(move |entries| {
-            let mut coo = Coo::new(n, n);
-            for (r, c, v) in entries {
-                coo.push(r, c, v as f32).unwrap();
-            }
-            coo.to_csc()
-        })
-    })
-}
-
-fn dense_for(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
-    let data: Vec<f32> = (0..rows * cols)
-        .map(|i| (((i as u64).wrapping_mul(0x9e3779b97f4a7c15) ^ seed) % 9) as f32 - 4.0)
-        .collect();
-    DenseMatrix::from_vec(rows, cols, data).unwrap()
-}
 
 /// A dense operand whose columns are laid out as `(mask, run length)`
 /// pieces: every column of a piece is non-zero exactly where
@@ -50,15 +34,6 @@ fn masked_dense(rows: usize, masks: &[Vec<u32>], pieces: &[(usize, usize)]) -> D
         }
     }
     b
-}
-
-fn design_strategy() -> impl Strategy<Value = Design> {
-    prop_oneof![
-        Just(Design::Baseline),
-        (1usize..3).prop_map(|hop| Design::LocalSharing { hop }),
-        (1usize..3).prop_map(|hop| Design::LocalPlusRemote { hop }),
-        Just(Design::EieLike),
-    ]
 }
 
 proptest! {
@@ -223,19 +198,7 @@ proptest! {
         design in design_strategy(),
         n_pes_log in 2u32..4,
     ) {
-        let n = a.rows();
-        // Random sparse features and quantized two-layer weights.
-        let x1 = {
-            let mut coo = Coo::new(n, 5);
-            for v in 0..n {
-                coo.push(v, (v as u64 ^ seed) as usize % 5, ((v % 3) as f32) + 1.0).unwrap();
-            }
-            coo.to_csr()
-        };
-        let w1 = dense_for(5, 4, seed);
-        let w2 = dense_for(4, 3, seed ^ 0xabcd);
-        let input = GcnInput::from_parts(a.to_csr(), x1, vec![w1, w2]).unwrap();
-
+        let input = random_input(&a, seed);
         let base = design.apply(
             AccelConfig::builder().n_pes(1 << n_pes_log).build().unwrap(),
         );
@@ -245,15 +208,15 @@ proptest! {
         cfg.shards = ShardPolicy::Fixed(shards);
         let runner = GcnRunner::new(cfg);
         let cold = runner.run(&input).unwrap();
-        prop_assert_eq!(&cold.output, &reference.output);
+        prop_assert_eq!(bits(&cold.output), bits(&reference.output));
         // Work conservation per layer across the shard split.
         prop_assert_eq!(cold.stats.total_tasks(), reference.stats.total_tasks());
 
         let (plan, warmup) = runner.prepare(&input).unwrap();
-        prop_assert_eq!(&warmup.output, &reference.output);
+        prop_assert_eq!(bits(&warmup.output), bits(&reference.output));
         prop_assert!(plan.shard_count() >= 1 && plan.shard_count() <= shards);
         let served = plan.run_input(&input).unwrap();
-        prop_assert_eq!(&served.output, &reference.output);
+        prop_assert_eq!(bits(&served.output), bits(&reference.output));
         for layer in &served.stats.layers {
             prop_assert_eq!(layer.a_xw.tuning_rounds(), 0);
         }
@@ -272,18 +235,7 @@ proptest! {
         design in design_strategy(),
         n_pes_log in 2u32..4,
     ) {
-        let n = a.rows();
-        let x1 = {
-            let mut coo = Coo::new(n, 5);
-            for v in 0..n {
-                coo.push(v, (v as u64 ^ seed) as usize % 5, ((v % 3) as f32) + 1.0).unwrap();
-            }
-            coo.to_csr()
-        };
-        let w1 = dense_for(5, 4, seed);
-        let w2 = dense_for(4, 3, seed ^ 0xabcd);
-        let input = GcnInput::from_parts(a.to_csr(), x1, vec![w1, w2]).unwrap();
-
+        let input = random_input(&a, seed);
         let base = design.apply(
             AccelConfig::builder().n_pes(1 << n_pes_log).build().unwrap(),
         );
@@ -294,13 +246,13 @@ proptest! {
         cfg.combination_shards = ShardPolicy::Fixed(xw_shards);
         let runner = GcnRunner::new(cfg);
         let cold = runner.run(&input).unwrap();
-        prop_assert_eq!(&cold.output, &reference.output);
+        prop_assert_eq!(bits(&cold.output), bits(&reference.output));
         prop_assert_eq!(cold.stats.total_tasks(), reference.stats.total_tasks());
 
         let (plan, warmup) = runner.prepare(&input).unwrap();
-        prop_assert_eq!(&warmup.output, &reference.output);
+        prop_assert_eq!(bits(&warmup.output), bits(&reference.output));
         let served = plan.run_input(&input).unwrap();
-        prop_assert_eq!(&served.output, &reference.output);
+        prop_assert_eq!(bits(&served.output), bits(&reference.output));
         for layer in &served.stats.layers {
             prop_assert_eq!(layer.a_xw.tuning_rounds(), 0);
         }

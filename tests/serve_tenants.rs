@@ -3,45 +3,26 @@
 //! admission queue, and concurrent sessions over one shared plan — every
 //! path bit-identical to independent cold prepare+run.
 
+mod common;
+
 use std::sync::Arc;
 use std::thread;
 
-use awb_gcn_repro::accel::{AccelConfig, AccelError, Design, GcnRunner, GcnService, ServeOptions};
+use awb_gcn_repro::accel::{AccelError, GcnRunner, GcnService, ServeOptions};
 use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset};
 use awb_gcn_repro::gcn::GcnInput;
 use awb_gcn_repro::sparse::Csr;
-
-fn spec(nodes: usize) -> DatasetSpec {
-    DatasetSpec::cora().with_nodes(nodes)
-}
-
-fn config(n_pes: usize) -> AccelConfig {
-    Design::LocalPlusRemote { hop: 1 }.apply(AccelConfig::builder().n_pes(n_pes).build().unwrap())
-}
-
-/// A tenant graph: distinct seed → distinct structure → distinct
-/// fingerprint and plan.
-fn tenant(nodes: usize, seed: u64) -> GcnInput {
-    let data = GeneratedDataset::generate(&spec(nodes), seed).unwrap();
-    GcnInput::from_dataset(&data).unwrap()
-}
-
-/// Cold reference for one request: independent prepare + run.
-fn cold_run(cfg: &AccelConfig, input: &GcnInput, x1: &Csr) -> awb_gcn_repro::accel::GcnRunOutcome {
-    let cold_input =
-        GcnInput::from_parts(input.a_norm.clone(), x1.clone(), input.weights.clone()).unwrap();
-    GcnRunner::new(cfg.clone()).run(&cold_input).unwrap()
-}
+use common::{bits, cold_run, cora_input, ls1_rs};
 
 /// Two tenants interleaved through `serve_graph`: the first batch per
 /// tenant misses (prepare-on-miss), later batches hit, and every response
 /// is bit-identical to an independent cold prepare+run.
 #[test]
 fn interleaved_tenants_share_the_cache() {
-    let cfg = config(16);
+    let cfg = ls1_rs(16);
     let mut service = GcnService::new(cfg.clone());
-    let a = tenant(128, 31);
-    let b = tenant(96, 32);
+    let a = cora_input(128, 31);
+    let b = cora_input(96, 32);
     // a, b, a, b: 2 misses (first touch each) then 2 hits.
     for (round, input) in [(0, &a), (0, &b), (1, &a), (1, &b)] {
         let batch = service
@@ -49,7 +30,8 @@ fn interleaved_tenants_share_the_cache() {
             .unwrap();
         let cold = cold_run(&cfg, input, &input.x1);
         assert_eq!(
-            batch.requests[0].outcome.output, cold.output,
+            bits(&batch.requests[0].outcome.output),
+            bits(&cold.output),
             "round {round}: served output must be bit-identical to cold"
         );
     }
@@ -64,14 +46,14 @@ fn interleaved_tenants_share_the_cache() {
 /// the mutated graph.
 #[test]
 fn mutated_structure_is_a_cache_miss() {
-    let cfg = config(16);
+    let cfg = ls1_rs(16);
     let mut service = GcnService::new(cfg.clone());
-    let original = tenant(128, 41);
+    let original = cora_input(128, 41);
     service
         .serve_graph(&original, std::slice::from_ref(&original.x1))
         .unwrap();
     // Same spec, different seed: a structurally different graph.
-    let mutated = tenant(128, 42);
+    let mutated = cora_input(128, 42);
     assert_ne!(
         original.a_norm.to_csc().col_ptr(),
         mutated.a_norm.to_csc().col_ptr(),
@@ -87,7 +69,7 @@ fn mutated_structure_is_a_cache_miss() {
         "mutated structure must be a fresh miss, not a stale hit"
     );
     let cold = cold_run(&cfg, &mutated, &mutated.x1);
-    assert_eq!(batch.requests[0].outcome.output, cold.output);
+    assert_eq!(bits(&batch.requests[0].outcome.output), bits(&cold.output));
 }
 
 /// Mutating the *weights* under an unchanged structure keeps the
@@ -96,16 +78,16 @@ fn mutated_structure_is_a_cache_miss() {
 /// plan serving old weights.
 #[test]
 fn mutated_weights_replace_the_stale_plan() {
-    let cfg = config(16);
+    let cfg = ls1_rs(16);
     let mut service = GcnService::new(cfg.clone());
-    let data = GeneratedDataset::generate(&spec(128), 51).unwrap();
+    let spec = DatasetSpec::cora().with_nodes(128);
+    let data = GeneratedDataset::generate(&spec, 51).unwrap();
     let original = GcnInput::from_dataset(&data).unwrap();
     service
         .serve_graph(&original, std::slice::from_ref(&original.x1))
         .unwrap();
     // Same adjacency (same fingerprint), freshly drawn weights.
-    let retrained =
-        GeneratedDataset::with_adjacency(&spec(128), data.adjacency.clone(), 900).unwrap();
+    let retrained = GeneratedDataset::with_adjacency(&spec, data.adjacency.clone(), 900).unwrap();
     let retrained = GcnInput::from_dataset(&retrained).unwrap();
     assert_eq!(original.a_norm, retrained.a_norm, "structure unchanged");
     assert_ne!(original.weights, retrained.weights, "weights mutated");
@@ -124,7 +106,7 @@ fn mutated_weights_replace_the_stale_plan() {
         "stale same-fingerprint plan must be replaced, not reused"
     );
     let cold = cold_run(&cfg, &retrained, &retrained.x1);
-    assert_eq!(batch.requests[0].outcome.output, cold.output);
+    assert_eq!(bits(&batch.requests[0].outcome.output), bits(&cold.output));
     // The replacement is now the resident plan: serving the retrained
     // tenant again hits.
     service
@@ -138,9 +120,9 @@ fn mutated_weights_replace_the_stale_plan() {
 /// bit for bit: a miss that replaces the stale plan, never a stale hit.
 #[test]
 fn mutated_values_are_a_cache_miss() {
-    let cfg = config(16);
+    let cfg = ls1_rs(16);
     let mut service = GcnService::new(cfg.clone());
-    let original = tenant(128, 45);
+    let original = cora_input(128, 45);
     let (a, x1) = (&original.a_norm, &original.x1);
     service
         .serve_graph(&original, std::slice::from_ref(x1))
@@ -158,7 +140,7 @@ fn mutated_values_are_a_cache_miss() {
         (0, 2, 1, 1)
     );
     let cold = cold_run(&cfg, &mutated, x1);
-    assert_eq!(batch.requests[0].outcome.output, cold.output);
+    assert_eq!(bits(&batch.requests[0].outcome.output), bits(&cold.output));
 }
 
 /// Eviction round-trip: a budget sized for one plan forces LRU eviction
@@ -166,9 +148,9 @@ fn mutated_values_are_a_cache_miss() {
 /// re-prepares (a miss, not an error) and stays bit-identical.
 #[test]
 fn eviction_round_trip_re_prepares_evicted_tenant() {
-    let cfg = config(16);
-    let a = tenant(128, 61);
-    let b = tenant(96, 62);
+    let cfg = ls1_rs(16);
+    let a = cora_input(128, 61);
+    let b = cora_input(96, 62);
     // Budget below two plans: measure plan sizes first.
     let (plan_a, _) = GcnRunner::new(cfg.clone()).prepare(&a).unwrap();
     let (plan_b, _) = GcnRunner::new(cfg.clone()).prepare(&b).unwrap();
@@ -206,7 +188,7 @@ fn eviction_round_trip_re_prepares_evicted_tenant() {
     assert_eq!(stats.misses, 3, "return of a is a fresh miss");
     assert_eq!(stats.evictions, 2, "b is evicted in turn");
     let cold = cold_run(&cfg, &a, &a.x1);
-    assert_eq!(batch.requests[0].outcome.output, cold.output);
+    assert_eq!(bits(&batch.requests[0].outcome.output), bits(&cold.output));
 }
 
 /// A budget smaller than a single plan keeps exactly the most recent
@@ -214,8 +196,8 @@ fn eviction_round_trip_re_prepares_evicted_tenant() {
 /// insertion).
 #[test]
 fn oversized_plan_stays_resident() {
-    let cfg = config(16);
-    let a = tenant(96, 71);
+    let cfg = ls1_rs(16);
+    let a = cora_input(96, 71);
     let mut service = GcnService::with_options(
         cfg,
         ServeOptions {
@@ -242,10 +224,10 @@ fn oversized_plan_stays_resident() {
 /// against its own tenant's plan.
 #[test]
 fn queued_tenants_drain_in_admission_order() {
-    let cfg = config(16);
+    let cfg = ls1_rs(16);
     let mut service = GcnService::new(cfg.clone());
-    let a = tenant(128, 81);
-    let b = tenant(96, 82);
+    let a = cora_input(128, 81);
+    let b = cora_input(96, 82);
     let order = [&a, &b, &a, &b, &b];
     for (i, input) in order.iter().enumerate() {
         assert_eq!(service.enqueue(input, input.x1.clone()).unwrap(), i);
@@ -255,7 +237,8 @@ fn queued_tenants_drain_in_admission_order() {
     for (r, input) in batch.requests.iter().zip(order.iter()) {
         let cold = cold_run(&cfg, input, &input.x1);
         assert_eq!(
-            r.outcome.output, cold.output,
+            bits(&r.outcome.output),
+            bits(&cold.output),
             "request {} must run against its own tenant's plan",
             r.index
         );
@@ -271,9 +254,9 @@ fn queued_tenants_drain_in_admission_order() {
 /// still bit-identical.
 #[test]
 fn admitted_request_survives_plan_eviction() {
-    let cfg = config(16);
-    let a = tenant(128, 91);
-    let b = tenant(96, 92);
+    let cfg = ls1_rs(16);
+    let a = cora_input(128, 91);
+    let b = cora_input(96, 92);
     let mut service = GcnService::with_options(
         cfg.clone(),
         ServeOptions {
@@ -292,16 +275,22 @@ fn admitted_request_survives_plan_eviction() {
     assert_eq!(batch.requests.len(), 2);
     let cold_a = cold_run(&cfg, &a, &a.x1);
     let cold_b = cold_run(&cfg, &b, &b.x1);
-    assert_eq!(batch.requests[0].outcome.output, cold_a.output);
-    assert_eq!(batch.requests[1].outcome.output, cold_b.output);
+    assert_eq!(
+        bits(&batch.requests[0].outcome.output),
+        bits(&cold_a.output)
+    );
+    assert_eq!(
+        bits(&batch.requests[1].outcome.output),
+        bits(&cold_b.output)
+    );
 }
 
 /// Backpressure is typed and non-destructive: the rejected request is not
 /// admitted, nothing already queued is lost.
 #[test]
 fn queue_full_is_typed_backpressure() {
-    let cfg = config(16);
-    let a = tenant(96, 101);
+    let cfg = ls1_rs(16);
+    let a = cora_input(96, 101);
     let mut service = GcnService::with_options(
         cfg,
         ServeOptions {
@@ -332,12 +321,13 @@ fn queue_full_is_typed_backpressure() {
 fn concurrent_sessions_count_exactly_and_match_sequential() {
     const THREADS: usize = 4;
     const REQUESTS_PER_THREAD: usize = 3;
-    let cfg = config(32);
-    let data = GeneratedDataset::generate(&spec(192), 111).unwrap();
+    let cfg = ls1_rs(32);
+    let spec = DatasetSpec::cora().with_nodes(192);
+    let data = GeneratedDataset::generate(&spec, 111).unwrap();
     let input = GcnInput::from_dataset(&data).unwrap();
     let requests: Vec<Csr> = (0..REQUESTS_PER_THREAD)
         .map(|i| {
-            GeneratedDataset::with_adjacency(&spec(192), data.adjacency.clone(), 500 + i as u64)
+            GeneratedDataset::with_adjacency(&spec, data.adjacency.clone(), 500 + i as u64)
                 .unwrap()
                 .features
         })
@@ -387,7 +377,7 @@ fn concurrent_sessions_count_exactly_and_match_sequential() {
     assert_eq!(plan.replay_misses(), misses_before);
     for thread_outputs in &outputs {
         for (served, reference) in thread_outputs.iter().zip(&sequential) {
-            assert_eq!(served.output, reference.output);
+            assert_eq!(bits(&served.output), bits(&reference.output));
             assert_eq!(served.stats, reference.stats);
         }
     }
