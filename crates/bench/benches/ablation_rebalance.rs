@@ -2,18 +2,20 @@
 //! table — these quantify the decisions the paper leaves implicit):
 //!
 //! 1. hop radius sweep (0–4) with and without remote switching,
-//! 2. Shuffling-LUT policy: `Sequential` vs `DegreeAware`,
-//! 3. PESM tracking window 1–4,
-//! 4. initial mapping: `Block` vs `Cyclic`,
-//! 5. RaW stall handling: `Park` (stall buffer) vs `Block` (head-of-line),
-//! 6. inter-SPMM pipelining on/off.
+//! 2. PESM tracking window 1–4,
+//! 3. initial mapping: `Block` vs `Cyclic`,
+//! 4. RaW stall handling: `Park` (stall buffer) vs `Block` (head-of-line),
+//! 5. inter-SPMM pipelining on/off.
+//!
+//! The Shuffling LUT's row selection is not ablated: it has one rule
+//! (DESIGN.md §3; the measurement behind that is EXPERIMENTS.md §23).
 //!
 //! Run on Cora (moderate power-law imbalance) and a scaled Nell (clustered
 //! hubs) so both imbalance regimes are covered.
 //!
 //! Run: `cargo bench -p awb-bench --bench ablation_rebalance`
 
-use awb_accel::{AccelConfig, Design, GcnRunner, MappingKind, SltPolicy, StallMode};
+use awb_accel::{AccelConfig, Design, GcnRunner, MappingKind, StallMode};
 use awb_bench::{pct, render_table, BenchDataset};
 use awb_datasets::PaperDataset;
 use awb_gcn_model::GcnInput;
@@ -60,18 +62,7 @@ fn main() {
             render_table(&["hop", "remote", "cycles", "util"], &rows)
         );
 
-        // 2. SLT policy.
-        let mut rows = Vec::new();
-        for policy in [SltPolicy::Sequential, SltPolicy::DegreeAware] {
-            let mut config = Design::LocalPlusRemote { hop: 2 }.apply(base.clone());
-            config.slt_policy = policy;
-            let (cycles, util) = run(&bench.input, config);
-            rows.push(vec![format!("{policy:?}"), format!("{cycles}"), pct(util)]);
-        }
-        println!("Shuffling-LUT policy (LS2+RS):");
-        println!("{}", render_table(&["policy", "cycles", "util"], &rows));
-
-        // 3. Tracking window.
+        // 2. Tracking window.
         let mut rows = Vec::new();
         for window in 1..=4usize {
             let mut config = Design::LocalPlusRemote { hop: 2 }.apply(base.clone());
@@ -82,7 +73,7 @@ fn main() {
         println!("PESM tracking window (LS2+RS):");
         println!("{}", render_table(&["window", "cycles", "util"], &rows));
 
-        // 4. Initial mapping.
+        // 3. Initial mapping.
         let mut rows = Vec::new();
         for mapping in [MappingKind::Block, MappingKind::Cyclic] {
             for design in [Design::Baseline, Design::LocalPlusRemote { hop: 2 }] {
@@ -103,7 +94,7 @@ fn main() {
             render_table(&["mapping", "design", "cycles", "util"], &rows)
         );
 
-        // 5. RaW stall handling.
+        // 4. RaW stall handling.
         let mut rows = Vec::new();
         for stall in [StallMode::Park, StallMode::Block] {
             let mut config = Design::LocalPlusRemote { hop: 2 }.apply(base.clone());
@@ -114,7 +105,7 @@ fn main() {
         println!("RaW hazard handling (LS2+RS):");
         println!("{}", render_table(&["mode", "cycles", "util"], &rows));
 
-        // 6. Inter-SPMM pipelining.
+        // 5. Inter-SPMM pipelining.
         let mut rows = Vec::new();
         for pipeline in [true, false] {
             let mut config = Design::LocalPlusRemote { hop: 2 }.apply(base.clone());

@@ -68,7 +68,7 @@ fn main() {
         let fwd = GcnModel::two_layer()
             .forward(&bench.input)
             .expect("forward pass");
-        let x2 = fwd.layer_inputs[1].as_ref().expect("2-layer net");
+        let x2 = &fwd.hidden_inputs[0];
         let exact = table2_exact(
             dataset.name(),
             &bench.input.a_norm,

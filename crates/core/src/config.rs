@@ -16,20 +16,6 @@ pub enum MappingKind {
     Cyclic,
 }
 
-/// Which rows the Shuffling LUT exchanges during remote switching
-/// (paper §4.2 leaves the selection unspecified; see DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SltPolicy {
-    /// Exchange the next `N_i` rows of each PE in index order —
-    /// hardware-cheap, no per-row state.
-    #[default]
-    Sequential,
-    /// Exchange the hotspot's heaviest rows against the coldspot's lightest
-    /// ones, using per-row task counters from the previous round — the
-    /// idealized upper bound.
-    DegreeAware,
-}
-
 /// How a Read-after-Write hazard interacts with the PE's issue slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StallMode {
@@ -201,8 +187,6 @@ pub struct AccelConfig {
     pub local_hop: usize,
     /// Whether dynamic remote switching is active.
     pub remote_switching: bool,
-    /// Row-selection policy of the Shuffling LUT.
-    pub slt_policy: SltPolicy,
     /// How many hotspot/coldspot tuples the PE Status Monitor tracks
     /// concurrently (paper: 2).
     pub tracking_window: usize,
@@ -284,6 +268,95 @@ impl AccelConfig {
         AccelConfig::builder()
             .build()
             .expect("paper defaults are valid")
+    }
+
+    /// Checks every field against its documented domain. The builder runs
+    /// this, and so does every engine before it builds its PE array, since
+    /// a config edited after `build()` (say by [`Design::apply`]) can leave
+    /// the domain — `local_hop` must stay below `n_pes`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccelError::InvalidConfig`] naming the first field out of
+    /// its domain.
+    pub fn validate(&self) -> Result<(), AccelError> {
+        // Any PE count >= 2 is valid for the fast engine; the Omega network
+        // of the detailed TDQ-2 engine additionally requires a power of two
+        // (checked there). The paper's Fig. 15 sweeps 512/768/1024.
+        if self.n_pes < 2 {
+            return Err(AccelError::InvalidConfig(format!(
+                "n_pes must be >= 2, got {}",
+                self.n_pes
+            )));
+        }
+        if self.mac_latency == 0 {
+            return Err(AccelError::InvalidConfig("mac_latency must be >= 1".into()));
+        }
+        if self.local_hop >= self.n_pes {
+            return Err(AccelError::InvalidConfig(format!(
+                "local_hop {} must be < n_pes {}",
+                self.local_hop, self.n_pes
+            )));
+        }
+        if self.tracking_window == 0 {
+            return Err(AccelError::InvalidConfig(
+                "tracking_window must be >= 1".into(),
+            ));
+        }
+        if self.queues_per_pe == 0 {
+            return Err(AccelError::InvalidConfig(
+                "queues_per_pe must be >= 1".into(),
+            ));
+        }
+        if self.net_buffer == 0 {
+            return Err(AccelError::InvalidConfig("net_buffer must be >= 1".into()));
+        }
+        if !(self.freq_mhz.is_finite() && self.freq_mhz > 0.0) {
+            return Err(AccelError::InvalidConfig(format!(
+                "freq_mhz must be positive, got {}",
+                self.freq_mhz
+            )));
+        }
+        if self.max_tuning_rounds == 0 {
+            return Err(AccelError::InvalidConfig(
+                "max_tuning_rounds must be >= 1".into(),
+            ));
+        }
+        if self.threads == Some(0) {
+            return Err(AccelError::InvalidConfig(
+                "threads must be >= 1 when set (use None for the default)".into(),
+            ));
+        }
+        if self.shards == ShardPolicy::Fixed(0) {
+            return Err(AccelError::InvalidConfig(
+                "shard count must be >= 1 (use ShardPolicy::Single for no sharding)".into(),
+            ));
+        }
+        if self.combination_shards == ShardPolicy::Fixed(0) {
+            return Err(AccelError::InvalidConfig(
+                "combination shard count must be >= 1 (use ShardPolicy::Single for no sharding)"
+                    .into(),
+            ));
+        }
+        if self.store.is_some() && self.shards != ShardPolicy::Single {
+            return Err(AccelError::InvalidConfig(
+                "a sparse store streams the aggregation operand out of core; it conflicts \
+                 with an aggregation shard policy (leave shards at ShardPolicy::Single)"
+                    .into(),
+            ));
+        }
+        if self.host_mem_budget == Some(0) {
+            return Err(AccelError::InvalidConfig(
+                "host_mem_budget must be >= 1 byte when set (use None for the default)".into(),
+            ));
+        }
+        if self.host_mem_budget.is_some() && self.store.is_none() {
+            return Err(AccelError::InvalidConfig(
+                "host_mem_budget only applies to out-of-core runs; configure a store directory"
+                    .into(),
+            ));
+        }
+        Ok(())
     }
 
     /// Rows initially assigned to each PE under equal partition — the `R`
@@ -460,7 +533,6 @@ impl Default for AccelConfigBuilder {
                 mac_latency: 6,
                 local_hop: 1,
                 remote_switching: true,
-                slt_policy: SltPolicy::default(),
                 tracking_window: 2,
                 mapping: MappingKind::default(),
                 queues_per_pe: 4,
@@ -504,12 +576,6 @@ impl AccelConfigBuilder {
     /// Enables or disables remote switching.
     pub fn remote_switching(&mut self, on: bool) -> &mut Self {
         self.config.remote_switching = on;
-        self
-    }
-
-    /// Sets the Shuffling-LUT policy.
-    pub fn slt_policy(&mut self, policy: SltPolicy) -> &mut Self {
-        self.config.slt_policy = policy;
         self
     }
 
@@ -623,84 +689,8 @@ impl AccelConfigBuilder {
     /// Returns [`AccelError::InvalidConfig`] when any field is out of its
     /// documented domain.
     pub fn build(&self) -> Result<AccelConfig, AccelError> {
-        let c = &self.config;
-        // Any PE count >= 2 is valid for the fast engine; the Omega network
-        // of the detailed TDQ-2 engine additionally requires a power of two
-        // (checked there). The paper's Fig. 15 sweeps 512/768/1024.
-        if c.n_pes < 2 {
-            return Err(AccelError::InvalidConfig(format!(
-                "n_pes must be >= 2, got {}",
-                c.n_pes
-            )));
-        }
-        if c.mac_latency == 0 {
-            return Err(AccelError::InvalidConfig("mac_latency must be >= 1".into()));
-        }
-        if c.local_hop >= c.n_pes {
-            return Err(AccelError::InvalidConfig(format!(
-                "local_hop {} must be < n_pes {}",
-                c.local_hop, c.n_pes
-            )));
-        }
-        if c.tracking_window == 0 {
-            return Err(AccelError::InvalidConfig(
-                "tracking_window must be >= 1".into(),
-            ));
-        }
-        if c.queues_per_pe == 0 {
-            return Err(AccelError::InvalidConfig(
-                "queues_per_pe must be >= 1".into(),
-            ));
-        }
-        if c.net_buffer == 0 {
-            return Err(AccelError::InvalidConfig("net_buffer must be >= 1".into()));
-        }
-        if !(c.freq_mhz.is_finite() && c.freq_mhz > 0.0) {
-            return Err(AccelError::InvalidConfig(format!(
-                "freq_mhz must be positive, got {}",
-                c.freq_mhz
-            )));
-        }
-        if c.max_tuning_rounds == 0 {
-            return Err(AccelError::InvalidConfig(
-                "max_tuning_rounds must be >= 1".into(),
-            ));
-        }
-        if c.threads == Some(0) {
-            return Err(AccelError::InvalidConfig(
-                "threads must be >= 1 when set (use None for the default)".into(),
-            ));
-        }
-        if c.shards == ShardPolicy::Fixed(0) {
-            return Err(AccelError::InvalidConfig(
-                "shard count must be >= 1 (use ShardPolicy::Single for no sharding)".into(),
-            ));
-        }
-        if c.combination_shards == ShardPolicy::Fixed(0) {
-            return Err(AccelError::InvalidConfig(
-                "combination shard count must be >= 1 (use ShardPolicy::Single for no sharding)"
-                    .into(),
-            ));
-        }
-        if c.store.is_some() && c.shards != ShardPolicy::Single {
-            return Err(AccelError::InvalidConfig(
-                "a sparse store streams the aggregation operand out of core; it conflicts \
-                 with an aggregation shard policy (leave shards at ShardPolicy::Single)"
-                    .into(),
-            ));
-        }
-        if c.host_mem_budget == Some(0) {
-            return Err(AccelError::InvalidConfig(
-                "host_mem_budget must be >= 1 byte when set (use None for the default)".into(),
-            ));
-        }
-        if c.host_mem_budget.is_some() && c.store.is_none() {
-            return Err(AccelError::InvalidConfig(
-                "host_mem_budget only applies to out-of-core runs; configure a store directory"
-                    .into(),
-            ));
-        }
-        Ok(c.clone())
+        self.config.validate()?;
+        Ok(self.config.clone())
     }
 }
 

@@ -15,7 +15,6 @@ use crate::error::AccelError;
 use crate::mapping::RowMap;
 use crate::rebalance::autotuner::AutoTuner;
 use crate::rebalance::local::LocalSharing;
-use crate::rebalance::remote::RoundProfile;
 use crate::stats::{RoundStats, SpmmStats};
 use awb_hw::{
     MacOp, MacPipeline, OmegaNetwork, Packet, RawScoreboard, RoundRobinArbiter, TaskQueue,
@@ -131,6 +130,9 @@ impl DetailedEngine {
             ))),
             Some(_) => Ok(()),
             None => {
+                // A config edited after `build()` can hold a hop that
+                // `LocalSharing::new` would reject with a panic.
+                self.config.validate()?;
                 self.map = Some(RowMap::new(n_rows, self.config.n_pes, self.config.mapping));
                 self.tuner = Some(AutoTuner::new(&self.config, n_rows));
                 self.sharing = Some(LocalSharing::new(self.config.local_hop, self.config.n_pes));
@@ -150,7 +152,6 @@ impl DetailedEngine {
         col_acc: &mut [f32],
         per_pe_busy: &mut [u64],
         owner_busy: &mut [u64],
-        per_row_tasks: Option<&mut [u32]>,
     ) -> DetailedRound {
         let n_pes = self.config.n_pes;
         let qpp = match tdq {
@@ -172,11 +173,6 @@ impl DetailedEngine {
             _ => None,
         };
 
-        if let Some(counts) = per_row_tasks {
-            for &(row, _) in tasks {
-                counts[row as usize] += 1;
-            }
-        }
         // Owner-attributed load for the PESM (see the fast engine).
         for &(row, _) in tasks {
             owner_busy[pe_of_row[row as usize] as usize] += 1;
@@ -348,7 +344,6 @@ impl SpmmEngine for DetailedEngine {
         let mut col_acc = vec![0f32; n_rows];
         let mut per_pe_busy = vec![0u64; n_pes];
         let mut owner_busy = vec![0u64; n_pes];
-        let mut row_tasks: Vec<u32> = Vec::new();
         let mut queue_high_water = vec![0u32; n_pes];
 
         for k in 0..b.cols() {
@@ -365,13 +360,7 @@ impl SpmmEngine for DetailedEngine {
             }
             per_pe_busy.fill(0);
             owner_busy.fill(0);
-            let tuner = self.tuner.as_ref().expect("initialized");
-            let tuning = tuner.is_active();
-            let collect_rows = tuner.needs_row_counts();
-            if collect_rows {
-                row_tasks.clear();
-                row_tasks.resize(n_rows, 0);
-            }
+            let tuning = self.tuner.as_ref().expect("initialized").is_active();
             let map = self.map.as_ref().expect("initialized");
             let round = self.simulate_round(
                 &tasks,
@@ -381,7 +370,6 @@ impl SpmmEngine for DetailedEngine {
                 &mut col_acc,
                 &mut per_pe_busy,
                 &mut owner_busy,
-                collect_rows.then_some(row_tasks.as_mut_slice()),
             );
 
             for (hw, &d) in queue_high_water.iter_mut().zip(&round.per_pe_high_water) {
@@ -400,15 +388,11 @@ impl SpmmEngine for DetailedEngine {
 
             if tuning && !tasks.is_empty() {
                 let util = tasks.len() as f64 / (round.cycles.max(1) as f64 * n_pes as f64);
-                let profile = RoundProfile {
-                    per_pe_busy: owner_busy.clone(),
-                    per_row_tasks: collect_rows.then(|| row_tasks.clone()),
-                };
                 let map = self.map.as_mut().expect("initialized");
                 self.tuner
                     .as_mut()
                     .expect("initialized")
-                    .observe_round(&profile, util, map);
+                    .observe_round(&owner_busy, util, map);
             }
 
             for (row, acc) in col_acc.iter_mut().enumerate() {

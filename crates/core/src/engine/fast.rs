@@ -57,7 +57,6 @@ use crate::exec;
 use crate::mapping::RowMap;
 use crate::rebalance::autotuner::AutoTuner;
 use crate::rebalance::local::LocalSharing;
-use crate::rebalance::remote::RoundProfile;
 use crate::stats::SpmmStats;
 use awb_sparse::{Csc, CscPattern, DenseMatrix};
 
@@ -179,6 +178,9 @@ impl FastEngine {
             ))),
             Some(_) => Ok(()),
             None => {
+                // A config edited after `build()` can hold a hop that
+                // `LocalSharing::new` would reject with a panic.
+                self.config.validate()?;
                 self.map = Some(RowMap::new(n_rows, self.config.n_pes, self.config.mapping));
                 self.tuner = Some(AutoTuner::new(&self.config, n_rows));
                 self.sharing = Some(LocalSharing::new(self.config.local_hop, self.config.n_pes));
@@ -239,7 +241,6 @@ impl FastEngine {
     ) -> Result<SpmmStats, AccelError> {
         self.ensure_state(a.rows())?;
         let n_pes = self.config.n_pes;
-        let n_rows = a.rows();
         // The distributor's delivery rate: full speed when SPMMeM holds
         // the operand on chip, bandwidth-bound when it must stream.
         let memory = MemoryParams::for_operand(&self.config, a.nnz());
@@ -270,13 +271,14 @@ impl FastEngine {
         let map = self.map.as_mut().expect("initialized in ensure_state");
         let tuner = self.tuner.as_mut().expect("initialized in ensure_state");
         // The last tuning round — its run, the `total_exchanged()` it ran
-        // under, its timing and profile — kept for reuse: a round of the
-        // same run (so the same pattern) whose map has not changed since
-        // (no row exchanged) would simulate to exactly the same result.
+        // under, its timing and owner-attributed load — kept for reuse: a
+        // round of the same run (so the same pattern) whose map has not
+        // changed since (no row exchanged) would simulate to exactly the
+        // same result.
         // Eq. 5 makes this the common case — a tuple's first observation
         // only profiles, so the round after a tuner's first observation
         // runs the same map.
-        let mut previous: Option<(usize, u64, RoundTiming, RoundProfile)> = None;
+        let mut previous: Option<(usize, u64, RoundTiming, Vec<u64>)> = None;
         for (i, run) in runs.iter_mut().enumerate() {
             if !tuner.is_active() {
                 break;
@@ -284,26 +286,15 @@ impl FastEngine {
             while !run.cols.is_empty() && tuner.is_active() {
                 let k = run.cols.start;
                 let exchanged = map.total_exchanged();
-                let (timing, profile) = match previous.take() {
-                    Some((prev_run, prev_exchanged, timing, profile))
+                let (timing, owner_busy) = match previous.take() {
+                    Some((prev_run, prev_exchanged, timing, owner_busy))
                         if prev_run == i && prev_exchanged == exchanged =>
                     {
-                        (timing, profile)
+                        (timing, owner_busy)
                     }
                     _ => {
-                        let mut row_tasks = tuner.needs_row_counts().then(|| vec![0u32; n_rows]);
-                        let sim = simulate_round(
-                            a,
-                            &run.pattern,
-                            map.pe_of_row(),
-                            params,
-                            row_tasks.as_deref_mut(),
-                        );
-                        let profile = RoundProfile {
-                            per_pe_busy: sim.owner_busy,
-                            per_row_tasks: row_tasks,
-                        };
-                        (sim.timing, profile)
+                        let sim = simulate_round(a, &run.pattern, map.pe_of_row(), params);
+                        (sim.timing, sim.owner_busy)
                     }
                 };
 
@@ -321,9 +312,9 @@ impl FastEngine {
                 // Auto-tuning between rounds.
                 if timing.tasks > 0 {
                     let util = timing.tasks as f64 / (cycles.max(1) as f64 * n_pes as f64);
-                    tuner.observe_round(&profile, util, map);
+                    tuner.observe_round(&owner_busy, util, map);
                 }
-                previous = Some((i, exchanged, timing, profile));
+                previous = Some((i, exchanged, timing, owner_busy));
                 run.cols.start += 1;
             }
         }
@@ -398,7 +389,7 @@ impl SpmmEngine for FastEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Design, MappingKind, SltPolicy, StallMode};
+    use crate::config::{Design, MappingKind, StallMode};
     use crate::engine::steady::column_pattern;
     use awb_sparse::{spmm, Coo};
 
@@ -630,7 +621,6 @@ mod tests {
             &column_pattern(&b, 1, 0..b.rows()),
             initial.pe_of_row(),
             params,
-            None,
         );
         assert_eq!(
             out.stats.rounds[1],
@@ -836,16 +826,23 @@ mod tests {
     }
 
     #[test]
-    fn degree_aware_slt_runs() {
-        let a = skewed(128, 80);
-        let b = dense(128, 16);
-        let mut cfg = Design::LocalPlusRemote { hop: 1 }.apply(config(16));
-        cfg.slt_policy = SltPolicy::DegreeAware;
-        let mut engine = FastEngine::new(cfg);
-        let out = engine.run(&a, &b, "t").unwrap();
-        let expect = spmm::csc_times_dense(&a, &b).unwrap();
-        assert!(out.c.approx_eq(&expect, 1e-4));
-        assert!(engine.total_switches() > 0);
+    fn config_moved_out_of_domain_is_typed_error() {
+        // `Design::apply` after `build()` can set a hop the PE array
+        // cannot hold; both engines reject it instead of panicking.
+        let cfg = Design::LocalPlusRemote { hop: 2 }.apply(config(2));
+        let a = skewed(8, 4);
+        let b = dense(8, 2);
+        let fast = FastEngine::new(cfg.clone()).run(&a, &b, "t");
+        let detailed =
+            crate::engine::DetailedEngine::new(cfg, crate::engine::TdqMode::Tdq1).run(&a, &b, "t");
+        for res in [fast, detailed] {
+            match res {
+                Err(AccelError::InvalidConfig(msg)) => {
+                    assert!(msg.contains("local_hop") && msg.contains("n_pes"), "{msg}")
+                }
+                other => panic!("expected InvalidConfig, got {:?}", other.map(|o| o.stats)),
+            }
+        }
     }
 
     #[test]

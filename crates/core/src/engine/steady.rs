@@ -135,14 +135,13 @@ pub(crate) fn simulate_round(
     pattern: &[u32],
     pe_of_row: &[u32],
     p: SimParams,
-    row_tasks: Option<&mut [u32]>,
 ) -> SimRound {
     match p.sharing.map_or(0, |s| s.hop()) {
-        0 => simulate_round_hop::<0>(a, pattern, pe_of_row, p, row_tasks),
-        1 => simulate_round_hop::<1>(a, pattern, pe_of_row, p, row_tasks),
-        2 => simulate_round_hop::<2>(a, pattern, pe_of_row, p, row_tasks),
-        3 => simulate_round_hop::<3>(a, pattern, pe_of_row, p, row_tasks),
-        _ => simulate_round_hop::<RUNTIME_HOP>(a, pattern, pe_of_row, p, row_tasks),
+        0 => simulate_round_hop::<0>(a, pattern, pe_of_row, p),
+        1 => simulate_round_hop::<1>(a, pattern, pe_of_row, p),
+        2 => simulate_round_hop::<2>(a, pattern, pe_of_row, p),
+        3 => simulate_round_hop::<3>(a, pattern, pe_of_row, p),
+        _ => simulate_round_hop::<RUNTIME_HOP>(a, pattern, pe_of_row, p),
     }
 }
 
@@ -173,7 +172,6 @@ fn simulate_round_hop<const HOP: usize>(
     pattern: &[u32],
     pe_of_row: &[u32],
     p: SimParams,
-    mut row_tasks: Option<&mut [u32]>,
 ) -> SimRound {
     let n_pes = p.n_pes;
     let lat = p.lat;
@@ -263,9 +261,6 @@ fn simulate_round_hop<const HOP: usize>(
             busy[dest] += 1;
             max_completion = max_completion.max(complete);
 
-            if let Some(rt) = row_tasks.as_deref_mut() {
-                rt[row] += 1;
-            }
             tasks += 1;
             delivered += 1;
             if delivered == p.bandwidth {
@@ -616,7 +611,7 @@ pub(crate) fn execute_steady(
                 .flat_map(|run| run.cols.clone().map(|k| (k, run.pattern.as_slice())))
                 .collect();
             let timings = exec::par_map_threads(span.threads, &per_round, |&(_, cols)| {
-                simulate_round(span.a, cols, span.pe_of_row, span.params, None).timing
+                simulate_round(span.a, cols, span.pe_of_row, span.params).timing
             });
             for (&(k, _), timing) in per_round.iter().zip(&timings) {
                 record(k..k + 1, timing);
@@ -657,7 +652,7 @@ fn replay_runs(span: &SteadySpan<'_>, cache: &ReplayCache) -> Vec<RoundTiming> {
         .hits
         .fetch_add((n_rounds - to_sim.len()) as u64, Ordering::Relaxed);
     let fresh = exec::par_map_threads(span.threads, &to_sim, |cols| {
-        simulate_round(span.a, cols, span.pe_of_row, span.params, None).timing
+        simulate_round(span.a, cols, span.pe_of_row, span.params).timing
     });
     cache.memoize(to_sim.iter().copied().zip(&fresh));
     sources
@@ -683,7 +678,6 @@ mod tests {
         pattern: &[u32],
         pe_of_row: &[u32],
         p: SimParams,
-        mut row_tasks: Option<&mut [u32]>,
     ) -> SimRound {
         let n_pes = p.n_pes;
         let lat = p.lat;
@@ -758,9 +752,6 @@ mod tests {
                     max_completion = complete;
                 }
 
-                if let Some(rt) = row_tasks.as_deref_mut() {
-                    rt[row] += 1;
-                }
                 t += 1;
             }
         }
@@ -794,10 +785,10 @@ mod tests {
         /// arrival counter, packed comparator) returns exactly what the
         /// reference model does: the same `RoundTiming` (cycles, tasks,
         /// busy extrema, queue depths, RaW stalls, per-PE high-water
-        /// marks), the same owner-attributed load and the same per-row
-        /// task counts — over random operands, patterns and remapped row
-        /// maps, hop 0–5 (the compile-time windows 0–3 and the
-        /// runtime-width window above them) with owners at both array
+        /// marks) and the same owner-attributed load — over random
+        /// operands, patterns and remapped row maps, hop 0–5 (the
+        /// compile-time windows 0–3 and the runtime-width window above
+        /// them) with owners at both array
         /// borders, both stall modes, and bandwidths of 1, `n_pes` and a
         /// non-divisor of the round's task count.
         #[test]
@@ -811,7 +802,6 @@ mod tests {
             park in prop_oneof![Just(true), Just(false)],
             bandwidth_kind in 0usize..3,
             lat in 1u64..6,
-            count_rows in prop_oneof![Just(true), Just(false)],
         ) {
             let (n_rows, n_cols) = shape;
             let mut coo = Coo::new(n_rows, n_cols);
@@ -845,16 +835,11 @@ mod tests {
                 stall_mode: if park { StallMode::Park } else { StallMode::Block },
                 sharing: (hop > 0).then(|| LocalSharing::new(hop, n_pes)),
             };
-            let mut rows_new = count_rows.then(|| vec![0u32; n_rows]);
-            let mut rows_ref = count_rows.then(|| vec![0u32; n_rows]);
             let a = a.pattern();
-            let new = simulate_round(a, &pattern, &pe_of_row, params, rows_new.as_deref_mut());
-            let reference = reference_simulate_round(
-                a, &pattern, &pe_of_row, params, rows_ref.as_deref_mut(),
-            );
+            let new = simulate_round(a, &pattern, &pe_of_row, params);
+            let reference = reference_simulate_round(a, &pattern, &pe_of_row, params);
             prop_assert_eq!(new.timing, reference.timing);
             prop_assert_eq!(new.owner_busy, reference.owner_busy);
-            prop_assert_eq!(rows_new, rows_ref);
         }
     }
 

@@ -83,7 +83,7 @@ pub mod trace;
 pub use area::{AreaBreakdown, AreaModel};
 pub use config::{
     AccelConfig, AccelConfigBuilder, Design, MappingKind, RetryPolicy, ServeOptions, ShardPolicy,
-    SltPolicy, StallMode, StrategyPolicy, DEFAULT_HOST_MEM_BUDGET,
+    StallMode, StrategyPolicy, DEFAULT_HOST_MEM_BUDGET,
 };
 pub use cost::{AutoDecision, CostProfile};
 pub use energy::{cycles_to_ms, EnergyModel};
@@ -96,7 +96,7 @@ pub use exec::{num_threads, par_map, par_map_isolated, par_map_threads};
 pub use fault::{FaultKind, FaultPlan};
 pub use gcn_run::{verify_against_reference, GcnPlan, GcnRunOutcome, GcnRunner};
 pub use mapping::RowMap;
-pub use rebalance::{AutoTuner, LocalSharing, RemoteSwitcher, RoundProfile, SwitchPlan};
+pub use rebalance::{AutoTuner, LocalSharing, RemoteSwitcher, SwitchPlan};
 pub use serve::{
     validate_ingest, AdmissionOutcome, BatchOutcome, CacheStats, GcnService, IsolatedBatch,
     LatencyPercentiles, PrepareReport, RequestOutcome,

@@ -9,9 +9,9 @@
 //! across later SPMMs on the same sparse matrix (e.g. `A` appears in every
 //! layer).
 
-use crate::config::{AccelConfig, SltPolicy};
+use crate::config::AccelConfig;
 use crate::mapping::RowMap;
-use crate::rebalance::remote::{RemoteSwitcher, RoundProfile};
+use crate::rebalance::remote::RemoteSwitcher;
 
 /// Relative utilization improvement below which a round counts as
 /// "no improvement".
@@ -25,16 +25,15 @@ const PATIENCE: usize = 2;
 /// # Example
 ///
 /// ```
-/// use awb_accel::{AccelConfig, AutoTuner, MappingKind, RowMap, RoundProfile};
+/// use awb_accel::{AccelConfig, AutoTuner, MappingKind, RowMap};
 ///
 /// # fn main() -> Result<(), awb_accel::AccelError> {
 /// let config = AccelConfig::builder().n_pes(4).build()?;
 /// let mut map = RowMap::new(16, 4, MappingKind::Block);
 /// let mut tuner = AutoTuner::new(&config, 16);
 /// assert!(tuner.is_active());
-/// let profile = RoundProfile { per_pe_busy: vec![10, 10, 10, 10], per_row_tasks: None };
-/// // A perfectly balanced profile converges quickly.
-/// for _ in 0..4 { tuner.observe_round(&profile, 1.0, &mut map); }
+/// // A perfectly balanced round converges quickly.
+/// for _ in 0..4 { tuner.observe_round(&[10, 10, 10, 10], 1.0, &mut map); }
 /// assert!(!tuner.is_active());
 /// # Ok(())
 /// # }
@@ -47,7 +46,6 @@ pub struct AutoTuner {
     stagnant_rounds: usize,
     rounds_done: usize,
     max_rounds: usize,
-    needs_row_counts: bool,
 }
 
 impl AutoTuner {
@@ -56,11 +54,7 @@ impl AutoTuner {
     /// frozen (local sharing needs no tuning — it is a per-task decision).
     pub fn new(config: &AccelConfig, n_rows: usize) -> Self {
         let switcher = config.remote_switching.then(|| {
-            RemoteSwitcher::new(
-                config.tracking_window,
-                config.slt_policy,
-                config.rows_per_pe(n_rows).max(1),
-            )
+            RemoteSwitcher::new(config.tracking_window, config.rows_per_pe(n_rows).max(1))
         });
         AutoTuner {
             frozen: switcher.is_none(),
@@ -69,8 +63,6 @@ impl AutoTuner {
             stagnant_rounds: 0,
             rounds_done: 0,
             max_rounds: config.max_tuning_rounds,
-            needs_row_counts: config.remote_switching
-                && config.slt_policy == SltPolicy::DegreeAware,
         }
     }
 
@@ -87,12 +79,6 @@ impl AutoTuner {
         self.frozen = true;
     }
 
-    /// True when the engine must collect per-row task counts for the
-    /// Shuffling LUT.
-    pub fn needs_row_counts(&self) -> bool {
-        self.needs_row_counts && !self.frozen
-    }
-
     /// Rounds observed before freezing.
     pub fn rounds_done(&self) -> usize {
         self.rounds_done
@@ -106,14 +92,15 @@ impl AutoTuner {
     /// Feeds one finished round into the tuner: plans and applies remote
     /// switches and updates the convergence state.
     ///
-    /// `round_util` is the PE utilization of the observed round in `[0, 1]`.
-    pub fn observe_round(&mut self, profile: &RoundProfile, round_util: f64, map: &mut RowMap) {
+    /// `busy` holds the round's owner-attributed busy cycles per PE (the
+    /// PESM's view) and `round_util` is the PE utilization of the observed round in `[0, 1]`.
+    pub fn observe_round(&mut self, busy: &[u64], round_util: f64, map: &mut RowMap) {
         if self.frozen {
             return;
         }
         self.rounds_done += 1;
         if let Some(switcher) = &mut self.switcher {
-            for plan in switcher.plan(profile, map) {
+            for plan in switcher.plan(busy, map) {
                 plan.apply(map);
             }
         }
@@ -144,18 +131,10 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn profile(busy: Vec<u64>) -> RoundProfile {
-        RoundProfile {
-            per_pe_busy: busy,
-            per_row_tasks: None,
-        }
-    }
-
     #[test]
     fn disabled_remote_switching_starts_frozen() {
         let tuner = AutoTuner::new(&config(false), 16);
         assert!(!tuner.is_active());
-        assert!(!tuner.needs_row_counts());
     }
 
     #[test]
@@ -165,11 +144,7 @@ mod tests {
         // Utilization keeps improving, so only the budget stops it.
         for i in 0..10 {
             assert!(tuner.is_active(), "round {i}");
-            tuner.observe_round(
-                &profile(vec![40, 30, 20, 10]),
-                0.05 * (i + 1) as f64,
-                &mut map,
-            );
+            tuner.observe_round(&[40, 30, 20, 10], 0.05 * (i + 1) as f64, &mut map);
         }
         assert!(!tuner.is_active());
         assert_eq!(tuner.rounds_done(), 10);
@@ -180,7 +155,7 @@ mod tests {
         let mut tuner = AutoTuner::new(&config(true), 16);
         let mut map = RowMap::new(16, 4, MappingKind::Block);
         for _ in 0..5 {
-            tuner.observe_round(&profile(vec![10, 10, 10, 10]), 0.9, &mut map);
+            tuner.observe_round(&[10, 10, 10, 10], 0.9, &mut map);
         }
         assert!(!tuner.is_active());
         assert!(tuner.rounds_done() < 5);
@@ -190,7 +165,7 @@ mod tests {
     fn observing_while_frozen_is_noop() {
         let mut tuner = AutoTuner::new(&config(false), 16);
         let mut map = RowMap::new(16, 4, MappingKind::Block);
-        tuner.observe_round(&profile(vec![9, 0, 0, 0]), 0.2, &mut map);
+        tuner.observe_round(&[9, 0, 0, 0], 0.2, &mut map);
         assert_eq!(tuner.rounds_done(), 0);
         assert_eq!(map.total_exchanged(), 0);
     }
@@ -200,19 +175,9 @@ mod tests {
         let mut tuner = AutoTuner::new(&config(true), 16);
         let mut map = RowMap::new(16, 4, MappingKind::Block);
         // Persistent gap: the second observation should move rows.
-        tuner.observe_round(&profile(vec![100, 50, 50, 0]), 0.3, &mut map);
-        tuner.observe_round(&profile(vec![100, 50, 50, 0]), 0.31, &mut map);
+        tuner.observe_round(&[100, 50, 50, 0], 0.3, &mut map);
+        tuner.observe_round(&[100, 50, 50, 0], 0.31, &mut map);
         assert!(map.total_exchanged() > 0);
         assert!(map.is_consistent());
-    }
-
-    #[test]
-    fn degree_aware_requests_row_counts() {
-        let mut b = AccelConfig::builder();
-        b.n_pes(4)
-            .remote_switching(true)
-            .slt_policy(SltPolicy::DegreeAware);
-        let tuner = AutoTuner::new(&b.build().unwrap(), 16);
-        assert!(tuner.needs_row_counts());
     }
 }

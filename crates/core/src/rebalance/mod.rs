@@ -15,4 +15,4 @@ pub mod remote;
 
 pub use autotuner::AutoTuner;
 pub use local::LocalSharing;
-pub use remote::{RemoteSwitcher, RoundProfile, SwitchPlan};
+pub use remote::{RemoteSwitcher, SwitchPlan};

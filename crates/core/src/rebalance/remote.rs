@@ -16,19 +16,7 @@
 //! the Shuffling Switches apply the new map next round. Several tuples are
 //! tracked concurrently (the tracking window; paper uses 2).
 
-use crate::config::SltPolicy;
 use crate::mapping::RowMap;
-
-/// Per-round observation handed to the switcher: what the PESM and the
-/// per-row task counters saw.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundProfile {
-    /// Busy cycles (≈ executed tasks) per PE this round.
-    pub per_pe_busy: Vec<u64>,
-    /// Tasks per row this round (needed by [`SltPolicy::DegreeAware`];
-    /// `None` under [`SltPolicy::Sequential`]).
-    pub per_row_tasks: Option<Vec<u32>>,
-}
 
 /// A planned exchange between one hotspot/coldspot pair.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,15 +58,15 @@ struct TrackedTuple {
 /// # Example
 ///
 /// ```
-/// use awb_accel::{MappingKind, RemoteSwitcher, RowMap, RoundProfile, SltPolicy};
+/// use awb_accel::{MappingKind, RemoteSwitcher, RowMap};
 ///
 /// let mut map = RowMap::new(16, 4, MappingKind::Block);
-/// let mut sw = RemoteSwitcher::new(2, SltPolicy::Sequential, 4);
+/// let mut sw = RemoteSwitcher::new(2, 4);
 /// // Round 1: PE 0 overloaded — tuple gets tracked, no switch yet (Eq. 5).
-/// let profile = RoundProfile { per_pe_busy: vec![100, 10, 10, 4], per_row_tasks: None };
-/// assert!(sw.plan(&profile, &map).is_empty());
+/// let busy = [100, 10, 10, 4];
+/// assert!(sw.plan(&busy, &map).is_empty());
 /// // Round 2: gap persists — rows move.
-/// let plans = sw.plan(&profile, &map);
+/// let plans = sw.plan(&busy, &map);
 /// assert_eq!(plans.len(), 1);
 /// for p in &plans { p.apply(&mut map); }
 /// assert!(map.total_exchanged() > 0);
@@ -86,7 +74,6 @@ struct TrackedTuple {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RemoteSwitcher {
     tracking_window: usize,
-    policy: SltPolicy,
     /// Equal-partition rows per PE (`R` in Eq. 5).
     rows_per_pe: usize,
     tracked: Vec<TrackedTuple>,
@@ -99,12 +86,11 @@ impl RemoteSwitcher {
     /// # Panics
     ///
     /// Panics if `tracking_window == 0` or `rows_per_pe == 0`.
-    pub fn new(tracking_window: usize, policy: SltPolicy, rows_per_pe: usize) -> Self {
+    pub fn new(tracking_window: usize, rows_per_pe: usize) -> Self {
         assert!(tracking_window > 0, "tracking window must be >= 1");
         assert!(rows_per_pe > 0, "rows_per_pe must be >= 1");
         RemoteSwitcher {
             tracking_window,
-            policy,
             rows_per_pe,
             tracked: Vec::new(),
             total_switches: 0,
@@ -122,13 +108,13 @@ impl RemoteSwitcher {
     }
 
     /// Observes a finished round and plans the exchanges for the next one.
+    /// `busy` holds the PESM's owner-attributed busy cycles per PE.
     ///
     /// Implements the PESM vote (hotspot = max busy, coldspot = min busy),
     /// tuple lifecycle (new tuple per round, conflict-free, bounded by the
     /// tracking window, retired after `tracking_window` updates), and the
     /// Eq. 5 exchange sizing.
-    pub fn plan(&mut self, profile: &RoundProfile, map: &RowMap) -> Vec<SwitchPlan> {
-        let busy = &profile.per_pe_busy;
+    pub fn plan(&mut self, busy: &[u64], map: &RowMap) -> Vec<SwitchPlan> {
         if busy.len() < 2 {
             return Vec::new();
         }
@@ -158,7 +144,6 @@ impl RemoteSwitcher {
         // Update every live tuple per Eq. 5 and emit plans.
         let mut plans = Vec::new();
         let rows_per_pe = self.rows_per_pe;
-        let policy = self.policy;
         for tuple in &mut self.tracked {
             tuple.updates += 1;
             if tuple.updates == 1 {
@@ -175,8 +160,7 @@ impl RemoteSwitcher {
             if delta == 0 {
                 continue;
             }
-            if let Some(plan) = build_plan(tuple.hot, tuple.cold, delta, g_i, policy, profile, map)
-            {
+            if let Some(plan) = build_plan(tuple.hot, tuple.cold, delta, map) {
                 self.total_switches += (plan.from_hot.len() + plan.from_cold.len()) as u64;
                 plans.push(plan);
             }
@@ -188,16 +172,9 @@ impl RemoteSwitcher {
     }
 }
 
-/// The Shuffling LUT: selects which rows each side contributes.
-fn build_plan(
-    hot: u32,
-    cold: u32,
-    delta: usize,
-    gap: f64,
-    policy: SltPolicy,
-    profile: &RoundProfile,
-    map: &RowMap,
-) -> Option<SwitchPlan> {
+/// The Shuffling LUT: each side contributes its next rows in index order
+/// (DESIGN.md §3) — no per-row state.
+fn build_plan(hot: u32, cold: u32, delta: usize, map: &RowMap) -> Option<SwitchPlan> {
     let hot_rows = map.rows_of(hot as usize);
     let cold_rows = map.rows_of(cold as usize);
     if hot_rows.is_empty() {
@@ -206,49 +183,11 @@ fn build_plan(
     // Never strip the hotspot bare: leave at least one row.
     let take_hot = delta.min(hot_rows.len().saturating_sub(1).max(1));
     let take_cold = delta.min(cold_rows.len());
-    let (from_hot, from_cold) = match policy {
-        SltPolicy::Sequential => (
-            hot_rows.iter().take(take_hot).copied().collect::<Vec<_>>(),
-            cold_rows
-                .iter()
-                .take(take_cold)
-                .copied()
-                .collect::<Vec<_>>(),
-        ),
-        SltPolicy::DegreeAware => {
-            let counts = profile.per_row_tasks.as_deref();
-            let weight = |row: u32| -> u32 {
-                counts.map_or(0, |c| c.get(row as usize).copied().unwrap_or(0))
-            };
-            let mut hot_sorted: Vec<u32> = hot_rows.to_vec();
-            hot_sorted.sort_unstable_by_key(|&r| std::cmp::Reverse(weight(r)));
-            // Move the heaviest rows until roughly half the observed gap
-            // has moved — the balancing-optimal budget. Eq. 5's row count
-            // caps the selection so the two policies stay comparable.
-            let budget = (gap / 2.0).max(1.0);
-            let mut moved = 0.0;
-            let mut from_hot: Vec<u32> = Vec::new();
-            for row in hot_sorted.into_iter().take(take_hot) {
-                if moved >= budget && !from_hot.is_empty() {
-                    break;
-                }
-                moved += f64::from(weight(row));
-                from_hot.push(row);
-            }
-            let mut cold_sorted: Vec<u32> = cold_rows.to_vec();
-            cold_sorted.sort_unstable_by_key(|&r| weight(r));
-            let take_cold = from_hot.len().min(cold_sorted.len());
-            (from_hot, cold_sorted.into_iter().take(take_cold).collect())
-        }
-    };
-    if from_hot.is_empty() && from_cold.is_empty() {
-        return None;
-    }
     Some(SwitchPlan {
         hot,
         cold,
-        from_hot,
-        from_cold,
+        from_hot: hot_rows[..take_hot].to_vec(),
+        from_cold: cold_rows[..take_cold].to_vec(),
     })
 }
 
@@ -273,18 +212,11 @@ mod tests {
     use super::*;
     use crate::config::MappingKind;
 
-    fn profile(busy: Vec<u64>) -> RoundProfile {
-        RoundProfile {
-            per_pe_busy: busy,
-            per_row_tasks: None,
-        }
-    }
-
     #[test]
     fn first_round_profiles_without_switching() {
         let map = RowMap::new(16, 4, MappingKind::Block);
-        let mut sw = RemoteSwitcher::new(2, SltPolicy::Sequential, 4);
-        let plans = sw.plan(&profile(vec![100, 10, 10, 0]), &map);
+        let mut sw = RemoteSwitcher::new(2, 4);
+        let plans = sw.plan(&[100, 10, 10, 0], &map);
         assert!(plans.is_empty());
         assert_eq!(sw.tracked_tuples(), 1);
     }
@@ -292,9 +224,9 @@ mod tests {
     #[test]
     fn second_round_switches_per_eq5() {
         let mut map = RowMap::new(16, 4, MappingKind::Block);
-        let mut sw = RemoteSwitcher::new(2, SltPolicy::Sequential, 4);
-        sw.plan(&profile(vec![100, 10, 10, 0]), &map);
-        let plans = sw.plan(&profile(vec![100, 10, 10, 0]), &map);
+        let mut sw = RemoteSwitcher::new(2, 4);
+        sw.plan(&[100, 10, 10, 0], &map);
+        let plans = sw.plan(&[100, 10, 10, 0], &map);
         assert_eq!(plans.len(), 1);
         let p = &plans[0];
         assert_eq!(p.hot, 0);
@@ -312,14 +244,14 @@ mod tests {
     #[test]
     fn shrinking_gap_shrinks_exchange() {
         let map = RowMap::new(64, 4, MappingKind::Block);
-        let mut sw = RemoteSwitcher::new(3, SltPolicy::Sequential, 16);
-        sw.plan(&profile(vec![800, 100, 100, 0]), &map);
-        let big = sw.plan(&profile(vec![800, 100, 100, 0]), &map);
+        let mut sw = RemoteSwitcher::new(3, 16);
+        sw.plan(&[800, 100, 100, 0], &map);
+        let big = sw.plan(&[800, 100, 100, 0], &map);
         let big_n = big[0].from_hot.len();
         // New switcher, same first gap but much smaller second gap.
-        let mut sw2 = RemoteSwitcher::new(3, SltPolicy::Sequential, 16);
-        sw2.plan(&profile(vec![800, 100, 100, 0]), &map);
-        let small = sw2.plan(&profile(vec![180, 100, 100, 0]), &map);
+        let mut sw2 = RemoteSwitcher::new(3, 16);
+        sw2.plan(&[800, 100, 100, 0], &map);
+        let small = sw2.plan(&[180, 100, 100, 0], &map);
         let small_n = small[0].from_hot.len();
         assert!(small_n < big_n, "small {small_n} big {big_n}");
     }
@@ -327,40 +259,40 @@ mod tests {
     #[test]
     fn overshoot_stops_switching() {
         let map = RowMap::new(16, 4, MappingKind::Block);
-        let mut sw = RemoteSwitcher::new(2, SltPolicy::Sequential, 4);
-        sw.plan(&profile(vec![100, 10, 10, 0]), &map);
+        let mut sw = RemoteSwitcher::new(2, 4);
+        sw.plan(&[100, 10, 10, 0], &map);
         // Gap inverted: hotspot became the coldspot — no plan for tuple.
-        let plans = sw.plan(&profile(vec![0, 10, 10, 100]), &map);
+        let plans = sw.plan(&[0, 10, 10, 100], &map);
         assert!(plans.is_empty());
     }
 
     #[test]
     fn tracking_window_bounds_concurrent_tuples() {
         let map = RowMap::new(64, 8, MappingKind::Block);
-        let mut sw = RemoteSwitcher::new(1, SltPolicy::Sequential, 8);
-        sw.plan(&profile(vec![100, 0, 50, 50, 50, 50, 50, 50]), &map);
+        let mut sw = RemoteSwitcher::new(1, 8);
+        sw.plan(&[100, 0, 50, 50, 50, 50, 50, 50], &map);
         assert_eq!(sw.tracked_tuples(), 1);
         // A different hot/cold pair appears; window is full.
-        sw.plan(&profile(vec![50, 50, 100, 0, 50, 50, 50, 50]), &map);
+        sw.plan(&[50, 50, 100, 0, 50, 50, 50, 50], &map);
         assert!(sw.tracked_tuples() <= 1);
     }
 
     #[test]
     fn conflicting_tuples_not_double_tracked() {
         let map = RowMap::new(64, 8, MappingKind::Block);
-        let mut sw = RemoteSwitcher::new(4, SltPolicy::Sequential, 8);
-        sw.plan(&profile(vec![100, 0, 50, 50, 50, 50, 50, 50]), &map);
+        let mut sw = RemoteSwitcher::new(4, 8);
+        sw.plan(&[100, 0, 50, 50, 50, 50, 50, 50], &map);
         // Same hotspot with a new coldspot: PE 0 already tracked.
-        sw.plan(&profile(vec![100, 50, 50, 0, 50, 50, 50, 50]), &map);
+        sw.plan(&[100, 50, 50, 0, 50, 50, 50, 50], &map);
         assert_eq!(sw.tracked_tuples(), 1);
     }
 
     #[test]
     fn tuples_retire_after_window_updates() {
         let map = RowMap::new(16, 4, MappingKind::Block);
-        let mut sw = RemoteSwitcher::new(2, SltPolicy::Sequential, 4);
+        let mut sw = RemoteSwitcher::new(2, 4);
         for _ in 0..4 {
-            sw.plan(&profile(vec![100, 10, 10, 0]), &map);
+            sw.plan(&[100, 10, 10, 0], &map);
         }
         // window=2: tuple lives for window+1 updates then retires, letting
         // a fresh tuple be tracked.
@@ -368,30 +300,11 @@ mod tests {
     }
 
     #[test]
-    fn degree_aware_moves_heaviest_rows() {
-        let mut map = RowMap::new(8, 2, MappingKind::Block);
-        let mut sw = RemoteSwitcher::new(2, SltPolicy::DegreeAware, 4);
-        // Rows 0..4 on PE 0; row 2 is the heavy one.
-        let mut per_row = vec![1u32; 8];
-        per_row[2] = 50;
-        let prof = RoundProfile {
-            per_pe_busy: vec![53, 4],
-            per_row_tasks: Some(per_row),
-        };
-        sw.plan(&prof, &map);
-        let plans = sw.plan(&prof, &map);
-        assert_eq!(plans.len(), 1);
-        assert!(plans[0].from_hot.contains(&2), "{:?}", plans[0].from_hot);
-        plans[0].apply(&mut map);
-        assert_eq!(map.pe_of(2), 1);
-    }
-
-    #[test]
     fn hotspot_never_stripped_bare() {
         let map = RowMap::new(4, 4, MappingKind::Block); // 1 row per PE
-        let mut sw = RemoteSwitcher::new(2, SltPolicy::Sequential, 1);
-        sw.plan(&profile(vec![100, 10, 10, 0]), &map);
-        let plans = sw.plan(&profile(vec![100, 10, 10, 0]), &map);
+        let mut sw = RemoteSwitcher::new(2, 1);
+        sw.plan(&[100, 10, 10, 0], &map);
+        let plans = sw.plan(&[100, 10, 10, 0], &map);
         // take_hot is capped at max(len-1, 1) = 1 here; the plan may move
         // the single row — but never requests more rows than exist.
         for p in &plans {
@@ -402,8 +315,8 @@ mod tests {
     #[test]
     fn degenerate_profiles_are_safe() {
         let map = RowMap::new(8, 2, MappingKind::Block);
-        let mut sw = RemoteSwitcher::new(2, SltPolicy::Sequential, 4);
-        assert!(sw.plan(&profile(vec![5]), &map).is_empty()); // single PE
-        assert!(sw.plan(&profile(vec![5, 5]), &map).is_empty()); // no gap
+        let mut sw = RemoteSwitcher::new(2, 4);
+        assert!(sw.plan(&[5], &map).is_empty()); // single PE
+        assert!(sw.plan(&[5, 5], &map).is_empty()); // no gap
     }
 }

@@ -126,28 +126,26 @@ impl DesignSweep {
             .iter()
             .flat_map(|&n_pes| self.designs.iter().map(move |&design| (n_pes, design)))
             .collect();
-        // Configuration errors are detectable up front; reject them before
-        // burning simulation time on the rest of the grid.
-        for &(n_pes, design) in &grid {
-            let config = design.apply(self.base.clone());
-            if config.local_hop >= n_pes {
-                return Err(AccelError::InvalidConfig(format!(
-                    "hop {} does not fit {} PEs",
-                    config.local_hop, n_pes
-                )));
-            }
-        }
-        // The structure profile depends only on the input, not the grid
-        // point, so compute it once here for every point's
-        // `predicted_cycles` instead of re-profiling per point.
-        let profile = CostProfile::of_input(input);
-        exec::par_map(&grid, |&(n_pes, design)| {
+        let point_config = |n_pes: usize, design: Design| {
             let mut config = design.apply(self.base.clone());
             config.n_pes = n_pes;
             // The design/PE axes ARE the sweep variables: an Auto base
             // would collapse every point onto the model's single winner,
             // so grid points always execute their own configuration.
             config.strategy = StrategyPolicy::Manual;
+            config
+        };
+        // Configuration errors are detectable up front; reject them before
+        // burning simulation time on the rest of the grid.
+        for &(n_pes, design) in &grid {
+            point_config(n_pes, design).validate()?;
+        }
+        // The structure profile depends only on the input, not the grid
+        // point, so compute it once here for every point's
+        // `predicted_cycles` instead of re-profiling per point.
+        let profile = CostProfile::of_input(input);
+        exec::par_map(&grid, |&(n_pes, design)| {
+            let config = point_config(n_pes, design);
             // Prepare once per point: the cold warm-up run is the classic
             // (tuning-inclusive) measurement, and the extracted plan is
             // reused for a warm request — the steady-state serving figure

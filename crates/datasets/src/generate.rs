@@ -39,10 +39,18 @@ impl GeneratedDataset {
     ///
     /// # Errors
     ///
-    /// Returns a [`SparseError`] if internal matrix assembly fails (this
-    /// indicates a bug in the generator rather than bad input; spec
-    /// validation is handled by [`DatasetSpec`] itself).
+    /// Returns [`SparseError::IndexSpaceExceeded`] if `A` or `X1` would
+    /// have a dimension the `u32` sparse indices cannot address (a huge
+    /// scale factor), before allocating anything. Any other
+    /// [`SparseError`] means internal matrix assembly failed (a bug in the
+    /// generator rather than bad input; spec validation is handled by
+    /// [`DatasetSpec`] itself).
     pub fn generate(spec: &DatasetSpec, seed: u64) -> Result<Self, SparseError> {
+        for shape in [(spec.nodes, spec.nodes), (spec.nodes, spec.f1)] {
+            if shape.0 > u32::MAX as usize || shape.1 > u32::MAX as usize {
+                return Err(SparseError::IndexSpaceExceeded { shape });
+            }
+        }
         let mut rng = Pcg64::seed_from_u64(seed ^ 0xae5b_21c4_9d0f_7e63);
         let node_weights = node_weight_sequence(spec, &mut rng);
         let adjacency = generate_adjacency(spec, &node_weights, &mut rng)?;
@@ -318,6 +326,24 @@ mod tests {
 
     fn small(spec: DatasetSpec) -> GeneratedDataset {
         GeneratedDataset::generate(&spec, 7).expect("generation succeeds")
+    }
+
+    #[test]
+    fn oversized_spec_is_typed_error() {
+        // A scale past the u32 index space is rejected before any
+        // allocation (it used to die on "capacity overflow").
+        for spec in [
+            DatasetSpec::cora().scaled(1e308),
+            DatasetSpec::cora().with_nodes(u32::MAX as usize + 1),
+        ] {
+            let nodes = spec.nodes;
+            assert_eq!(
+                GeneratedDataset::generate(&spec, 1).unwrap_err(),
+                SparseError::IndexSpaceExceeded {
+                    shape: (nodes, nodes)
+                }
+            );
+        }
     }
 
     #[test]

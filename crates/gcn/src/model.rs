@@ -117,18 +117,15 @@ impl GcnInput {
     }
 }
 
-/// Result of a forward pass, retaining per-layer inputs for profiling and
-/// for driving the accelerator layer by layer.
+/// Result of a forward pass, retaining the hidden layers' inputs for
+/// profiling and for driving the accelerator layer by layer.
 #[derive(Debug, Clone)]
 pub struct GcnForward {
-    /// Dense input feature matrix of each layer *after* the previous
-    /// layer's activation: `layer_inputs[0]` is dense `X1`,
-    /// `layer_inputs[1]` is `X2`, … (length = layers).
-    ///
-    /// For layer 0 only the sparse `X1` is stored in [`GcnInput`]; this
-    /// dense copy is omitted when the feature matrix is too large to
-    /// materialize (entry is `None`).
-    pub layer_inputs: Vec<Option<DenseMatrix>>,
+    /// Input feature matrix of each hidden layer *after* the previous
+    /// layer's activation: `hidden_inputs[0]` is `X2`, `hidden_inputs[1]`
+    /// is `X3`, … (length = layers − 1). Layer 1's input is the sparse
+    /// `X1` already held by [`GcnInput`].
+    pub hidden_inputs: Vec<DenseMatrix>,
     /// Densities of each layer's input feature matrix (`x_density[0]` = X1).
     pub x_density: Vec<f64>,
     /// Final output features.
@@ -149,9 +146,6 @@ impl GcnForward {
 pub struct GcnModel {
     activations: Vec<Activation>,
     order: ExecOrder,
-    /// Threshold below which the dense per-layer inputs are materialized in
-    /// [`GcnForward::layer_inputs`] (entries count).
-    materialize_limit: usize,
 }
 
 impl Default for GcnModel {
@@ -167,7 +161,6 @@ impl GcnModel {
         GcnModel {
             activations: vec![Activation::Relu, Activation::None],
             order: ExecOrder::XwFirst,
-            materialize_limit: 64 << 20,
         }
     }
 
@@ -179,7 +172,6 @@ impl GcnModel {
         GcnModel {
             activations,
             order: ExecOrder::XwFirst,
-            materialize_limit: 64 << 20,
         }
     }
 
@@ -213,30 +205,24 @@ impl GcnModel {
                 op: "gcn_forward_layers",
             });
         }
-        let mut layer_inputs: Vec<Option<DenseMatrix>> = Vec::with_capacity(self.activations.len());
+        let mut hidden_inputs: Vec<DenseMatrix> = Vec::with_capacity(self.activations.len() - 1);
         let mut x_density: Vec<f64> = Vec::with_capacity(self.activations.len());
 
         // Layer 1 input is the sparse X1.
         x_density.push(input.x1.density());
-        let n_entries = input.x1.rows() * input.x1.cols();
-        layer_inputs.push(if n_entries <= self.materialize_limit {
-            Some(input.x1.to_dense())
-        } else {
-            None
-        });
 
         let mut x = self.layer_forward_sparse(&input.a_norm, &input.x1, &input.weights[0])?;
         self.activations[0].apply(&mut x);
 
         for (l, w) in input.weights.iter().enumerate().skip(1) {
             x_density.push(x.density());
-            layer_inputs.push(Some(x.clone()));
+            hidden_inputs.push(x.clone());
             let mut next = self.layer_forward_dense(&input.a_norm, &x, w)?;
             self.activations[l].apply(&mut next);
             x = next;
         }
         Ok(GcnForward {
-            layer_inputs,
+            hidden_inputs,
             x_density,
             output: x,
         })
@@ -296,9 +282,9 @@ mod tests {
         let input = tiny_input();
         let fwd = GcnModel::two_layer().forward(&input).unwrap();
         assert_eq!(fwd.output.shape(), (96, 7));
-        assert_eq!(fwd.layer_inputs.len(), 2);
+        assert_eq!(fwd.hidden_inputs.len(), 1);
         assert_eq!(fwd.x_density.len(), 2);
-        assert_eq!(fwd.layer_inputs[1].as_ref().unwrap().shape(), (96, 16));
+        assert_eq!(fwd.hidden_inputs[0].shape(), (96, 16));
     }
 
     #[test]
@@ -332,7 +318,7 @@ mod tests {
     fn relu_applied_between_layers() {
         let input = tiny_input();
         let fwd = GcnModel::two_layer().forward(&input).unwrap();
-        let x2 = fwd.layer_inputs[1].as_ref().unwrap();
+        let x2 = &fwd.hidden_inputs[0];
         assert!(x2.as_slice().iter().all(|&v| v >= 0.0));
         // Output layer has no activation: negatives should exist.
         assert!(fwd.output.as_slice().iter().any(|&v| v < 0.0));

@@ -135,7 +135,7 @@ mod tests {
         let data = GeneratedDataset::generate(&spec, 3).unwrap();
         let input = GcnInput::from_dataset(&data).unwrap();
         let fwd = GcnModel::two_layer().forward(&input).unwrap();
-        let x2 = fwd.layer_inputs[1].as_ref().unwrap();
+        let x2 = &fwd.hidden_inputs[0];
         let exact = table2_exact("cora-128", &input.a_norm, &input.x1, 16, x2, 7);
         assert!(exact.layer1.a_xw > 0);
         assert!(exact.layer2.a_xw > 0);

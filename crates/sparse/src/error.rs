@@ -41,6 +41,12 @@ pub enum SparseError {
     },
     /// A compressed format's internal arrays were inconsistent.
     MalformedFormat(String),
+    /// A requested shape has a dimension the `u32` row/column indices
+    /// cannot address.
+    IndexSpaceExceeded {
+        /// The requested `(rows, cols)`.
+        shape: (usize, usize),
+    },
 }
 
 impl fmt::Display for SparseError {
@@ -65,6 +71,11 @@ impl fmt::Display for SparseError {
                 "ragged rows: row {row} has {found} entries, expected {expected}"
             ),
             SparseError::MalformedFormat(msg) => write!(f, "malformed sparse format: {msg}"),
+            SparseError::IndexSpaceExceeded { shape } => write!(
+                f,
+                "dimensions {}x{} exceed the u32 index space",
+                shape.0, shape.1
+            ),
         }
     }
 }
@@ -96,6 +107,10 @@ mod tests {
         assert!(e.to_string().contains("row 1"));
         let e = SparseError::MalformedFormat("col_ptr not monotone".into());
         assert!(e.to_string().contains("col_ptr"));
+        let e = SparseError::IndexSpaceExceeded {
+            shape: (1 << 33, 4),
+        };
+        assert!(e.to_string().contains("8589934592x4"));
     }
 
     #[test]

@@ -113,9 +113,9 @@ pub fn read_matrix_market<R: BufRead>(reader: R) -> Result<Coo> {
     };
 
     if rows > u32::MAX as usize || cols > u32::MAX as usize {
-        return Err(SparseError::MalformedFormat(format!(
-            "dimensions {rows}x{cols} exceed the u32 index space"
-        )));
+        return Err(SparseError::IndexSpaceExceeded {
+            shape: (rows, cols),
+        });
     }
     let stored = match symmetry {
         MmSymmetry::Symmetric => nnz.checked_mul(2).ok_or_else(|| {
@@ -383,13 +383,14 @@ mod tests {
 
     #[test]
     fn oversized_dimensions_are_a_typed_error() {
-        for size in ["5000000000 1 0", "1 5000000000 0"] {
+        for (size, shape) in [
+            ("5000000000 1 0", (5_000_000_000, 1)),
+            ("1 5000000000 0", (1, 5_000_000_000)),
+        ] {
             let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
             let err = read_matrix_market(text.as_bytes()).unwrap_err();
-            assert!(
-                matches!(err, SparseError::MalformedFormat(ref m) if m.contains("u32")),
-                "{size} -> {err:?}"
-            );
+            assert_eq!(err, SparseError::IndexSpaceExceeded { shape }, "{size}");
+            assert!(err.to_string().contains("u32"), "{err}");
         }
     }
 

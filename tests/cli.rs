@@ -488,6 +488,40 @@ fn bad_inputs_are_rejected() {
     }
 }
 
+/// A design whose hop does not fit the PE array (the default LS2+RS on 2
+/// PEs) is a typed config error on every command that simulates, not a
+/// panic inside local sharing.
+#[test]
+fn design_hop_outside_pe_array_is_typed_error() {
+    for cmd in ["run", "serve", "compare"] {
+        let out = awb_sim(&[cmd, "cora", "--scale", "0.01", "--pes", "2"]);
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{cmd} panicked:\n{err}");
+        assert!(
+            err.contains("local_hop") && err.contains("n_pes"),
+            "{cmd}: hop/PE bound not named in:\n{err}"
+        );
+    }
+}
+
+/// A scale factor past the sparse indices' `u32` range is a typed error
+/// from the generator, not a capacity-overflow panic or an allocation
+/// abort.
+#[test]
+fn huge_scale_is_typed_error() {
+    for scale in ["1e308", "2e6"] {
+        let out = awb_sim(&["run", "cora", "--scale", scale]);
+        assert_eq!(out.status.code(), Some(2), "--scale {scale}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !err.contains("panicked"),
+            "--scale {scale} panicked:\n{err}"
+        );
+        assert!(err.contains("u32 index space"), "--scale {scale}:\n{err}");
+    }
+}
+
 /// Golden error path for the `--auto` exclusivity rule: the rejection is
 /// the typed `InvalidInput` admission error (mirroring the
 /// `--shards`/`--mem-budget` exclusivity), not a generic parse failure.

@@ -138,6 +138,35 @@ pub fn near_dense_block_input() -> GcnInput {
     assemble(a, n)
 }
 
+/// `input`'s graph with `X1` divided by 3 and the weights scaled by 4/3:
+/// the same non-zero patterns, hence the same timing, but values in
+/// thirds. The synthetics' own values are dyadic and sum exactly in any
+/// order; thirds round, so a reordered reduction changes bits.
+pub fn in_thirds(input: GcnInput) -> GcnInput {
+    let x1 = &input.x1;
+    let x1 = Csr::from_parts(
+        x1.rows(),
+        x1.cols(),
+        x1.row_ptr().to_vec(),
+        x1.col_idx().to_vec(),
+        x1.values().iter().map(|v| v / 3.0).collect(),
+    )
+    .unwrap();
+    let weights = input
+        .weights
+        .iter()
+        .map(|w| {
+            let data = w.as_slice().iter().map(|v| v * 4.0 / 3.0).collect();
+            DenseMatrix::from_vec(w.rows(), w.cols(), data).unwrap()
+        })
+        .collect();
+    GcnInput {
+        x1,
+        weights,
+        ..input
+    }
+}
+
 /// Random sparse square matrix with quantized values.
 pub fn sparse_strategy(max_n: usize, max_nnz: usize) -> impl Strategy<Value = Csc> {
     (4..max_n).prop_flat_map(move |n| {

@@ -151,15 +151,13 @@ fn expected(input: &GcnInput) -> Expected {
     let macs = |a: &Csc, b: &DenseMatrix| spmm::csc_times_dense_macs(a, b).unwrap() as u64;
     let (mut x, mut tasks) = (Vec::new(), Vec::new());
     for (l, w) in input.weights.iter().enumerate() {
-        let xw = match &forward.layer_inputs[l] {
-            Some(hidden) if l > 0 => {
-                x.push(hidden.to_csc());
-                hidden.matmul(w).unwrap()
-            }
-            _ => {
-                x.push(input.x1.to_csc());
-                spmm::csr_times_dense(&input.x1, w).unwrap()
-            }
+        let xw = if l == 0 {
+            x.push(input.x1.to_csc());
+            spmm::csr_times_dense(&input.x1, w).unwrap()
+        } else {
+            let hidden = &forward.hidden_inputs[l - 1];
+            x.push(hidden.to_csc());
+            hidden.matmul(w).unwrap()
         };
         tasks.push(macs(&x[l], w));
         tasks.push(macs(&input.a_norm_csc, &xw));
@@ -442,12 +440,19 @@ fn large_paper_graphs() {
     oracle(&[Pubmed, Nell, Reddit].map(paper_case));
 }
 
-/// The two adversarial synthetics of the Auto honesty suite.
+/// The two adversarial synthetics of the Auto honesty suite, with `X1` and
+/// `W` in thirds on the same patterns (see [`common::in_thirds`]).
 #[test]
 fn adversarial_synthetics() {
     oracle(&[
-        Case::new("power-law tail", common::power_law_input()),
-        Case::new("near-dense block", common::near_dense_block_input()),
+        Case::new(
+            "power-law tail",
+            common::in_thirds(common::power_law_input()),
+        ),
+        Case::new(
+            "near-dense block",
+            common::in_thirds(common::near_dense_block_input()),
+        ),
     ]);
 }
 

@@ -8,8 +8,8 @@ mod common;
 
 use awb_gcn_repro::accel::pipeline::{pipeline_chain, pipeline_two_stage};
 use awb_gcn_repro::accel::{
-    AccelConfig, Design, FastEngine, GcnRunner, LocalSharing, MappingKind, RemoteSwitcher,
-    RoundProfile, RowMap, ShardPolicy, SltPolicy, SpmmEngine,
+    AccelConfig, Design, FastEngine, GcnRunner, LocalSharing, MappingKind, RemoteSwitcher, RowMap,
+    ShardPolicy, SpmmEngine,
 };
 use awb_gcn_repro::sparse::{spmm, DenseMatrix};
 use common::{bits, dense_for, design_strategy, random_input, sparse_strategy};
@@ -300,14 +300,9 @@ proptest! {
         ),
     ) {
         let mut map = RowMap::new(n_rows, n_pes, MappingKind::Block);
-        let mut switcher =
-            RemoteSwitcher::new(2, SltPolicy::Sequential, n_rows.div_ceil(n_pes).max(1));
+        let mut switcher = RemoteSwitcher::new(2, n_rows.div_ceil(n_pes).max(1));
         for busy in profiles {
-            let profile = RoundProfile {
-                per_pe_busy: busy[..n_pes.min(16)].to_vec(),
-                per_row_tasks: None,
-            };
-            for plan in switcher.plan(&profile, &map) {
+            for plan in switcher.plan(&busy[..n_pes.min(16)], &map) {
                 plan.apply(&mut map);
             }
             prop_assert!(map.is_consistent());
