@@ -18,6 +18,10 @@
 //! operand and report a `"gflops"` MAC rate (2 FLOPs per MAC over
 //! `csc_times_dense_macs`). Schema 8 stamps a `"policy"` field on every
 //! record (`"manual"`: every record hand-specifies its configuration).
+//! Schema 10 changes only the timing protocol: every record's `wall_s` is
+//! its median seconds per call over 31 blocks of ≥ 50 ms of repeated
+//! calls, timed in rounds that visit every record (`measure`), not the
+//! best of three single calls.
 //! Every record carries `"workload"` (`"spmm"` for the engine records)
 //! and the compare gate matches on (workload, design, replay, shards,
 //! xw_shards); every matched record gates (`"kernel"` records normalize
@@ -88,103 +92,109 @@ impl SmokeEngine for ShardedEngine {
     }
 }
 
-/// One measured point (the fields every record serializes).
-struct Measured {
-    tasks: u64,
-    wall_s: f64,
-    hits: u64,
-    misses: u64,
+/// One record under measurement: `call` times one call and returns its
+/// seconds (set-up outside its clock, such as a fresh engine, is free);
+/// `emit` writes the record for a seconds-per-call figure.
+struct Probe<'a> {
+    call: Box<dyn FnMut() -> f64 + 'a>,
+    emit: Box<dyn Fn(f64) -> String + 'a>,
 }
 
-/// The measurement protocol shared by every record: warm once (dataset
-/// faults, allocator), then keep the best of three timed fresh-engine
-/// runs — a single ms-scale sample is noisy enough (scheduler
-/// contention) to destabilize the CI compare gate; best-of is robust to
-/// slow outliers.
-fn best_of_three<E: SmokeEngine>(make: impl Fn() -> E, a: &Csc, b: &DenseMatrix) -> Measured {
-    make().run(a, b, "warmup").unwrap();
-    let mut m = Measured {
-        tasks: 0,
-        wall_s: f64::MAX,
-        hits: 0,
-        misses: 0,
-    };
-    for _ in 0..3 {
-        let mut engine = make();
-        let start = Instant::now();
-        let out = engine.run(a, b, "smoke").unwrap();
-        m.wall_s = m.wall_s.min(start.elapsed().as_secs_f64().max(1e-9));
-        m.tasks = out.stats.total_tasks();
-        (m.hits, m.misses) = engine.counters();
+/// Timed wall each block of repeated calls reaches, and rounds of blocks.
+const BLOCK_S: f64 = 0.05;
+const ROUNDS: usize = 31;
+
+/// The protocol every record shares: one untimed warm-up call each, then
+/// [`ROUNDS`] rounds that time one block per record in turn, each block
+/// repeating `call` until [`BLOCK_S`]; a record's figure is its median
+/// block's seconds per call. On a shared host the speed moves by 2×
+/// within seconds, so one ms-scale call (even the best of three) failed
+/// the compare gate on unchanged code; interleaved rounds expose every
+/// record to the same host phases, which the gate's median then cancels.
+fn measure(mut probes: Vec<Probe<'_>>) -> Vec<String> {
+    for probe in &mut probes {
+        (probe.call)();
     }
-    m
-}
-
-/// The engine record template (schema 5): both shard axes plus the
-/// workload discriminator in every record; schema 8 stamps the strategy
-/// policy (these records all hand-specify their configuration).
-fn record(design: Design, replay: bool, shards: usize, xw_shards: usize, m: &Measured) -> String {
-    format!(
-        "    {{\"dataset\": \"cora\", \"design\": \"{}\", \"replay\": {replay}, \
-         \"shards\": {shards}, \"xw_shards\": {xw_shards}, \"workload\": \"spmm\", \
-         \"policy\": \"manual\", \"n_pes\": 1024, \"tasks\": {}, \
-         \"wall_s\": {:.6}, \"tasks_per_s\": {:.1}, \"replay_hits\": {}, \"replay_misses\": {}}}",
-        design.label(),
-        m.tasks,
-        m.wall_s,
-        m.tasks as f64 / m.wall_s,
-        m.hits,
-        m.misses
-    )
-}
-
-/// The raw-kernel records (schema 7): scalar vs blocked accumulate on the
-/// Pubmed-shaped operand — the tentpole speedup the trajectory tracks.
-/// `tasks` is the MAC count, `"gflops"` the MAC rate at 2 FLOPs per MAC
-/// (multiply + accumulate); the `"design"` field names the kernel.
-fn kernel_records() -> Vec<String> {
-    let data = GeneratedDataset::generate(&DatasetSpec::pubmed(), BENCH_SEED).expect("dataset");
-    let a = data.adjacency.to_csc();
-    let b = DenseMatrix::from_vec(
-        a.cols(),
-        16,
-        (0..a.cols() * 16)
-            .map(|i| ((i % 11) as f32) - 5.0)
-            .collect(),
-    )
-    .expect("dense B");
-    let macs = spmm::csc_times_dense_macs(&a, &b).expect("mac count") as u64;
-    let time3 = |kernel: &dyn Fn() -> DenseMatrix| -> f64 {
-        std::hint::black_box(kernel());
-        let mut best = f64::MAX;
-        for _ in 0..5 {
-            let start = Instant::now();
-            let out = kernel();
-            best = best.min(start.elapsed().as_secs_f64().max(1e-9));
-            std::hint::black_box(&out);
+    let mut blocks = vec![Vec::new(); probes.len()];
+    for _ in 0..ROUNDS {
+        for (probe, blocks) in probes.iter_mut().zip(&mut blocks) {
+            let (mut wall, mut calls) = (0.0, 0.0);
+            while wall < BLOCK_S {
+                wall += (probe.call)().max(1e-9);
+                calls += 1.0;
+            }
+            blocks.push(wall / calls);
         }
-        best
-    };
-    let emit = |kernel: &str, wall_s: f64| -> String {
-        format!(
-            "    {{\"dataset\": \"pubmed\", \"design\": \"{kernel}\", \"replay\": false, \
-             \"shards\": 1, \"xw_shards\": 1, \"workload\": \"kernel\", \
-             \"policy\": \"manual\", \"n_pes\": 1, \
-             \"tasks\": {macs}, \"wall_s\": {wall_s:.6}, \"tasks_per_s\": {:.1}, \
-             \"gflops\": {:.3}}}",
-            macs as f64 / wall_s,
-            2.0 * macs as f64 / wall_s / 1e9,
-        )
-    };
+    }
+    probes
+        .iter()
+        .zip(blocks)
+        .map(|(p, b)| (p.emit)(median(b)))
+        .collect()
+}
+
+/// An engine record's probe: fresh-engine runs of `a × b`. One untimed
+/// run fixes the tasks and replay counters, which every run repeats. The
+/// record template (schema 5) carries both shard axes and the workload
+/// discriminator; schema 8 stamps the strategy policy (these records all
+/// hand-specify their configuration).
+fn engine_probe<'a, E: SmokeEngine + 'a>(
+    make: impl Fn() -> E + 'a,
+    (a, b): (&'a Csc, &'a DenseMatrix),
+    (design, replay, shards, xw_shards): (Design, bool, usize, usize),
+) -> Probe<'a> {
+    let mut engine = make();
+    let tasks = engine.run(a, b, "count").unwrap().stats.total_tasks();
+    let (hits, misses) = engine.counters();
+    Probe {
+        call: Box::new(move || {
+            let mut engine = make();
+            let start = Instant::now();
+            engine.run(a, b, "smoke").unwrap();
+            start.elapsed().as_secs_f64()
+        }),
+        emit: Box::new(move |wall_s| {
+            format!(
+                "    {{\"dataset\": \"cora\", \"design\": \"{}\", \"replay\": {replay}, \
+                 \"shards\": {shards}, \"xw_shards\": {xw_shards}, \"workload\": \"spmm\", \
+                 \"policy\": \"manual\", \"n_pes\": 1024, \"tasks\": {tasks}, \
+                 \"wall_s\": {wall_s:.6}, \"tasks_per_s\": {:.1}, \"replay_hits\": {hits}, \
+                 \"replay_misses\": {misses}}}",
+                design.label(),
+                tasks as f64 / wall_s,
+            )
+        }),
+    }
+}
+
+/// The raw-kernel probes (schema 7): scalar vs blocked accumulate on the
+/// Pubmed-shaped operand `a × b` — the tentpole speedup the trajectory
+/// tracks. `tasks` is the MAC count, `"gflops"` the MAC rate at 2 FLOPs
+/// per MAC (multiply + accumulate); the `"design"` field names the kernel.
+fn kernel_probes<'a>(a: &'a Csc, b: &'a DenseMatrix) -> Vec<Probe<'a>> {
+    let macs = spmm::csc_times_dense_macs(a, b).expect("mac count") as u64;
+    let probe =
+        |kernel: &'static str, run: fn(&Csc, &DenseMatrix) -> awb_sparse::Result<_>| Probe {
+            call: Box::new(move || {
+                let start = Instant::now();
+                std::hint::black_box(run(a, b).expect("kernel"));
+                start.elapsed().as_secs_f64()
+            }),
+            emit: Box::new(move |wall_s| {
+                format!(
+                    "    {{\"dataset\": \"pubmed\", \"design\": \"{kernel}\", \"replay\": false, \
+                     \"shards\": 1, \"xw_shards\": 1, \"workload\": \"kernel\", \
+                     \"policy\": \"manual\", \"n_pes\": 1, \
+                     \"tasks\": {macs}, \"wall_s\": {wall_s:.6}, \"tasks_per_s\": {:.1}, \
+                     \"gflops\": {:.3}}}",
+                    macs as f64 / wall_s,
+                    2.0 * macs as f64 / wall_s / 1e9,
+                )
+            }),
+        };
     vec![
-        emit(
-            "scalar",
-            time3(&|| spmm::csc_times_dense(&a, &b).expect("scalar kernel")),
-        ),
-        emit(
-            "blocked",
-            time3(&|| spmm::csc_times_dense_blocked(&a, &b).expect("blocked kernel")),
-        ),
+        probe("scalar", spmm::csc_times_dense),
+        probe("blocked", spmm::csc_times_dense_blocked),
     ]
 }
 
@@ -197,21 +207,36 @@ fn write_bench(path: &str) {
         (0..a.cols() * 16).map(|i| (i % 7) as f32 + 1.0).collect(),
     )
     .expect("dense B");
+    // The X×W operands (Cora's features, a dense weight block) and the
+    // Pubmed-shaped kernel operands, for the axes below.
+    let x1 = data.features.to_csc();
+    let w = DenseMatrix::from_vec(
+        x1.cols(),
+        16,
+        (0..x1.cols() * 16).map(|i| (i % 5) as f32 + 1.0).collect(),
+    )
+    .expect("dense W");
+    let pubmed = GeneratedDataset::generate(&DatasetSpec::pubmed(), BENCH_SEED).expect("dataset");
+    let pa = pubmed.adjacency.to_csc();
+    let pb = DenseMatrix::from_vec(
+        pa.cols(),
+        16,
+        (0..pa.cols() * 16)
+            .map(|i| ((i % 11) as f32) - 5.0)
+            .collect(),
+    )
+    .expect("dense B");
 
-    let mut records: Vec<String> = Vec::new();
+    let mut probes = Vec::new();
     for design in [Design::Baseline, Design::LocalPlusRemote { hop: 2 }] {
         for replay in [true, false] {
             let config = design.apply(AccelConfig::builder().n_pes(1024).build().unwrap());
-            let m = best_of_three(
-                || {
-                    let mut engine = FastEngine::new(config.clone());
-                    engine.set_replay_enabled(replay);
-                    engine
-                },
-                &a,
-                &b,
-            );
-            records.push(record(design, replay, 1, 1, &m));
+            let make = move || {
+                let mut engine = FastEngine::new(config.clone());
+                engine.set_replay_enabled(replay);
+                engine
+            };
+            probes.push(engine_probe(make, (&a, &b), (design, replay, 1, 1)));
         }
     }
 
@@ -223,8 +248,8 @@ fn write_bench(path: &str) {
         let mut builder = AccelConfig::builder();
         builder.n_pes(1024).shards(ShardPolicy::Fixed(shards));
         let config = design.apply(builder.build().expect("valid config"));
-        let m = best_of_three(|| ShardedEngine::new(config.clone()), &a, &b);
-        records.push(record(design, true, shards, 1, &m));
+        let make = move || ShardedEngine::new(config.clone());
+        probes.push(engine_probe(make, (&a, &b), (design, true, shards, 1)));
     }
 
     // Combination-shard axis (schema 4): the Design-D point on the X×W
@@ -234,13 +259,6 @@ fn write_bench(path: &str) {
     // single-device records, and unsharded X×W runs the same FastEngine
     // path those records gate — so these records track the *sharded*
     // X×W trajectory, not a speedup ratio within the file.
-    let x1 = data.features.to_csc();
-    let w = DenseMatrix::from_vec(
-        x1.cols(),
-        16,
-        (0..x1.cols() * 16).map(|i| (i % 5) as f32 + 1.0).collect(),
-    )
-    .expect("dense W");
     for xw_shards in [2usize, 4, 8] {
         let mut builder = AccelConfig::builder();
         builder
@@ -248,20 +266,17 @@ fn write_bench(path: &str) {
             .combination_shards(ShardPolicy::Fixed(xw_shards));
         let config = design.apply(builder.build().expect("valid config"));
         let partitioner = config.combination_partitioner();
-        let m = best_of_three(
-            || ShardedEngine::with_partitioner(config.clone(), partitioner),
-            &x1,
-            &w,
-        );
-        records.push(record(design, true, 1, xw_shards, &m));
+        let make = move || ShardedEngine::with_partitioner(config.clone(), partitioner);
+        probes.push(engine_probe(make, (&x1, &w), (design, true, 1, xw_shards)));
     }
 
     // Raw-kernel axis (schema 7): scalar vs blocked accumulate MAC rates
     // on the Pubmed-shaped operand.
-    records.extend(kernel_records());
+    probes.extend(kernel_probes(&pa, &pb));
+    let records = measure(probes);
 
     let json = format!(
-        "{{\n  \"schema\": 9,\n  \"bench\": \"engine_throughput\",\n  \"quick\": true,\n  \
+        "{{\n  \"schema\": 10,\n  \"bench\": \"engine_throughput\",\n  \"quick\": true,\n  \
          \"threads\": {},\n  \"records\": [\n{}\n  ]\n}}\n",
         exec::num_threads(),
         records.join(",\n")

@@ -74,10 +74,14 @@ impl GcnRunOutcome {
 /// same `X` row-major (X1's CSR, then the dense ReLU output) in the pinned
 /// ascending-`j` order, so layer outputs are bit-identical to the
 /// column kernel on `X`'s full CSC, which is never built.
+///
+/// With `time_xw` off (a plan-only warm-up, `DESIGN.md` §9) the timing
+/// half and both transposes are skipped; `a_times` sees the same `XW`.
 fn run_layers(
     config: &AccelConfig,
     weights: &[DenseMatrix],
     x1: &Csr,
+    time_xw: bool,
     mut a_times: impl FnMut(&DenseMatrix, &str) -> Result<ShardedOutcome, AccelError>,
 ) -> Result<GcnRunOutcome, AccelError> {
     let n_layers = weights.len();
@@ -88,19 +92,19 @@ fn run_layers(
 
     // Layer 1 input: the sparse X1 as given; later layers read the previous
     // layer's ReLU output (`x_hidden`).
-    let mut x_pattern = x1.to_csc_pattern();
+    let mut x_pattern = time_xw.then(|| x1.to_csc_pattern());
     let mut x_hidden: Option<DenseMatrix> = None;
     for (l, w) in weights.iter().enumerate() {
-        x_density.push(x_pattern.density());
         // Stage 1: X × W, timed on one device per column shard of X.
-        let label = format!("L{}:X*W", l + 1);
-        let xw_stats = shard_timing(
-            config,
-            config.combination_partitioner(),
-            &x_pattern,
-            w,
-            &label,
-        )?;
+        let xw_stats = match &x_pattern {
+            Some(x_pattern) => {
+                x_density.push(x_pattern.density());
+                let label = format!("L{}:X*W", l + 1);
+                let partitioner = config.combination_partitioner();
+                Some(shard_timing(config, partitioner, x_pattern, w, &label)?)
+            }
+            None => None,
+        };
         let x_rows = match &x_hidden {
             Some(x) => RowOperand::Dense(x),
             None => RowOperand::Sparse(x1),
@@ -118,18 +122,20 @@ fn run_layers(
         if l + 1 < n_layers {
             x_next.relu_in_place();
             // The inter-layer hop: the next X's structure only.
-            x_pattern = x_next.to_csc_pattern();
+            x_pattern = time_xw.then(|| x_next.to_csc_pattern());
         }
-        let pipelined_cycles = if config.pipeline_spmms {
-            pipeline_two_stage(&xw_stats.round_cycles(), &a_xw.stats.round_cycles())
-        } else {
-            xw_stats.total_cycles() + a_xw.stats.total_cycles()
-        };
-        layers.push(LayerStats {
-            xw: xw_stats,
-            a_xw: a_xw.stats,
-            pipelined_cycles,
-        });
+        if let Some(xw_stats) = xw_stats {
+            let pipelined_cycles = if config.pipeline_spmms {
+                pipeline_two_stage(&xw_stats.round_cycles(), &a_xw.stats.round_cycles())
+            } else {
+                xw_stats.total_cycles() + a_xw.stats.total_cycles()
+            };
+            layers.push(LayerStats {
+                xw: xw_stats,
+                a_xw: a_xw.stats,
+                pipelined_cycles,
+            });
+        }
         x_hidden = Some(x_next);
     }
 
@@ -201,7 +207,7 @@ impl GcnRunner {
         // so its tuned row map is reused.
         let a = &input.a_norm_csc;
         let mut engine_a = Self::engine_a(&self.config, a)?;
-        run_layers(&self.config, &input.weights, &input.x1, |b, label| {
+        run_layers(&self.config, &input.weights, &input.x1, true, |b, label| {
             engine_a.run_detailed(a, b, label)
         })
     }
@@ -219,8 +225,9 @@ impl GcnRunner {
     /// Runs one warm-up inference (identical to [`run`](GcnRunner::run))
     /// and extracts the reusable per-graph [`GcnPlan`]: the graph, the
     /// weights, and the frozen per-shard plans for `A` (one shard on a
-    /// single device). The warm-up's own outcome is returned alongside so
-    /// the tuning pass is never wasted.
+    /// single device). The warm-up's outcome is returned alongside; the
+    /// serving front-end's cache miss, which needs only the plan, skips
+    /// the warm-up's `X × W` timing instead (`DESIGN.md` §9).
     ///
     /// # Errors
     ///
@@ -237,13 +244,33 @@ impl GcnRunner {
     pub(crate) fn prepare_with_decision(
         &self,
         input: &GcnInput,
+        decision: Option<AutoDecision>,
+    ) -> Result<(GcnPlan, GcnRunOutcome), AccelError> {
+        self.warm_up(input, decision, true)
+    }
+
+    /// [`prepare_with_decision`](Self::prepare_with_decision)'s plan from
+    /// a warm-up that does not time `X × W`; the untimed outcome stays here.
+    pub(crate) fn prepare_plan(
+        &self,
+        input: &GcnInput,
+        decision: Option<AutoDecision>,
+    ) -> Result<GcnPlan, AccelError> {
+        Ok(self.warm_up(input, decision, false)?.0)
+    }
+
+    /// The body of both prepares; `time_xw` is [`run_layers`]'.
+    fn warm_up(
+        &self,
+        input: &GcnInput,
         mut decision: Option<AutoDecision>,
+        time_xw: bool,
     ) -> Result<(GcnPlan, GcnRunOutcome), AccelError> {
         let mut config = match &decision {
             Some(decision) => decision.apply(&self.config),
             None => self.config.clone(),
         };
-        let (a_plan, outcome, degraded) = match Self::prepare_a(&config, input) {
+        let (a_plan, outcome, degraded) = match Self::prepare_a(&config, input, time_xw) {
             Ok((a_plan, outcome)) => (a_plan, outcome, None),
             // Degradation ladder, rung 2 (DESIGN.md §10): a failing
             // resident sharded prepare falls back to one device — the
@@ -261,7 +288,7 @@ impl GcnRunner {
                     decision.predicted_cycles =
                         cost::predict_config_cycles(&config, &CostProfile::of_input(input));
                 }
-                let (a_plan, outcome) = Self::prepare_a(&config, input)?;
+                let (a_plan, outcome) = Self::prepare_a(&config, input, time_xw)?;
                 (a_plan, outcome, Some(reason.to_string()))
             }
             Err(e) => return Err(e),
@@ -318,11 +345,12 @@ impl GcnRunner {
     fn prepare_a(
         config: &AccelConfig,
         input: &GcnInput,
+        time_xw: bool,
     ) -> Result<(ShardedPlan, GcnRunOutcome), AccelError> {
         let warm_up = || {
             let a = &input.a_norm_csc;
             let mut engine_a = Self::engine_a(config, a)?;
-            let outcome = run_layers(config, &input.weights, &input.x1, |b, label| {
+            let outcome = run_layers(config, &input.weights, &input.x1, time_xw, |b, label| {
                 engine_a.run_detailed(a, b, label)
             })?;
             Ok((engine_a.freeze_plan(a)?, outcome))
@@ -520,7 +548,7 @@ impl GcnPlan {
         // The plan owns the adjacency the inner plan was built from, so
         // the session can skip the per-layer O(nnz) fingerprint re-hash.
         let session = self.a_plan.session_trusted();
-        run_layers(&self.config, &self.weights, x1, |b, label| {
+        run_layers(&self.config, &self.weights, x1, true, |b, label| {
             session.run_detailed(&self.a_norm_csc, b, label)
         })
     }

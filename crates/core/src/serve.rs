@@ -584,7 +584,9 @@ impl GcnService {
         validate_ingest(input)?;
         let start = Instant::now();
         let (key, decision) = self.plan_key(input);
-        let (plan, warmup, _) = self.register(input, key, decision, Some(name.clone()))?;
+        let (plan, warmup) =
+            GcnRunner::new(self.config.clone()).prepare_with_decision(input, decision)?;
+        let (plan, _) = self.register(plan, key, Some(name.clone()));
         // The merged X×W stats carry the total PE count over combination
         // shard devices, so the warm-up reveals each layer's shard count
         // without re-partitioning; report the deepest split (layers can
@@ -668,7 +670,9 @@ impl GcnService {
     /// (pinned or not) that still [`matches`](GcnPlan::matches) is a hit;
     /// anything else (absent, or resident-but-mismatched — weights changed
     /// under an unchanged structure, or a fingerprint collision) is a miss
-    /// that prepares a fresh plan through [`register`](Self::register).
+    /// that [`register`](Self::register)s a fresh plan. Nothing reads a
+    /// miss's warm-up outcome, so it builds the plan alone (no `X × W`
+    /// timing): the plan [`prepare`](GcnService::prepare) builds (`DESIGN.md` §9).
     fn lookup_or_prepare(&mut self, input: &GcnInput) -> Result<Arc<GcnPlan>, AccelError> {
         let (key, decision) = self.plan_key(input);
         if let Some(i) = self.find(key, input) {
@@ -678,27 +682,20 @@ impl GcnService {
             return Ok(Arc::clone(&self.plans[i].plan));
         }
         self.cache_misses += 1;
-        let (plan, _warmup, dropped) = self.register(input, key, decision, None)?;
+        let plan = GcnRunner::new(self.config.clone()).prepare_plan(input, decision)?;
+        let (plan, dropped) = self.register(plan, key, None);
         self.cache_evictions += dropped;
         Ok(plan)
     }
 
-    /// The prepare path of [`prepare`](GcnService::prepare) and a lookup
-    /// miss: prepares under the already-resolved Auto `decision`, so Auto
-    /// resolves once; registers the plan on `key`, replacing the unpinned
-    /// plans on `key` and any plan already pinned under `name`; then
-    /// evicts LRU unpinned plans, never the new one, while the budget is
-    /// exceeded. Returns the plan, its warm-up, and the number of plans
+    /// The registry half of [`prepare`](GcnService::prepare) and a lookup
+    /// miss, both of which prepare under the Auto decision folded into
+    /// `key` (so Auto resolves once): registers `plan` on `key`, replacing
+    /// the unpinned plans on `key` and any plan already pinned under
+    /// `name`; then evicts LRU unpinned plans, never the new one, while
+    /// the budget is exceeded. Returns the plan and the number of plans
     /// dropped.
-    fn register(
-        &mut self,
-        input: &GcnInput,
-        key: u64,
-        decision: Option<AutoDecision>,
-        name: Option<String>,
-    ) -> Result<(Arc<GcnPlan>, GcnRunOutcome, u64), AccelError> {
-        let (plan, warmup) =
-            GcnRunner::new(self.config.clone()).prepare_with_decision(input, decision)?;
+    fn register(&mut self, plan: GcnPlan, key: u64, name: Option<String>) -> (Arc<GcnPlan>, u64) {
         let plan = Arc::new(plan);
         let before = self.plans.len();
         self.plans.retain(|e| match &e.name {
@@ -728,7 +725,7 @@ impl GcnService {
             }
         }
         let dropped = (before + 1 - self.plans.len()) as u64;
-        Ok((plan, warmup, dropped))
+        (plan, dropped)
     }
 
     /// The registry key for `input`'s plan, plus the Auto decision (if

@@ -8,11 +8,14 @@ mod common;
 use std::sync::Arc;
 use std::thread;
 
-use awb_gcn_repro::accel::{AccelError, GcnRunner, GcnService, ServeOptions};
+use awb_gcn_repro::accel::{
+    AccelConfig, AccelError, Design, FaultPlan, GcnRunner, GcnService, ServeOptions, ShardPolicy,
+    StrategyPolicy,
+};
 use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset};
 use awb_gcn_repro::gcn::GcnInput;
 use awb_gcn_repro::sparse::Csr;
-use common::{bits, cold_run, cora_input, ls1_rs};
+use common::{bits, cold_run, cora_input, ls1_rs, ScratchDir};
 
 /// Two tenants interleaved through `serve_graph`: the first batch per
 /// tenant misses (prepare-on-miss), later batches hit, and every response
@@ -379,6 +382,90 @@ fn concurrent_sessions_count_exactly_and_match_sequential() {
         for (served, reference) in thread_outputs.iter().zip(&sequential) {
             assert_eq!(bits(&served.output), bits(&reference.output));
             assert_eq!(served.stats, reference.stats);
+        }
+    }
+}
+
+/// A plan built on an `enqueue` miss, whose warm-up skips the `X × W`
+/// timing, is the plan a named `GcnService::prepare` and
+/// `GcnRunner::prepare` build: same tuning, switches, shards, bytes,
+/// degradation and Auto decision, and three served requests with the same
+/// `RunStats` and output bits. Covers one device, Auto, resident `A` × `X`
+/// shards, a stored `A`, and a sharded prepare an injected fault kills
+/// (the miss must degrade exactly as the named prepare does).
+#[test]
+fn miss_plan_equals_named_prepare() {
+    let input = cora_input(128, 121);
+    let requests: Vec<Csr> = (122..125).map(|seed| cora_input(128, seed).x1).collect();
+    let store = ScratchDir::new("miss-plan");
+    let ls2_rs =
+        Design::LocalPlusRemote { hop: 2 }.apply(AccelConfig::builder().n_pes(16).build().unwrap());
+    let mut auto = ls2_rs.clone();
+    auto.strategy = StrategyPolicy::Auto;
+    let mut sharded = ls2_rs.clone();
+    sharded.shards = ShardPolicy::Fixed(3);
+    sharded.combination_shards = ShardPolicy::Fixed(2);
+    let mut stored = ls2_rs.clone();
+    stored.store = Some(store.path().to_path_buf());
+    stored.host_mem_budget = Some(input.a_norm_csc.heap_bytes() / 2);
+    // The sharded prepare dies; the three drained requests do not.
+    let fault_seed = (1u64..10_000)
+        .find(|&seed| {
+            let plan = FaultPlan::new(seed);
+            plan.decide("prepare:sharded", 0).is_some()
+                && (0..3).all(|i| plan.decide("drain", i).is_none())
+        })
+        .unwrap();
+    let mut faulted = ls2_rs.clone();
+    faulted.shards = ShardPolicy::Fixed(2);
+    faulted.faults = Some(FaultPlan::new(fault_seed));
+
+    let cases = [
+        ("LS2+RS", ls2_rs),
+        ("Auto", auto),
+        ("A Fixed(3) x X Fixed(2)", sharded),
+        ("stored A", stored),
+        ("faulted sharded prepare", faulted),
+    ];
+    for (case, cfg) in cases {
+        let (reference, _) = GcnRunner::new(cfg.clone()).prepare(&input).unwrap();
+        assert_eq!(
+            reference.degraded().is_some(),
+            cfg.faults.is_some(),
+            "{case}"
+        );
+        let mut named = GcnService::new(cfg.clone());
+        named.prepare("g", &input).unwrap();
+        let mut missed = GcnService::new(cfg);
+        let mut served = Vec::new();
+        for service in [&mut missed, &mut named] {
+            for x1 in &requests {
+                service.enqueue(&input, x1.clone()).unwrap();
+            }
+            served.push(service.drain().unwrap());
+        }
+        let stats = missed.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 2), "{case}");
+        let miss_plan = missed.cached_plan(&input).unwrap();
+        for plan in [&*miss_plan, named.plan("g").unwrap()] {
+            assert_eq!(plan.tuning_rounds(), reference.tuning_rounds(), "{case}");
+            assert_eq!(plan.total_switches(), reference.total_switches(), "{case}");
+            assert_eq!(plan.shard_count(), reference.shard_count(), "{case}");
+            assert_eq!(plan.memory_bytes(), reference.memory_bytes(), "{case}");
+            assert_eq!(plan.degraded(), reference.degraded(), "{case}");
+            assert_eq!(plan.auto_decision(), reference.auto_decision(), "{case}");
+        }
+        for batch in &served {
+            assert_eq!(batch.requests.len(), requests.len(), "{case}");
+            for (served, x1) in batch.requests.iter().zip(&requests) {
+                let expected = reference.run(x1).unwrap();
+                assert_eq!(served.outcome.stats, expected.stats, "{case}");
+                assert_eq!(
+                    bits(&served.outcome.output),
+                    bits(&expected.output),
+                    "{case}"
+                );
+            }
         }
     }
 }
