@@ -339,6 +339,16 @@ struct Record {
     hit_rate: Option<f64>,
 }
 
+impl Record {
+    /// The compare gate's match key, as the messages name a record.
+    fn key(&self) -> String {
+        format!(
+            "({}, {}, replay={}, shards={}, xw_shards={})",
+            self.workload, self.design, self.replay, self.shards, self.xw_shards
+        )
+    }
+}
+
 /// Extracts the records of a bench file (one JSON object per line, as
 /// written by `write_bench`; field extraction is textual — no JSON crate
 /// is available offline, and `--check` already validated syntax).
@@ -405,7 +415,7 @@ fn median(mut ratios: Vec<f64>) -> f64 {
 }
 
 /// Diffs `fresh` against `baseline`: exits non-zero when any matched
-/// (design, replay, shards, xw_shards) record lost more than 20%
+/// (workload, design, replay, shards, xw_shards) record lost more than 20%
 /// *normalized* throughput.
 ///
 /// Each matched record's fresh/baseline throughput ratio is divided by
@@ -440,17 +450,10 @@ fn compare(fresh_path: &str, baseline_path: &str) {
     }
     let mut pairs: Vec<(&Record, &Record)> = Vec::new();
     for base in &baseline {
-        let Some(now) = fresh.iter().find(|r| {
-            r.design == base.design
-                && r.replay == base.replay
-                && r.shards == base.shards
-                && r.xw_shards == base.xw_shards
-                && r.workload == base.workload
-        }) else {
+        let Some(now) = fresh.iter().find(|r| r.key() == base.key()) else {
             eprintln!(
-                "BENCH compare: baseline record ({}, replay={}, shards={}, xw_shards={}, \
-                 workload={}) missing from fresh run (warn)",
-                base.design, base.replay, base.shards, base.xw_shards, base.workload
+                "BENCH compare: baseline record {} missing from fresh run (warn)",
+                base.key()
             );
             continue;
         };
@@ -507,18 +510,19 @@ fn compare(fresh_path: &str, baseline_path: &str) {
         );
         if abs_ratio < 1.0 - REGRESSION_THRESHOLD && verdict == "ok" {
             eprintln!(
-                "BENCH compare warning: ({}, replay={}) absolute throughput dropped {:.1}% \
+                "BENCH compare warning: {} absolute throughput dropped {:.1}% \
                  (machine-speed difference or uniform slowdown; normalized gate passed)",
-                base.design,
-                base.replay,
+                base.key(),
                 (1.0 - abs_ratio) * 100.0
             );
         }
         if let (Some(b), Some(n)) = (base.hit_rate, now.hit_rate) {
             if (b - n).abs() > HIT_RATE_DRIFT {
                 eprintln!(
-                    "BENCH compare warning: ({}, replay={}) hit rate drifted {:.3} -> {:.3}",
-                    base.design, base.replay, b, n
+                    "BENCH compare warning: {} hit rate drifted {:.3} -> {:.3}",
+                    base.key(),
+                    b,
+                    n
                 );
             }
         }

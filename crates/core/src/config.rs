@@ -422,7 +422,7 @@ pub struct ServeOptions {
     pub cache_budget_bytes: Option<u64>,
     /// Per-request deadline budget on *queue wait*: a request whose wait
     /// exceeds this duration — admission to drain pickup, or batch start
-    /// to pickup for a named or fingerprint batch — is shed with
+    /// to pickup for a named batch — is shed with
     /// [`AccelError::DeadlineExceeded`](crate::AccelError::DeadlineExceeded)
     /// instead of executing stale work. `None` disables shedding;
     /// `Some(Duration::ZERO)` is rejected (it would shed everything).
@@ -465,56 +465,6 @@ impl Default for ServeOptions {
             queue_depth: 64,
             cache_budget_bytes: None,
             deadline: None,
-        }
-    }
-}
-
-/// Bounded retry-with-backoff policy for transient
-/// [`AccelError::QueueFull`](crate::AccelError::QueueFull) rejections
-/// (see [`GcnService::enqueue_with_backoff`](crate::GcnService::enqueue_with_backoff)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Maximum re-admission attempts after the first rejection (≥ 1).
-    pub max_retries: usize,
-    /// Backoff slept before the first retry; doubles per attempt, capped
-    /// at 64× (must be > 0).
-    pub backoff: std::time::Duration,
-}
-
-impl RetryPolicy {
-    /// Checks the zero-rejected rules (retries ≥ 1, backoff > 0).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AccelError::InvalidConfig`] describing the offending
-    /// field.
-    pub fn validate(&self) -> Result<(), AccelError> {
-        if self.max_retries == 0 {
-            return Err(AccelError::InvalidConfig(
-                "retry count must be >= 1 (skip the retry helper for fail-fast admission)".into(),
-            ));
-        }
-        if self.backoff.is_zero() {
-            return Err(AccelError::InvalidConfig(
-                "retry backoff must be > 0".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// The backoff before retry `attempt` (0-based): exponential doubling
-    /// capped at 64× the base.
-    pub fn backoff_for(&self, attempt: usize) -> std::time::Duration {
-        self.backoff * (1u32 << attempt.min(6))
-    }
-}
-
-impl Default for RetryPolicy {
-    /// 3 retries starting at a 1 ms backoff.
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff: std::time::Duration::from_millis(1),
         }
     }
 }

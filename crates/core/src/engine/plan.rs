@@ -7,10 +7,9 @@
 //! row→PE map, the steady-state replay cache, the operand's sparsity
 //! fingerprint, and the configuration — everything that is a function of
 //! *the graph*, none of what is a function of *one request*. Plans are
-//! frozen once per sparse operand after a warm-up run on either engine
-//! ([`FastEngine::freeze_plan`](crate::FastEngine::freeze_plan),
-//! [`DetailedEngine::freeze_plan`](crate::DetailedEngine::freeze_plan))
-//! and then executed against any number of times through cheap
+//! frozen once per sparse operand after a warm-up run on the fast engine
+//! ([`FastEngine::freeze_plan`](crate::FastEngine::freeze_plan)) and then
+//! executed against any number of times through cheap
 //! per-request [`SpmmSession`]s, which replay whenever the operand is on
 //! chip.
 //!
@@ -85,7 +84,7 @@ pub struct TunedPlan {
 
 impl TunedPlan {
     /// Assembles a plan from an engine's frozen state (crate-internal; use
-    /// an engine's `freeze_plan`).
+    /// [`FastEngine::freeze_plan`](crate::FastEngine::freeze_plan)).
     pub(crate) fn from_frozen(
         config: AccelConfig,
         row_map: RowMap,

@@ -21,7 +21,7 @@ pub enum AccelError {
     },
     /// The serving front-end's admission queue is at its configured depth
     /// — explicit backpressure instead of unbounded growth. The caller
-    /// should drain the queue (or raise the depth) and retry.
+    /// drains the queue, then enqueues the request again.
     QueueFull {
         /// The configured admission-queue depth that was hit.
         depth: usize,

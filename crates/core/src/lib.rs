@@ -82,8 +82,8 @@ pub mod trace;
 
 pub use area::{AreaBreakdown, AreaModel};
 pub use config::{
-    AccelConfig, AccelConfigBuilder, Design, MappingKind, RetryPolicy, ServeOptions, ShardPolicy,
-    StallMode, StrategyPolicy, DEFAULT_HOST_MEM_BUDGET,
+    AccelConfig, AccelConfigBuilder, Design, MappingKind, ServeOptions, ShardPolicy, StallMode,
+    StrategyPolicy, DEFAULT_HOST_MEM_BUDGET,
 };
 pub use cost::{AutoDecision, CostProfile};
 pub use energy::{cycles_to_ms, EnergyModel};
@@ -98,8 +98,8 @@ pub use gcn_run::{verify_against_reference, GcnPlan, GcnRunOutcome, GcnRunner};
 pub use mapping::RowMap;
 pub use rebalance::{AutoTuner, LocalSharing, RemoteSwitcher, SwitchPlan};
 pub use serve::{
-    validate_ingest, AdmissionOutcome, BatchOutcome, CacheStats, GcnService, IsolatedBatch,
-    LatencyPercentiles, PrepareReport, RequestOutcome,
+    validate_ingest, BatchOutcome, CacheStats, GcnService, IsolatedBatch, LatencyPercentiles,
+    PrepareReport, RequestOutcome,
 };
 pub use stats::{LayerStats, RoundStats, RunStats, SpmmStats};
 pub use sweep::{sweep_csv, DesignSweep, SweepPoint};

@@ -9,8 +9,7 @@
 //!
 //! * **One plan registry** — every prepared [`GcnPlan`] lives in one
 //!   collection keyed on the graph's sparsity fingerprint.
-//!   [`serve_graph`](GcnService::serve_graph) and
-//!   [`enqueue`](GcnService::enqueue) resolve plans through it:
+//!   [`enqueue`](GcnService::enqueue) resolves plans through it:
 //!   prepare-on-miss, LRU eviction under the
 //!   [`ServeOptions::cache_budget_bytes`] budget (derived from
 //!   [`GcnPlan::memory_bytes`] estimates). A resident plan is only reused
@@ -25,7 +24,8 @@
 //!   requests up to [`ServeOptions::queue_depth`] and rejects beyond it
 //!   with [`AccelError::QueueFull`] (explicit backpressure);
 //!   [`drain`](GcnService::drain) executes everything admitted as one
-//!   deterministic batch.
+//!   deterministic batch. A full queue has one rule: the caller drains,
+//!   then enqueues again (only the caller can free a slot).
 //!
 //! Every batch runs through one executor once its requests pass
 //! validation against their plan. It reports per-request latency split
@@ -58,16 +58,12 @@
 //! * **Deadlines** — with [`ServeOptions::deadline`] set, a request whose
 //!   queue wait exceeds the budget is shed with
 //!   [`AccelError::DeadlineExceeded`] instead of executing stale work.
-//! * **Bounded retry** —
-//!   [`enqueue_with_backoff`](GcnService::enqueue_with_backoff) absorbs
-//!   transient [`AccelError::QueueFull`] rejections with exponential
-//!   backoff plus a forced drain per retry.
 //! * **Fault injection** — an armed
 //!   [`FaultPlan`](crate::fault::FaultPlan) (config `faults`) injects
 //!   deterministic panics/NaN payloads/delays at the `drain`/`serve`
 //!   sites; disabled injection is a single `Option` test per request.
 
-use crate::config::{AccelConfig, RetryPolicy, ServeOptions, StrategyPolicy};
+use crate::config::{AccelConfig, ServeOptions, StrategyPolicy};
 use crate::cost::AutoDecision;
 use crate::engine::steady::structure_fingerprint;
 use crate::error::AccelError;
@@ -128,8 +124,7 @@ pub struct RequestOutcome {
     pub wall_s: f64,
     /// Host wall-clock the request waited before a worker picked it up,
     /// in seconds: from admission ([`GcnService::enqueue`]) or batch
-    /// start ([`GcnService::serve`], [`GcnService::serve_graph`]) to
-    /// execution start.
+    /// start ([`GcnService::serve`]) to execution start.
     pub queue_wait_s: f64,
 }
 
@@ -295,9 +290,8 @@ impl IsolatedBatch {
     }
 
     /// Collapses to the fail-fast [`BatchOutcome`] view: the whole batch,
-    /// or the first per-request error. [`drain`](GcnService::drain),
-    /// [`serve`](GcnService::serve) and
-    /// [`serve_graph`](GcnService::serve_graph) are exactly this collapse.
+    /// or the first per-request error. [`drain`](GcnService::drain) and
+    /// [`serve`](GcnService::serve) are exactly this collapse.
     ///
     /// # Errors
     ///
@@ -313,19 +307,6 @@ impl IsolatedBatch {
             freq_mhz: self.freq_mhz,
         })
     }
-}
-
-/// Result of a backoff-retried admission
-/// (see [`GcnService::enqueue_with_backoff`]).
-#[derive(Debug, Clone)]
-pub struct AdmissionOutcome {
-    /// Queue position the request was finally admitted at.
-    pub position: usize,
-    /// Retries it took (0 = admitted first try).
-    pub retries: usize,
-    /// Batches force-drained to free queue capacity, one per retry (the
-    /// degradation trade: smaller batches for admission under pressure).
-    pub drained: Vec<IsolatedBatch>,
 }
 
 /// Rejects non-finite values in a slice with a labelled
@@ -389,8 +370,7 @@ fn check_request(plan: &GcnPlan, x1: &Csr) -> Result<(), AccelError> {
 /// weights carrying NaN/±inf values, out-of-bounds indices, or dimension
 /// mismatches with [`AccelError::InvalidInput`] — *before* they can enter
 /// the plan cache or produce a silent-NaN output. Called by every
-/// [`GcnService`] admission path ([`prepare`](GcnService::prepare),
-/// [`serve_graph`](GcnService::serve_graph),
+/// [`GcnService`] admission path ([`prepare`](GcnService::prepare) and
 /// [`enqueue`](GcnService::enqueue)).
 ///
 /// # Errors
@@ -440,9 +420,9 @@ fn corrupt_output(output: &mut DenseMatrix) {
 }
 
 /// Aggregate counters of the plan registry. Hits, misses and evictions
-/// count fingerprint lookups ([`serve_graph`](GcnService::serve_graph),
-/// [`enqueue`](GcnService::enqueue)) only: calls by name never change
-/// them. Residency covers every plan, pinned names included.
+/// count fingerprint lookups ([`enqueue`](GcnService::enqueue)) only:
+/// calls by name never change them. Residency covers every plan, pinned
+/// names included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
     /// Lookups served by a resident, still-matching plan (pinned or not).
@@ -505,12 +485,14 @@ type BatchItem<'a> = (&'a GcnPlan, &'a Csr, Instant);
 ///
 /// let mut service = GcnService::new(config);
 /// // Multi-tenant path: plans are cached on the graph's fingerprint —
-/// // the first batch prepares, later batches on the same graph hit.
-/// let requests = vec![input.x1.clone(); 4];
-/// let batch = service.serve_graph(&input, &requests)?;
-/// assert_eq!(batch.requests.len(), 4);
-/// assert_eq!(service.cache_stats().misses, 1);
-/// let p = batch.execute_percentiles();
+/// // the first admission prepares, later ones on the same graph hit.
+/// for _ in 0..4 {
+///     service.enqueue(&input, input.x1.clone())?;
+/// }
+/// let batch = service.drain_isolated();
+/// assert_eq!(batch.completed().count(), 4);
+/// assert_eq!((service.cache_stats().hits, service.cache_stats().misses), (3, 1));
+/// let p = batch.into_batch()?.execute_percentiles();
 /// assert!(p.p50 <= p.p99);
 /// # Ok(())
 /// # }
@@ -666,7 +648,8 @@ impl GcnService {
             .position(|e| e.key == key && e.plan.matches(input))
     }
 
-    /// Resolves `input`'s plan through the registry: a resident plan
+    /// [`enqueue`](GcnService::enqueue)'s fingerprint lookup, the only
+    /// one: resolves `input`'s plan through the registry. A resident plan
     /// (pinned or not) that still [`matches`](GcnPlan::matches) is a hit;
     /// anything else (absent, or resident-but-mismatched — weights changed
     /// under an unchanged structure, or a fingerprint collision) is a miss
@@ -746,26 +729,6 @@ impl GcnService {
         (key, decision)
     }
 
-    /// Serves a batch of feature-matrix requests for `input`'s graph
-    /// through the plan registry (prepare-on-miss — no explicit
-    /// [`prepare`](GcnService::prepare) call needed; a plan pinned by
-    /// name is a hit), fanning requests out like
-    /// [`serve`](GcnService::serve).
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration/shape errors from a cache-miss warm-up or
-    /// from the requests.
-    pub fn serve_graph(
-        &mut self,
-        input: &GcnInput,
-        requests: &[Csr],
-    ) -> Result<BatchOutcome, AccelError> {
-        validate_ingest(input)?;
-        let plan = self.lookup_or_prepare(input)?;
-        self.serve_batch(&plan, requests)?.into_batch()
-    }
-
     /// Admits one request to the queue, resolving its plan through the
     /// registry (prepare-on-miss happens here, at admission, so
     /// [`drain`](GcnService::drain) is pure execution and its queue-wait
@@ -777,7 +740,8 @@ impl GcnService {
     /// # Errors
     ///
     /// Returns [`AccelError::QueueFull`] when the queue is at
-    /// [`ServeOptions::queue_depth`] (the request is NOT admitted);
+    /// [`ServeOptions::queue_depth`] (the request is NOT admitted; the
+    /// caller drains, then enqueues again);
     /// [`AccelError::InvalidInput`] when ingest validation rejects the
     /// graph, weights, or request features (see [`validate_ingest`] — a
     /// bad operand never reaches the plan registry); propagates warm-up
@@ -797,47 +761,6 @@ impl GcnService {
             enqueued: Instant::now(),
         });
         Ok(self.queue.len() - 1)
-    }
-
-    /// [`enqueue`](GcnService::enqueue) with bounded retry-with-backoff
-    /// for transient [`AccelError::QueueFull`] rejections: each retry
-    /// sleeps the policy's (exponentially growing) backoff and then
-    /// force-drains the queue — admitted work completes early to free
-    /// capacity, trading batch size for admission under pressure. Any
-    /// error other than `QueueFull` (validation, warm-up) fails
-    /// immediately: retrying a request that was *rejected*, not
-    /// *backpressured*, would never succeed.
-    ///
-    /// # Errors
-    ///
-    /// [`AccelError::InvalidConfig`] for an invalid policy; the last
-    /// [`AccelError::QueueFull`] when every retry was exhausted; any
-    /// non-transient admission error, immediately.
-    pub fn enqueue_with_backoff(
-        &mut self,
-        input: &GcnInput,
-        x1: &Csr,
-        policy: &RetryPolicy,
-    ) -> Result<AdmissionOutcome, AccelError> {
-        policy.validate()?;
-        let mut drained = Vec::new();
-        for attempt in 0..=policy.max_retries {
-            match self.enqueue(input, x1.clone()) {
-                Ok(position) => {
-                    return Ok(AdmissionOutcome {
-                        position,
-                        retries: attempt,
-                        drained,
-                    })
-                }
-                Err(AccelError::QueueFull { .. }) if attempt < policy.max_retries => {
-                    std::thread::sleep(policy.backoff_for(attempt));
-                    drained.push(self.drain_isolated());
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        unreachable!("the final attempt either admits or returns its error")
     }
 
     /// Admitted requests currently waiting for [`drain`](GcnService::drain).
@@ -918,12 +841,6 @@ impl GcnService {
                 self.graph_names()
             ))
         })?;
-        self.serve_batch(plan, requests)
-    }
-
-    /// Validates every request against `plan`, then runs them as one
-    /// `"serve"` batch whose queue wait starts now.
-    fn serve_batch(&self, plan: &GcnPlan, requests: &[Csr]) -> Result<IsolatedBatch, AccelError> {
         for x1 in requests {
             check_request(plan, x1)?;
         }
@@ -1166,8 +1083,10 @@ mod tests {
     #[test]
     fn batch_percentiles_cover_wait_and_execute() {
         let (mut service, input) = service_and_input(96, 28, 8);
-        let requests = vec![input.x1.clone(); 5];
-        let batch = service.serve_graph(&input, &requests).unwrap();
+        for _ in 0..5 {
+            service.enqueue(&input, input.x1.clone()).unwrap();
+        }
+        let batch = service.drain().unwrap();
         let exec_p = batch.execute_percentiles();
         assert!(exec_p.p50 > 0.0, "execution takes nonzero wall-clock");
         assert!(exec_p.p50 <= exec_p.p95 && exec_p.p95 <= exec_p.p99);
@@ -1219,15 +1138,11 @@ mod tests {
     fn cache_hit_and_miss_counters_track_lookups() {
         let (mut service, input) = service_and_input(96, 26, 8);
         assert_eq!(service.cache_stats(), CacheStats::default());
-        service
-            .serve_graph(&input, std::slice::from_ref(&input.x1))
-            .unwrap();
+        serve_own(&mut service, &input);
         let s = service.cache_stats();
         assert_eq!((s.hits, s.misses, s.resident_plans), (0, 1, 1));
         assert!(s.resident_bytes > 0, "plan size estimate is nonzero");
-        service
-            .serve_graph(&input, std::slice::from_ref(&input.x1))
-            .unwrap();
+        serve_own(&mut service, &input);
         let s = service.cache_stats();
         assert_eq!((s.hits, s.misses, s.evictions), (1, 1, 0));
         assert!(service.cached_plan(&input).is_some());
@@ -1300,8 +1215,8 @@ mod tests {
 
     /// Serves `input`'s own features through the fingerprint path.
     fn serve_own(service: &mut GcnService, input: &GcnInput) {
-        let requests = std::slice::from_ref(&input.x1);
-        service.serve_graph(input, requests).unwrap();
+        service.enqueue(input, input.x1.clone()).unwrap();
+        service.drain().unwrap();
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!                 [--store DIR] [--host-mem-budget MB]
 //!                 [--faults SEED] [--compare-cold]
 //! awb-sim serve   <dataset> --trace [--queue-depth D] [--cache-plans MB]
-//!                 [--deadline-ms MS] [--retries N] [--faults SEED]
+//!                 [--deadline-ms MS] [--faults SEED]
 //!                 [--compare-cold]
 //! awb-sim export  <dataset> <path.mtx> [--scale F] [--seed N]
 //! ```
@@ -58,22 +58,23 @@
 //! fault-injection plan (seeded panics / NaN payloads / delays); faulted
 //! requests surface as typed `FAULTED` lines while the rest of the batch
 //! completes bit-identically. Under `--trace`, `--deadline-ms` sheds
-//! requests whose queue wait blows the budget and `--retries` retries
-//! `QueueFull` admissions with exponential backoff.
+//! requests whose queue wait blows the budget; a `QueueFull` admission
+//! drains the queue and is enqueued again.
 
 use std::error::Error;
 use std::process::ExitCode;
 
 use awb_gcn_repro::accel::{
     sweep_csv, trace, AccelConfig, AccelError, Design, DesignSweep, FaultPlan, GcnRunner,
-    GcnService, IsolatedBatch, LatencyPercentiles, RequestOutcome, RetryPolicy, ServeOptions,
-    ShardPolicy, StrategyPolicy,
+    GcnService, IsolatedBatch, LatencyPercentiles, RequestOutcome, ServeOptions, ShardPolicy,
+    StrategyPolicy,
 };
 use awb_gcn_repro::datasets::rng::Pcg64;
 use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset, PaperDataset};
 use awb_gcn_repro::gcn::GcnInput;
 use awb_gcn_repro::sparse::io::write_matrix_market;
 use awb_gcn_repro::sparse::profile::row_nnz_stats;
+use awb_gcn_repro::sparse::DenseMatrix;
 
 const USAGE: &str = "usage:
   awb-sim profile <dataset> [--scale F] [--seed N]
@@ -87,7 +88,7 @@ const USAGE: &str = "usage:
                   [--mem-budget MB] [--store DIR] [--host-mem-budget MB]
                   [--faults SEED] [--compare-cold]
   awb-sim serve   <dataset> --trace [--queue-depth D] [--cache-plans MB]
-                  [--deadline-ms MS] [--retries N] [--faults SEED]
+                  [--deadline-ms MS] [--faults SEED]
                   [--compare-cold]
   awb-sim export  <dataset> <path.mtx> [--scale F] [--seed N]
 
@@ -132,9 +133,6 @@ const USAGE: &str = "usage:
   --deadline-ms: per-request queue-wait budget in ms under --trace (>= 1);
               requests that wait longer are shed with a typed
               DeadlineExceeded error instead of executing stale
-  --retries:  retry QueueFull admissions up to N times under --trace
-              (>= 1), with exponential backoff and a forced drain per
-              retry (smaller batches traded for admission)
   --faults:   arm the deterministic fault-injection plan with this seed
               (>= 1): seeded worker panics, NaN payloads, and synthetic
               delays; faulted requests yield typed errors, the rest of
@@ -192,7 +190,6 @@ struct Options {
     queue_depth: Option<usize>,
     cache_plans_mb: Option<usize>,
     deadline_ms: Option<u64>,
-    retries: Option<usize>,
     faults: Option<u64>,
     extra_positional: Option<String>,
 }
@@ -220,7 +217,6 @@ fn parse_options(args: &[String]) -> Result<Options, Box<dyn Error>> {
     let mut queue_depth = None;
     let mut cache_plans_mb = None;
     let mut deadline_ms = None;
-    let mut retries = None;
     let mut faults = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -251,7 +247,6 @@ fn parse_options(args: &[String]) -> Result<Options, Box<dyn Error>> {
                 cache_plans_mb = Some(next_value(&mut it, "--cache-plans")?.parse()?)
             }
             "--deadline-ms" => deadline_ms = Some(next_value(&mut it, "--deadline-ms")?.parse()?),
-            "--retries" => retries = Some(next_value(&mut it, "--retries")?.parse()?),
             "--faults" => faults = Some(next_value(&mut it, "--faults")?.parse()?),
             other if other.starts_with("--") => {
                 return Err(format!("unknown flag `{other}`").into())
@@ -288,14 +283,11 @@ fn parse_options(args: &[String]) -> Result<Options, Box<dyn Error>> {
     if deadline_ms == Some(0) {
         return Err("--deadline-ms must be >= 1".into());
     }
-    if retries == Some(0) {
-        return Err("--retries must be >= 1".into());
-    }
     if faults == Some(0) {
         return Err("--faults seed must be >= 1".into());
     }
-    if !trace && (deadline_ms.is_some() || retries.is_some()) {
-        return Err("--deadline-ms/--retries only apply under --trace".into());
+    if !trace && deadline_ms.is_some() {
+        return Err("--deadline-ms only applies under --trace".into());
     }
     if shards == Some(0) {
         return Err("--shards must be >= 1".into());
@@ -360,7 +352,6 @@ fn parse_options(args: &[String]) -> Result<Options, Box<dyn Error>> {
         queue_depth,
         cache_plans_mb,
         deadline_ms,
-        retries,
         faults,
         extra_positional,
     })
@@ -823,7 +814,7 @@ fn serve(args: &[String]) -> Result<(), Box<dyn Error>> {
             let Ok(warm) = &served[i] else { continue };
             compared += 1;
             let cold = runner.run(cold_input)?;
-            if cold.output != warm.outcome.output {
+            if !same_bits(&cold.output, &warm.outcome.output) {
                 identical = false;
                 eprintln!("request {i}: served output differs from cold run!");
             }
@@ -908,6 +899,14 @@ fn file_drained(
     Ok(())
 }
 
+/// Whether two outputs have the same shape and the same `f32` bit
+/// patterns: f32 `==` would equate `-0.0` with `0.0` and report a NaN as
+/// different from itself.
+fn same_bits(a: &DenseMatrix, b: &DenseMatrix) -> bool {
+    let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    (a.rows(), a.cols()) == (b.rows(), b.cols()) && bits(a) == bits(b)
+}
+
 /// `serve --trace`: replay a heavy-tailed multi-tenant arrival schedule —
 /// many small ego-graph tenants plus a few giants, interleaved — through
 /// the admission queue (explicit backpressure) and the fingerprint-keyed
@@ -967,39 +966,21 @@ fn serve_trace(
         opts.cache_plans_mb
             .map_or("unbounded".to_string(), |mb| format!("{mb} MB")),
     );
-    if opts.deadline_ms.is_some() || opts.retries.is_some() || opts.faults.is_some() {
+    if opts.deadline_ms.is_some() || opts.faults.is_some() {
         println!(
-            "fault tolerance: deadline {}, retries {}, fault seed {}",
+            "fault tolerance: deadline {}, fault seed {}",
             opts.deadline_ms
                 .map_or("off".to_string(), |ms| format!("{ms} ms")),
-            opts.retries.map_or("off".to_string(), |n| n.to_string()),
             opts.faults.map_or("off".to_string(), |s| s.to_string()),
         );
     }
 
-    let retry_policy = opts.retries.map(|max_retries| RetryPolicy {
-        max_retries,
-        ..RetryPolicy::default()
-    });
     let trace_start = std::time::Instant::now();
     let mut admitted: Vec<usize> = Vec::new();
     let mut completed: Vec<Option<Result<RequestOutcome, AccelError>>> = vec![None; schedule.len()];
     let mut drains = 0usize;
     let mut backpressure_drains = 0usize;
     for (arrival, &(tenant, request)) in schedule.iter().enumerate() {
-        if let Some(policy) = &retry_policy {
-            // Bounded retry-with-backoff: each retry sleeps, then
-            // force-drains the queue to free capacity for this arrival.
-            let x1 = tenants[tenant].requests[request].clone();
-            let admission = service.enqueue_with_backoff(&tenants[tenant].input, &x1, policy)?;
-            backpressure_drains += admission.retries;
-            for batch in admission.drained {
-                drains += 1;
-                file_drained(batch, &mut admitted, &mut completed)?;
-            }
-            admitted.push(arrival);
-            continue;
-        }
         loop {
             let x1 = tenants[tenant].requests[request].clone();
             match service.enqueue(&tenants[tenant].input, x1) {
@@ -1009,7 +990,7 @@ fn serve_trace(
                 }
                 Err(AccelError::QueueFull { .. }) => {
                     // Explicit backpressure: drain everything admitted so
-                    // far, then retry the rejected arrival.
+                    // far, then enqueue the rejected arrival again.
                     backpressure_drains += 1;
                     drains += 1;
                     file_drained(service.drain_isolated(), &mut admitted, &mut completed)?;
@@ -1104,7 +1085,7 @@ fn serve_trace(
                 t.input.weights.clone(),
             )?;
             let cold = runner.run(&cold_input)?;
-            if cold.output != warm.outcome.output {
+            if !same_bits(&cold.output, &warm.outcome.output) {
                 identical = false;
                 eprintln!(
                     "arrival {arrival} (tenant {}): served output differs from cold run!",
@@ -1146,4 +1127,19 @@ fn export(args: &[String]) -> Result<(), Box<dyn Error>> {
         data.adjacency.nnz()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn same_bits_compares_bit_patterns_not_floats() {
+        let m = |v: f32| DenseMatrix::from_vec(1, 2, vec![1.0, v]).unwrap();
+        assert!(!same_bits(&m(-0.0), &m(0.0)));
+        assert!(same_bits(&m(f32::NAN), &m(f32::NAN)));
+        assert!(same_bits(&m(2.5), &m(2.5)));
+        let wide = DenseMatrix::from_vec(2, 1, vec![1.0, 2.5]).unwrap();
+        assert!(!same_bits(&m(2.5), &wide));
+    }
 }

@@ -9,7 +9,7 @@ mod common;
 use std::time::Duration;
 
 use awb_gcn_repro::accel::{
-    AccelError, FaultKind, FaultPlan, GcnService, RetryPolicy, ServeOptions, ShardPolicy,
+    AccelError, FaultKind, FaultPlan, GcnService, ServeOptions, ShardPolicy,
 };
 use awb_gcn_repro::gcn::GcnInput;
 use awb_gcn_repro::sparse::{Coo, Csr};
@@ -184,52 +184,6 @@ fn blown_deadlines_shed_with_typed_errors() {
     let batch = service.drain_isolated();
     assert_eq!(batch.failed_count(), 0);
     assert_eq!(batch.completed().count(), 3);
-}
-
-/// Bounded retry-with-backoff: a full queue is drained (degradation:
-/// smaller batches traded for admission) and the retried request admitted;
-/// invalid inputs fail immediately without burning retries.
-#[test]
-fn backoff_retries_drain_past_queue_full() {
-    let input = cora_input(96, 41);
-    let x1 = input.x1.clone();
-    let options = ServeOptions {
-        queue_depth: 2,
-        ..ServeOptions::default()
-    };
-    let mut service = GcnService::with_options(ls1_rs(16), options).unwrap();
-    service.enqueue(&input, x1.clone()).unwrap();
-    service.enqueue(&input, x1.clone()).unwrap();
-    // Third admission hits QueueFull; one retry drains the two queued
-    // requests and admits it.
-    let policy = RetryPolicy::default();
-    let admission = service.enqueue_with_backoff(&input, &x1, &policy).unwrap();
-    assert_eq!(admission.retries, 1);
-    assert_eq!(admission.position, 0);
-    assert_eq!(admission.drained.len(), 1);
-    assert_eq!(admission.drained[0].results.len(), 2);
-    assert!(admission.drained[0].results.iter().all(Result::is_ok));
-    let tail = service.drain_isolated();
-    assert_eq!(tail.results.len(), 1);
-
-    // An invalid policy is rejected up front.
-    let bad_policy = RetryPolicy {
-        max_retries: 0,
-        ..RetryPolicy::default()
-    };
-    assert!(matches!(
-        service.enqueue_with_backoff(&input, &x1, &bad_policy),
-        Err(AccelError::InvalidConfig(_))
-    ));
-
-    // An invalid request fails immediately (typed, no retries, no drain).
-    let mut bad = Coo::new(x1.rows(), x1.cols());
-    bad.push(0, 0, f32::NAN).unwrap();
-    let bad_x1 = bad.to_csr();
-    let err = service
-        .enqueue_with_backoff(&input, &bad_x1, &policy)
-        .unwrap_err();
-    assert!(matches!(err, AccelError::InvalidInput(_)), "got {err:?}");
 }
 
 /// Admission validation: NaN features, NaN weights, NaN adjacency, and

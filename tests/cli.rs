@@ -198,6 +198,12 @@ fn serve_threads_and_replay_flags_accepted() {
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown flag `--no-replay`"), "{err}");
+
+    // Nor is `--retries`: a full queue is drained, then enqueued again.
+    let out = awb_sim(&["serve", "cora", "--trace", "--retries", "3"]);
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag `--retries`"), "{err}");
 }
 
 /// Golden-structure test of sharded serving: the graph is partitioned
@@ -466,15 +472,11 @@ fn bad_inputs_are_rejected() {
         &["serve", "cora", "--trace", "--queue-depth"][..],
         &["serve", "cora", "--trace", "--cache-plans"][..],
         &["serve", "cora", "--trace", "--deadline-ms", "0"][..],
-        &["serve", "cora", "--trace", "--retries", "0"][..],
         &["serve", "cora", "--faults", "0"][..],
         &["serve", "cora", "--trace", "--deadline-ms", "-5"][..],
-        &["serve", "cora", "--trace", "--retries", "garbage"][..],
         &["serve", "cora", "--faults", "nope"][..],
         &["serve", "cora", "--deadline-ms", "100"][..],
-        &["serve", "cora", "--retries", "2"][..],
         &["serve", "cora", "--trace", "--deadline-ms"][..],
-        &["serve", "cora", "--trace", "--retries"][..],
         &["serve", "cora", "--faults"][..],
         &["run", "cora", "--deadline-ms", "100"][..],
         &["run", "cora", "--auto", "--design", "base"][..],
@@ -729,8 +731,8 @@ fn serve_auto_with_store_reports_no_degradation() {
     assert!(!text.contains("degrade"), "{text}");
 }
 
-/// Golden-structure test of the full fault-tolerant trace: deadline,
-/// retries, and fault seed wired together; the run must report the
+/// Golden-structure test of the full fault-tolerant trace: deadline and
+/// fault seed wired together; the run must report the
 /// fault-tolerance banner, the fault summary, percentiles over the
 /// survivors, and a bit-identical cold comparison.
 #[test]
@@ -747,8 +749,6 @@ fn serve_trace_fault_tolerant_end_to_end() {
         "5",
         "--deadline-ms",
         "60000",
-        "--retries",
-        "3",
         "--faults",
         "7",
         "--compare-cold",
@@ -760,7 +760,7 @@ fn serve_trace_fault_tolerant_end_to_end() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(
-        text.contains("fault tolerance: deadline 60000 ms, retries 3, fault seed 7"),
+        text.contains("fault tolerance: deadline 60000 ms, fault seed 7"),
         "missing fault-tolerance banner:\n{text}"
     );
     assert!(text.contains("service survived"), "{text}");

@@ -407,14 +407,19 @@ fn oracle(cases: &[Case]) {
     assert_eq!(ran.len(), cases.len() * CELLS_PER_INPUT);
 }
 
-/// The plan/serve graph: Cora-shaped, 192 nodes, serving the warm-up's
-/// features and two fresh draws on the same adjacency.
+/// The plan/serve traffic shape: a Cora-shaped graph of 192 nodes on 32
+/// PEs, serving the warm-up's features and four fresh draws on the same
+/// adjacency.
 #[test]
 fn served_requests() {
     let spec = DatasetSpec::cora().with_nodes(192);
     let data = GeneratedDataset::generate(&spec, 31).unwrap();
-    let mut case = Case::new("Cora-192", GcnInput::from_dataset(&data).unwrap());
-    for seed in [401, 402] {
+    let input = GcnInput::from_dataset(&data).unwrap();
+    let mut case = Case {
+        n_pes: 32,
+        ..Case::new("Cora-192", input)
+    };
+    for seed in 401..=404 {
         let fresh = GeneratedDataset::with_adjacency(&spec, data.adjacency.clone(), seed);
         case.requests.push(fresh.unwrap().features);
     }

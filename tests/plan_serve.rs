@@ -1,122 +1,21 @@
-//! Integration tests of the plan/execute split and the serving front-end:
-//! N requests on one graph against a shared plan must be bit-identical to
-//! N independent fresh-runner runs, with tuning paid exactly once; the
-//! replay cache warms from the first request, a plan rejects foreign
-//! graphs, warm requests amortize tuning, and concurrent requests on one
-//! plan equal the serial one. That every entry point's output is also
-//! bit-identical to the software reference is `tests/exec_paths.rs`'s job.
+//! Integration tests of the plan/execute split: the replay cache warms
+//! from the first request, a plan rejects foreign graphs, warm requests
+//! amortize tuning, and concurrent requests on one plan equal the serial
+//! one. That every entry point's output — cold run, plan, named batch and
+//! drained queue, on one device or sharded on either axis — is
+//! bit-identical to the software reference, with tuning paid once, is
+//! `tests/exec_paths.rs`'s job.
 
 mod common;
 
 use awb_gcn_repro::accel::{
-    par_map_threads, AccelConfig, Design, GcnPlan, GcnRunner, GcnService, ShardPolicy, StreamStats,
+    par_map_threads, AccelConfig, Design, GcnPlan, GcnRunner, ShardPolicy, StreamStats,
 };
-use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset};
-use awb_gcn_repro::gcn::GcnInput;
+use awb_gcn_repro::datasets::DatasetSpec;
 use awb_gcn_repro::sparse::Csr;
-use common::{bits, cold_run, cora_input, ls1_rs, spec_input};
+use common::{bits, cora_input, ls1_rs, spec_input};
 
 const NODES: usize = 192;
-const N_REQUESTS: usize = 5;
-
-/// The serving traffic shape: one fixed graph, per-request feature
-/// matrices (request 0 reuses the warm-up features).
-fn graph_and_requests() -> (GcnInput, Vec<Csr>) {
-    let spec = DatasetSpec::cora().with_nodes(NODES);
-    let data = GeneratedDataset::generate(&spec, 31).unwrap();
-    let input = GcnInput::from_dataset(&data).unwrap();
-    let requests: Vec<Csr> = (0..N_REQUESTS)
-        .map(|i| {
-            if i == 0 {
-                input.x1.clone()
-            } else {
-                GeneratedDataset::with_adjacency(&spec, data.adjacency.clone(), 400 + i as u64)
-                    .unwrap()
-                    .features
-            }
-        })
-        .collect();
-    (input, requests)
-}
-
-#[test]
-fn sequential_plan_requests_match_fresh_runs_bitwise() {
-    let (input, requests) = graph_and_requests();
-    let cfg = ls1_rs(32);
-    let (plan, _) = GcnRunner::new(cfg.clone()).prepare(&input).unwrap();
-    for x1 in &requests {
-        let fresh = cold_run(&cfg, &input, x1);
-        let served = plan.run(x1).unwrap();
-        assert_eq!(
-            bits(&served.output),
-            bits(&fresh.output),
-            "outputs must be bit-identical"
-        );
-        assert_eq!(served.x_density, fresh.x_density);
-        // The served request never pays tuning (the fresh run does, in
-        // layer 1's A*(XW)).
-        for layer in &served.stats.layers {
-            assert_eq!(layer.a_xw.tuning_rounds(), 0);
-        }
-    }
-}
-
-#[test]
-fn batched_service_requests_match_fresh_runs_bitwise() {
-    let (input, requests) = graph_and_requests();
-    let cfg = ls1_rs(32);
-    let mut service = GcnService::new(cfg.clone());
-    service.prepare("graph", &input).unwrap();
-    let batch = service.serve("graph", &requests).unwrap();
-    assert_eq!(batch.requests.len(), requests.len());
-    for ((i, served), x1) in batch.requests.iter().enumerate().zip(&requests) {
-        assert_eq!(served.index, i, "batch results keep request order");
-        let fresh = cold_run(&cfg, &input, x1);
-        assert_eq!(bits(&served.outcome.output), bits(&fresh.output));
-    }
-    assert!(batch.mean_cycles() > 0.0);
-    assert!(batch.throughput_rps() > 0.0);
-    assert!(batch.avg_utilization() > 0.0 && batch.avg_utilization() <= 1.0);
-}
-
-#[test]
-fn batched_equals_sequential_on_shared_plan() {
-    let (input, requests) = graph_and_requests();
-    let mut service = GcnService::new(ls1_rs(32));
-    service.prepare("graph", &input).unwrap();
-    let batch = service.serve("graph", &requests).unwrap();
-    let plan = service.plan("graph").unwrap();
-    for (served, x1) in batch.requests.iter().zip(&requests) {
-        let sequential = plan.run(x1).unwrap();
-        assert_eq!(bits(&served.outcome.output), bits(&sequential.output));
-        assert_eq!(served.outcome.stats, sequential.stats);
-    }
-}
-
-#[test]
-fn combination_sharded_plan_requests_match_fresh_unsharded_runs() {
-    // Sharding the combination phase is invisible to the serving
-    // contract: warm requests on a doubly sharded plan are bit-identical
-    // to fresh *unsharded* runs on the same inputs.
-    let (input, requests) = graph_and_requests();
-    let unsharded = ls1_rs(32);
-    let mut cfg = unsharded.clone();
-    cfg.shards = ShardPolicy::Fixed(2);
-    cfg.combination_shards = ShardPolicy::Fixed(3);
-    let mut service = GcnService::new(cfg);
-    let report = service.prepare("graph", &input).unwrap();
-    assert_eq!(report.shards, 2);
-    assert_eq!(report.combination_shards, 3);
-    let batch = service.serve("graph", &requests).unwrap();
-    for (served, x1) in batch.requests.iter().zip(&requests) {
-        let fresh = cold_run(&unsharded, &input, x1);
-        assert_eq!(bits(&served.outcome.output), bits(&fresh.output));
-        for layer in &served.outcome.stats.layers {
-            assert_eq!(layer.a_xw.tuning_rounds(), 0);
-        }
-    }
-}
-
 #[test]
 fn replay_hits_strictly_increase_across_requests() {
     let input = cora_input(NODES, 31);

@@ -1,18 +1,17 @@
 //! Property-based tests on the accelerator: functional equivalence, task
 //! conservation, partition invariants under remote switching, and bounds
-//! on the pipeline model, and sharded whole-GCN runs against unsharded
-//! ones. Random whole-GCN runs on every execution path against the
-//! software reference are the property arm of `tests/exec_paths.rs`.
+//! on the pipeline model. Random whole-GCN runs on every execution path,
+//! sharded on either axis, against the software reference are the
+//! property arm of `tests/exec_paths.rs`.
 
 mod common;
 
 use awb_gcn_repro::accel::pipeline::{pipeline_chain, pipeline_two_stage};
 use awb_gcn_repro::accel::{
-    AccelConfig, Design, FastEngine, GcnRunner, LocalSharing, MappingKind, RemoteSwitcher, RowMap,
-    ShardPolicy, SpmmEngine,
+    AccelConfig, Design, FastEngine, LocalSharing, MappingKind, RemoteSwitcher, RowMap, SpmmEngine,
 };
 use awb_gcn_repro::sparse::{spmm, DenseMatrix};
-use common::{bits, dense_for, design_strategy, random_input, sparse_strategy};
+use common::{dense_for, design_strategy, sparse_strategy};
 use proptest::prelude::*;
 
 /// A dense operand whose columns are laid out as `(mask, run length)`
@@ -183,79 +182,6 @@ proptest! {
             b.cols() as u64
         );
         prop_assert_eq!(straight.replay_hits() + straight.replay_misses(), 0);
-    }
-
-    /// Column-sharded execution is a pure execution-layer change: for any
-    /// random graph, shard count, and design point, the sharded GCN run
-    /// (cold and plan-served) produces output *bit-identical* to the
-    /// unsharded `GcnRunner::run`/`GcnPlan::run` — the merge order is
-    /// pinned, not approximately right.
-    #[test]
-    fn sharded_gcn_bit_identical_to_unsharded(
-        a in sparse_strategy(40, 120),
-        shards in 1usize..6,
-        seed in 0u64..50,
-        design in design_strategy(),
-        n_pes_log in 2u32..4,
-    ) {
-        let input = random_input(&a, seed);
-        let base = design.apply(
-            AccelConfig::builder().n_pes(1 << n_pes_log).build().unwrap(),
-        );
-        let reference = GcnRunner::new(base.clone()).run(&input).unwrap();
-
-        let mut cfg = base;
-        cfg.shards = ShardPolicy::Fixed(shards);
-        let runner = GcnRunner::new(cfg);
-        let cold = runner.run(&input).unwrap();
-        prop_assert_eq!(bits(&cold.output), bits(&reference.output));
-        // Work conservation per layer across the shard split.
-        prop_assert_eq!(cold.stats.total_tasks(), reference.stats.total_tasks());
-
-        let (plan, warmup) = runner.prepare(&input).unwrap();
-        prop_assert_eq!(bits(&warmup.output), bits(&reference.output));
-        prop_assert!(plan.shard_count() >= 1 && plan.shard_count() <= shards);
-        let served = plan.run_input(&input).unwrap();
-        prop_assert_eq!(bits(&served.output), bits(&reference.output));
-        for layer in &served.stats.layers {
-            prop_assert_eq!(layer.a_xw.tuning_rounds(), 0);
-        }
-    }
-
-    /// The combination axis composes with the aggregation axis: for any
-    /// random graph, shard counts on *both* phases, and design point, the
-    /// 2-layer GCN run (cold and plan-served) is bit-identical to the
-    /// unsharded run — both merges are pinned, not approximately right.
-    #[test]
-    fn combination_and_aggregation_sharded_gcn_bit_identical(
-        a in sparse_strategy(40, 120),
-        a_shards in 1usize..4,
-        xw_shards in 1usize..6,
-        seed in 0u64..50,
-        design in design_strategy(),
-        n_pes_log in 2u32..4,
-    ) {
-        let input = random_input(&a, seed);
-        let base = design.apply(
-            AccelConfig::builder().n_pes(1 << n_pes_log).build().unwrap(),
-        );
-        let reference = GcnRunner::new(base.clone()).run(&input).unwrap();
-
-        let mut cfg = base;
-        cfg.shards = ShardPolicy::Fixed(a_shards);
-        cfg.combination_shards = ShardPolicy::Fixed(xw_shards);
-        let runner = GcnRunner::new(cfg);
-        let cold = runner.run(&input).unwrap();
-        prop_assert_eq!(bits(&cold.output), bits(&reference.output));
-        prop_assert_eq!(cold.stats.total_tasks(), reference.stats.total_tasks());
-
-        let (plan, warmup) = runner.prepare(&input).unwrap();
-        prop_assert_eq!(bits(&warmup.output), bits(&reference.output));
-        let served = plan.run_input(&input).unwrap();
-        prop_assert_eq!(bits(&served.output), bits(&reference.output));
-        for layer in &served.stats.layers {
-            prop_assert_eq!(layer.a_xw.tuning_rounds(), 0);
-        }
     }
 
     /// Values-free (timing-only) execution — what shard members and the

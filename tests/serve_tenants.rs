@@ -9,16 +9,24 @@ use std::sync::Arc;
 use std::thread;
 
 use awb_gcn_repro::accel::{
-    AccelConfig, AccelError, Design, FaultPlan, GcnRunner, GcnService, ServeOptions, ShardPolicy,
-    StrategyPolicy,
+    AccelConfig, AccelError, Design, FaultPlan, GcnRunner, GcnService, RequestOutcome,
+    ServeOptions, ShardPolicy, StrategyPolicy,
 };
 use awb_gcn_repro::datasets::{DatasetSpec, GeneratedDataset};
 use awb_gcn_repro::gcn::GcnInput;
 use awb_gcn_repro::sparse::Csr;
 use common::{bits, cold_run, cora_input, ls1_rs, ScratchDir};
 
-/// Two tenants interleaved through `serve_graph`: the first batch per
-/// tenant misses (prepare-on-miss), later batches hit, and every response
+/// Serves one request through the fingerprint path: enqueue, then drain.
+fn serve_one(service: &mut GcnService, input: &GcnInput, x1: &Csr) -> RequestOutcome {
+    service.enqueue(input, x1.clone()).unwrap();
+    let mut batch = service.drain_isolated();
+    assert_eq!(batch.results.len(), 1);
+    batch.results.pop().unwrap().unwrap()
+}
+
+/// Two tenants interleaved through `enqueue`: the first request per
+/// tenant misses (prepare-on-miss), later requests hit, and every response
 /// is bit-identical to an independent cold prepare+run.
 #[test]
 fn interleaved_tenants_share_the_cache() {
@@ -28,12 +36,10 @@ fn interleaved_tenants_share_the_cache() {
     let b = cora_input(96, 32);
     // a, b, a, b: 2 misses (first touch each) then 2 hits.
     for (round, input) in [(0, &a), (0, &b), (1, &a), (1, &b)] {
-        let batch = service
-            .serve_graph(input, std::slice::from_ref(&input.x1))
-            .unwrap();
+        let served = serve_one(&mut service, input, &input.x1);
         let cold = cold_run(&cfg, input, &input.x1);
         assert_eq!(
-            bits(&batch.requests[0].outcome.output),
+            bits(&served.outcome.output),
             bits(&cold.output),
             "round {round}: served output must be bit-identical to cold"
         );
@@ -52,9 +58,7 @@ fn mutated_structure_is_a_cache_miss() {
     let cfg = ls1_rs(16);
     let mut service = GcnService::new(cfg.clone());
     let original = cora_input(128, 41);
-    service
-        .serve_graph(&original, std::slice::from_ref(&original.x1))
-        .unwrap();
+    serve_one(&mut service, &original, &original.x1);
     // Same spec, different seed: a structurally different graph.
     let mutated = cora_input(128, 42);
     assert_ne!(
@@ -62,9 +66,7 @@ fn mutated_structure_is_a_cache_miss() {
         mutated.a_norm.to_csc().col_ptr(),
         "mutation must actually change the structure"
     );
-    let batch = service
-        .serve_graph(&mutated, std::slice::from_ref(&mutated.x1))
-        .unwrap();
+    let served = serve_one(&mut service, &mutated, &mutated.x1);
     let stats = service.cache_stats();
     assert_eq!(
         (stats.misses, stats.resident_plans),
@@ -72,7 +74,7 @@ fn mutated_structure_is_a_cache_miss() {
         "mutated structure must be a fresh miss, not a stale hit"
     );
     let cold = cold_run(&cfg, &mutated, &mutated.x1);
-    assert_eq!(bits(&batch.requests[0].outcome.output), bits(&cold.output));
+    assert_eq!(bits(&served.outcome.output), bits(&cold.output));
 }
 
 /// Mutating the *weights* under an unchanged structure keeps the
@@ -86,17 +88,13 @@ fn mutated_weights_replace_the_stale_plan() {
     let spec = DatasetSpec::cora().with_nodes(128);
     let data = GeneratedDataset::generate(&spec, 51).unwrap();
     let original = GcnInput::from_dataset(&data).unwrap();
-    service
-        .serve_graph(&original, std::slice::from_ref(&original.x1))
-        .unwrap();
+    serve_one(&mut service, &original, &original.x1);
     // Same adjacency (same fingerprint), freshly drawn weights.
     let retrained = GeneratedDataset::with_adjacency(&spec, data.adjacency.clone(), 900).unwrap();
     let retrained = GcnInput::from_dataset(&retrained).unwrap();
     assert_eq!(original.a_norm, retrained.a_norm, "structure unchanged");
     assert_ne!(original.weights, retrained.weights, "weights mutated");
-    let batch = service
-        .serve_graph(&retrained, std::slice::from_ref(&retrained.x1))
-        .unwrap();
+    let served = serve_one(&mut service, &retrained, &retrained.x1);
     let stats = service.cache_stats();
     assert_eq!(
         (
@@ -109,12 +107,10 @@ fn mutated_weights_replace_the_stale_plan() {
         "stale same-fingerprint plan must be replaced, not reused"
     );
     let cold = cold_run(&cfg, &retrained, &retrained.x1);
-    assert_eq!(bits(&batch.requests[0].outcome.output), bits(&cold.output));
+    assert_eq!(bits(&served.outcome.output), bits(&cold.output));
     // The replacement is now the resident plan: serving the retrained
     // tenant again hits.
-    service
-        .serve_graph(&retrained, std::slice::from_ref(&retrained.x1))
-        .unwrap();
+    serve_one(&mut service, &retrained, &retrained.x1);
     assert_eq!(service.cache_stats().hits, 1);
 }
 
@@ -127,23 +123,19 @@ fn mutated_values_are_a_cache_miss() {
     let mut service = GcnService::new(cfg.clone());
     let original = cora_input(128, 45);
     let (a, x1) = (&original.a_norm, &original.x1);
-    service
-        .serve_graph(&original, std::slice::from_ref(x1))
-        .unwrap();
+    serve_one(&mut service, &original, x1);
     let doubled = a.values().iter().map(|v| v * 2.0).collect();
     let (ptr, idx) = (a.row_ptr().to_vec(), a.col_idx().to_vec());
     let a2 = Csr::from_parts(a.rows(), a.cols(), ptr, idx, doubled).unwrap();
     let mutated = GcnInput::from_parts(a2, x1.clone(), original.weights.clone()).unwrap();
-    let batch = service
-        .serve_graph(&mutated, std::slice::from_ref(x1))
-        .unwrap();
+    let served = serve_one(&mut service, &mutated, x1);
     let s = service.cache_stats();
     assert_eq!(
         (s.hits, s.misses, s.evictions, s.resident_plans),
         (0, 2, 1, 1)
     );
     let cold = cold_run(&cfg, &mutated, x1);
-    assert_eq!(bits(&batch.requests[0].outcome.output), bits(&cold.output));
+    assert_eq!(bits(&served.outcome.output), bits(&cold.output));
 }
 
 /// Eviction round-trip: a budget sized for one plan forces LRU eviction
@@ -168,12 +160,8 @@ fn eviction_round_trip_re_prepares_evicted_tenant() {
         },
     )
     .unwrap();
-    service
-        .serve_graph(&a, std::slice::from_ref(&a.x1))
-        .unwrap();
-    service
-        .serve_graph(&b, std::slice::from_ref(&b.x1))
-        .unwrap();
+    serve_one(&mut service, &a, &a.x1);
+    serve_one(&mut service, &b, &b.x1);
     let stats = service.cache_stats();
     assert_eq!(
         (stats.evictions, stats.resident_plans),
@@ -184,14 +172,12 @@ fn eviction_round_trip_re_prepares_evicted_tenant() {
     assert!(service.cached_plan(&a).is_none());
     assert!(service.cached_plan(&b).is_some());
     // Round-trip: the evicted tenant re-prepares and serves identically.
-    let batch = service
-        .serve_graph(&a, std::slice::from_ref(&a.x1))
-        .unwrap();
+    let served = serve_one(&mut service, &a, &a.x1);
     let stats = service.cache_stats();
     assert_eq!(stats.misses, 3, "return of a is a fresh miss");
     assert_eq!(stats.evictions, 2, "b is evicted in turn");
     let cold = cold_run(&cfg, &a, &a.x1);
-    assert_eq!(bits(&batch.requests[0].outcome.output), bits(&cold.output));
+    assert_eq!(bits(&served.outcome.output), bits(&cold.output));
 }
 
 /// A budget smaller than a single plan keeps exactly the most recent
@@ -210,15 +196,11 @@ fn oversized_plan_stays_resident() {
         },
     )
     .unwrap();
-    service
-        .serve_graph(&a, std::slice::from_ref(&a.x1))
-        .unwrap();
+    serve_one(&mut service, &a, &a.x1);
     let stats = service.cache_stats();
     assert_eq!(stats.resident_plans, 1);
-    // The resident plan is reusable: the next batch hits.
-    service
-        .serve_graph(&a, std::slice::from_ref(&a.x1))
-        .unwrap();
+    // The resident plan is reusable: the next request hits.
+    serve_one(&mut service, &a, &a.x1);
     assert_eq!(service.cache_stats().hits, 1);
 }
 
