@@ -122,8 +122,8 @@ impl MemoryParams {
 /// queued task leaves the queue (one per cycle, FIFO). Its length at a
 /// task's arrival is `drain_at − arrival` (0 once drained), and an enqueue
 /// sets `drain_at = max(drain_at, arrival) + 1`. The distributor delivers
-/// `bandwidth` tasks per cycle, so the arrival cycle advances by one every
-/// `bandwidth` tasks.
+/// `bandwidth` tasks per cycle, so task `t` arrives in cycle
+/// `t / bandwidth`.
 ///
 /// Local sharing is the distributor's fixed-width comparator (paper
 /// §4.1): the loop body is monomorphised over the hop radius for the
@@ -162,6 +162,11 @@ const RUNTIME_HOP: usize = usize::MAX;
 /// hold the largest drain time whose shifted key still fits, so they lose
 /// to every real lane. An owner whose queue is empty has the smallest key
 /// possible (`arrival << k | 0`) and wins without a scan.
+///
+/// Each pattern column is walked in pieces that never cross an arrival
+/// boundary: a piece is at most the `bandwidth − tasks % bandwidth` tasks
+/// left in the current arrival cycle, so `arrival = tasks / bandwidth` is
+/// a constant of the piece and the per-task loop keeps no delivery count.
 ///
 /// The width has to be a compile-time constant for the scan to pay: with
 /// a runtime width the loop neither unrolls nor keeps the lanes in
@@ -204,67 +209,70 @@ fn simulate_round_hop<const HOP: usize>(
     let a_col_ptr = a.col_ptr();
 
     let mut tasks: u64 = 0;
-    // Arrival cycle of the next task, and how many tasks already arrived
-    // in that cycle (always below `bandwidth`).
+    // Arrival cycle of the current piece, and the tasks left in it.
     let mut arrival: u64 = 0;
-    let mut delivered: u64 = 0;
+    let mut room: u64 = p.bandwidth;
     let mut max_completion: u64 = 0;
     let mut raw_stalls: u64 = 0;
 
     for &j in pattern {
         let j = j as usize;
-        for &row_id in &a_row_idx[a_col_ptr[j]..a_col_ptr[j + 1]] {
-            let row = row_id as usize;
-            let owner = pe_of_row[row] as usize;
-            owner_busy[owner] += 1;
-            // The window of `owner` is `drain_at[owner..owner + width]`
-            // (slot `owner + hop` is the owner itself).
-            let slot = if hop == 0 || drain_at[owner + hop] <= arrival {
-                owner + hop
-            } else {
-                let window = &drain_at[owner..owner + width];
-                let mut best = u64::MAX;
-                for (lane, &d) in window.iter().enumerate() {
-                    let rank = tie_rank(lane as isize - hop as isize);
-                    best = best.min((d.max(arrival) << rank_shift) | rank);
-                }
-                let rank = best & ((1u64 << rank_shift) - 1);
-                (owner as isize + hop as isize + rank_offset(rank)) as usize
-            };
-            let dest = slot - hop;
+        let mut column = &a_row_idx[a_col_ptr[j]..a_col_ptr[j + 1]];
+        while !column.is_empty() {
+            let (piece, rest) = column.split_at(column.len().min(room as usize));
+            column = rest;
+            for &row_id in piece {
+                let row = row_id as usize;
+                let owner = pe_of_row[row] as usize;
+                owner_busy[owner] += 1;
+                // The window of `owner` is `drain_at[owner..owner + width]`
+                // (slot `owner + hop` is the owner itself).
+                let slot = if hop == 0 || drain_at[owner + hop] <= arrival {
+                    owner + hop
+                } else {
+                    let window = &drain_at[owner..owner + width];
+                    let mut best = u64::MAX;
+                    for (lane, &d) in window.iter().enumerate() {
+                        let rank = tie_rank(lane as isize - hop as isize);
+                        best = best.min((d.max(arrival) << rank_shift) | rank);
+                    }
+                    let rank = best & ((1u64 << rank_shift) - 1);
+                    (owner as isize + hop as isize + rank_offset(rank)) as usize
+                };
+                let dest = slot - hop;
 
-            // Commit the enqueue.
-            let drains = drain_at[slot].max(arrival) + 1;
-            drain_at[slot] = drains;
-            max_q[dest] = max_q[dest].max((drains - arrival) as u32);
+                // Commit the enqueue.
+                let drains = drain_at[slot].max(arrival) + 1;
+                drain_at[slot] = drains;
+                max_q[dest] = max_q[dest].max((drains - arrival) as u32);
 
-            // Serial issue with RaW scoreboard. In `Park` mode the
-            // stall buffer + accumulator forwarding hide the hazard
-            // (the PE keeps issuing; we only count the event) — the
-            // paper's design, without which a Nell hub row would
-            // serialize at T cycles per non-zero and dwarf the
-            // reported latencies. `Block` models the naive
-            // head-of-line serialization as an ablation.
-            let start = (issue_until[dest] + 1).max(arrival);
-            let r_ready = ready[row];
-            let (issue_cycle, complete) = if r_ready > start {
-                raw_stalls += r_ready - start;
-                match p.stall_mode {
-                    StallMode::Block => (r_ready, r_ready + lat),
-                    StallMode::Park => (start, start + lat),
-                }
-            } else {
-                (start, start + lat)
-            };
-            issue_until[dest] = issue_cycle;
-            ready[row] = complete;
-            busy[dest] += 1;
-            max_completion = max_completion.max(complete);
-
-            tasks += 1;
-            delivered += 1;
-            if delivered == p.bandwidth {
-                delivered = 0;
+                // Serial issue with RaW scoreboard. In `Park` mode the
+                // stall buffer + accumulator forwarding hide the hazard
+                // (the PE keeps issuing; we only count the event) — the
+                // paper's design, without which a Nell hub row would
+                // serialize at T cycles per non-zero and dwarf the
+                // reported latencies. `Block` models the naive
+                // head-of-line serialization as an ablation.
+                let start = (issue_until[dest] + 1).max(arrival);
+                let r_ready = ready[row];
+                let (issue_cycle, complete) = if r_ready > start {
+                    raw_stalls += r_ready - start;
+                    match p.stall_mode {
+                        StallMode::Block => (r_ready, r_ready + lat),
+                        StallMode::Park => (start, start + lat),
+                    }
+                } else {
+                    (start, start + lat)
+                };
+                issue_until[dest] = issue_cycle;
+                ready[row] = complete;
+                busy[dest] += 1;
+                max_completion = max_completion.max(complete);
+            }
+            tasks += piece.len() as u64;
+            room -= piece.len() as u64;
+            if room == 0 {
+                room = p.bandwidth;
                 arrival += 1;
             }
         }
@@ -395,6 +403,7 @@ pub(crate) fn compute_rows(x: RowOperand<'_>, w: &DenseMatrix, threads: usize) -
     let (n_rows, width) = (x.rows(), w.cols());
     let mut data = vec![0f32; n_rows * width];
     if width > 0 {
+        let zero = ZeroBlocks::of(w);
         let chunk_rows = n_rows.div_ceil(exec::workers(threads)).max(1);
         // One uncontended lock per chunk: it only lets `par_map` hand each
         // worker a `&mut` slice through a shared item list.
@@ -406,7 +415,7 @@ pub(crate) fn compute_rows(x: RowOperand<'_>, w: &DenseMatrix, threads: usize) -
         exec::par_map_threads(threads, &chunks, |(lo, out)| {
             let mut out = out.lock().unwrap_or_else(PoisonError::into_inner);
             let rows = *lo..lo + out.len() / width;
-            row_major_times_dense_into(x, w, rows, &mut out);
+            row_major_times_dense_into(x, w, &zero, rows, &mut out);
         });
     }
     DenseMatrix::from_vec(n_rows, width, data).expect("buffer sized to the output matrix")
@@ -781,12 +790,13 @@ mod tests {
         // CI re-runs this test by name with the global case cap raised.
         #![proptest_config(ProptestConfig::with_cases(4096))]
 
-        /// The optimised round model (`drain_at` queue state, incremental
-        /// arrival counter, packed comparator) returns exactly what the
-        /// reference model does: the same `RoundTiming` (cycles, tasks,
-        /// busy extrema, queue depths, RaW stalls, per-PE high-water
-        /// marks) and the same owner-attributed load — over random
-        /// operands, patterns and remapped row maps, hop 0–5 (the
+        /// The optimised round model (`drain_at` queue state, columns
+        /// walked in pieces of one arrival cycle, packed comparator)
+        /// returns exactly what the reference model does: the same
+        /// `RoundTiming` (cycles, tasks, busy extrema, queue depths, RaW
+        /// stalls, per-PE high-water marks) and the same owner-attributed
+        /// load — over random operands, patterns and remapped row maps,
+        /// hop 0–5 (the
         /// compile-time windows 0–3 and the runtime-width window above
         /// them) with owners at both array
         /// borders, both stall modes, and bandwidths of 1, `n_pes` and a

@@ -94,15 +94,21 @@ impl ZeroBlocks {
         &self.zero[j * self.n_blocks + blocks.start..j * self.n_blocks + blocks.end]
     }
 
-    /// `out += x × W[j, :]` over the blocks the column kernel would visit
-    /// (`self` is `W`'s table).
-    #[inline]
-    fn axpy(&self, j: usize, x: f32, w: &DenseMatrix, out: &mut [f32]) {
+    /// `out += x × s` over the lane blocks `blocks` of row `j` that are
+    /// not all zero (`s` and `out` cover exactly those blocks).
+    #[inline(always)]
+    fn axpy(&self, j: usize, blocks: Range<usize>, x: f32, s: &[f32], out: &mut [f32]) {
         if self.any {
-            axpy_blocks(x, w.row(j), self.row(j, 0..self.n_blocks), out);
+            axpy_blocks(x, s, self.row(j, blocks), out);
         } else {
-            axpy_full(x, w.row(j), out);
+            axpy_full(x, s, out);
         }
+    }
+
+    /// Whether this is a table of a matrix of `b`'s shape.
+    fn fits(&self, b: &DenseMatrix) -> bool {
+        self.n_blocks == b.cols().div_ceil(ACC_BLOCK_LANES)
+            && self.zero.len() == b.rows() * self.n_blocks
     }
 }
 
@@ -253,8 +259,14 @@ impl RowOperand<'_> {
     }
 }
 
-/// Accumulates rows `rows` of `C = X × W` into `out` (row-major,
-/// `rows.len() × w.cols()`, expected all `+0.0`), reading `X` row by row.
+/// Output lanes of one register tile of [`row_major_times_dense_into`]:
+/// two [`ACC_BLOCK_LANES`]-wide skip blocks.
+const TILE_LANES: usize = 2 * ACC_BLOCK_LANES;
+
+/// Writes rows `rows` of `C = X × W` into `out` (row-major,
+/// `rows.len() × w.cols()`, all `+0.0` on entry), reading `X` row by row.
+/// `zero` is `W`'s [`ZeroBlocks`] table, built once per SPMM by the
+/// caller and shared by every row chunk.
 ///
 /// # Pinned reduction order
 ///
@@ -264,50 +276,57 @@ impl RowOperand<'_> {
 /// skipping the `(j, block)` pairs whose `W` block is all zero. That is
 /// the exact addition sequence [`csc_accumulate_into`] performs for the
 /// same element on `X`'s CSC transpose, so the result is bit-identical to
-/// [`csc_times_dense_blocked`] — for non-finite values too — while no
-/// transpose of `X`'s values is ever built.
+/// [`csc_times_dense_blocked`] — for non-finite values too, NaN payloads
+/// aside — while no transpose of `X`'s values is ever built.
+///
+/// Each full 16-lane tile of an output row accumulates in a fixed-size
+/// register array that starts at `+0.0`, takes the row's entries in that
+/// order (skipping each 8-lane half on its own zero-block flag), and is
+/// stored once; storing it equals adding it to the `+0.0` output, since
+/// an accumulator that starts at `+0.0` is never `−0.0`. The lanes past
+/// the last full tile (all of them for a layer narrower than 16)
+/// accumulate in place in the same order.
 ///
 /// # Panics
 ///
-/// Panics if `x.cols() != w.rows()`, `rows.end > x.rows()`, or
-/// `out.len() != rows.len() * w.cols()`.
+/// Panics if `x.cols() != w.rows()`, `zero` is not a table of `w`'s
+/// shape, `rows.end > x.rows()`, or `out.len() != rows.len() * w.cols()`.
 pub fn row_major_times_dense_into(
     x: RowOperand<'_>,
     w: &DenseMatrix,
+    zero: &ZeroBlocks,
     rows: Range<usize>,
     out: &mut [f32],
 ) {
     assert_eq!(x.cols(), w.rows(), "operand dimensions must agree");
+    assert!(zero.fits(w), "zero-block table of another shape");
     assert!(rows.end <= x.rows(), "row range {rows:?} out of bounds");
     assert_eq!(out.len(), rows.len() * w.cols(), "output slice size");
     if w.cols() == 0 {
         return;
     }
-    let blocks = ZeroBlocks::of(w);
-    let mut nonzero = match x {
-        RowOperand::Dense(x) => vec![0u32; x.cols()],
-        RowOperand::Sparse(_) => Vec::new(),
-    };
-    for (i, out_row) in rows.zip(out.chunks_exact_mut(w.cols())) {
-        match x {
-            RowOperand::Sparse(x) => {
+    match x {
+        RowOperand::Sparse(x) => {
+            let mut sorted: Vec<(u32, f32)> = Vec::new();
+            for (i, out_row) in rows.zip(out.chunks_exact_mut(w.cols())) {
                 let span = x.row_ptr()[i]..x.row_ptr()[i + 1];
                 let cols = &x.col_idx()[span.clone()];
                 let values = &x.values()[span];
                 if cols.windows(2).all(|p| p[0] <= p[1]) {
-                    for (&j, &v) in cols.iter().zip(values) {
-                        blocks.axpy(j as usize, v, w, out_row);
-                    }
+                    let entries = cols.iter().zip(values).map(|(&j, &v)| (j as usize, v));
+                    accumulate_row(entries, w, zero, out_row);
                 } else {
-                    let mut entries: Vec<(u32, f32)> =
-                        cols.iter().copied().zip(values.iter().copied()).collect();
-                    entries.sort_by_key(|&(j, _)| j);
-                    for (j, v) in entries {
-                        blocks.axpy(j as usize, v, w, out_row);
-                    }
+                    sorted.clear();
+                    sorted.extend(cols.iter().copied().zip(values.iter().copied()));
+                    sorted.sort_by_key(|&(j, _)| j);
+                    let entries = sorted.iter().map(|&(j, v)| (j as usize, v));
+                    accumulate_row(entries, w, zero, out_row);
                 }
             }
-            RowOperand::Dense(x) => {
+        }
+        RowOperand::Dense(x) => {
+            let mut nonzero = vec![0u32; x.cols()];
+            for (i, out_row) in rows.zip(out.chunks_exact_mut(w.cols())) {
                 // The row's non-zero positions, gathered without a branch
                 // per entry, then the axpys in ascending `j`.
                 let row = x.row(i);
@@ -316,10 +335,38 @@ pub fn row_major_times_dense_into(
                     nonzero[n] = j as u32;
                     n += usize::from(v != 0.0);
                 }
-                for &j in &nonzero[..n] {
-                    blocks.axpy(j as usize, row[j as usize], w, out_row);
-                }
+                let entries = nonzero[..n].iter().map(|&j| (j as usize, row[j as usize]));
+                accumulate_row(entries, w, zero, out_row);
             }
+        }
+    }
+}
+
+/// One output row of [`row_major_times_dense_into`]: `out += Σ x · W[j, :]`
+/// over the row's `(j, x)` `entries` (in the pinned order, walked once per
+/// register tile and once for the tail).
+#[inline(always)]
+fn accumulate_row<I>(entries: I, w: &DenseMatrix, zero: &ZeroBlocks, out: &mut [f32])
+where
+    I: Iterator<Item = (usize, f32)> + Clone,
+{
+    let tiles = out.len() / TILE_LANES;
+    let (tiled, tail) = out.split_at_mut(tiles * TILE_LANES);
+    for (t, out_tile) in tiled.chunks_exact_mut(TILE_LANES).enumerate() {
+        let lanes = t * TILE_LANES..(t + 1) * TILE_LANES;
+        let mut acc = [0f32; TILE_LANES];
+        for (j, v) in entries.clone() {
+            let s: &[f32; TILE_LANES] = w.row(j)[lanes.clone()]
+                .try_into()
+                .expect("a tile is TILE_LANES wide");
+            zero.axpy(j, 2 * t..2 * t + 2, v, s, &mut acc);
+        }
+        out_tile.copy_from_slice(&acc);
+    }
+    if !tail.is_empty() {
+        let (lanes, blocks) = (tiles * TILE_LANES..w.cols(), 2 * tiles..zero.n_blocks);
+        for (j, v) in entries {
+            zero.axpy(j, blocks.clone(), v, &w.row(j)[lanes.clone()], tail);
         }
     }
 }
@@ -339,7 +386,7 @@ pub fn row_major_times_dense(x: RowOperand<'_>, w: &DenseMatrix) -> Result<Dense
         });
     }
     let mut out = vec![0f32; x.rows() * w.cols()];
-    row_major_times_dense_into(x, w, 0..x.rows(), &mut out);
+    row_major_times_dense_into(x, w, &ZeroBlocks::of(w), 0..x.rows(), &mut out);
     DenseMatrix::from_vec(x.rows(), w.cols(), out)
 }
 
