@@ -2,7 +2,9 @@
 //! the detailed component-level engine — functionally exactly (modulo
 //! float summation order) and in its performance trends.
 
-use awb_gcn_repro::accel::{AccelConfig, Design, DetailedEngine, FastEngine, SpmmEngine, TdqMode};
+use awb_gcn_repro::accel::{
+    AccelConfig, Design, DetailedEngine, FastEngine, SpmmEngine, SpmmStats, StallMode, TdqMode,
+};
 use awb_gcn_repro::sparse::{spmm, Coo, Csc, DenseMatrix};
 
 fn config(n_pes: usize) -> AccelConfig {
@@ -135,6 +137,101 @@ fn tdq1_and_tdq2_agree_functionally() {
         .unwrap();
     assert!(t1.c.approx_eq(&reference, 1e-4));
     assert!(t2.c.approx_eq(&reference, 1e-4));
+}
+
+/// Incremental FNV-1a over 64-bit words (the fold of `golden_stats.rs`).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, x: u64) {
+        for byte in x.to_le_bytes() {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn spmm(&mut self, s: &SpmmStats) {
+        self.word(s.n_pes as u64);
+        self.word(s.rounds.len() as u64);
+        for r in &s.rounds {
+            self.word(r.cycles);
+            self.word(r.tasks);
+            self.word(r.busy_cycles);
+            self.word(r.max_pe_busy);
+            self.word(r.min_pe_busy);
+            self.word(r.max_queue_depth as u64);
+            self.word(r.raw_stalls);
+            self.word(r.tuning_active as u64);
+        }
+        self.word(s.queue_high_water.len() as u64);
+        for &q in &s.queue_high_water {
+            self.word(q as u64);
+        }
+    }
+}
+
+/// Detailed-engine statistics pin: every `RoundStats` field and the per-PE
+/// queue high-water marks of the detailed engine, folded into one FNV-1a
+/// digest per graph, over TDQ-1/TDQ-2 × Park/Block × Base/LS2/LS2+RS ×
+/// 8/16 PEs. The 256-node graph on 8 PEs under TDQ-1 and LS2+RS is the
+/// known TDQ-1 divergence from the fast engine (244 against 243 cycles),
+/// pinned so it changes only on purpose. Outputs are not folded: the
+/// numerics are pinned bit for bit against the fast engine elsewhere.
+///
+/// If a change is *meant* to alter the detailed round model, re-record
+/// the digests and say why in the change description.
+#[test]
+fn detailed_stats_digest_pinned() {
+    let graphs = [(64usize, 2usize, 40usize), (128, 8, 12), (256, 4, 60)];
+    let expected: [u64; 3] = [
+        0xe7ce_c202_ba7a_e1a9,
+        0x049f_d3a8_f7cc_7d99,
+        0x3b73_def8_c685_28a6,
+    ];
+    let mut got = Vec::new();
+    for &(n, heavy_rows, heavy_nnz) in &graphs {
+        let a = skewed(n, heavy_rows, heavy_nnz, 7);
+        let b = dense(n, 4);
+        let mut h = Fnv::new();
+        for tdq in [TdqMode::Tdq1, TdqMode::Tdq2] {
+            for stall_mode in [StallMode::Park, StallMode::Block] {
+                for design in [
+                    Design::Baseline,
+                    Design::LocalSharing { hop: 2 },
+                    Design::LocalPlusRemote { hop: 2 },
+                ] {
+                    for n_pes in [8, 16] {
+                        let mut cfg = design.apply(config(n_pes));
+                        cfg.stall_mode = stall_mode;
+                        let stats = DetailedEngine::new(cfg, tdq)
+                            .run(&a, &b, "t")
+                            .unwrap()
+                            .stats;
+                        h.spmm(&stats);
+                    }
+                }
+            }
+        }
+        got.push(h.0);
+    }
+    assert_eq!(got, expected, "detailed-engine stats digests: {got:#018x?}");
+
+    // The divergence case, spelled out.
+    let a = skewed(256, 4, 60, 7);
+    let b = dense(256, 4);
+    let cfg = Design::LocalPlusRemote { hop: 2 }.apply(config(8));
+    let fast = FastEngine::new(cfg.clone()).run(&a, &b, "t").unwrap();
+    let detailed = DetailedEngine::new(cfg, TdqMode::Tdq1)
+        .run(&a, &b, "t")
+        .unwrap();
+    assert_eq!(
+        (fast.stats.total_cycles(), detailed.stats.total_cycles()),
+        (243, 244)
+    );
 }
 
 #[test]
