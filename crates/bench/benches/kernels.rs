@@ -140,7 +140,6 @@ fn bench_omega_network(c: &mut Criterion) {
                     let pkt = Packet {
                         dest: next % 64,
                         row: next,
-                        product: 1.0,
                     };
                     if net.inject(port, pkt).is_ok() {
                         next = next.wrapping_mul(29).wrapping_add(17);

@@ -7,14 +7,24 @@
 //! barrier synchronization. Costs O(cycles × PEs), so it is used for
 //! component-level studies, the Fig. 9 toy demo, and validating the fast
 //! engine — not for full-dataset sweeps.
+//!
+//! It differs from [`FastEngine`](super::FastEngine) only in its round
+//! model. A round's tasks are row ids, built from `B`'s column patterns
+//! as the fast engine builds them; the tuning state, the per-round
+//! auto-tuning step and the `RoundStats` assembly are the fast engine's;
+//! and `C` comes from the same pinned kernel, so the two engines' outputs
+//! are bit-identical. Two statistics rules stay the detailed engine's
+//! own: an empty round reports 0 cycles, and every round's queue depths
+//! (tuning rounds included) count toward the high-water marks.
 
 use crate::config::{AccelConfig, StallMode};
-use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome};
+use crate::engine::steady::{column_runs, RoundTiming, SimRound};
+use crate::engine::tuning::TuningState;
+use crate::engine::{check_shapes, pinned_outcome, SpmmEngine, SpmmOutcome};
 use crate::error::AccelError;
 use crate::mapping::RowMap;
-use crate::rebalance::autotuner::AutoTuner;
 use crate::rebalance::local::LocalSharing;
-use crate::stats::{RoundStats, SpmmStats};
+use crate::stats::SpmmStats;
 use awb_hw::{
     MacOp, MacPipeline, OmegaNetwork, Packet, RawScoreboard, RoundRobinArbiter, TaskQueue,
 };
@@ -73,9 +83,7 @@ impl TdqMode {
 pub struct DetailedEngine {
     config: AccelConfig,
     tdq: TdqMode,
-    map: Option<RowMap>,
-    tuner: Option<AutoTuner>,
-    sharing: Option<LocalSharing>,
+    tuning: Option<TuningState>,
 }
 
 impl DetailedEngine {
@@ -84,308 +92,255 @@ impl DetailedEngine {
         DetailedEngine {
             config,
             tdq,
-            map: None,
-            tuner: None,
-            sharing: None,
+            tuning: None,
         }
     }
 
     /// The current row→PE map (None before the first run).
     pub fn row_map(&self) -> Option<&RowMap> {
-        self.map.as_ref()
+        self.tuning.as_ref().map(|t| &t.map)
     }
 
-    fn ensure_state(&mut self, n_rows: usize) -> Result<(), AccelError> {
-        match &self.map {
-            Some(map) if map.n_rows() != n_rows => Err(AccelError::InvalidConfig(format!(
-                "engine tuned for {} rows reused with {} rows",
-                map.n_rows(),
-                n_rows
-            ))),
-            Some(_) => Ok(()),
-            None => {
-                // A config edited after `build()` can hold a hop that
-                // `LocalSharing::new` would reject with a panic.
-                self.config.validate()?;
-                self.map = Some(RowMap::new(n_rows, self.config.n_pes, self.config.mapping));
-                self.tuner = Some(AutoTuner::new(&self.config, n_rows));
-                self.sharing = Some(LocalSharing::new(self.config.local_hop, self.config.n_pes));
-                Ok(())
-            }
-        }
-    }
-
-    /// Simulates one round (one column of `B`) at cycle granularity.
-    #[allow(clippy::too_many_arguments)]
-    fn simulate_round(
-        &self,
-        tasks: &[(u32, f32)],
-        tdq: TdqMode,
-        pe_of_row: &[u32],
-        sharing: LocalSharing,
-        col_acc: &mut [f32],
-        per_pe_busy: &mut [u64],
-        owner_busy: &mut [u64],
-    ) -> DetailedRound {
+    /// The timing half of [`run`](SpmmEngine::run): every round
+    /// cycle-stepped in column order, the auto-tuner observing each.
+    fn run_timing(
+        &mut self,
+        a: &Csc,
+        b: &DenseMatrix,
+        label: &str,
+    ) -> Result<SpmmStats, AccelError> {
+        check_shapes(a.pattern(), b)?;
+        let state = TuningState::ensure(&mut self.tuning, &self.config, a.rows())?;
+        let tdq = self.tdq.resolve(a);
         let n_pes = self.config.n_pes;
-        let qpp = match tdq {
-            TdqMode::Tdq1 => self.config.queues_per_pe,
-            _ => 1,
-        };
-        let use_sharing = self.config.local_hop > 0;
-        let mut queues: Vec<Vec<TaskQueue<MacOp>>> = (0..n_pes)
-            .map(|_| (0..qpp).map(|_| TaskQueue::unbounded()).collect())
-            .collect();
-        let mut arbiters: Vec<RoundRobinArbiter> =
-            (0..n_pes).map(|_| RoundRobinArbiter::new(qpp)).collect();
-        let mut pipes: Vec<MacPipeline> = (0..n_pes)
-            .map(|_| MacPipeline::new(self.config.mac_latency as usize))
-            .collect();
-        let mut scoreboard = RawScoreboard::new(self.config.mac_latency as u64);
-        let mut network = match tdq {
-            TdqMode::Tdq2 => Some(OmegaNetwork::new(n_pes, self.config.net_buffer)),
-            _ => None,
-        };
-
-        // Owner-attributed load for the PESM (see the fast engine).
-        for &(row, _) in tasks {
-            owner_busy[pe_of_row[row as usize] as usize] += 1;
+        if tdq == TdqMode::Tdq2 && !n_pes.is_power_of_two() {
+            return Err(AccelError::InvalidConfig(format!(
+                "TDQ-2's Omega network requires a power-of-two PE count, got {n_pes}"
+            )));
         }
 
-        let mut stream = tasks.iter().copied();
-        let mut stream_head: Option<(u32, f32)> = stream.next();
-        // Pending-task view the sharing comparators read: queued at the PE
-        // plus already committed to it inside the network.
-        let mut pending = vec![0usize; n_pes];
-        let mut cycle: u64 = 0;
-        let mut raw_stall_events: u64 = 0;
-        let mut max_q_depth = 0usize;
-        let mut per_pe_high_water = vec![0u32; n_pes];
-
-        loop {
-            cycle += 1;
-            // --- Distribution ---
-            match &mut network {
-                Some(net) => {
-                    // TDQ-2: inject up to one packet per input port. Local
-                    // sharing "adjusts the address tag of the task before
-                    // it is pushed into the TQs of the final layer"
-                    // (paper §4.1) — we apply the adjustment at injection,
-                    // which both re-routes the packet to the neighbour's
-                    // port (the boundary links of Fig. 11-D) and relieves
-                    // the hotspot's single output port.
-                    for port in 0..n_pes {
-                        let Some((row, product)) = stream_head else {
-                            break;
-                        };
-                        let owner = pe_of_row[row as usize];
-                        let dest = if use_sharing {
-                            sharing.choose(owner, |p| pending[p as usize])
-                        } else {
-                            owner
-                        };
-                        let pkt = Packet { dest, row, product };
-                        if net.inject(port, pkt).is_ok() {
-                            pending[dest as usize] += 1;
-                            stream_head = stream.next();
-                        }
-                    }
-                    for (port, pkt) in net.tick() {
-                        let q = (pkt.row as usize) % qpp;
-                        queues[port][q]
-                            .push(MacOp {
-                                row: pkt.row,
-                                product: pkt.product,
-                            })
-                            .expect("PE queues are unbounded");
-                    }
+        let (row_idx, col_ptr) = (a.pattern().row_idx(), a.pattern().col_ptr());
+        let runs = column_runs(b, 0..b.rows());
+        let mut rounds = Vec::with_capacity(b.cols());
+        let mut queue_high_water = vec![0u32; n_pes];
+        for run in &runs {
+            // The round's task stream: the rows of its columns of `A`, in
+            // CSC order.
+            let tasks: Vec<u32> = run
+                .pattern
+                .iter()
+                .flat_map(|&j| &row_idx[col_ptr[j as usize]..col_ptr[j as usize + 1]])
+                .copied()
+                .collect();
+            for _ in run.cols.clone() {
+                let tuning = state.tuner.is_active();
+                let SimRound { timing, owner_busy } =
+                    simulate_round(&self.config, &tasks, tdq, state.map.pe_of_row());
+                // Unlike the fast engine, every round's queue depths count
+                // toward the high-water marks, tuning rounds included.
+                for (hw, &q) in queue_high_water.iter_mut().zip(&timing.queue_high_water) {
+                    *hw = (*hw).max(q);
                 }
-                None => {
-                    // TDQ-1: deliver up to n_pes tasks directly; the sharing
-                    // comparison happens before the push (Fig. 11-A).
-                    for _ in 0..n_pes {
-                        let Some((row, product)) = stream_head else {
-                            break;
-                        };
-                        let owner = pe_of_row[row as usize];
-                        let dest = if use_sharing {
-                            sharing.choose(owner, |p| {
-                                queues[p as usize].iter().map(|q| q.len()).sum::<usize>()
-                            }) as usize
-                        } else {
-                            owner as usize
-                        };
-                        let q = (row as usize) % qpp;
-                        queues[dest][q]
-                            .push(MacOp { row, product })
-                            .expect("PE queues are unbounded");
-                        stream_head = stream.next();
-                    }
-                }
+                // An empty round costs nothing.
+                let cycles = if timing.tasks == 0 { 0 } else { timing.cycles };
+                rounds.push(timing.to_stats(cycles, tuning));
+                state.observe_round(&owner_busy, timing.tasks, timing.cycles);
             }
-
-            // --- PE issue + MAC pipelines ---
-            for pe in 0..n_pes {
-                let mut issue: Option<MacOp> = None;
-                let requests: Vec<bool> = queues[pe].iter().map(|q| !q.is_empty()).collect();
-                if let Some(qi) = arbiters[pe].grant(&requests) {
-                    let head = *queues[pe][qi].peek().expect("granted queue is non-empty");
-                    let ready_at = scoreboard.earliest_issue(head.row, cycle);
-                    match self.config.stall_mode {
-                        // Park: the stall buffer + accumulator forwarding
-                        // hide the hazard — the op issues, the event is
-                        // counted (mirrors the fast engine's model).
-                        StallMode::Park => {
-                            if ready_at > cycle {
-                                raw_stall_events += ready_at - cycle;
-                            }
-                            issue = queues[pe][qi].pop();
-                        }
-                        // Block: naive head-of-line serialization.
-                        StallMode::Block => {
-                            if ready_at <= cycle {
-                                issue = queues[pe][qi].pop();
-                            } else {
-                                raw_stall_events += 1;
-                            }
-                        }
-                    }
-                }
-                if let Some(op) = issue {
-                    scoreboard.record_issue(op.row, cycle);
-                    per_pe_busy[pe] += 1;
-                    pending[pe] = pending[pe].saturating_sub(1);
-                }
-                if let Some(done) = pipes[pe].tick(issue) {
-                    col_acc[done.row as usize] += done.product;
-                }
-            }
-
-            // --- occupancy census ---
-            for pe in 0..n_pes {
-                let depth: usize = queues[pe].iter().map(|q| q.len()).sum::<usize>();
-                max_q_depth = max_q_depth.max(depth);
-                per_pe_high_water[pe] = per_pe_high_water[pe].max(depth as u32);
-            }
-
-            // --- barrier check ---
-            let drained = stream_head.is_none()
-                && network.as_ref().map_or(true, |n| n.is_drained())
-                && queues.iter().flatten().all(|q| q.is_empty())
-                && pipes.iter().all(|p| !p.busy());
-            if drained {
-                break;
-            }
-            assert!(
-                cycle < 10_000_000,
-                "detailed engine failed to drain a round"
-            );
         }
 
-        DetailedRound {
-            cycles: cycle,
-            max_q_depth,
-            raw_stalls: raw_stall_events,
-            per_pe_high_water,
-        }
+        Ok(SpmmStats {
+            label: label.to_owned(),
+            n_pes,
+            rounds,
+            queue_high_water,
+        })
     }
 }
 
-struct DetailedRound {
-    cycles: u64,
-    max_q_depth: usize,
-    raw_stalls: u64,
-    per_pe_high_water: Vec<u32>,
+/// Simulates one round (one column of `B`) at cycle granularity: `tasks`
+/// are the output rows of the round's MAC tasks in stream order. Timing
+/// only — `C` comes from the pinned kernel, as in every engine.
+fn simulate_round(
+    config: &AccelConfig,
+    tasks: &[u32],
+    tdq: TdqMode,
+    pe_of_row: &[u32],
+) -> SimRound {
+    let n_pes = config.n_pes;
+    let qpp = match tdq {
+        TdqMode::Tdq1 => config.queues_per_pe,
+        _ => 1,
+    };
+    let sharing = (config.local_hop > 0).then(|| LocalSharing::new(config.local_hop, n_pes));
+    let mut queues: Vec<Vec<TaskQueue<MacOp>>> = (0..n_pes)
+        .map(|_| (0..qpp).map(|_| TaskQueue::unbounded()).collect())
+        .collect();
+    let mut arbiters: Vec<RoundRobinArbiter> =
+        (0..n_pes).map(|_| RoundRobinArbiter::new(qpp)).collect();
+    let mut pipes: Vec<MacPipeline> = (0..n_pes)
+        .map(|_| MacPipeline::new(config.mac_latency as usize))
+        .collect();
+    let mut scoreboard = RawScoreboard::new(config.mac_latency as u64);
+    let mut network = match tdq {
+        TdqMode::Tdq2 => Some(OmegaNetwork::new(n_pes, config.net_buffer)),
+        _ => None,
+    };
+
+    // Owner-attributed load for the PESM (see the fast engine).
+    let mut owner_busy = vec![0u64; n_pes];
+    for &row in tasks {
+        owner_busy[pe_of_row[row as usize] as usize] += 1;
+    }
+
+    let mut stream = tasks.iter().copied();
+    let mut stream_head: Option<u32> = stream.next();
+    // Pending-task view the sharing comparators read: queued at the PE
+    // plus already committed to it inside the network.
+    let mut pending = vec![0usize; n_pes];
+    let mut busy = vec![0u64; n_pes];
+    let mut cycle: u64 = 0;
+    let mut raw_stalls: u64 = 0;
+    let mut queue_high_water = vec![0u32; n_pes];
+
+    loop {
+        cycle += 1;
+        // --- Distribution ---
+        match &mut network {
+            Some(net) => {
+                // TDQ-2: inject up to one packet per input port. Local
+                // sharing "adjusts the address tag of the task before it is
+                // pushed into the TQs of the final layer" (paper §4.1) — we
+                // apply the adjustment at injection, which both re-routes
+                // the packet to the neighbour's port (the boundary links of
+                // Fig. 11-D) and relieves the hotspot's single output port.
+                for port in 0..n_pes {
+                    let Some(row) = stream_head else {
+                        break;
+                    };
+                    let owner = pe_of_row[row as usize];
+                    let dest = match sharing {
+                        Some(sharing) => sharing.choose(owner, |p| pending[p as usize]),
+                        None => owner,
+                    };
+                    if net.inject(port, Packet { dest, row }).is_ok() {
+                        pending[dest as usize] += 1;
+                        stream_head = stream.next();
+                    }
+                }
+                for (port, pkt) in net.tick() {
+                    let q = (pkt.row as usize) % qpp;
+                    queues[port][q]
+                        .push(MacOp { row: pkt.row })
+                        .expect("PE queues are unbounded");
+                }
+            }
+            None => {
+                // TDQ-1: deliver up to n_pes tasks directly; the sharing
+                // comparison happens before the push (Fig. 11-A).
+                for _ in 0..n_pes {
+                    let Some(row) = stream_head else {
+                        break;
+                    };
+                    let owner = pe_of_row[row as usize];
+                    let dest = match sharing {
+                        Some(sharing) => sharing.choose(owner, |p| {
+                            queues[p as usize].iter().map(|q| q.len()).sum::<usize>()
+                        }),
+                        None => owner,
+                    } as usize;
+                    let q = (row as usize) % qpp;
+                    queues[dest][q]
+                        .push(MacOp { row })
+                        .expect("PE queues are unbounded");
+                    stream_head = stream.next();
+                }
+            }
+        }
+
+        // --- PE issue + MAC pipelines ---
+        for pe in 0..n_pes {
+            let mut issue: Option<MacOp> = None;
+            let requests: Vec<bool> = queues[pe].iter().map(|q| !q.is_empty()).collect();
+            if let Some(qi) = arbiters[pe].grant(&requests) {
+                let head = *queues[pe][qi].peek().expect("granted queue is non-empty");
+                let ready_at = scoreboard.earliest_issue(head.row, cycle);
+                match config.stall_mode {
+                    // Park: the stall buffer + accumulator forwarding hide
+                    // the hazard — the op issues, the event is counted
+                    // (mirrors the fast engine's model).
+                    StallMode::Park => {
+                        if ready_at > cycle {
+                            raw_stalls += ready_at - cycle;
+                        }
+                        issue = queues[pe][qi].pop();
+                    }
+                    // Block: naive head-of-line serialization.
+                    StallMode::Block => {
+                        if ready_at <= cycle {
+                            issue = queues[pe][qi].pop();
+                        } else {
+                            raw_stalls += 1;
+                        }
+                    }
+                }
+            }
+            if let Some(op) = issue {
+                scoreboard.record_issue(op.row, cycle);
+                busy[pe] += 1;
+                pending[pe] = pending[pe].saturating_sub(1);
+            }
+            pipes[pe].tick(issue);
+        }
+
+        // --- occupancy census ---
+        for (pe, high_water) in queue_high_water.iter_mut().enumerate() {
+            let depth = queues[pe].iter().map(|q| q.len()).sum::<usize>();
+            *high_water = (*high_water).max(depth as u32);
+        }
+
+        // --- barrier check ---
+        let drained = stream_head.is_none()
+            && network.as_ref().map_or(true, |n| n.is_drained())
+            && queues.iter().flatten().all(|q| q.is_empty())
+            && pipes.iter().all(|p| !p.busy());
+        if drained {
+            break;
+        }
+        assert!(
+            cycle < 10_000_000,
+            "detailed engine failed to drain a round"
+        );
+    }
+
+    // Every task of the stream went through a MAC pipe exactly once: a
+    // dropped or duplicated packet fails here instead of shifting a
+    // statistic.
+    let completed: u64 = pipes.iter().map(|p| p.completed()).sum();
+    assert_eq!(
+        completed,
+        tasks.len() as u64,
+        "detailed round completed {completed} of {} tasks",
+        tasks.len()
+    );
+
+    SimRound {
+        timing: RoundTiming {
+            cycles: cycle,
+            tasks: tasks.len() as u64,
+            max_pe_busy: busy.iter().copied().max().unwrap_or(0),
+            min_pe_busy: busy.iter().copied().min().unwrap_or(0),
+            max_queue_depth: queue_high_water.iter().copied().max().unwrap_or(0) as usize,
+            raw_stalls,
+            queue_high_water,
+        },
+        owner_busy,
+    }
 }
 
 impl SpmmEngine for DetailedEngine {
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
-        check_shapes(a.pattern(), b)?;
-        self.ensure_state(a.rows())?;
-        let tdq = self.tdq.resolve(a);
-        if tdq == TdqMode::Tdq2 && !self.config.n_pes.is_power_of_two() {
-            return Err(AccelError::InvalidConfig(format!(
-                "TDQ-2's Omega network requires a power-of-two PE count, got {}",
-                self.config.n_pes
-            )));
-        }
-        let n_pes = self.config.n_pes;
-        let n_rows = a.rows();
-        let sharing = self.sharing.expect("initialized in ensure_state");
-
-        let mut c = DenseMatrix::zeros(n_rows, b.cols());
-        let mut rounds = Vec::with_capacity(b.cols());
-        let mut col_acc = vec![0f32; n_rows];
-        let mut per_pe_busy = vec![0u64; n_pes];
-        let mut owner_busy = vec![0u64; n_pes];
-        let mut queue_high_water = vec![0u32; n_pes];
-
-        for k in 0..b.cols() {
-            // Materialize the round's task stream (CSC column order).
-            let mut tasks: Vec<(u32, f32)> = Vec::new();
-            for j in 0..a.cols() {
-                let bjk = b.get(j, k);
-                if bjk == 0.0 {
-                    continue;
-                }
-                for (i, av) in a.col_entries(j) {
-                    tasks.push((i as u32, av * bjk));
-                }
-            }
-            per_pe_busy.fill(0);
-            owner_busy.fill(0);
-            let tuning = self.tuner.as_ref().expect("initialized").is_active();
-            let map = self.map.as_ref().expect("initialized");
-            let round = self.simulate_round(
-                &tasks,
-                tdq,
-                map.pe_of_row(),
-                sharing,
-                &mut col_acc,
-                &mut per_pe_busy,
-                &mut owner_busy,
-            );
-
-            for (hw, &d) in queue_high_water.iter_mut().zip(&round.per_pe_high_water) {
-                *hw = (*hw).max(d);
-            }
-            rounds.push(RoundStats {
-                cycles: if tasks.is_empty() { 0 } else { round.cycles },
-                tasks: tasks.len() as u64,
-                busy_cycles: tasks.len() as u64,
-                max_pe_busy: per_pe_busy.iter().copied().max().unwrap_or(0),
-                min_pe_busy: per_pe_busy.iter().copied().min().unwrap_or(0),
-                max_queue_depth: round.max_q_depth,
-                raw_stalls: round.raw_stalls,
-                tuning_active: tuning,
-            });
-
-            if tuning && !tasks.is_empty() {
-                let util = tasks.len() as f64 / (round.cycles.max(1) as f64 * n_pes as f64);
-                let map = self.map.as_mut().expect("initialized");
-                self.tuner
-                    .as_mut()
-                    .expect("initialized")
-                    .observe_round(&owner_busy, util, map);
-            }
-
-            for (row, acc) in col_acc.iter_mut().enumerate() {
-                if *acc != 0.0 {
-                    c.set(row, k, *acc);
-                    *acc = 0.0;
-                }
-            }
-        }
-
-        Ok(SpmmOutcome {
-            c,
-            stats: SpmmStats {
-                label: label.to_owned(),
-                n_pes,
-                rounds,
-                queue_high_water,
-            },
-        })
+        let stats = self.run_timing(a, b, label)?;
+        Ok(pinned_outcome(&self.config, a, b, stats))
     }
 
     fn config(&self) -> &AccelConfig {
@@ -397,6 +352,7 @@ impl SpmmEngine for DetailedEngine {
 mod tests {
     use super::*;
     use crate::config::Design;
+    use crate::engine::FastEngine;
     use awb_sparse::{spmm, Coo};
 
     fn config(n_pes: usize) -> AccelConfig {
@@ -418,8 +374,12 @@ mod tests {
         coo.to_csc()
     }
 
+    /// Values whose sums round, so a change of summation order shows in
+    /// the output bits.
     fn dense(rows: usize, cols: usize) -> DenseMatrix {
-        let data: Vec<f32> = (0..rows * cols).map(|i| ((i % 5) as f32) - 2.0).collect();
+        let data: Vec<f32> = (0..rows * cols)
+            .map(|i| ((i % 5) as f32 - 2.0) * 0.1)
+            .collect();
         DenseMatrix::from_vec(rows, cols, data).unwrap()
     }
 
@@ -446,28 +406,30 @@ mod tests {
         assert_eq!(TdqMode::Auto.resolve(&dense_ish), TdqMode::Tdq1);
     }
 
+    /// Output bits of `DetailedEngine::run` and `FastEngine::run` under
+    /// `cfg` on the same operands.
+    fn output_bits(cfg: AccelConfig, tdq: TdqMode, a: &Csc, b: &DenseMatrix) -> [Vec<u32>; 2] {
+        let detailed = DetailedEngine::new(cfg.clone(), tdq)
+            .run(a, b, "t")
+            .unwrap();
+        let fast = FastEngine::new(cfg).run(a, b, "t").unwrap();
+        [&detailed.c, &fast.c].map(|c| c.as_slice().iter().map(|v| v.to_bits()).collect())
+    }
+
     #[test]
     fn functional_match_tdq2() {
         let a = random_sparse(32, 2);
         let b = dense(32, 3);
-        let mut engine = DetailedEngine::new(config(8), TdqMode::Tdq2);
-        let out = engine.run(&a, &b, "t").unwrap();
-        let expect = spmm::csc_times_dense(&a, &b).unwrap();
-        assert!(
-            out.c.approx_eq(&expect, 1e-4),
-            "max diff {}",
-            out.c.max_abs_diff(&expect).unwrap()
-        );
+        let [detailed, fast] = output_bits(config(8), TdqMode::Tdq2, &a, &b);
+        assert_eq!(detailed, fast);
     }
 
     #[test]
     fn functional_match_tdq1() {
         let a = random_sparse(32, 3);
         let b = dense(32, 3);
-        let mut engine = DetailedEngine::new(config(8), TdqMode::Tdq1);
-        let out = engine.run(&a, &b, "t").unwrap();
-        let expect = spmm::csc_times_dense(&a, &b).unwrap();
-        assert!(out.c.approx_eq(&expect, 1e-4));
+        let [detailed, fast] = output_bits(config(8), TdqMode::Tdq1, &a, &b);
+        assert_eq!(detailed, fast);
     }
 
     #[test]
@@ -478,10 +440,8 @@ mod tests {
             Design::LocalSharing { hop: 1 },
             Design::LocalPlusRemote { hop: 2 },
         ] {
-            let mut engine = DetailedEngine::new(design.apply(config(8)), TdqMode::Tdq2);
-            let out = engine.run(&a, &b, "t").unwrap();
-            let expect = spmm::csc_times_dense(&a, &b).unwrap();
-            assert!(out.c.approx_eq(&expect, 1e-4), "{design:?}");
+            let [detailed, fast] = output_bits(design.apply(config(8)), TdqMode::Tdq2, &a, &b);
+            assert_eq!(detailed, fast, "{design:?}");
         }
     }
 

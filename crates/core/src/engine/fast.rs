@@ -48,15 +48,14 @@
 
 use crate::config::AccelConfig;
 use crate::engine::steady::{
-    column_runs, compute_columns, execute_steady, simulate_round, structure_fingerprint, ColumnRun,
-    MemoryParams, ReplayCache, RoundTiming, SimParams, SteadySpan,
+    column_runs, execute_steady, simulate_round, structure_fingerprint, ColumnRun, MemoryParams,
+    ReplayCache, RoundTiming, SimParams, SteadySpan,
 };
-use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome, TunedPlan};
+use crate::engine::tuning::TuningState;
+use crate::engine::{check_shapes, pinned_outcome, SpmmEngine, SpmmOutcome, TunedPlan};
 use crate::error::AccelError;
 use crate::exec;
 use crate::mapping::RowMap;
-use crate::rebalance::autotuner::AutoTuner;
-use crate::rebalance::local::LocalSharing;
 use crate::stats::SpmmStats;
 use awb_sparse::{Csc, CscPattern, DenseMatrix};
 
@@ -84,9 +83,7 @@ use awb_sparse::{Csc, CscPattern, DenseMatrix};
 #[derive(Debug, Clone)]
 pub struct FastEngine {
     config: AccelConfig,
-    sharing: Option<LocalSharing>,
-    map: Option<RowMap>,
-    tuner: Option<AutoTuner>,
+    tuning: Option<TuningState>,
     replay_enabled: bool,
     cache: ReplayCache,
 }
@@ -100,26 +97,24 @@ impl FastEngine {
         FastEngine {
             replay_enabled: true,
             config,
-            sharing: None,
-            map: None,
-            tuner: None,
+            tuning: None,
             cache: ReplayCache::new(),
         }
     }
 
     /// The current row→PE map (None before the first run).
     pub fn row_map(&self) -> Option<&RowMap> {
-        self.map.as_ref()
+        self.tuning.as_ref().map(|t| &t.map)
     }
 
     /// Rows exchanged by remote switching so far.
     pub fn total_switches(&self) -> u64 {
-        self.tuner.as_ref().map_or(0, |t| t.total_switches())
+        self.tuning.as_ref().map_or(0, |t| t.tuner.total_switches())
     }
 
     /// Whether the auto-tuner is still adjusting.
     pub fn tuning_active(&self) -> bool {
-        self.tuner.as_ref().is_some_and(|t| t.is_active())
+        self.tuning.as_ref().is_some_and(|t| t.tuner.is_active())
     }
 
     /// Enables or disables the steady-state replay cache (enabled by
@@ -156,37 +151,16 @@ impl FastEngine {
     /// Returns [`AccelError::InvalidConfig`] when the engine was tuned for
     /// a different row count than `a`.
     pub fn freeze_plan(&mut self, a: &CscPattern) -> Result<TunedPlan, AccelError> {
-        self.ensure_state(a.rows())?;
-        let tuner = self.tuner.as_mut().expect("initialized in ensure_state");
-        tuner.freeze();
+        let state = TuningState::ensure(&mut self.tuning, &self.config, a.rows())?;
+        state.tuner.freeze();
         Ok(TunedPlan::from_frozen(
             self.config.clone(),
-            self.map.clone().expect("initialized in ensure_state"),
+            state.map.clone(),
             a,
-            tuner.rounds_done(),
-            tuner.total_switches(),
+            state.tuner.rounds_done(),
+            state.tuner.total_switches(),
             self.cache.clone(),
         ))
-    }
-
-    fn ensure_state(&mut self, n_rows: usize) -> Result<(), AccelError> {
-        match &self.map {
-            Some(map) if map.n_rows() != n_rows => Err(AccelError::InvalidConfig(format!(
-                "engine tuned for {} rows reused with {} rows",
-                map.n_rows(),
-                n_rows
-            ))),
-            Some(_) => Ok(()),
-            None => {
-                // A config edited after `build()` can hold a hop that
-                // `LocalSharing::new` would reject with a panic.
-                self.config.validate()?;
-                self.map = Some(RowMap::new(n_rows, self.config.n_pes, self.config.mapping));
-                self.tuner = Some(AutoTuner::new(&self.config, n_rows));
-                self.sharing = Some(LocalSharing::new(self.config.local_hop, self.config.n_pes));
-                Ok(())
-            }
-        }
     }
 
     /// The timing half of [`run`](SpmmEngine::run): simulates `C = A × B`
@@ -239,19 +213,12 @@ impl FastEngine {
         label: &str,
         guard: bool,
     ) -> Result<SpmmStats, AccelError> {
-        self.ensure_state(a.rows())?;
+        let state = TuningState::ensure(&mut self.tuning, &self.config, a.rows())?;
         let n_pes = self.config.n_pes;
         // The distributor's delivery rate: full speed when SPMMeM holds
         // the operand on chip, bandwidth-bound when it must stream.
         let memory = MemoryParams::for_operand(&self.config, a.nnz());
-        let params = SimParams {
-            n_pes,
-            lat: self.config.mac_latency as u64,
-            bandwidth: memory.bandwidth,
-            stall_mode: self.config.stall_mode,
-            sharing: (self.config.local_hop > 0)
-                .then_some(self.sharing.expect("initialized in ensure_state")),
-        };
+        let params = SimParams::new(&self.config, memory);
         let threads = self.config.threads.unwrap_or_else(exec::num_threads);
         // Replayed timings describe *this* operand's structure under the
         // frozen map; a structurally different operand invalidates them.
@@ -268,8 +235,6 @@ impl FastEngine {
         // produced, so these cannot replay or run concurrently. They are
         // timing only: the numerics of every column run once, in one pass,
         // after the steady phase.
-        let map = self.map.as_mut().expect("initialized in ensure_state");
-        let tuner = self.tuner.as_mut().expect("initialized in ensure_state");
         // The last tuning round — its run, the `total_exchanged()` it ran
         // under, its timing and owner-attributed load — kept for reuse: a
         // round of the same run (so the same pattern) whose map has not
@@ -280,12 +245,12 @@ impl FastEngine {
         // runs the same map.
         let mut previous: Option<(usize, u64, RoundTiming, Vec<u64>)> = None;
         for (i, run) in runs.iter_mut().enumerate() {
-            if !tuner.is_active() {
+            if !state.tuner.is_active() {
                 break;
             }
-            while !run.cols.is_empty() && tuner.is_active() {
+            while !run.cols.is_empty() && state.tuner.is_active() {
                 let k = run.cols.start;
-                let exchanged = map.total_exchanged();
+                let exchanged = state.map.total_exchanged();
                 let (timing, owner_busy) = match previous.take() {
                     Some((prev_run, prev_exchanged, timing, owner_busy))
                         if prev_run == i && prev_exchanged == exchanged =>
@@ -293,27 +258,14 @@ impl FastEngine {
                         (timing, owner_busy)
                     }
                     _ => {
-                        let sim = simulate_round(a, &run.pattern, map.pe_of_row(), params);
+                        let sim = simulate_round(a, &run.pattern, state.map.pe_of_row(), params);
                         (sim.timing, sim.owner_busy)
                     }
                 };
 
-                // An on-chip operand pays its SPMMeM fill once (charged to
-                // round 0); an off-chip operand's per-round streaming cost
-                // is already captured by the throttled arrival rate.
-                let fill = if k == 0 && memory.on_chip && timing.tasks > 0 {
-                    memory.fill_cycles
-                } else {
-                    0
-                };
-                let cycles = timing.cycles + fill;
+                let cycles = timing.cycles + memory.fill_charge(k, timing.tasks);
                 rounds.push(timing.to_stats(cycles, true));
-
-                // Auto-tuning between rounds.
-                if timing.tasks > 0 {
-                    let util = timing.tasks as f64 / (cycles.max(1) as f64 * n_pes as f64);
-                    tuner.observe_round(&owner_busy, util, map);
-                }
+                state.observe_round(&owner_busy, timing.tasks, cycles);
                 previous = Some((i, exchanged, timing, owner_busy));
                 run.cols.start += 1;
             }
@@ -328,8 +280,8 @@ impl FastEngine {
         if let Some((i, exchanged, timing, _)) = previous {
             let pattern = &runs[i].pattern;
             if use_replay
-                && !tuner.is_active()
-                && map.total_exchanged() == exchanged
+                && !state.tuner.is_active()
+                && state.map.total_exchanged() == exchanged
                 && runs[i..]
                     .iter()
                     .any(|run| !run.cols.is_empty() && run.pattern == *pattern)
@@ -349,11 +301,7 @@ impl FastEngine {
             SteadySpan {
                 a,
                 runs: &runs,
-                pe_of_row: self
-                    .map
-                    .as_ref()
-                    .expect("initialized in ensure_state")
-                    .pe_of_row(),
+                pe_of_row: state.map.pe_of_row(),
                 params,
                 memory,
                 threads,
@@ -375,10 +323,7 @@ impl FastEngine {
 impl SpmmEngine for FastEngine {
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
         let stats = self.run_timing(a.pattern(), b, label)?;
-        // Numerics: one pass over `A` into every output column.
-        let threads = self.config.threads.unwrap_or_else(exec::num_threads);
-        let c = compute_columns(a, b, threads);
-        Ok(SpmmOutcome { c, stats })
+        Ok(pinned_outcome(&self.config, a, b, stats))
     }
 
     fn config(&self) -> &AccelConfig {
@@ -608,13 +553,7 @@ mod tests {
 
         // The reused round is exactly a fresh simulation of column 1 under
         // the initial map.
-        let params = SimParams {
-            n_pes: cfg.n_pes,
-            lat: cfg.mac_latency as u64,
-            bandwidth: MemoryParams::for_operand(&cfg, a.nnz()).bandwidth,
-            stall_mode: cfg.stall_mode,
-            sharing: Some(LocalSharing::new(cfg.local_hop, cfg.n_pes)),
-        };
+        let params = SimParams::new(&cfg, MemoryParams::for_operand(&cfg, a.nnz()));
         let initial = RowMap::new(a.rows(), cfg.n_pes, cfg.mapping);
         let fresh = simulate_round(
             a.pattern(),

@@ -10,10 +10,13 @@
 //!   RaW scoreboard); used for component-level studies and to validate the
 //!   fast engine.
 //!
-//! Both implement [`SpmmEngine`]: an engine instance embodies one piece of
-//! hardware *tuned to one sparse matrix* — running it again (e.g. `A` in
-//! layer 2 after layer 1) reuses the auto-tuned row map, exactly the reuse
-//! the paper's auto-tuning paradigm is about.
+//! The two differ only in how they time a round: both keep one tuning
+//! state (row map + auto-tuner), assemble `RoundStats` the same way, and
+//! compute `C` through the same pinned kernel, so their outputs are
+//! bit-identical. Both implement [`SpmmEngine`]: an engine instance
+//! embodies one piece of hardware *tuned to one sparse matrix* — running
+//! it again (e.g. `A` in layer 2 after layer 1) reuses the auto-tuned row
+//! map, exactly the reuse the paper's auto-tuning paradigm is about.
 //!
 //! That reuse is made first-class by the plan/execute split: a warm-up
 //! run followed by [`FastEngine::freeze_plan`] produces a frozen,
@@ -47,6 +50,7 @@ mod plan;
 mod sharded;
 pub(crate) mod steady;
 pub(crate) mod streaming;
+mod tuning;
 
 pub use detailed::{DetailedEngine, TdqMode};
 pub use fast::FastEngine;
@@ -57,6 +61,7 @@ pub use streaming::StreamStats;
 
 use crate::config::AccelConfig;
 use crate::error::AccelError;
+use crate::exec;
 use crate::stats::SpmmStats;
 use awb_sparse::{Csc, CscPattern, DenseMatrix};
 
@@ -83,6 +88,17 @@ pub trait SpmmEngine {
 
     /// The engine's configuration.
     fn config(&self) -> &AccelConfig;
+}
+
+/// The numerics half of every engine's [`SpmmEngine::run`]: `C = A × B`
+/// through the pinned accumulate kernel ([`steady::compute_columns`]),
+/// paired with the statistics of the engine's timing half.
+fn pinned_outcome(config: &AccelConfig, a: &Csc, b: &DenseMatrix, stats: SpmmStats) -> SpmmOutcome {
+    let threads = config.threads.unwrap_or_else(exec::num_threads);
+    SpmmOutcome {
+        c: steady::compute_columns(a, b, threads),
+        stats,
+    }
 }
 
 pub(crate) fn check_shapes(a: &CscPattern, b: &DenseMatrix) -> Result<(), AccelError> {

@@ -28,14 +28,12 @@
 
 use crate::config::AccelConfig;
 use crate::engine::steady::{
-    column_runs, compute_columns, execute_steady, ColumnRun, MemoryParams, ReplayCache, SimParams,
-    SteadySpan,
+    column_runs, execute_steady, ColumnRun, MemoryParams, ReplayCache, SimParams, SteadySpan,
 };
-use crate::engine::{check_shapes, SpmmEngine, SpmmOutcome};
+use crate::engine::{check_shapes, pinned_outcome, SpmmEngine, SpmmOutcome};
 use crate::error::AccelError;
 use crate::exec;
 use crate::mapping::RowMap;
-use crate::rebalance::local::LocalSharing;
 use crate::stats::SpmmStats;
 use awb_sparse::{Csc, CscPattern, DenseMatrix};
 
@@ -183,17 +181,6 @@ impl TunedPlan {
             verify_operand: false,
         }
     }
-
-    fn sim_params(&self) -> SimParams {
-        SimParams {
-            n_pes: self.config.n_pes,
-            lat: self.config.mac_latency as u64,
-            bandwidth: self.memory.bandwidth,
-            stall_mode: self.config.stall_mode,
-            sharing: (self.config.local_hop > 0)
-                .then(|| LocalSharing::new(self.config.local_hop, self.config.n_pes)),
-        }
-    }
 }
 
 /// A cheap per-request executor over a shared [`TunedPlan`].
@@ -275,7 +262,7 @@ impl SpmmSession<'_> {
                 a,
                 runs,
                 pe_of_row: plan.row_map.pe_of_row(),
-                params: plan.sim_params(),
+                params: SimParams::new(&plan.config, plan.memory),
                 memory: plan.memory,
                 threads,
                 cache,
@@ -295,9 +282,7 @@ impl SpmmSession<'_> {
 impl SpmmEngine for SpmmSession<'_> {
     fn run(&mut self, a: &Csc, b: &DenseMatrix, label: &str) -> Result<SpmmOutcome, AccelError> {
         let stats = self.run_timing(a.pattern(), b, label)?;
-        let threads = self.plan.config.threads.unwrap_or_else(exec::num_threads);
-        let c = compute_columns(a, b, threads);
-        Ok(SpmmOutcome { c, stats })
+        Ok(pinned_outcome(&self.plan.config, a, b, stats))
     }
 
     fn config(&self) -> &AccelConfig {

@@ -92,6 +92,21 @@ pub(crate) struct SimParams {
     pub sharing: Option<LocalSharing>,
 }
 
+impl SimParams {
+    /// The parameters of a validated `config` delivering at the operand's
+    /// `memory` rate.
+    pub(crate) fn new(config: &AccelConfig, memory: MemoryParams) -> Self {
+        SimParams {
+            n_pes: config.n_pes,
+            lat: config.mac_latency as u64,
+            bandwidth: memory.bandwidth,
+            stall_mode: config.stall_mode,
+            sharing: (config.local_hop > 0)
+                .then(|| LocalSharing::new(config.local_hop, config.n_pes)),
+        }
+    }
+}
+
 /// The memory-model quantities of one sparse operand under one config.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MemoryParams {
@@ -109,6 +124,18 @@ impl MemoryParams {
             bandwidth: config.memory.delivery_rate_limit(nnz, config.n_pes).max(1) as u64,
             on_chip: config.memory.fits_on_chip(nnz),
             fill_cycles: config.memory.fill_cycles(nnz),
+        }
+    }
+
+    /// The SPMMeM fill charged to round `k` of `tasks` tasks: an on-chip
+    /// operand pays its fill once, charged to round 0; an off-chip
+    /// operand's per-round streaming cost is already captured by the
+    /// throttled arrival rate.
+    pub(crate) fn fill_charge(&self, k: usize, tasks: u64) -> u64 {
+        if k == 0 && self.on_chip && tasks > 0 {
+            self.fill_cycles
+        } else {
+            0
         }
     }
 }
@@ -595,14 +622,7 @@ pub(crate) fn execute_steady(
             *hw = (*hw).max(q);
         }
         for k in cols {
-            // An on-chip operand pays its SPMMeM fill once (charged to
-            // round 0); an off-chip operand's per-round streaming cost is
-            // already captured by the throttled arrival rate.
-            let fill = if k == 0 && span.memory.on_chip && timing.tasks > 0 {
-                span.memory.fill_cycles
-            } else {
-                0
-            };
+            let fill = span.memory.fill_charge(k, timing.tasks);
             rounds.push(timing.to_stats(timing.cycles + fill, false));
         }
     };

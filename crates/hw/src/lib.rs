@@ -1,36 +1,33 @@
 //! Cycle-level hardware building blocks for the AWB-GCN simulator.
 //!
 //! These components mirror the modules of the paper's Fig. 7 / Fig. 12
-//! block diagrams and are wired together by the *detailed* engine in
-//! `awb-accel`:
+//! block diagrams. The *detailed* engine in `awb-accel` instantiates each
+//! of them to time a round; it carries task row ids only, since every
+//! engine computes the numerics through one pinned kernel:
 //!
 //! * [`TaskQueue`] — a task queue (TQ) with occupancy tracking and
 //!   high-water marking (the paper sizes TQ area by required depth),
 //! * [`RoundRobinArbiter`] — the per-PE arbiter selecting among multiple
 //!   TQs in TDQ-1,
 //! * [`OmegaNetwork`] — the multi-stage interconnect of TDQ-2 with per-stage
-//!   buffering and backpressure,
+//!   buffering, backpressure and contention counters,
 //! * [`MacPipeline`] + [`RawScoreboard`] — the floating-point
 //!   multiply-accumulate pipeline and the Read-after-Write hazard tracking
-//!   of §3.3,
-//! * [`AccumulatorBank`] — the per-PE ACC buffer slice,
-//! * [`UtilizationCounter`] — per-PE busy/idle cycle counters backing the
-//!   utilization results of Figs. 14/15.
+//!   of §3.3.
+//!
+//! [`MemoryModel`] holds the SPMMeM capacity and off-chip bandwidth the
+//! fast engine derives its delivery rate and round-0 fill from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod acc;
 mod arbiter;
-mod counters;
 mod mac;
 mod memory;
 mod omega;
 mod queue;
 
-pub use acc::AccumulatorBank;
 pub use arbiter::RoundRobinArbiter;
-pub use counters::{average_utilization, UtilizationCounter};
 pub use mac::{MacOp, MacPipeline, RawScoreboard};
 pub use memory::{MemoryModel, BYTES_PER_NNZ};
 pub use omega::{OmegaNetwork, Packet};

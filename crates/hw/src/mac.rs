@@ -1,11 +1,10 @@
-/// One multiply-accumulate operation entering a PE: accumulate `product`
-/// into output row `row` of the current result column.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// One multiply-accumulate operation entering a PE, identified by the
+/// output row of the current result column it accumulates into (the
+/// pipeline models when the accumulation happens, not its value).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MacOp {
-    /// Global output row the product accumulates into.
+    /// Global output row the operation accumulates into.
     pub row: u32,
-    /// `a(i,j) * b(j,k)` product value.
-    pub product: f32,
 }
 
 /// Read-after-Write scoreboard (paper §3.3).
@@ -188,10 +187,7 @@ mod tests {
     #[test]
     fn pipeline_latency_respected() {
         let mut p = MacPipeline::new(3);
-        let op = MacOp {
-            row: 1,
-            product: 2.0,
-        };
+        let op = MacOp { row: 1 };
         assert_eq!(p.tick(Some(op)), None);
         assert_eq!(p.tick(None), None);
         assert_eq!(p.tick(None), None);
@@ -202,10 +198,7 @@ mod tests {
     #[test]
     fn pipeline_sustains_one_per_cycle() {
         let mut p = MacPipeline::new(2);
-        let mk = |i: u32| MacOp {
-            row: i,
-            product: i as f32,
-        };
+        let mk = |i: u32| MacOp { row: i };
         assert_eq!(p.tick(Some(mk(0))), None);
         assert_eq!(p.tick(Some(mk(1))), None);
         assert_eq!(p.tick(Some(mk(2))), Some(mk(0)));
@@ -215,10 +208,7 @@ mod tests {
     #[test]
     fn row_in_flight_detection() {
         let mut p = MacPipeline::new(3);
-        p.tick(Some(MacOp {
-            row: 7,
-            product: 1.0,
-        }));
+        p.tick(Some(MacOp { row: 7 }));
         assert!(p.row_in_flight(7));
         assert!(!p.row_in_flight(8));
         p.tick(None);
@@ -231,10 +221,7 @@ mod tests {
     fn drain_returns_in_flight_ops_in_order() {
         let mut p = MacPipeline::new(4);
         for i in 0..3 {
-            p.tick(Some(MacOp {
-                row: i,
-                product: 0.0,
-            }));
+            p.tick(Some(MacOp { row: i }));
         }
         let drained = p.drain();
         let rows: Vec<u32> = drained.iter().map(|o| o.row).collect();

@@ -2,15 +2,13 @@ use std::collections::VecDeque;
 
 /// A packet traversing the TDQ-2 Omega network: a non-zero's MAC task on
 /// its way to the PE that owns its output row.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Destination PE (set by the row→PE map, possibly after remote
     /// switching).
     pub dest: u32,
     /// Global output row of the task.
     pub row: u32,
-    /// `a(i,j) * b(j,k)` product value.
-    pub product: f32,
 }
 
 /// Multi-stage Omega network with destination-tag routing and per-stage
@@ -29,7 +27,7 @@ pub struct Packet {
 /// use awb_hw::{OmegaNetwork, Packet};
 ///
 /// let mut net = OmegaNetwork::new(8, 4);
-/// net.inject(0, Packet { dest: 5, row: 5, product: 1.0 }).unwrap();
+/// net.inject(0, Packet { dest: 5, row: 5 }).unwrap();
 /// let mut delivered = Vec::new();
 /// for _ in 0..net.stages() + 1 {
 ///     delivered.extend(net.tick());
@@ -181,11 +179,7 @@ mod tests {
     use super::*;
 
     fn pkt(dest: u32) -> Packet {
-        Packet {
-            dest,
-            row: dest,
-            product: 1.0,
-        }
+        Packet { dest, row: dest }
     }
 
     fn drain(net: &mut OmegaNetwork, max_cycles: usize) -> Vec<(usize, Packet)> {
@@ -279,7 +273,6 @@ mod tests {
                 Packet {
                     dest: next_dest,
                     row: i,
-                    product: 1.0,
                 }
             })
             .collect();
