@@ -146,7 +146,7 @@ fn bench_omega_network(c: &mut Criterion) {
                         injected += 1;
                     }
                 }
-                delivered += net.tick().len();
+                net.tick(|_, _| delivered += 1);
             }
             black_box(delivered)
         })

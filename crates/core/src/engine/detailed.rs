@@ -201,6 +201,9 @@ fn simulate_round(
     let mut cycle: u64 = 0;
     let mut raw_stalls: u64 = 0;
     let mut queue_high_water = vec![0u32; n_pes];
+    // The arbiter's request lines, refilled for each PE every cycle: the
+    // round allocates nothing per cycle.
+    let mut requests = vec![false; qpp];
 
     loop {
         cycle += 1;
@@ -227,12 +230,9 @@ fn simulate_round(
                         stream_head = stream.next();
                     }
                 }
-                for (port, pkt) in net.tick() {
-                    let q = (pkt.row as usize) % qpp;
-                    queues[port][q]
-                        .push(MacOp { row: pkt.row })
-                        .expect("PE queues are unbounded");
-                }
+                net.tick(|port, pkt| {
+                    queues[port][(pkt.row as usize) % qpp].push(MacOp { row: pkt.row });
+                });
             }
             None => {
                 // TDQ-1: deliver up to n_pes tasks directly; the sharing
@@ -248,10 +248,7 @@ fn simulate_round(
                         }),
                         None => owner,
                     } as usize;
-                    let q = (row as usize) % qpp;
-                    queues[dest][q]
-                        .push(MacOp { row })
-                        .expect("PE queues are unbounded");
+                    queues[dest][(row as usize) % qpp].push(MacOp { row });
                     stream_head = stream.next();
                 }
             }
@@ -260,7 +257,9 @@ fn simulate_round(
         // --- PE issue + MAC pipelines ---
         for pe in 0..n_pes {
             let mut issue: Option<MacOp> = None;
-            let requests: Vec<bool> = queues[pe].iter().map(|q| !q.is_empty()).collect();
+            for (request, queue) in requests.iter_mut().zip(&queues[pe]) {
+                *request = !queue.is_empty();
+            }
             if let Some(qi) = arbiters[pe].grant(&requests) {
                 let head = *queues[pe][qi].peek().expect("granted queue is non-empty");
                 let ready_at = scoreboard.earliest_issue(head.row, cycle);

@@ -33,10 +33,11 @@
 //! steady phase replays it instead of simulating the same (pattern, map)
 //! pair again. The round model, the replay cache, and the frozen-map
 //! executor live in the crate-internal `steady` module, shared verbatim
-//! with [`SpmmSession`](super::SpmmSession) — the per-request executor over a
-//! [`TunedPlan`](super::TunedPlan) extracted from this engine by
-//! [`FastEngine::freeze_plan`]. See `DESIGN.md` §5/§6 for the validity argument
-//! and the plan/execute split.
+//! with the [`TunedPlan`](super::TunedPlan) extracted from this engine by
+//! [`FastEngine::freeze_plan`], which a
+//! [`ShardedSession`](super::ShardedSession) times every request against.
+//! See `DESIGN.md` §5/§6 for the validity argument and the plan/execute
+//! split.
 //!
 //! Frozen-phase rounds are independent (each owns one output column of
 //! `C`), so they execute on the [`exec`](crate::exec) substrate —
@@ -336,6 +337,7 @@ mod tests {
     use super::*;
     use crate::config::{Design, MappingKind, StallMode};
     use crate::engine::steady::column_pattern;
+    use crate::engine::ShardedEngine;
     use awb_sparse::{spmm, Coo};
 
     fn config(n_pes: usize) -> AccelConfig {
@@ -435,10 +437,11 @@ mod tests {
         engine.run(&a, &b, "t").unwrap();
         assert_eq!((engine.replay_misses(), engine.replay_hits()), (2, 10));
 
-        // A session on a cold frozen plan counts the same way.
-        let plan = FastEngine::new(Design::Baseline.apply(config(8)))
-            .freeze_plan(a.pattern())
+        // A session on a cold frozen one-shard plan counts the same way.
+        let plan = ShardedEngine::new(Design::Baseline.apply(config(8)))
+            .freeze_plan(&a)
             .unwrap();
+        assert_eq!(plan.shard_count(), 1);
         plan.session().run(&a, &b, "t").unwrap();
         assert_eq!((plan.replay_misses(), plan.replay_hits()), (2, 4));
         plan.session().run(&a, &b, "t").unwrap();

@@ -18,19 +18,17 @@
 //! it again (e.g. `A` in layer 2 after layer 1) reuses the auto-tuned row
 //! map, exactly the reuse the paper's auto-tuning paradigm is about.
 //!
-//! That reuse is made first-class by the plan/execute split: a warm-up
-//! run followed by [`FastEngine::freeze_plan`] produces a frozen,
-//! shareable [`TunedPlan`] (row map + replay cache + structure
-//! fingerprint + config), and cheap
-//! per-request [`SpmmSession`]s execute against `&TunedPlan` — so N
-//! requests on one graph pay tuning once and hit the replay cache from
-//! request 1. See `DESIGN.md` §6.
-//!
-//! The `A` side of a GCN runs one shard pipeline on top of that split:
-//! [`ShardedEngine`] → [`ShardedPlan`] → [`ShardedSession`], one
-//! timing-only `FastEngine`/`TunedPlan` per column shard, merged through
-//! the pinned global-order numerics. Each shard reads its part of `A`
-//! from one of two sources:
+//! That reuse is made first-class by the plan/execute split, run as one
+//! shard pipeline: [`ShardedEngine`] → [`ShardedPlan`] →
+//! [`ShardedSession`], one timing-only `FastEngine` per column shard
+//! during warm-up, frozen by [`FastEngine::freeze_plan`] into one
+//! shareable [`TunedPlan`] (row map + replay cache + config) per shard,
+//! merged through the pinned global-order numerics. A frozen
+//! `ShardedPlan` is the only plan a request runs against: cheap
+//! per-request sessions execute against `&ShardedPlan`, so N requests on
+//! one graph pay tuning once and hit the replay cache from request 1
+//! (`DESIGN.md` §6). Each shard reads its part of `A` from one of two
+//! sources:
 //!
 //! * **resident** — a column-slice pattern, or the whole operand (a single
 //!   device is the one-shard resident case, with no copy of `A` or `B`);
@@ -54,7 +52,7 @@ mod tuning;
 
 pub use detailed::{DetailedEngine, TdqMode};
 pub use fast::FastEngine;
-pub use plan::{SpmmSession, TunedPlan};
+pub use plan::TunedPlan;
 pub(crate) use sharded::shard_timing;
 pub use sharded::{PlanShard, ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession};
 pub use streaming::StreamStats;

@@ -713,10 +713,14 @@ impl ShardedPlan {
     }
 }
 
-/// A cheap per-request executor over a shared [`ShardedPlan`] — the
-/// sharded analogue of [`SpmmSession`](crate::SpmmSession). Every shard
-/// round runs under its frozen map (no tuning, ever), and the merged
-/// output is pinned bit-identical to the single-device path.
+/// A cheap per-request executor over a shared [`ShardedPlan`], and the
+/// only one: every request runs against a frozen plan through a session,
+/// a single device being the one-shard case. Every shard round runs under
+/// its shard's frozen [`TunedPlan`] map (no tuning, ever), repeated
+/// patterns replay from its cache from the first request on, and the
+/// merged output is pinned bit-identical to the single-device path.
+/// Implements [`SpmmEngine`], so a session is a drop-in engine wherever
+/// one is expected.
 #[derive(Debug, Clone)]
 pub struct ShardedSession<'p> {
     plan: &'p ShardedPlan,
@@ -768,9 +772,9 @@ impl ShardedSession<'_> {
             b,
             label,
             plan.config.threads,
-            // Timing-only member sessions: the merged numerics follow the
+            // Timing-only shard plans: the merged numerics follow the
             // shard source in `run_pass`.
-            &|shard_plan, a, runs| shard_plan.session_trusted().time_runs(a, &runs, label),
+            &|shard_plan, a, runs| shard_plan.time_runs(a, &runs, label),
         )?;
         if out.stream.is_some() {
             *lock(&plan.last_stream.0) = out.stream;
@@ -794,6 +798,7 @@ mod tests {
     use super::*;
     use crate::config::{Design, ShardPolicy};
     use awb_sparse::{spmm, Coo};
+    use std::ops::RangeInclusive;
     use std::path::PathBuf;
 
     fn skewed(n: usize, heavy_nnz: usize) -> Csc {
@@ -833,11 +838,12 @@ mod tests {
         dir
     }
 
-    /// An engine under one shard source; a stored one removes its store
-    /// directory when dropped.
+    /// An engine under one shard source and the shard counts it cuts; a
+    /// stored one removes its store directory when dropped.
     struct Source {
         name: &'static str,
         engine: ShardedEngine,
+        shards: RangeInclusive<usize>,
         store: Option<(PathBuf, Arc<SparseStore>)>,
     }
 
@@ -849,10 +855,22 @@ mod tests {
         }
     }
 
+    fn single() -> Source {
+        let mut cfg = config(8, 1);
+        cfg.shards = ShardPolicy::Single;
+        Source {
+            name: "resident Single",
+            engine: ShardedEngine::new(cfg),
+            shards: 1..=1,
+            store: None,
+        }
+    }
+
     fn resident() -> Source {
         Source {
             name: "resident Fixed(3)",
             engine: ShardedEngine::new(config(8, 3)),
+            shards: 3..=3,
             store: None,
         }
     }
@@ -865,14 +883,16 @@ mod tests {
         Source {
             name: "stored",
             engine,
+            shards: 2..=usize::MAX,
             store: Some((dir, store)),
         }
     }
 
-    /// The two shard sources every shared test runs under: resident
+    /// The three shard sources every shared test runs under: the
+    /// one-shard resident plan (`ShardPolicy::Single`), resident
     /// `Fixed(3)`, and stored under a third of the adjacency.
-    fn sources(tag: &str, a: &Csc) -> [Source; 2] {
-        [resident(), stored(tag, a, a.heap_bytes() / 3)]
+    fn sources(tag: &str, a: &Csc) -> [Source; 3] {
+        [single(), resident(), stored(tag, a, a.heap_bytes() / 3)]
     }
 
     #[test]
@@ -915,7 +935,6 @@ mod tests {
         let plan = engine.freeze_plan(&a).unwrap();
         assert!(plan.shards()[0].slice.is_none());
         assert_eq!(plan.memory_bytes(), plan.shards()[0].plan().memory_bytes());
-        assert_eq!(plan.shards()[0].plan().fingerprint(), plan.fingerprint());
     }
 
     #[test]
@@ -966,9 +985,10 @@ mod tests {
             engine.run(&a, &warmup, "warmup").unwrap();
             let plan = engine.freeze_plan(&a).unwrap();
             assert!(plan.matches(&a), "{name}");
-            assert!(plan.shard_count() > 1, "{name}");
+            assert!(source.shards.contains(&plan.shard_count()), "{name}");
             assert_eq!(plan.shard_count(), engine.shard_count());
             assert!(plan.tuning_rounds() > 0, "{name}");
+            assert!(plan.total_switches() > 0, "{name}");
             assert!(plan.memory_bytes() > 0);
             assert_eq!(plan.store().is_some(), source.store.is_some());
             // The frozen engine's next run and a session agree exactly,
@@ -977,6 +997,7 @@ mod tests {
             let served = plan.session().run_detailed(&a, &b, "req").unwrap();
             assert_eq!(from_engine.outcome.stats, served.outcome.stats, "{name}");
             assert_eq!(bits(&from_engine.outcome.c), bits(&served.outcome.c));
+            assert_eq!(served.outcome.stats.rounds.len(), b.cols(), "{name}");
             for s in &served.per_shard {
                 assert_eq!(s.tuning_rounds(), 0, "{name}");
             }
@@ -998,6 +1019,8 @@ mod tests {
         let a = skewed(64, 40);
         let b = dense(64, 4);
         let other = skewed(64, 20); // same shape, different structure
+        let small = skewed(32, 10); // different row count
+        let small_b = dense(32, 4);
         for mut source in sources("foreign", &a) {
             let name = source.name;
             let engine = &mut source.engine;
@@ -1021,11 +1044,20 @@ mod tests {
                 "{name}"
             );
             let plan = engine.freeze_plan(&a).unwrap();
+            assert!(source.shards.contains(&plan.shard_count()), "{name}");
             assert!(!plan.matches(&other), "{name}");
             assert!(
                 matches!(
                     plan.session().run_detailed(&other, &b, "t"),
                     Err(AccelError::InvalidConfig(_))
+                ),
+                "{name}"
+            );
+            // A different row count is rejected before any shard runs.
+            assert!(
+                matches!(
+                    plan.session().run_detailed(&small, &small_b, "t"),
+                    Err(AccelError::InvalidConfig(msg)) if msg.contains("64 rows used with 32 rows")
                 ),
                 "{name}"
             );
@@ -1040,6 +1072,7 @@ mod tests {
             let name = source.name;
             let engine = &mut source.engine;
             let first = engine.run(&a, &b, "t").unwrap();
+            assert!(source.shards.contains(&engine.shard_count()), "{name}");
             let second = engine.run(&a, &b, "t").unwrap();
             assert_eq!(bits(&first.c), bits(&second.c), "{name}");
             assert_eq!(first.stats.rounds.len(), second.stats.rounds.len());

@@ -6,13 +6,14 @@
 //!
 //! * [`FastEngine`](super::FastEngine) — after its auto-tuner freezes, it
 //!   executes the remaining rounds through [`execute_steady`],
-//! * [`SpmmSession`](super::SpmmSession) — a per-request executor over a
-//!   shared [`TunedPlan`](super::TunedPlan), where *every* round is
-//!   steady-state.
+//! * [`TunedPlan`](super::TunedPlan) — a frozen shard of a shared
+//!   [`ShardedPlan`](super::ShardedPlan), which every
+//!   [`ShardedSession`](super::ShardedSession) times requests against;
+//!   there *every* round is steady-state.
 //!
 //! [`ReplayCache`] is interior-mutable (`RwLock` + atomic counters) so a
-//! plan can be shared (`&TunedPlan`) across concurrently executing
-//! sessions: all sessions read and warm one cache. Timings are pure
+//! plan can be shared (`&ShardedPlan`) across concurrently executing
+//! sessions: all sessions read and warm one cache per shard. Timings are pure
 //! functions of the round's non-zero pattern under the frozen map, so
 //! concurrent insertion of the same key writes the same value and results
 //! stay bit-identical regardless of interleaving (only the hit/miss

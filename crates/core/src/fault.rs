@@ -22,16 +22,17 @@
 
 use std::fmt;
 
-use crate::error::AccelError;
-
 /// What an injected fault does at its site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The worker panics mid-request; the isolation boundary must convert
-    /// it to [`AccelError::WorkerPanicked`] without disturbing the batch.
+    /// it to [`AccelError::WorkerPanicked`](crate::AccelError::WorkerPanicked)
+    /// without disturbing the batch.
     Panic,
     /// The response payload is corrupted with a NaN; the output guard must
-    /// suppress it as [`AccelError::NonFiniteOutput`], never hand it back.
+    /// suppress it as
+    /// [`AccelError::NonFiniteOutput`](crate::AccelError::NonFiniteOutput),
+    /// never hand it back.
     NanPayload,
     /// The worker sleeps a few milliseconds; the request still completes
     /// bit-identically (and may trip a deadline budget upstream).
@@ -48,48 +49,25 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// Default fraction of site hits that fault, in percent.
+/// Fraction of site hits that fault, in percent.
 pub const DEFAULT_FAULT_RATE_PERCENT: u8 = 25;
 
 /// A deterministic fault-injection plan (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     seed: u64,
-    rate_percent: u8,
 }
 
 impl FaultPlan {
     /// A plan faulting [`DEFAULT_FAULT_RATE_PERCENT`]% of site hits under
     /// the given seed.
     pub fn new(seed: u64) -> Self {
-        FaultPlan {
-            seed,
-            rate_percent: DEFAULT_FAULT_RATE_PERCENT,
-        }
-    }
-
-    /// A plan with an explicit fault rate in percent.
-    ///
-    /// # Errors
-    ///
-    /// [`AccelError::InvalidConfig`] unless `1 <= rate_percent <= 100`.
-    pub fn with_rate(seed: u64, rate_percent: u8) -> Result<Self, AccelError> {
-        if rate_percent == 0 || rate_percent > 100 {
-            return Err(AccelError::InvalidConfig(
-                "fault rate must be between 1 and 100 percent".into(),
-            ));
-        }
-        Ok(FaultPlan { seed, rate_percent })
+        FaultPlan { seed }
     }
 
     /// The seed this plan derives every decision from.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// The fraction of site hits that fault, in percent.
-    pub fn rate_percent(&self) -> u8 {
-        self.rate_percent
     }
 
     /// FNV-1a over `(seed, site, index)` with a splitmix64 finalizer —
@@ -122,7 +100,7 @@ impl FaultPlan {
     /// `(seed, site, index)`.
     pub fn decide(&self, site: &str, index: u64) -> Option<FaultKind> {
         let h = self.roll(site, index);
-        if (h % 100) as u8 >= self.rate_percent {
+        if (h % 100) as u8 >= DEFAULT_FAULT_RATE_PERCENT {
             return None;
         }
         Some(match (h >> 8) % 3 {
@@ -164,17 +142,9 @@ mod tests {
     }
 
     #[test]
-    fn rate_bounds_enforced() {
-        assert!(FaultPlan::with_rate(1, 0).is_err());
-        assert!(FaultPlan::with_rate(1, 101).is_err());
-        assert!(FaultPlan::with_rate(1, 1).is_ok());
-        assert!(FaultPlan::with_rate(1, 100).is_ok());
-    }
-
-    #[test]
-    fn rate_100_faults_everything_and_covers_all_kinds() {
-        let plan = FaultPlan::with_rate(7, 100).unwrap();
-        let kinds: Vec<FaultKind> = (0..64).map(|i| plan.decide("drain", i).unwrap()).collect();
+    fn faults_cover_all_kinds() {
+        let plan = FaultPlan::new(7);
+        let kinds: Vec<FaultKind> = (0..256).filter_map(|i| plan.decide("drain", i)).collect();
         assert!(kinds.contains(&FaultKind::Panic));
         assert!(kinds.contains(&FaultKind::NanPayload));
         assert!(kinds.contains(&FaultKind::Delay));
@@ -182,7 +152,7 @@ mod tests {
 
     #[test]
     fn observed_rate_tracks_configured_rate() {
-        let plan = FaultPlan::with_rate(3, 25).unwrap();
+        let plan = FaultPlan::new(3);
         let n = 2000;
         let faulted = (0..n)
             .filter(|&i| plan.decide("drain", i).is_some())

@@ -13,8 +13,8 @@
 //!
 //! * [`GcnRunner::prepare`] runs one warm-up inference and extracts a
 //!   [`GcnPlan`] (graph, weights, and the frozen [`ShardedPlan`] for `A`:
-//!   one [`TunedPlan`] per shard, a single device being the one-shard
-//!   case).
+//!   one [`TunedPlan`](crate::TunedPlan) per shard, a single device being
+//!   the one-shard case).
 //! * [`GcnPlan::run`] executes one feature-matrix request against the
 //!   shared plan — no tuning, replay cache warm from request 1.
 //! * [`GcnRunner::run`] is the thin compatibility wrapper: one cold
@@ -24,9 +24,7 @@ use crate::config::{AccelConfig, ShardPolicy, StrategyPolicy, DEFAULT_HOST_MEM_B
 use crate::cost::{self, AutoDecision, CostProfile};
 use crate::engine::steady::compute_rows;
 use crate::engine::streaming::store_err;
-use crate::engine::{
-    shard_timing, ShardedEngine, ShardedOutcome, ShardedPlan, StreamStats, TunedPlan,
-};
+use crate::engine::{shard_timing, ShardedEngine, ShardedOutcome, ShardedPlan, StreamStats};
 use crate::error::AccelError;
 use crate::exec;
 use crate::pipeline::pipeline_two_stage;
@@ -381,10 +379,11 @@ impl GcnRunner {
 /// A prepared per-graph inference plan: everything that is a function of
 /// the graph and the model — the normalized adjacency, the layer weights,
 /// and the frozen `A`-side tuning state (one [`ShardedPlan`]: a
-/// [`TunedPlan`] per shard, resident or stored) — none of what is a
-/// function of a request. Produced by [`GcnRunner::prepare`]; executed per
-/// request by [`GcnPlan::run`]. Shareable: `&GcnPlan` may serve concurrent
-/// requests (see the plan concurrency contract in `DESIGN.md` §6/§7).
+/// [`TunedPlan`](crate::TunedPlan) per shard, resident or stored) — none
+/// of what is a function of a request. Produced by
+/// [`GcnRunner::prepare`]; executed per request by [`GcnPlan::run`].
+/// Shareable: `&GcnPlan` may serve concurrent requests (see the plan
+/// concurrency contract in `DESIGN.md` §6/§7).
 #[derive(Debug, Clone)]
 pub struct GcnPlan {
     config: AccelConfig,
@@ -435,14 +434,16 @@ impl GcnPlan {
         self.weights.len()
     }
 
-    /// The frozen single-device tuned plan for `A`, when the plan was
+    /// The frozen one-shard resident plan for `A`, when the plan was
     /// prepared resident under [`ShardPolicy::Single`] (`None` otherwise —
     /// see [`sharded_plan`](GcnPlan::sharded_plan) and
     /// [`streamed_plan`](GcnPlan::streamed_plan)). Its one shard covers
-    /// all of `A`, so its fingerprint is `A`'s.
-    pub fn plan_a(&self) -> Option<&TunedPlan> {
+    /// all of `A` on a single device, and its
+    /// [`session`](ShardedPlan::session) reports exactly that device's
+    /// statistics (a one-shard merge is the shard's own).
+    pub fn plan_a(&self) -> Option<&ShardedPlan> {
         let single = self.a_plan.config().shards == ShardPolicy::Single;
-        (single && self.a_plan.store().is_none()).then(|| self.a_plan.shards()[0].plan())
+        (single && self.a_plan.store().is_none()).then_some(&self.a_plan)
     }
 
     /// The frozen per-shard plans for `A`, when the plan was prepared

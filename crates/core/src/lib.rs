@@ -19,10 +19,10 @@
 //! reproduce the paper's CLB and inferences-per-kJ reporting.
 //!
 //! The converged tuning state is a first-class artifact: a warm-up phase
-//! ([`FastEngine::freeze_plan`] / [`GcnRunner::prepare`]) produces a frozen,
-//! shareable [`TunedPlan`]/[`GcnPlan`], and per-request
-//! [`SpmmSession`]s/[`GcnPlan::run`] execute against it without re-paying
-//! tuning. [`GcnService`] builds the batched multi-request serving
+//! ([`ShardedEngine::freeze_plan`] / [`GcnRunner::prepare`]) produces a
+//! frozen, shareable [`ShardedPlan`] (one [`TunedPlan`] per shard) or
+//! [`GcnPlan`], and per-request [`ShardedSession`]s / [`GcnPlan::run`]
+//! execute against it without re-paying tuning. [`GcnService`] builds the batched multi-request serving
 //! front-end on top (prepared per-graph plans, deterministic batch
 //! fan-out, per-request latency + aggregate throughput reporting).
 //!
@@ -89,7 +89,7 @@ pub use cost::{AutoDecision, CostProfile};
 pub use energy::{cycles_to_ms, EnergyModel};
 pub use engine::{
     DetailedEngine, FastEngine, PlanShard, ShardedEngine, ShardedOutcome, ShardedPlan,
-    ShardedSession, SpmmEngine, SpmmOutcome, SpmmSession, StreamStats, TdqMode, TunedPlan,
+    ShardedSession, SpmmEngine, SpmmOutcome, StreamStats, TdqMode, TunedPlan,
 };
 pub use error::AccelError;
 pub use exec::{num_threads, par_map, par_map_isolated, par_map_threads};

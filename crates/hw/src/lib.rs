@@ -5,8 +5,9 @@
 //! of them to time a round; it carries task row ids only, since every
 //! engine computes the numerics through one pinned kernel:
 //!
-//! * [`TaskQueue`] — a task queue (TQ) with occupancy tracking and
-//!   high-water marking (the paper sizes TQ area by required depth),
+//! * [`TaskQueue`] — a FIFO task queue (TQ) whose occupancy the
+//!   local-sharing comparators read (the engines record each PE's
+//!   high-water depth, by which the paper sizes TQ area),
 //! * [`RoundRobinArbiter`] — the per-PE arbiter selecting among multiple
 //!   TQs in TDQ-1,
 //! * [`OmegaNetwork`] — the multi-stage interconnect of TDQ-2 with per-stage

@@ -31,7 +31,6 @@ pub struct MacOp {
 pub struct RawScoreboard {
     latency: u64,
     ready_at: std::collections::HashMap<u32, u64>,
-    stalls: u64,
 }
 
 impl RawScoreboard {
@@ -40,7 +39,6 @@ impl RawScoreboard {
         RawScoreboard {
             latency,
             ready_at: std::collections::HashMap::new(),
-            stalls: 0,
         }
     }
 
@@ -54,44 +52,20 @@ impl RawScoreboard {
     pub fn record_issue(&mut self, row: u32, cycle: u64) {
         self.ready_at.insert(row, cycle + self.latency);
     }
-
-    /// Convenience: computes the issue cycle for an op arriving at `now`,
-    /// records it, and counts any stall.
-    pub fn issue(&mut self, row: u32, now: u64) -> u64 {
-        let at = self.earliest_issue(row, now);
-        if at > now {
-            self.stalls += at - now;
-        }
-        self.record_issue(row, at);
-        at
-    }
-
-    /// Total stall cycles caused by RaW hazards.
-    pub fn stall_cycles(&self) -> u64 {
-        self.stalls
-    }
-
-    /// Pipeline latency.
-    pub fn latency(&self) -> u64 {
-        self.latency
-    }
-
-    /// Forgets all in-flight state (between rounds).
-    pub fn reset(&mut self) {
-        self.ready_at.clear();
-    }
 }
 
 /// A cycle-stepped pipelined MAC unit of fixed depth.
 ///
 /// Accepts at most one [`MacOp`] per cycle; completed ops emerge `latency`
 /// cycles later. The detailed engine couples it with a [`RawScoreboard`].
+/// A tick touches one stage and allocates nothing.
 #[derive(Debug, Clone)]
 pub struct MacPipeline {
-    latency: usize,
-    /// Stage i holds the op issued i+1 cycles ago (`stages[latency-1]` is
-    /// about to complete).
+    /// A ring of `latency` stages: `stages[head]` holds the op issued
+    /// `latency` cycles ago, which completes on the next tick, and the
+    /// op issued on that tick takes its slot.
     stages: Vec<Option<MacOp>>,
+    head: usize,
     completed: u64,
 }
 
@@ -104,22 +78,17 @@ impl MacPipeline {
     pub fn new(latency: usize) -> Self {
         assert!(latency > 0, "pipeline needs at least one stage");
         MacPipeline {
-            latency,
             stages: vec![None; latency],
+            head: 0,
             completed: 0,
         }
-    }
-
-    /// Pipeline depth.
-    pub fn latency(&self) -> usize {
-        self.latency
     }
 
     /// Advances one cycle, optionally issuing a new op, and returns the op
     /// completing this cycle (if any).
     pub fn tick(&mut self, issue: Option<MacOp>) -> Option<MacOp> {
-        let out = self.stages.pop().expect("pipeline has stages");
-        self.stages.insert(0, issue);
+        let out = std::mem::replace(&mut self.stages[self.head], issue);
+        self.head = (self.head + 1) % self.stages.len();
         if out.is_some() {
             self.completed += 1;
         }
@@ -131,25 +100,9 @@ impl MacPipeline {
         self.stages.iter().any(|s| s.is_some())
     }
 
-    /// True when an op targeting `row` is in flight (hazard condition).
-    pub fn row_in_flight(&self, row: u32) -> bool {
-        self.stages.iter().flatten().any(|op| op.row == row)
-    }
-
     /// Ops completed so far.
     pub fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// Drains the pipeline, returning remaining ops oldest-first.
-    pub fn drain(&mut self) -> Vec<MacOp> {
-        let mut out = Vec::new();
-        while self.busy() {
-            if let Some(op) = self.tick(None) {
-                out.push(op);
-            }
-        }
-        out
     }
 }
 
@@ -160,28 +113,20 @@ mod tests {
     #[test]
     fn scoreboard_no_hazard_across_rows() {
         let mut sb = RawScoreboard::new(6);
-        assert_eq!(sb.issue(1, 0), 0);
-        assert_eq!(sb.issue(2, 1), 1);
-        assert_eq!(sb.issue(3, 2), 2);
-        assert_eq!(sb.stall_cycles(), 0);
+        sb.record_issue(1, 0);
+        assert_eq!(sb.earliest_issue(2, 1), 1);
+        sb.record_issue(2, 1);
+        assert_eq!(sb.earliest_issue(3, 2), 2);
     }
 
     #[test]
     fn scoreboard_same_row_stalls_by_latency() {
         let mut sb = RawScoreboard::new(6);
-        assert_eq!(sb.issue(5, 0), 0);
-        assert_eq!(sb.issue(5, 1), 6);
-        assert_eq!(sb.stall_cycles(), 5);
+        sb.record_issue(5, 0);
+        assert_eq!(sb.earliest_issue(5, 1), 6);
+        sb.record_issue(5, 6);
         // Third access chains after the second.
-        assert_eq!(sb.issue(5, 7), 12);
-    }
-
-    #[test]
-    fn scoreboard_reset_clears_state() {
-        let mut sb = RawScoreboard::new(4);
-        sb.issue(9, 0);
-        sb.reset();
-        assert_eq!(sb.earliest_issue(9, 1), 1);
+        assert_eq!(sb.earliest_issue(5, 7), 12);
     }
 
     #[test]
@@ -189,9 +134,11 @@ mod tests {
         let mut p = MacPipeline::new(3);
         let op = MacOp { row: 1 };
         assert_eq!(p.tick(Some(op)), None);
+        assert!(p.busy());
         assert_eq!(p.tick(None), None);
         assert_eq!(p.tick(None), None);
         assert_eq!(p.tick(None), Some(op));
+        assert!(!p.busy());
         assert_eq!(p.completed(), 1);
     }
 
@@ -203,30 +150,10 @@ mod tests {
         assert_eq!(p.tick(Some(mk(1))), None);
         assert_eq!(p.tick(Some(mk(2))), Some(mk(0)));
         assert_eq!(p.tick(Some(mk(3))), Some(mk(1)));
-    }
-
-    #[test]
-    fn row_in_flight_detection() {
-        let mut p = MacPipeline::new(3);
-        p.tick(Some(MacOp { row: 7 }));
-        assert!(p.row_in_flight(7));
-        assert!(!p.row_in_flight(8));
-        p.tick(None);
-        p.tick(None);
-        p.tick(None);
-        assert!(!p.row_in_flight(7));
-    }
-
-    #[test]
-    fn drain_returns_in_flight_ops_in_order() {
-        let mut p = MacPipeline::new(4);
-        for i in 0..3 {
-            p.tick(Some(MacOp { row: i }));
-        }
-        let drained = p.drain();
-        let rows: Vec<u32> = drained.iter().map(|o| o.row).collect();
-        assert_eq!(rows, vec![0, 1, 2]);
+        assert_eq!(p.tick(None), Some(mk(2)));
+        assert_eq!(p.tick(None), Some(mk(3)));
         assert!(!p.busy());
+        assert_eq!(p.completed(), 4);
     }
 
     #[test]

@@ -29,8 +29,9 @@ pub struct Packet {
 /// let mut net = OmegaNetwork::new(8, 4);
 /// net.inject(0, Packet { dest: 5, row: 5 }).unwrap();
 /// let mut delivered = Vec::new();
-/// for _ in 0..net.stages() + 1 {
-///     delivered.extend(net.tick());
+/// for _ in 0..3 {
+///     // log2(8) = 3 stages: one cycle each when uncontended.
+///     net.tick(|port, packet| delivered.push((port, packet)));
 /// }
 /// assert_eq!(delivered.len(), 1);
 /// assert_eq!(delivered[0].0, 5); // arrived at its destination port
@@ -44,7 +45,10 @@ pub struct OmegaNetwork {
     buffers: Vec<Vec<VecDeque<Packet>>>,
     /// Rotating priority so neither switch input starves.
     priority: usize,
-    delivered: u64,
+    /// `claimed[s * n + p]`: output port `p` of stage `s` already took a
+    /// packet this cycle (one packet per receiving port per cycle). Reset
+    /// on every tick, allocated once.
+    claimed: Vec<bool>,
     contention_stalls: u64,
 }
 
@@ -70,19 +74,9 @@ impl OmegaNetwork {
                 .map(|_| (0..n).map(|_| VecDeque::new()).collect())
                 .collect(),
             priority: 0,
-            delivered: 0,
+            claimed: vec![false; stages * n],
             contention_stalls: 0,
         }
-    }
-
-    /// Number of ports.
-    pub fn ports(&self) -> usize {
-        self.n
-    }
-
-    /// Number of switch stages (`log2(ports)`).
-    pub fn stages(&self) -> usize {
-        self.stages
     }
 
     /// Attempts to inject a packet at `port`; fails (returning the packet)
@@ -90,7 +84,7 @@ impl OmegaNetwork {
     ///
     /// # Panics
     ///
-    /// Panics if `port >= self.ports()` or `packet.dest >= self.ports()`.
+    /// Panics if `port` or `packet.dest` is not below the port count.
     pub fn inject(&mut self, port: usize, packet: Packet) -> Result<(), Packet> {
         assert!(port < self.n, "injection port out of range");
         assert!((packet.dest as usize) < self.n, "destination out of range");
@@ -110,49 +104,41 @@ impl OmegaNetwork {
         ((p << 1) & (self.n - 1)) | bit
     }
 
-    /// Advances the network one cycle; returns packets delivered to output
-    /// ports this cycle as `(output_port, packet)` pairs.
+    /// Advances the network one cycle, handing each packet delivered to an
+    /// output port this cycle to `deliver(output_port, packet)`, in
+    /// delivery order. Allocates nothing.
     ///
     /// Output ports are never blocked (the engine's PE queues absorb
     /// deliveries and measure their own depth); internal stages observe
     /// buffer capacity and one-packet-per-port bandwidth.
-    pub fn tick(&mut self) -> Vec<(usize, Packet)> {
-        let mut delivered = Vec::new();
-        // One packet per receiving port per cycle, network-wide.
-        let mut claimed: Vec<Vec<bool>> = (0..self.stages).map(|_| vec![false; self.n]).collect();
-        let mut out_claimed = vec![false; self.n];
+    pub fn tick(&mut self, mut deliver: impl FnMut(usize, Packet)) {
+        self.claimed.fill(false);
         // Back-to-front so a packet moves at most one stage per cycle and
         // freed slots are visible upstream within the same cycle.
         for s in (0..self.stages).rev() {
+            let last = s + 1 == self.stages;
             for off in 0..self.n {
                 let p = (self.priority + off) % self.n;
                 let Some(pkt) = self.buffers[s][p].front().copied() else {
                     continue;
                 };
+                // On the final stage `np` is the output port (== dest).
                 let np = self.next_port(s, p, pkt.dest);
-                if s + 1 == self.stages {
-                    // Final stage: deliver to output port np (== dest).
-                    if out_claimed[np] {
-                        self.contention_stalls += 1;
-                        continue;
-                    }
-                    out_claimed[np] = true;
-                    self.buffers[s][p].pop_front();
-                    self.delivered += 1;
-                    delivered.push((np, pkt));
+                let slot = s * self.n + np;
+                if self.claimed[slot] || (!last && self.buffers[s + 1][np].len() >= self.cap) {
+                    self.contention_stalls += 1;
+                    continue;
+                }
+                self.claimed[slot] = true;
+                self.buffers[s][p].pop_front();
+                if last {
+                    deliver(np, pkt);
                 } else {
-                    if claimed[s + 1][np] || self.buffers[s + 1][np].len() >= self.cap {
-                        self.contention_stalls += 1;
-                        continue;
-                    }
-                    claimed[s + 1][np] = true;
-                    self.buffers[s][p].pop_front();
                     self.buffers[s + 1][np].push_back(pkt);
                 }
             }
         }
         self.priority = (self.priority + 1) % self.n;
-        delivered
     }
 
     /// True when no packet is anywhere in the network.
@@ -160,11 +146,6 @@ impl OmegaNetwork {
         self.buffers
             .iter()
             .all(|stage| stage.iter().all(|b| b.is_empty()))
-    }
-
-    /// Total packets delivered.
-    pub fn delivered(&self) -> u64 {
-        self.delivered
     }
 
     /// Cycles in which a packet could not advance because of port
@@ -185,7 +166,7 @@ mod tests {
     fn drain(net: &mut OmegaNetwork, max_cycles: usize) -> Vec<(usize, Packet)> {
         let mut out = Vec::new();
         for _ in 0..max_cycles {
-            out.extend(net.tick());
+            net.tick(|port, packet| out.push((port, packet)));
             if net.is_drained() {
                 break;
             }
@@ -215,12 +196,14 @@ mod tests {
         let mut cycles = 0;
         loop {
             cycles += 1;
-            if !net.tick().is_empty() {
+            let mut delivered = false;
+            net.tick(|_, _| delivered = true);
+            if delivered {
                 break;
             }
             assert!(cycles < 10, "packet lost");
         }
-        assert_eq!(cycles, net.stages());
+        assert_eq!(cycles, net.stages);
     }
 
     #[test]
@@ -255,7 +238,7 @@ mod tests {
         let mut net = OmegaNetwork::new(4, 1);
         net.inject(0, pkt(1)).unwrap();
         assert!(net.inject(0, pkt(2)).is_err());
-        net.tick();
+        net.tick(|_, _| {});
         assert!(net.inject(0, pkt(2)).is_ok());
     }
 
@@ -287,7 +270,7 @@ mod tests {
                     }
                 }
             }
-            delivered.extend(net.tick());
+            net.tick(|port, packet| delivered.push((port, packet)));
             cycles += 1;
         }
         assert_eq!(injected, 200);

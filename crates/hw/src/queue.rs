@@ -1,12 +1,13 @@
 use std::collections::VecDeque;
 
-/// A hardware task queue (TQ) with optional capacity and high-water
-/// tracking.
+/// A hardware task queue (TQ): an unbounded FIFO whose occupancy is the
+/// "pending task counter" the local-sharing comparators read.
 ///
-/// The paper sizes the TQ contribution to chip area by the queue depth a
-/// workload requires (§5.2: rebalancing shrinks Nell's layer-1 TQ depth
-/// from 65 128 to 2 675 slots); [`TaskQueue::high_water`] records exactly
-/// that statistic.
+/// The simulator measures the depth a workload requires rather than
+/// enforcing one: the paper sizes the TQ contribution to chip area by that
+/// depth (§5.2: rebalancing shrinks Nell's layer-1 TQ depth from 65 128 to
+/// 2 675 slots), and the engines record each PE's high-water mark
+/// themselves.
 ///
 /// # Example
 ///
@@ -14,59 +15,29 @@ use std::collections::VecDeque;
 /// use awb_hw::TaskQueue;
 ///
 /// let mut q: TaskQueue<u32> = TaskQueue::unbounded();
-/// q.push(7).unwrap();
-/// q.push(9).unwrap();
+/// q.push(7);
+/// q.push(9);
 /// assert_eq!(q.len(), 2);
-/// assert_eq!(q.high_water(), 2);
+/// assert_eq!(q.peek(), Some(&7));
 /// assert_eq!(q.pop(), Some(7));
-/// assert_eq!(q.high_water(), 2); // high water is sticky
+/// assert_eq!(q.len(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskQueue<T> {
     items: VecDeque<T>,
-    capacity: Option<usize>,
-    high_water: usize,
-    total_pushed: u64,
 }
 
 impl<T> TaskQueue<T> {
-    /// An unbounded queue (the fast engine measures required depth rather
-    /// than enforcing one).
+    /// An empty, unbounded queue.
     pub fn unbounded() -> Self {
         TaskQueue {
             items: VecDeque::new(),
-            capacity: None,
-            high_water: 0,
-            total_pushed: 0,
         }
     }
 
-    /// A bounded queue; `push` fails when full (models backpressure).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn bounded(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        TaskQueue {
-            items: VecDeque::with_capacity(capacity),
-            capacity: Some(capacity),
-            high_water: 0,
-            total_pushed: 0,
-        }
-    }
-
-    /// Pushes a task; returns it back as `Err` when the queue is full.
-    pub fn push(&mut self, task: T) -> Result<(), T> {
-        if let Some(cap) = self.capacity {
-            if self.items.len() >= cap {
-                return Err(task);
-            }
-        }
+    /// Pushes a task at the back.
+    pub fn push(&mut self, task: T) {
         self.items.push_back(task);
-        self.total_pushed += 1;
-        self.high_water = self.high_water.max(self.items.len());
-        Ok(())
     }
 
     /// Pops the oldest task.
@@ -90,31 +61,6 @@ impl<T> TaskQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()
     }
-
-    /// True when a bounded queue has no free slot.
-    pub fn is_full(&self) -> bool {
-        self.capacity.is_some_and(|c| self.items.len() >= c)
-    }
-
-    /// Maximum occupancy ever observed.
-    pub fn high_water(&self) -> usize {
-        self.high_water
-    }
-
-    /// Total number of tasks ever pushed.
-    pub fn total_pushed(&self) -> u64 {
-        self.total_pushed
-    }
-
-    /// Configured capacity, if bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Clears pending tasks but keeps statistics (used between rounds).
-    pub fn clear(&mut self) {
-        self.items.clear();
-    }
 }
 
 impl<T> Default for TaskQueue<T> {
@@ -131,70 +77,21 @@ mod tests {
     fn fifo_order() {
         let mut q = TaskQueue::unbounded();
         for i in 0..5 {
-            q.push(i).unwrap();
+            q.push(i);
         }
+        assert_eq!(q.len(), 5);
         for i in 0..5 {
             assert_eq!(q.pop(), Some(i));
         }
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn bounded_rejects_when_full() {
-        let mut q = TaskQueue::bounded(2);
-        assert!(q.push(1).is_ok());
-        assert!(q.push(2).is_ok());
-        assert!(q.is_full());
-        assert_eq!(q.push(3), Err(3));
-        q.pop();
-        assert!(q.push(3).is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "capacity must be positive")]
-    fn zero_capacity_panics() {
-        let _: TaskQueue<u32> = TaskQueue::bounded(0);
-    }
-
-    #[test]
-    fn high_water_is_sticky_max() {
-        let mut q = TaskQueue::unbounded();
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        q.push(3).unwrap();
-        q.pop();
-        q.pop();
-        q.push(4).unwrap();
-        assert_eq!(q.high_water(), 3);
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.total_pushed(), 4);
-    }
-
-    #[test]
-    fn clear_keeps_stats() {
-        let mut q = TaskQueue::unbounded();
-        q.push(1).unwrap();
-        q.push(2).unwrap();
-        q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.high_water(), 2);
-        assert_eq!(q.total_pushed(), 2);
     }
 
     #[test]
     fn peek_does_not_consume() {
         let mut q = TaskQueue::unbounded();
-        q.push(42).unwrap();
+        q.push(42);
         assert_eq!(q.peek(), Some(&42));
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn unbounded_reports_no_capacity() {
-        let q: TaskQueue<u8> = TaskQueue::unbounded();
-        assert_eq!(q.capacity(), None);
-        assert!(!q.is_full());
-        let b: TaskQueue<u8> = TaskQueue::bounded(3);
-        assert_eq!(b.capacity(), Some(3));
     }
 }

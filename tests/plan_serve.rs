@@ -52,8 +52,11 @@ fn plan_rejects_structurally_different_graph() {
     let other = cora_input(NODES, 77);
     assert!(!plan.matches(&other));
     assert!(plan.run_input(&other).is_err());
-    // The underlying SPMM plan also rejects the foreign operand directly.
-    let mut session = plan.plan_a().expect("unsharded plan").session();
+    // The underlying one-shard SPMM plan also rejects the foreign operand
+    // directly.
+    let a_plan = plan.plan_a().expect("unsharded plan");
+    assert_eq!(a_plan.shard_count(), 1);
+    let mut session = a_plan.session();
     let b = awb_gcn_repro::sparse::DenseMatrix::zeros(NODES, 2);
     let err = awb_gcn_repro::accel::SpmmEngine::run(&mut session, &other.a_norm_csc, &b, "foreign");
     assert!(err.is_err(), "fingerprint mismatch must be rejected");

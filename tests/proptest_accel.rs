@@ -8,10 +8,11 @@ mod common;
 
 use awb_gcn_repro::accel::pipeline::{pipeline_chain, pipeline_two_stage};
 use awb_gcn_repro::accel::{
-    AccelConfig, Design, FastEngine, LocalSharing, MappingKind, RemoteSwitcher, RowMap, SpmmEngine,
+    AccelConfig, Design, FastEngine, LocalSharing, MappingKind, RemoteSwitcher, RowMap,
+    ShardedEngine, SpmmEngine,
 };
 use awb_gcn_repro::sparse::{spmm, DenseMatrix};
-use common::{dense_for, design_strategy, sparse_strategy};
+use common::{bits, dense_for, design_strategy, sparse_strategy};
 use proptest::prelude::*;
 
 /// A dense operand whose columns are laid out as `(mask, run length)`
@@ -122,9 +123,11 @@ proptest! {
     /// repeats after other patterns, tuning phases that end mid-run and
     /// cross run boundaries — every round executes its column's tasks, and
     /// stats, per-PE queue high-water marks and outputs equal a straight
-    /// simulation of every round, on a cold and on a warm engine, and
-    /// through a session on the plan frozen from the replaying engine
-    /// (sessions always replay an on-chip operand).
+    /// simulation of every round, on a cold and on a warm engine (the
+    /// replaying engine and the one-shard `ShardedEngine` that prepares
+    /// every single-device plan), and through a session on the one-shard
+    /// plan frozen from the latter (sessions always replay an on-chip
+    /// operand).
     #[test]
     fn multi_run_replay_matches_straight_simulation(
         a in sparse_strategy(48, 160),
@@ -142,7 +145,8 @@ proptest! {
         let mut straight = FastEngine::new(config.clone());
         straight.set_replay_enabled(false);
         config.threads = Some(threads);
-        let mut replayed = FastEngine::new(config);
+        let mut replayed = FastEngine::new(config.clone());
+        let mut one_shard = ShardedEngine::new(config);
         // Each round executes one task per (non-zero of `A`'s column j,
         // non-zero b(j, k)): an oracle independent of run detection and
         // of the tuning loop's round reuse, which both engines share.
@@ -165,18 +169,23 @@ proptest! {
                 &reference.stats.queue_high_water
             );
             prop_assert_eq!(&out.c, &reference.c);
+            let sharded = one_shard.run(&a, &b, "prop").unwrap();
+            prop_assert_eq!(&sharded.stats, &reference.stats);
+            prop_assert_eq!(bits(&sharded.c), bits(&reference.c));
         }
+        prop_assert_eq!(one_shard.shard_count(), 1);
 
-        // Freeze both engines the same way (the tuner may still be active
-        // after two short runs); the session on the replaying engine's
-        // plan must equal the straight engine's next, frozen, run.
-        let plan = replayed.freeze_plan(a.pattern()).unwrap();
+        // Freeze the one-shard engine and the straight one the same way
+        // (the tuner may still be active after two short runs); a session
+        // on the one-shard plan must equal the straight engine's next,
+        // frozen, run.
+        let plan = one_shard.freeze_plan(&a).unwrap();
         straight.freeze_plan(a.pattern()).unwrap();
         let consulted = plan.replay_hits() + plan.replay_misses();
         let reference = straight.run(&a, &b, "prop").unwrap();
         let served = plan.session().run(&a, &b, "prop").unwrap();
         prop_assert_eq!(&served.stats, &reference.stats);
-        prop_assert_eq!(&served.c, &reference.c);
+        prop_assert_eq!(bits(&served.c), bits(&reference.c));
         prop_assert_eq!(
             plan.replay_hits() + plan.replay_misses() - consulted,
             b.cols() as u64
