@@ -31,13 +31,9 @@
 //! seeds the cache when it exchanged no rows: the frozen map is then the
 //! map it ran under, so its timing is its pattern's steady timing, and the
 //! steady phase replays it instead of simulating the same (pattern, map)
-//! pair again. The round model, the replay cache, and the frozen-map
-//! executor live in the crate-internal `steady` module, shared verbatim
-//! with the [`TunedPlan`](super::TunedPlan) extracted from this engine by
-//! [`FastEngine::freeze_plan`], which a
-//! [`ShardedSession`](super::ShardedSession) times every request against.
-//! See `DESIGN.md` §5/§6 for the validity argument and the plan/execute
-//! split.
+//! pair again. The round model and the replay cache live in the
+//! crate-internal `steady` module. See `DESIGN.md` §5/§6 for the validity
+//! argument and the plan/execute split.
 //!
 //! Frozen-phase rounds are independent (each owns one output column of
 //! `C`), so they execute on the [`exec`](crate::exec) substrate —
@@ -46,19 +42,42 @@
 //!
 //! The model is validated against [`DetailedEngine`](super::DetailedEngine)
 //! in the crate's integration tests.
+//!
+//! # A frozen engine is a plan shard
+//!
+//! AWB-GCN reuses the frozen row map "for the remaining iterations"
+//! (paper §4.4). [`FastEngine::freeze_plan`] force-freezes the tuner, and
+//! [`ShardedEngine::freeze_plan`](super::ShardedEngine::freeze_plan)
+//! shares its frozen members, one per column shard, as a
+//! [`ShardedPlan`](super::ShardedPlan): every request then runs through a
+//! [`ShardedSession`](super::ShardedSession), which times each shard
+//! through the same steady phase this engine's own runs end with — by
+//! `&self`, never tuning.
+//!
+//! Concurrency contract: a frozen engine is `Sync`, and any number of
+//! sessions may time against it at once (the serving front-end fans
+//! request batches out on [`exec`](crate::exec)). The frozen map is
+//! immutable; the replay cache is interior-mutable and *monotone* — all
+//! sessions read and warm the same cache, and because a pattern's timing
+//! is a pure function of (operand structure, frozen map, pattern),
+//! concurrent insertion of the same key writes the same value. Statistics
+//! are therefore bit-identical regardless of scheduling; only the
+//! aggregate hit/miss counters can vary when two sessions race on the
+//! same uncached pattern (both count a miss).
 
 use crate::config::AccelConfig;
 use crate::engine::steady::{
-    column_runs, execute_steady, simulate_round, structure_fingerprint, ColumnRun, MemoryParams,
-    ReplayCache, RoundTiming, SimParams, SteadySpan,
+    column_runs, simulate_round, structure_fingerprint, ColumnRun, MemoryParams, ReplayCache,
+    RoundTiming, SimParams,
 };
 use crate::engine::tuning::TuningState;
-use crate::engine::{check_shapes, pinned_outcome, SpmmEngine, SpmmOutcome, TunedPlan};
+use crate::engine::{check_shapes, pinned_outcome, SpmmEngine, SpmmOutcome};
 use crate::error::AccelError;
 use crate::exec;
 use crate::mapping::RowMap;
-use crate::stats::SpmmStats;
+use crate::stats::{RoundStats, SpmmStats};
 use awb_sparse::{Csc, CscPattern, DenseMatrix};
+use std::ops::Range;
 
 /// Fast queue-dynamics engine (see module docs).
 ///
@@ -87,6 +106,9 @@ pub struct FastEngine {
     tuning: Option<TuningState>,
     replay_enabled: bool,
     cache: ReplayCache,
+    /// Structure fingerprint of the operand the replay cache describes,
+    /// kept by [`run_timing`](FastEngine::run_timing) only.
+    fingerprint: Option<u64>,
 }
 
 impl FastEngine {
@@ -100,6 +122,7 @@ impl FastEngine {
             config,
             tuning: None,
             cache: ReplayCache::new(),
+            fingerprint: None,
         }
     }
 
@@ -113,9 +136,27 @@ impl FastEngine {
         self.tuning.as_ref().map_or(0, |t| t.tuner.total_switches())
     }
 
+    /// Auto-tuning rounds observed before the tuner froze (0 before the
+    /// first run).
+    pub fn tuning_rounds(&self) -> usize {
+        self.tuning.as_ref().map_or(0, |t| t.tuner.rounds_done())
+    }
+
     /// Whether the auto-tuner is still adjusting.
     pub fn tuning_active(&self) -> bool {
         self.tuning.as_ref().is_some_and(|t| t.tuner.is_active())
+    }
+
+    /// Estimated heap bytes the engine keeps between runs: the row→PE map
+    /// (`u32` per row) plus the replay cache's memoized timings — all a
+    /// frozen plan shard holds. The serving front-end's plan-cache budget
+    /// is derived from these estimates (`DESIGN.md` §9); they track the
+    /// dominant arrays, not allocator-exact overheads.
+    pub fn memory_bytes(&self) -> u64 {
+        let map = self
+            .row_map()
+            .map_or(0, |m| std::mem::size_of_val(m.pe_of_row()));
+        (map + self.cache.approx_bytes()) as u64
     }
 
     /// Enables or disables the steady-state replay cache (enabled by
@@ -140,28 +181,21 @@ impl FastEngine {
         self.cache.misses()
     }
 
-    /// Extracts a [`TunedPlan`] from the engine's current state: the row
-    /// map as converged so far (force-frozen if the tuner is still
-    /// active — the paper freezes at the round budget regardless) plus a
-    /// snapshot of the replay cache for `a`. Only `a`'s structure is read
-    /// (a plan never holds values). The engine stays usable and itself
-    /// runs frozen afterwards.
+    /// Force-freezes the auto-tuner (the paper freezes at the round budget
+    /// regardless): the row map as converged so far is the map every later
+    /// round runs under, replaying from the warm cache. A frozen engine is
+    /// a plan shard (see module docs). `n_rows` sizes the map of an engine
+    /// that has not run yet.
     ///
     /// # Errors
     ///
     /// Returns [`AccelError::InvalidConfig`] when the engine was tuned for
-    /// a different row count than `a`.
-    pub fn freeze_plan(&mut self, a: &CscPattern) -> Result<TunedPlan, AccelError> {
-        let state = TuningState::ensure(&mut self.tuning, &self.config, a.rows())?;
-        state.tuner.freeze();
-        Ok(TunedPlan::from_frozen(
-            self.config.clone(),
-            state.map.clone(),
-            a,
-            state.tuner.rounds_done(),
-            state.tuner.total_switches(),
-            self.cache.clone(),
-        ))
+    /// a different row count.
+    pub fn freeze_plan(&mut self, n_rows: usize) -> Result<(), AccelError> {
+        TuningState::ensure(&mut self.tuning, &self.config, n_rows)?
+            .tuner
+            .freeze();
+        Ok(())
     }
 
     /// The timing half of [`run`](SpmmEngine::run): simulates `C = A × B`
@@ -184,15 +218,25 @@ impl FastEngine {
         label: &str,
     ) -> Result<SpmmStats, AccelError> {
         check_shapes(a, b)?;
-        self.time_runs(a, column_runs(b, 0..b.rows()), label, true)
+        // Replayed timings describe the structure of the operand the cache
+        // was warmed on; a structurally different operand invalidates them.
+        // (Shard members skip this hash: their `ShardedEngine` binds each
+        // to one shard of one operand.)
+        TuningState::ensure(&mut self.tuning, &self.config, a.rows())?;
+        if self.replay_enabled && MemoryParams::for_operand(&self.config, a.nnz()).on_chip {
+            let fingerprint = structure_fingerprint(a);
+            if self.fingerprint.replace(fingerprint) != Some(fingerprint) {
+                self.cache.clear();
+            }
+        }
+        self.time_runs(a, column_runs(b, 0..b.rows()), label)
     }
 
     /// The timing of one SPMM on a fresh engine that is dropped after the
     /// call — the GCN layers' `X × W`, whose `X` differs per layer and
     /// request. Only this call's own steady phase replays its cache (the
     /// freezing round's seed, and one simulation per further pattern), so
-    /// it skips the structure fingerprint that guards a reusable engine's
-    /// cache across calls; every statistic is what
+    /// it needs no structure fingerprint; every statistic is what
     /// [`run_timing`](FastEngine::run_timing) reports.
     /// `runs` are the dense operand's [`column_runs`] for `a`'s columns
     /// (shapes checked by the caller).
@@ -202,34 +246,26 @@ impl FastEngine {
         runs: Vec<ColumnRun>,
         label: &str,
     ) -> Result<SpmmStats, AccelError> {
-        FastEngine::new(config.clone()).time_runs(a, runs, label, false)
+        FastEngine::new(config.clone()).time_runs(a, runs, label)
     }
 
     /// [`run_timing`](FastEngine::run_timing) over the dense operand's
-    /// column runs; `guard` fingerprints `a` against the replay cache.
+    /// column runs: the tuning rounds, then
+    /// [`time_steady`](FastEngine::time_steady) for the rest.
     pub(crate) fn time_runs(
         &mut self,
         a: &CscPattern,
         mut runs: Vec<ColumnRun>,
         label: &str,
-        guard: bool,
     ) -> Result<SpmmStats, AccelError> {
         let state = TuningState::ensure(&mut self.tuning, &self.config, a.rows())?;
-        let n_pes = self.config.n_pes;
         // The distributor's delivery rate: full speed when SPMMeM holds
         // the operand on chip, bandwidth-bound when it must stream.
         let memory = MemoryParams::for_operand(&self.config, a.nnz());
         let params = SimParams::new(&self.config, memory);
-        let threads = self.config.threads.unwrap_or_else(exec::num_threads);
-        // Replayed timings describe *this* operand's structure under the
-        // frozen map; a structurally different operand invalidates them.
         let use_replay = self.replay_enabled && memory.on_chip;
-        if use_replay && guard {
-            self.cache.guard(structure_fingerprint(a));
-        }
 
         let mut rounds = Vec::with_capacity(runs.last().map_or(0, |run| run.cols.end));
-        let mut queue_high_water = vec![0u32; n_pes];
 
         // ---- Phase 1: tuning rounds, inherently sequential ----
         // Each round observes the map the previous round's switching
@@ -294,27 +330,77 @@ impl FastEngine {
         runs.retain(|run| !run.cols.is_empty());
 
         // ---- Phase 2: steady-state rounds under the frozen map ----
-        // Rounds are now independent; timing is a pure function of the
-        // round's non-zero pattern, so each run of identical columns
-        // replays from cache or simulates once, and fresh work runs on
-        // `exec`.
-        execute_steady(
-            SteadySpan {
-                a,
-                runs: &runs,
-                pe_of_row: state.map.pe_of_row(),
-                params,
-                memory,
-                threads,
-                cache: use_replay.then_some(&self.cache),
-            },
-            &mut rounds,
-            &mut queue_high_water,
-        );
+        self.time_steady(a, &runs, rounds, label)
+    }
 
+    /// Times `runs` under the frozen row map, after the already timed
+    /// `rounds`: the steady phase of [`time_runs`](FastEngine::time_runs),
+    /// and all a plan session does on a frozen shard (`&self`, so sessions
+    /// share the engine). Rounds are independent; timing is a pure
+    /// function of the round's non-zero pattern, so each run of identical
+    /// columns replays from the cache or simulates once, and fresh work
+    /// runs on `exec`. With replay off, or an operand off chip, every
+    /// round is simulated. Timing only — the output columns come from the
+    /// pinned kernel.
+    ///
+    /// # Errors
+    ///
+    /// [`AccelError::InvalidConfig`] when the engine holds no map for
+    /// `a`'s row count.
+    pub(crate) fn time_steady(
+        &self,
+        a: &CscPattern,
+        runs: &[ColumnRun],
+        mut rounds: Vec<RoundStats>,
+        label: &str,
+    ) -> Result<SpmmStats, AccelError> {
+        let Some(map) = self.row_map().filter(|map| map.n_rows() == a.rows()) else {
+            return Err(AccelError::InvalidConfig(format!(
+                "frozen engine used with {} rows it holds no map for",
+                a.rows()
+            )));
+        };
+        let pe_of_row = map.pe_of_row();
+        let memory = MemoryParams::for_operand(&self.config, a.nnz());
+        let params = SimParams::new(&self.config, memory);
+        let threads = self.config.threads.unwrap_or_else(exec::num_threads);
+        let timed: Vec<(Range<usize>, RoundTiming)> = if self.replay_enabled && memory.on_chip {
+            let timings = self.cache.replay(a, runs, pe_of_row, params, threads);
+            runs.iter()
+                .map(|run| run.cols.clone())
+                .zip(timings)
+                .collect()
+        } else {
+            // Straight simulation: every round goes through the round model.
+            let per_round: Vec<(usize, &[u32])> = runs
+                .iter()
+                .flat_map(|run| run.cols.clone().map(|k| (k, run.pattern.as_slice())))
+                .collect();
+            exec::par_map_threads(threads, &per_round, |&(k, pattern)| {
+                (
+                    k..k + 1,
+                    simulate_round(a, pattern, pe_of_row, params).timing,
+                )
+            })
+        };
+        let mut queue_high_water = vec![0u32; self.config.n_pes];
+        rounds.reserve(runs.iter().map(|run| run.cols.len()).sum());
+        for (cols, timing) in &timed {
+            // TQ sizing (the area model's input) uses steady-state rounds
+            // only: the converged configuration is what production TQs are
+            // provisioned for, exactly as the paper's §5.2 depth figures
+            // (tuning-phase overflow is absorbed by backpressure).
+            for (hw, &q) in queue_high_water.iter_mut().zip(&timing.queue_high_water) {
+                *hw = (*hw).max(q);
+            }
+            for k in cols.clone() {
+                let fill = memory.fill_charge(k, timing.tasks);
+                rounds.push(timing.to_stats(timing.cycles + fill, false));
+            }
+        }
         Ok(SpmmStats {
             label: label.to_owned(),
-            n_pes,
+            n_pes: self.config.n_pes,
             rounds,
             queue_high_water,
         })

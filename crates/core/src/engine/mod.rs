@@ -20,10 +20,10 @@
 //!
 //! That reuse is made first-class by the plan/execute split, run as one
 //! shard pipeline: [`ShardedEngine`] → [`ShardedPlan`] →
-//! [`ShardedSession`], one timing-only `FastEngine` per column shard
-//! during warm-up, frozen by [`FastEngine::freeze_plan`] into one
-//! shareable [`TunedPlan`] (row map + replay cache + config) per shard,
-//! merged through the pinned global-order numerics. A frozen
+//! [`ShardedSession`], one timing-only `FastEngine` per column shard,
+//! tuning during warm-up and then frozen ([`FastEngine::freeze_plan`]) and
+//! shared as the plan's shard (row map + replay cache + config), merged
+//! through the pinned global-order numerics. A frozen
 //! `ShardedPlan` is the only plan a request runs against: cheap
 //! per-request sessions execute against `&ShardedPlan`, so N requests on
 //! one graph pay tuning once and hit the replay cache from request 1
@@ -44,7 +44,6 @@
 
 mod detailed;
 mod fast;
-mod plan;
 mod sharded;
 pub(crate) mod steady;
 pub(crate) mod streaming;
@@ -52,7 +51,6 @@ mod tuning;
 
 pub use detailed::{DetailedEngine, TdqMode};
 pub use fast::FastEngine;
-pub use plan::TunedPlan;
 pub(crate) use sharded::shard_timing;
 pub use sharded::{PlanShard, ShardedEngine, ShardedOutcome, ShardedPlan, ShardedSession};
 pub use streaming::StreamStats;

@@ -55,15 +55,14 @@
 //! rounds, so unequal per-shard round counts merge without panic or
 //! truncation. With one shard the merged view is exactly that device's
 //! statistics. [`ShardedOutcome`] keeps the per-shard stats alongside the
-//! merged view and exposes the critical-path/sum cycle aggregates
-//! directly.
+//! merged view.
 
 use crate::config::AccelConfig;
 use crate::engine::steady::{column_runs, compute_columns, structure_fingerprint, ColumnRun};
 use crate::engine::streaming::{
     plan_stream_shards, store_err, stream_pass, verify_operand, StreamStats,
 };
-use crate::engine::{check_shapes, FastEngine, SpmmEngine, SpmmOutcome, TunedPlan};
+use crate::engine::{check_shapes, FastEngine, SpmmEngine, SpmmOutcome};
 use crate::error::AccelError;
 use crate::exec;
 use crate::stats::{RoundStats, SpmmStats};
@@ -85,20 +84,6 @@ pub struct ShardedOutcome {
     /// This pass's streaming statistics when the shards are stored;
     /// `None` for resident shards.
     pub stream: Option<StreamStats>,
-}
-
-impl ShardedOutcome {
-    /// End-to-end cycles on the critical path (per round, the slowest
-    /// shard; rounds sequential). This is what the merged stats report.
-    pub fn critical_path_cycles(&self) -> u64 {
-        self.outcome.stats.total_cycles()
-    }
-
-    /// Total cycles summed over all shard devices — the aggregate machine
-    /// time burned, the denominator that makes utilization honest.
-    pub fn sum_cycles(&self) -> u64 {
-        self.per_shard.iter().map(|s| s.total_cycles()).sum()
-    }
 }
 
 /// Merges per-shard SPMM statistics into the critical-path view (see the
@@ -229,8 +214,8 @@ impl Operand {
 }
 
 /// One column shard of a [`ShardedEngine`] or [`ShardedPlan`]: its column
-/// range, its non-zeros, and the device that times it — a tuning-live
-/// engine, or a frozen [`TunedPlan`] ([`PlanShard`]).
+/// range, its non-zeros, and the [`FastEngine`] that times it — tuning-live
+/// behind a lock, or frozen and shared ([`PlanShard`]).
 #[derive(Debug, Clone)]
 pub struct Shard<D> {
     pub(crate) cols: Range<usize>,
@@ -244,7 +229,7 @@ pub struct Shard<D> {
 }
 
 /// One frozen shard of a [`ShardedPlan`].
-pub type PlanShard = Shard<TunedPlan>;
+pub type PlanShard = Shard<FastEngine>;
 
 impl<D> Shard<D> {
     /// The shard's column range in the full operand.
@@ -259,8 +244,9 @@ impl<D> Shard<D> {
 }
 
 impl PlanShard {
-    /// The shard's frozen per-operand plan.
-    pub fn plan(&self) -> &TunedPlan {
+    /// The shard's frozen engine: its row map, replay cache and warm-up
+    /// record.
+    pub fn plan(&self) -> &FastEngine {
         &self.device
     }
 }
@@ -542,45 +528,38 @@ impl ShardedEngine {
             b,
             label,
             self.config.threads,
-            &|engine, a, runs| lock(engine).time_runs(a, runs, label, true),
+            &|engine, a, runs| lock(engine).time_runs(a, runs, label),
         )?;
         self.last_stream = out.stream;
         Ok(out)
     }
 
-    /// Freezes every shard engine's tuning state into a shareable
-    /// [`ShardedPlan`] (the sharded analogue of
-    /// [`FastEngine::freeze_plan`]). Resident slices are shared with the
-    /// plan, not copied; stored slices are re-read one at a time, so
-    /// freezing obeys the same memory bound as running.
+    /// Force-freezes every shard engine ([`FastEngine::freeze_plan`]) and
+    /// shares a copy of each with a [`ShardedPlan`]; the engine itself runs
+    /// frozen afterwards. Binding pins every member to one shard of `a`,
+    /// so freezing reads nothing: resident slices are shared with the
+    /// plan, not copied, and a stored engine reads no chunk.
     ///
     /// # Errors
     ///
     /// [`AccelError::InvalidConfig`] when `a` is not the operand the
-    /// engine is bound to; [`AccelError::InvalidInput`] when a stored
-    /// shard fails to read.
+    /// engine is bound to.
     pub fn freeze_plan(&mut self, a: &Csc) -> Result<ShardedPlan, AccelError> {
         self.bind(a)?;
-        let mut shards = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let mut engine = lock(&shard.device);
-            let plan = match (&self.source, &shard.slice) {
-                (ShardSource::Stored(store), _) => {
-                    let slice = store
-                        .read_col_range(shard.cols.clone())
-                        .map_err(store_err)?;
-                    engine.freeze_plan(slice.pattern())?
-                }
-                (ShardSource::Resident, Some(slice)) => engine.freeze_plan(slice)?,
-                (ShardSource::Resident, None) => engine.freeze_plan(a.pattern())?,
-            };
-            shards.push(Shard {
-                cols: shard.cols.clone(),
-                nnz: shard.nnz,
-                slice: shard.slice.clone(),
-                device: plan,
-            });
-        }
+        let shards = self
+            .shards
+            .iter()
+            .map(|shard| {
+                let mut engine = lock(&shard.device);
+                engine.freeze_plan(a.rows())?;
+                Ok(Shard {
+                    cols: shard.cols.clone(),
+                    nnz: shard.nnz,
+                    slice: shard.slice.clone(),
+                    device: engine.clone(),
+                })
+            })
+            .collect::<Result<_, AccelError>>()?;
         Ok(ShardedPlan {
             config: self.config.clone(),
             operand: self.operand.expect("bound above"),
@@ -601,11 +580,43 @@ impl SpmmEngine for ShardedEngine {
     }
 }
 
-/// Frozen sharded tuning state: one [`TunedPlan`] per column shard, the
-/// shard source, and the full operand's fingerprint. Produced by
-/// [`ShardedEngine::freeze_plan`], executed via
-/// [`session`](ShardedPlan::session). `Sync` for the same reason plans
-/// are: shard maps are immutable, shard replay caches are monotone.
+/// Frozen sharded tuning state: one frozen [`FastEngine`] per column
+/// shard, the shard source, and the full operand's fingerprint. Produced
+/// by [`ShardedEngine::freeze_plan`], executed via
+/// [`session`](ShardedPlan::session). `Sync` by the frozen engine's
+/// concurrency contract: shard maps are immutable, shard replay caches
+/// are monotone.
+///
+/// # Example
+///
+/// ```
+/// use awb_accel::{AccelConfig, Design, ShardedEngine, SpmmEngine};
+/// use awb_sparse::{Coo, DenseMatrix};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut a = Coo::new(4, 4);
+/// a.push(0, 1, 2.0)?;
+/// a.push(3, 0, 1.0)?;
+/// let a = a.to_csc();
+/// let warmup = DenseMatrix::from_rows(&[&[1.0], &[3.0], &[1.0], &[2.0]])?;
+/// let config = Design::LocalPlusRemote { hop: 1 }.apply(AccelConfig::builder().n_pes(2).build()?);
+///
+/// // Pay tuning once (a single device is the one-shard case)…
+/// let mut engine = ShardedEngine::new(config);
+/// engine.run(&a, &warmup, "warmup")?;
+/// let plan = engine.freeze_plan(&a)?;
+/// assert_eq!(plan.shard_count(), 1);
+/// let device = plan.shards()[0].plan(); // the shard's frozen FastEngine
+/// assert!(!device.tuning_active());
+/// assert_eq!(device.row_map().map(|m| m.n_rows()), Some(4));
+/// // …then serve N requests against the shared plan.
+/// let b = DenseMatrix::from_rows(&[&[2.0], &[5.0], &[0.5], &[1.0]])?;
+/// let out = plan.session().run(&a, &b, "request")?;
+/// assert_eq!(out.c.get(0, 0), 10.0);
+/// assert_eq!(out.stats.tuning_rounds(), 0); // sessions never re-tune
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct ShardedPlan {
     config: AccelConfig,
@@ -639,16 +650,6 @@ impl ShardedPlan {
         }
     }
 
-    /// Non-zeros of the full planned operand.
-    pub fn nnz(&self) -> usize {
-        self.operand.nnz
-    }
-
-    /// FNV-1a fingerprint of the full operand structure.
-    pub fn fingerprint(&self) -> u64 {
-        self.operand.fingerprint
-    }
-
     /// True when `a` has the structure this plan was frozen for.
     pub fn matches(&self, a: &Csc) -> bool {
         Operand::of(a) == self.operand
@@ -678,8 +679,8 @@ impl ShardedPlan {
     /// Estimated heap bytes the plan keeps between requests: each
     /// resident shard's column-slice pattern (none for a shard spanning
     /// the whole operand, and none for stored shards) plus every shard's
-    /// frozen [`TunedPlan`] (row map + replay cache). So a one-shard plan
-    /// costs exactly its [`TunedPlan::memory_bytes`].
+    /// frozen engine (row map + replay cache). So a one-shard plan costs
+    /// exactly its [`FastEngine::memory_bytes`].
     pub fn memory_bytes(&self) -> u64 {
         self.shards
             .iter()
@@ -716,8 +717,8 @@ impl ShardedPlan {
 /// A cheap per-request executor over a shared [`ShardedPlan`], and the
 /// only one: every request runs against a frozen plan through a session,
 /// a single device being the one-shard case. Every shard round runs under
-/// its shard's frozen [`TunedPlan`] map (no tuning, ever), repeated
-/// patterns replay from its cache from the first request on, and the
+/// its shard's frozen engine's map (no tuning, ever), repeated patterns
+/// replay from its cache from the first request on, and the
 /// merged output is pinned bit-identical to the single-device path.
 /// Implements [`SpmmEngine`], so a session is a drop-in engine wherever
 /// one is expected.
@@ -772,9 +773,9 @@ impl ShardedSession<'_> {
             b,
             label,
             plan.config.threads,
-            // Timing-only shard plans: the merged numerics follow the
+            // Timing-only frozen shards: the merged numerics follow the
             // shard source in `run_pass`.
-            &|shard_plan, a, runs| shard_plan.time_runs(a, &runs, label),
+            &|engine, a, runs| engine.time_steady(a, &runs, Vec::new(), label),
         )?;
         if out.stream.is_some() {
             *lock(&plan.last_stream.0) = out.stream;
@@ -952,18 +953,13 @@ mod tests {
             out.outcome.stats.total_tasks(),
             spmm::csc_times_dense_macs(&a, &b).unwrap() as u64
         );
-        // Critical path is the max per round; the sum view is over devices.
-        assert!(out.critical_path_cycles() <= out.sum_cycles());
-        let per_shard_max: u64 = (0..b.cols())
-            .map(|r| {
-                out.per_shard
-                    .iter()
-                    .map(|s| s.rounds[r].cycles)
-                    .max()
-                    .unwrap()
-            })
-            .sum();
-        assert_eq!(out.critical_path_cycles(), per_shard_max);
+        // Merged cycles are the critical path: the max over shards, per
+        // round.
+        for (r, merged) in out.outcome.stats.rounds.iter().enumerate() {
+            let slowest = out.per_shard.iter().map(|s| s.rounds[r].cycles).max();
+            assert_eq!(Some(merged.cycles), slowest, "round {r}");
+        }
+        assert_eq!(out.outcome.stats.rounds.len(), b.cols());
         let util = out.outcome.stats.utilization();
         assert!(util > 0.0 && util <= 1.0);
         assert_eq!(out.outcome.stats.queue_high_water.len(), 4 * 8);
@@ -1151,6 +1147,33 @@ mod tests {
         assert!(stream.compute_s > 0.0);
         assert!(stream.prefetch_s > 0.0);
         assert_eq!(stream.overlap_s, 0.0);
+    }
+
+    /// Binding pins every member to its shard, so freezing a stored engine
+    /// reads no chunk: with the value chunks deleted after the warm-up,
+    /// the freeze still succeeds with the warm-up's tuning record, and the
+    /// first session pass — which must read them — is a typed error, not a
+    /// panic.
+    #[test]
+    fn stored_freeze_reads_no_chunk() {
+        let a = skewed(128, 90);
+        let b = dense(128, 8);
+        let mut source = stored("freeze", &a, a.heap_bytes() / 3);
+        let warmup = source.engine.run_detailed(&a, &b, "warmup").unwrap();
+        let tuning_rounds: usize = warmup.per_shard.iter().map(|s| s.tuning_rounds()).sum();
+        let switches = source.engine.total_switches();
+        assert!(tuning_rounds > 0 && switches > 0);
+        let (dir, _) = source.store.as_ref().unwrap();
+        for chunk in std::fs::read_dir(dir.join("by_column").join("data")).unwrap() {
+            std::fs::remove_file(chunk.unwrap().path()).unwrap();
+        }
+        let plan = source.engine.freeze_plan(&a).unwrap();
+        assert_eq!(plan.tuning_rounds(), tuning_rounds);
+        assert_eq!(plan.total_switches(), switches);
+        assert!(matches!(
+            plan.session().run_detailed(&a, &b, "req"),
+            Err(AccelError::InvalidInput(_))
+        ));
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Shared steady-state round machinery: the queue-dynamics round model,
-//! the replay cache, and the frozen-map round executor.
+//! Shared round machinery: the queue-dynamics round model, the replay
+//! cache, the dense operand's column runs, and the pinned numerics
+//! kernels.
 //!
-//! Everything here is the *per-round* half of the fast engine, factored
-//! out so that two callers can share it byte-for-byte:
-//!
-//! * [`FastEngine`](super::FastEngine) — after its auto-tuner freezes, it
-//!   executes the remaining rounds through [`execute_steady`],
-//! * [`TunedPlan`](super::TunedPlan) — a frozen shard of a shared
-//!   [`ShardedPlan`](super::ShardedPlan), which every
-//!   [`ShardedSession`](super::ShardedSession) times requests against;
-//!   there *every* round is steady-state.
+//! Everything here is the *per-round* half of the engines, factored out
+//! so that every caller shares it byte-for-byte: the
+//! [`FastEngine`](super::FastEngine) times its tuning rounds through
+//! [`simulate_round`] and, once its auto-tuner freezes, replays its steady
+//! rounds from a [`ReplayCache`]. A frozen engine is one shard of a shared
+//! [`ShardedPlan`](super::ShardedPlan), which every
+//! [`ShardedSession`](super::ShardedSession) times requests against;
+//! there *every* round is steady-state.
 //!
 //! [`ReplayCache`] is interior-mutable (`RwLock` + atomic counters) so a
 //! plan can be shared (`&ShardedPlan`) across concurrently executing
@@ -31,7 +31,7 @@ use awb_sparse::{Csc, CscPattern, DenseMatrix};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Mutex, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Replay-cache entry cap. GCN workloads need a handful of patterns (most
 /// rounds are fully dense in `b[:, k]`); an operand producing thousands of
@@ -386,8 +386,8 @@ fn lane_groups(width: usize, groups: usize) -> Vec<Range<usize>> {
 
 /// Computes `C = A × B` through the one-pass accumulate kernel
 /// ([`csc_accumulate_into`]). This is the numerics half of every engine
-/// run — the timing half ([`execute_steady`], or the fast engine's tuning
-/// rounds) never reads the values. The kernel's pinned reduction order
+/// run — the timing half (the round model, on tuning and steady rounds
+/// alike) never reads the values. The kernel's pinned reduction order
 /// keeps it bit-identical to the per-column scalar path, so the sharded
 /// executor pins its merged output bit-identical to the unsharded engines
 /// through it while simulating timing per shard.
@@ -471,13 +471,14 @@ pub(crate) fn structure_fingerprint(a: &CscPattern) -> u64 {
 }
 
 /// The steady-state replay cache: memoized round timings keyed by the
-/// round's non-zero column pattern, guarded by the operand's structure
-/// fingerprint (see module docs for the sharing model).
+/// round's non-zero column pattern, for one operand structure under one
+/// frozen map (see module docs for the sharing model). The engine that
+/// owns it keeps it on one operand: a shard member is bound to its shard
+/// by its `ShardedEngine`, and a standalone engine clears it when
+/// `run_timing` meets a new structure fingerprint.
 #[derive(Debug, Default)]
 pub(crate) struct ReplayCache {
     timings: RwLock<HashMap<Vec<u32>, RoundTiming>>,
-    /// Structure fingerprint the cached timings describe (None = empty).
-    fingerprint: Mutex<Option<u64>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -489,7 +490,6 @@ impl Clone for ReplayCache {
     fn clone(&self) -> Self {
         ReplayCache {
             timings: RwLock::new(self.read_timings().clone()),
-            fingerprint: Mutex::new(*self.lock_fingerprint()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -519,29 +519,9 @@ impl ReplayCache {
         self.timings.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Poison-recovering lock on the guarding fingerprint: the value is a
-    /// plain `Option<u64>` written atomically, so recovery is trivially
-    /// sound.
-    fn lock_fingerprint(&self) -> MutexGuard<'_, Option<u64>> {
-        self.fingerprint
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Ensures the cache describes the operand with fingerprint `fp`,
-    /// clearing stale timings from a structurally different operand.
-    pub(crate) fn guard(&self, fp: u64) {
-        let mut current = self.lock_fingerprint();
-        if *current != Some(fp) {
-            self.write_timings().clear();
-            *current = Some(fp);
-        }
-    }
-
-    /// Drops all cached timings and the fingerprint.
+    /// Drops all cached timings.
     pub(crate) fn clear(&self) {
         self.write_timings().clear();
-        *self.lock_fingerprint() = None;
     }
 
     /// Rounds served from the cache.
@@ -588,107 +568,52 @@ impl ReplayCache {
             })
             .sum()
     }
-}
 
-/// Inputs of one steady-state (frozen-map) execution span.
-pub(crate) struct SteadySpan<'a> {
-    pub a: &'a CscPattern,
-    /// The rounds to time, as runs of identical columns in ascending
-    /// column order (see [`column_runs`]).
-    pub runs: &'a [ColumnRun],
-    pub pe_of_row: &'a [u32],
-    pub params: SimParams,
-    pub memory: MemoryParams,
-    pub threads: usize,
-    /// `None` disables replay (straight simulation of every round).
-    pub cache: Option<&'a ReplayCache>,
-}
-
-/// Times the span's rounds under a frozen row map: each run's pattern is
-/// looked up once — replayed from the cache, or simulated on the [`exec`]
-/// substrate on a miss — and its timing stands for every round of the
-/// run. Appends to `rounds` and merges per-PE queue high-water marks.
-/// Timing only — the output columns come from [`compute_columns`].
-pub(crate) fn execute_steady(
-    span: SteadySpan<'_>,
-    rounds: &mut Vec<RoundStats>,
-    queue_high_water: &mut [u32],
-) {
-    let mut record = |cols: Range<usize>, timing: &RoundTiming| {
-        // TQ sizing (the area model's input) uses steady-state rounds
-        // only: the converged configuration is what production TQs are
-        // provisioned for, exactly as the paper's §5.2 depth figures
-        // (tuning-phase overflow is absorbed by backpressure).
-        for (hw, &q) in queue_high_water.iter_mut().zip(&timing.queue_high_water) {
-            *hw = (*hw).max(q);
-        }
-        for k in cols {
-            let fill = span.memory.fill_charge(k, timing.tasks);
-            rounds.push(timing.to_stats(timing.cycles + fill, false));
-        }
-    };
-    match span.cache {
-        Some(cache) => {
-            for (run, timing) in span.runs.iter().zip(replay_runs(&span, cache)) {
-                record(run.cols.clone(), &timing);
-            }
-        }
-        None => {
-            // Straight simulation: every round goes through the round model.
-            let per_round: Vec<(usize, &[u32])> = span
-                .runs
-                .iter()
-                .flat_map(|run| run.cols.clone().map(|k| (k, run.pattern.as_slice())))
-                .collect();
-            let timings = exec::par_map_threads(span.threads, &per_round, |&(_, cols)| {
-                simulate_round(span.a, cols, span.pe_of_row, span.params).timing
-            });
-            for (&(k, _), timing) in per_round.iter().zip(&timings) {
-                record(k..k + 1, timing);
-            }
-        }
-    }
-}
-
-/// One timing per run of the span: a cached pattern replays, and the
-/// distinct uncached patterns are simulated once each (in parallel). Each
-/// simulated pattern counts one miss; every other round of the span
-/// counts a hit.
-fn replay_runs(span: &SteadySpan<'_>, cache: &ReplayCache) -> Vec<RoundTiming> {
-    let mut to_sim: Vec<&[u32]> = Vec::new();
-    // Per run: `Ok` holds its cached timing, `Err(i)` points at `to_sim[i]`.
-    let sources: Vec<Result<RoundTiming, usize>> = {
-        let cached = cache.read_timings();
-        let mut queued: HashMap<&[u32], usize> = HashMap::new();
-        span.runs
-            .iter()
-            .map(|run| {
-                let key = run.pattern.as_slice();
-                match cached.get(key) {
-                    Some(timing) => Ok(timing.clone()),
-                    None => Err(*queued.entry(key).or_insert_with(|| {
-                        to_sim.push(key);
-                        to_sim.len() - 1
-                    })),
-                }
-            })
+    /// One timing per run of `runs` under the frozen map `pe_of_row`: a
+    /// cached pattern replays, and the distinct uncached patterns are
+    /// simulated once each (in parallel on the [`exec`] substrate) and
+    /// memoized. Each simulated pattern counts one miss; every other round
+    /// of the runs counts a hit.
+    pub(crate) fn replay(
+        &self,
+        a: &CscPattern,
+        runs: &[ColumnRun],
+        pe_of_row: &[u32],
+        params: SimParams,
+        threads: usize,
+    ) -> Vec<RoundTiming> {
+        let mut to_sim: Vec<&[u32]> = Vec::new();
+        // Per run: `Ok` holds its cached timing, `Err(i)` points at `to_sim[i]`.
+        let sources: Vec<Result<RoundTiming, usize>> = {
+            let cached = self.read_timings();
+            let mut queued: HashMap<&[u32], usize> = HashMap::new();
+            runs.iter()
+                .map(|run| {
+                    let key = run.pattern.as_slice();
+                    match cached.get(key) {
+                        Some(timing) => Ok(timing.clone()),
+                        None => Err(*queued.entry(key).or_insert_with(|| {
+                            to_sim.push(key);
+                            to_sim.len() - 1
+                        })),
+                    }
+                })
+                .collect()
+        };
+        let n_rounds: usize = runs.iter().map(|run| run.cols.len()).sum();
+        self.misses
+            .fetch_add(to_sim.len() as u64, Ordering::Relaxed);
+        self.hits
+            .fetch_add((n_rounds - to_sim.len()) as u64, Ordering::Relaxed);
+        let fresh = exec::par_map_threads(threads, &to_sim, |cols| {
+            simulate_round(a, cols, pe_of_row, params).timing
+        });
+        self.memoize(to_sim.iter().copied().zip(&fresh));
+        sources
+            .into_iter()
+            .map(|source| source.unwrap_or_else(|i| fresh[i].clone()))
             .collect()
-    };
-    let n_rounds: usize = span.runs.iter().map(|run| run.cols.len()).sum();
-    cache
-        .misses
-        .fetch_add(to_sim.len() as u64, Ordering::Relaxed);
-    cache
-        .hits
-        .fetch_add((n_rounds - to_sim.len()) as u64, Ordering::Relaxed);
-    let fresh = exec::par_map_threads(span.threads, &to_sim, |cols| {
-        simulate_round(span.a, cols, span.pe_of_row, span.params).timing
-    });
-    cache.memoize(to_sim.iter().copied().zip(&fresh));
-    sources
-        .into_iter()
-        .map(|source| source.unwrap_or_else(|i| fresh[i].clone()))
-        .collect()
+    }
 }
 
 #[cfg(test)]
@@ -1117,13 +1042,12 @@ mod tests {
         }
     }
 
-    /// Poison both ReplayCache locks with a deliberate mid-guard panic and
+    /// Poison the ReplayCache lock with a deliberate mid-write panic and
     /// prove every operation still works afterwards — a panicked session
     /// must never brick a shared cached plan.
     #[test]
     fn poisoned_locks_recover_with_contents_intact() {
         let cache = ReplayCache::new();
-        cache.guard(7);
         cache.write_timings().insert(vec![0, 1, 2], timing(42));
 
         std::thread::scope(|scope| {
@@ -1132,14 +1056,8 @@ mod tests {
                 panic!("deliberate poison");
             });
             assert!(h.join().is_err());
-            let h = scope.spawn(|| {
-                let _lock = cache.fingerprint.lock().unwrap();
-                panic!("deliberate poison");
-            });
-            assert!(h.join().is_err());
         });
         assert!(cache.timings.is_poisoned());
-        assert!(cache.fingerprint.is_poisoned());
 
         // Reads recover and see the pre-panic entry (inserts are atomic:
         // complete key→value pairs only).
@@ -1150,15 +1068,12 @@ mod tests {
         );
         assert!(cache.approx_bytes() > 0);
 
-        // A matching guard keeps the entry; the clone snapshots it.
-        cache.guard(7);
-        assert_eq!(cache.read_timings().len(), 1);
+        // The clone snapshots the entry.
         assert_eq!(cache.clone().read_timings().len(), 1);
 
-        // Writes recover too: re-guard to a new fingerprint, then clear.
-        cache.guard(8);
-        assert_eq!(cache.read_timings().len(), 0);
+        // Writes recover too: insert, then clear.
         cache.write_timings().insert(vec![5], timing(9));
+        assert_eq!(cache.read_timings().len(), 2);
         cache.clear();
         assert_eq!(cache.read_timings().len(), 0);
     }

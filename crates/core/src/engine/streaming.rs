@@ -120,7 +120,7 @@ fn range_disk_bytes(store: &SparseStore, range: &Range<usize>) -> u64 {
 /// nnz, and full `Col Ptr` equality (O(cols) against the store's resident
 /// pointer; a forged operand with identical structure but different
 /// values would go undetected here, which is the same trust model as
-/// `TunedPlan`'s values-free fingerprint).
+/// the values-free structure fingerprint a `ShardedPlan` checks).
 pub(crate) fn verify_operand(store: &SparseStore, a: &Csc) -> Result<(), AccelError> {
     if a.rows() != store.rows()
         || a.cols() != store.cols()

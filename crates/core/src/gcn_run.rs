@@ -13,8 +13,8 @@
 //!
 //! * [`GcnRunner::prepare`] runs one warm-up inference and extracts a
 //!   [`GcnPlan`] (graph, weights, and the frozen [`ShardedPlan`] for `A`:
-//!   one [`TunedPlan`](crate::TunedPlan) per shard, a single device being
-//!   the one-shard case).
+//!   one frozen [`FastEngine`](crate::FastEngine) per shard, a single
+//!   device being the one-shard case).
 //! * [`GcnPlan::run`] executes one feature-matrix request against the
 //!   shared plan — no tuning, replay cache warm from request 1.
 //! * [`GcnRunner::run`] is the thin compatibility wrapper: one cold
@@ -378,8 +378,8 @@ impl GcnRunner {
 
 /// A prepared per-graph inference plan: everything that is a function of
 /// the graph and the model — the normalized adjacency, the layer weights,
-/// and the frozen `A`-side tuning state (one [`ShardedPlan`]: a
-/// [`TunedPlan`](crate::TunedPlan) per shard, resident or stored) — none
+/// and the frozen `A`-side tuning state (one [`ShardedPlan`]: a frozen
+/// [`FastEngine`](crate::FastEngine) per shard, resident or stored) — none
 /// of what is a function of a request. Produced by
 /// [`GcnRunner::prepare`]; executed per request by [`GcnPlan::run`].
 /// Shareable: `&GcnPlan` may serve concurrent requests (see the plan
@@ -518,9 +518,9 @@ impl GcnPlan {
         self.a_norm_csc.heap_bytes() as u64 + weights + self.a_plan.memory_bytes()
     }
 
-    /// True when `input` carries the same graph (by structure fingerprint,
-    /// and `A`'s values bit for bit) and the same weights this plan was
-    /// prepared for.
+    /// True when `input` carries the same graph (`A`'s structure exactly,
+    /// and its values bit for bit) and the same weights this plan was
+    /// prepared for. No hash is taken, so no collision can match.
     pub fn matches(&self, input: &GcnInput) -> bool {
         // Equal structures have equal nnz, so the zip covers every value.
         let values = self
@@ -528,7 +528,7 @@ impl GcnPlan {
             .values()
             .iter()
             .zip(input.a_norm_csc.values());
-        self.a_plan.matches(&input.a_norm_csc)
+        self.a_norm_csc.pattern() == input.a_norm_csc.pattern()
             && values.fold(true, |eq, (a, b)| eq & (a.to_bits() == b.to_bits()))
             && self.weights == input.weights
     }

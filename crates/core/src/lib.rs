@@ -20,7 +20,7 @@
 //!
 //! The converged tuning state is a first-class artifact: a warm-up phase
 //! ([`ShardedEngine::freeze_plan`] / [`GcnRunner::prepare`]) produces a
-//! frozen, shareable [`ShardedPlan`] (one [`TunedPlan`] per shard) or
+//! frozen, shareable [`ShardedPlan`] (one frozen [`FastEngine`] per shard) or
 //! [`GcnPlan`], and per-request [`ShardedSession`]s / [`GcnPlan::run`]
 //! execute against it without re-paying tuning. [`GcnService`] builds the batched multi-request serving
 //! front-end on top (prepared per-graph plans, deterministic batch
@@ -89,7 +89,7 @@ pub use cost::{AutoDecision, CostProfile};
 pub use energy::{cycles_to_ms, EnergyModel};
 pub use engine::{
     DetailedEngine, FastEngine, PlanShard, ShardedEngine, ShardedOutcome, ShardedPlan,
-    ShardedSession, SpmmEngine, SpmmOutcome, StreamStats, TdqMode, TunedPlan,
+    ShardedSession, SpmmEngine, SpmmOutcome, StreamStats, TdqMode,
 };
 pub use error::AccelError;
 pub use exec::{num_threads, par_map, par_map_isolated, par_map_threads};

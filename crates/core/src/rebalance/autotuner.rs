@@ -71,10 +71,10 @@ impl AutoTuner {
         !self.frozen
     }
 
-    /// Forces the configuration frozen immediately (used when extracting a
-    /// [`TunedPlan`](crate::TunedPlan) from a warm-up whose dense operand
-    /// had too few columns for natural convergence — the paper freezes at
-    /// the round budget regardless).
+    /// Forces the configuration frozen immediately (used by
+    /// [`FastEngine::freeze_plan`](crate::FastEngine::freeze_plan) after a
+    /// warm-up whose dense operand had too few columns for natural
+    /// convergence — the paper freezes at the round budget regardless).
     pub fn freeze(&mut self) {
         self.frozen = true;
     }

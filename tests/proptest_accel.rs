@@ -180,7 +180,7 @@ proptest! {
         // on the one-shard plan must equal the straight engine's next,
         // frozen, run.
         let plan = one_shard.freeze_plan(&a).unwrap();
-        straight.freeze_plan(a.pattern()).unwrap();
+        straight.freeze_plan(a.rows()).unwrap();
         let consulted = plan.replay_hits() + plan.replay_misses();
         let reference = straight.run(&a, &b, "prop").unwrap();
         let served = plan.session().run(&a, &b, "prop").unwrap();

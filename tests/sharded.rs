@@ -13,7 +13,7 @@ use awb_gcn_repro::hw::{MemoryModel, BYTES_PER_NNZ};
 use awb_gcn_repro::sparse::io::{read_matrix_market, write_matrix_market};
 use awb_gcn_repro::sparse::partition::ColumnPartitioner;
 use awb_gcn_repro::sparse::{Coo, Csr, DenseMatrix};
-use common::{bits, spec_input};
+use common::{bits, spec_input, ScratchDir};
 
 fn config(n_pes: usize, shards: ShardPolicy) -> AccelConfig {
     let mut builder = AccelConfig::builder();
@@ -68,18 +68,36 @@ fn memory_budget_sharding_end_to_end() {
 /// A shard that spans the whole adjacency holds no copy of it: on one
 /// input, `Single` and `Fixed(1)` plans (one device either way) report
 /// equal `memory_bytes()`, so the plan-cache budget charges them alike.
+/// The estimates themselves are pinned for a one-shard, a `Fixed(3)` and
+/// a stored plan: the serving cache's budget and LRU evictions are
+/// computed from them, so a change to the frozen per-shard state must
+/// leave them unchanged.
 #[test]
 fn single_and_one_shard_plans_cost_the_same_memory() {
     let spec = PaperDataset::Cora.spec().scaled(0.1);
     let input = spec_input(&spec, 41);
-    let (single, _) = GcnRunner::new(config(16, ShardPolicy::Single))
-        .prepare(&input)
-        .unwrap();
-    let (one_shard, _) = GcnRunner::new(config(16, ShardPolicy::Fixed(1)))
-        .prepare(&input)
-        .unwrap();
+    let prepare = |cfg: AccelConfig| GcnRunner::new(cfg).prepare(&input).unwrap().0;
+    let single = prepare(config(16, ShardPolicy::Single));
+    let one_shard = prepare(config(16, ShardPolicy::Fixed(1)));
     assert_eq!(one_shard.shard_count(), 1);
     assert_eq!(one_shard.memory_bytes(), single.memory_bytes());
+
+    let three = prepare(config(16, ShardPolicy::Fixed(3)));
+    assert_eq!(three.shard_count(), 3);
+    let scratch = ScratchDir::new("plan-bytes");
+    let mut stored_cfg = config(16, ShardPolicy::Single);
+    stored_cfg.store = Some(scratch.path().to_path_buf());
+    stored_cfg.host_mem_budget = Some(input.a_norm_csc.heap_bytes() / 3);
+    let stored = prepare(stored_cfg);
+    assert!(stored.shard_count() > 1);
+    assert_eq!(
+        [
+            one_shard.memory_bytes(),
+            three.memory_bytes(),
+            stored.memory_bytes()
+        ],
+        [109_088, 119_944, 116_408]
+    );
 }
 
 /// The merged stats view on both phases: critical-path cycles (max over
