@@ -109,7 +109,7 @@ impl DetailedEngine {
         b: &DenseMatrix,
         label: &str,
     ) -> Result<SpmmStats, AccelError> {
-        check_shapes(a.pattern(), b)?;
+        check_shapes(a.shape(), b)?;
         let state = TuningState::ensure(&mut self.tuning, &self.config, a.rows())?;
         let tdq = self.tdq.resolve(a);
         let n_pes = self.config.n_pes;

@@ -217,7 +217,7 @@ impl FastEngine {
         b: &DenseMatrix,
         label: &str,
     ) -> Result<SpmmStats, AccelError> {
-        check_shapes(a, b)?;
+        check_shapes(a.shape(), b)?;
         // Replayed timings describe the structure of the operand the cache
         // was warmed on; a structurally different operand invalidates them.
         // (Shard members skip this hash: their `ShardedEngine` binds each

@@ -59,7 +59,7 @@ use crate::config::AccelConfig;
 use crate::error::AccelError;
 use crate::exec;
 use crate::stats::SpmmStats;
-use awb_sparse::{Csc, CscPattern, DenseMatrix};
+use awb_sparse::{Csc, DenseMatrix};
 
 /// Result of simulating one SPMM: the functional product and the cycle
 /// statistics.
@@ -97,11 +97,13 @@ fn pinned_outcome(config: &AccelConfig, a: &Csc, b: &DenseMatrix, stats: SpmmSta
     }
 }
 
-pub(crate) fn check_shapes(a: &CscPattern, b: &DenseMatrix) -> Result<(), AccelError> {
-    if a.cols() != b.rows() {
+/// Checks that an `a` of shape `(rows, cols)` can multiply `b`: the one
+/// shape check every SPMM (and the GCN row kernel) runs before any work.
+pub(crate) fn check_shapes(a: (usize, usize), b: &DenseMatrix) -> Result<(), AccelError> {
+    if a.1 != b.rows() {
         return Err(AccelError::Shape(
             awb_sparse::SparseError::DimensionMismatch {
-                left: a.shape(),
+                left: a,
                 right: b.shape(),
                 op: "spmm_engine",
             },

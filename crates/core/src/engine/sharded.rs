@@ -160,7 +160,7 @@ pub(crate) fn shard_timing(
     b: &DenseMatrix,
     label: &str,
 ) -> Result<SpmmStats, AccelError> {
-    check_shapes(a, b)?;
+    check_shapes(a.shape(), b)?;
     if partitioner.is_single(a) {
         return FastEngine::time_once(config, a, column_runs(b, 0..b.rows()), label);
     }
@@ -346,6 +346,10 @@ pub struct ShardedEngine {
     shards: Vec<Shard<Mutex<FastEngine>>>,
     /// The bound operand (set on the first run).
     operand: Option<Operand>,
+    /// Whether each run after the first re-hashes its operand to check it
+    /// is the bound one (off only for [`trusted`](ShardedEngine::trusted)
+    /// engines).
+    verify_operand: bool,
     /// The last stored pass's statistics, handed to frozen plans.
     last_stream: Option<StreamStats>,
 }
@@ -370,8 +374,19 @@ impl ShardedEngine {
             source: ShardSource::Resident,
             shards: Vec::new(),
             operand: None,
+            verify_operand: true,
             last_stream: None,
         }
+    }
+
+    /// This engine, taking every operand after the one it binds on its
+    /// first run on trust: no O(nnz) fingerprint re-hash per run or at
+    /// freeze. For callers that pass the same `A` on every call for the
+    /// engine's whole life, as `GcnRunner`'s warm-up does (the engine-side
+    /// counterpart of [`ShardedPlan::session_trusted`]).
+    pub(crate) fn trusted(mut self) -> Self {
+        self.verify_operand = false;
+        self
     }
 
     /// Creates an engine over stored shards: chunk-aligned column ranges
@@ -458,11 +473,10 @@ impl ShardedEngine {
 
     /// Binds the engine to `a` on its first run — cutting resident shards,
     /// or checking `a` against the store — and rejects any other operand
-    /// afterwards.
+    /// afterwards (unless the engine is [`trusted`](ShardedEngine::trusted)).
     fn bind(&mut self, a: &Csc) -> Result<(), AccelError> {
-        let operand = Operand::of(a);
         if let Some(bound) = self.operand {
-            if bound != operand {
+            if self.verify_operand && bound != Operand::of(a) {
                 return Err(AccelError::InvalidConfig(
                     "sharded engine bound to a different operand structure \
                      (shards are valid for exactly one sparsity structure)"
@@ -501,7 +515,7 @@ impl ShardedEngine {
                 }
             }
         }
-        self.operand = Some(operand);
+        self.operand = Some(Operand::of(a));
         Ok(())
     }
 
@@ -519,7 +533,7 @@ impl ShardedEngine {
         b: &DenseMatrix,
         label: &str,
     ) -> Result<ShardedOutcome, AccelError> {
-        check_shapes(a.pattern(), b)?;
+        check_shapes(a.shape(), b)?;
         self.bind(a)?;
         let out = run_pass(
             &self.source,
@@ -749,7 +763,7 @@ impl ShardedSession<'_> {
         b: &DenseMatrix,
         label: &str,
     ) -> Result<ShardedOutcome, AccelError> {
-        check_shapes(a.pattern(), b)?;
+        check_shapes(a.shape(), b)?;
         let plan = self.plan;
         if a.rows() != plan.operand.rows {
             return Err(AccelError::InvalidConfig(format!(

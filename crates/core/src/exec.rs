@@ -28,7 +28,10 @@
 //! points) self-balance without any up-front partitioning. Nested calls —
 //! a `par_map` reached from inside a worker — run inline on that worker,
 //! so composing parallel layers (bench grid → sweep → engine) never
-//! oversubscribes the machine.
+//! multiplies the thread count. One call adds a thread on purpose: a GCN
+//! run on a thread that may fan out times each layer's `X × W` on one
+//! extra worker (`fork`) beside its numerics (`DESIGN.md` §8), so a run
+//! with `threads` workers keeps at most `threads + 1` threads busy.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -113,8 +116,7 @@ where
     let shards: Vec<Vec<(usize, R)>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|_| {
-                scope.spawn(move || {
-                    IN_WORKER.with(|w| w.set(true));
+                spawn_worker(scope, move || {
                     let mut local = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
@@ -127,13 +129,7 @@ where
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect()
+        handles.into_iter().map(join_worker).collect()
     });
 
     let mut out: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
@@ -146,6 +142,62 @@ where
     out.into_iter()
         .map(|r| r.expect("cursor hands every index to exactly one worker"))
         .collect()
+}
+
+/// Runs `side` on one substrate worker while `main` runs on the calling
+/// thread, and returns both results once both are done. `side`'s nested
+/// calls run inline (it is a worker), so the fork adds exactly one busy
+/// thread to whatever `main` fans out to. A panic in `side` re-raises on
+/// the caller after `main` returns; a panic in `main` propagates after
+/// `side` is joined. The caller decides whether a fork is worth a thread
+/// ([`workers`] `> 1`); the fork itself always spawns one.
+pub(crate) fn fork<S, RS, M, RM>(side: S, main: M) -> (RS, RM)
+where
+    S: FnOnce() -> RS + Send,
+    RS: Send,
+    M: FnOnce() -> RM,
+{
+    std::thread::scope(|scope| {
+        let side = spawn_worker(scope, side);
+        let main = main();
+        (join_worker(side), main)
+    })
+}
+
+/// Spawns one substrate worker on `scope`: a thread that marks itself
+/// `IN_WORKER`, so every `par_map` it reaches runs inline.
+fn spawn_worker<'scope, T: Send + 'scope>(
+    scope: &'scope std::thread::Scope<'scope, '_>,
+    f: impl FnOnce() -> T + Send + 'scope,
+) -> std::thread::ScopedJoinHandle<'scope, T> {
+    #[cfg(test)]
+    SPAWNED.with(|n| n.set(n.get() + 1));
+    scope.spawn(move || {
+        IN_WORKER.with(|w| w.set(true));
+        f()
+    })
+}
+
+/// Joins a worker, re-raising its panic on the joining thread.
+fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Workers this thread has spawned (tests only: a schedule that must
+    /// stay sequential asserts that it spawned none).
+    static SPAWNED: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Substrate workers spawned so far by the calling thread. Any thread a
+/// call starts is spawned by that call's own thread or by a worker it
+/// spawned, so a call that leaves this count unchanged started none.
+#[cfg(test)]
+pub(crate) fn spawned_here() -> usize {
+    SPAWNED.with(Cell::get)
 }
 
 /// [`par_map_threads`], but with each item's computation *isolated*: a
@@ -280,6 +332,26 @@ mod tests {
             }
             x
         });
+    }
+
+    #[test]
+    fn fork_runs_side_on_one_worker() {
+        let spawned = spawned_here();
+        let (side, main) = fork(
+            || (num_threads(), par_map_threads(4, &[1u32, 2, 3], |&x| x * 2)),
+            || num_threads() >= 1,
+        );
+        // Nested calls on the side worker run inline: one thread in all.
+        assert_eq!(side, (1, vec![2, 4, 6]));
+        assert!(main);
+        assert_eq!(spawned_here(), spawned + 1);
+    }
+
+    #[test]
+    fn fork_reraises_a_side_panic_on_the_caller() {
+        let caught = std::panic::catch_unwind(|| fork(|| panic!("side failed"), || 7));
+        let payload = caught.expect_err("the side's panic must reach the caller");
+        assert_eq!(panic_message(payload.as_ref()), "side failed");
     }
 
     #[test]

@@ -24,16 +24,18 @@ use crate::config::{AccelConfig, ShardPolicy, StrategyPolicy, DEFAULT_HOST_MEM_B
 use crate::cost::{self, AutoDecision, CostProfile};
 use crate::engine::steady::compute_rows;
 use crate::engine::streaming::store_err;
-use crate::engine::{shard_timing, ShardedEngine, ShardedOutcome, ShardedPlan, StreamStats};
+use crate::engine::{
+    check_shapes, shard_timing, ShardedEngine, ShardedOutcome, ShardedPlan, StreamStats,
+};
 use crate::error::AccelError;
 use crate::exec;
 use crate::pipeline::pipeline_two_stage;
-use crate::stats::{LayerStats, RunStats};
+use crate::stats::{LayerStats, RunStats, SpmmStats};
 use awb_gcn_model::{GcnInput, GcnModel};
 use awb_sparse::spmm::RowOperand;
 use awb_sparse::store::SparseStore;
-use awb_sparse::{Csc, Csr, DenseMatrix};
-use std::sync::Arc;
+use awb_sparse::{Csc, CscPattern, Csr, DenseMatrix};
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Outcome of one accelerated inference.
 #[derive(Debug, Clone)]
@@ -58,87 +60,94 @@ impl GcnRunOutcome {
     }
 }
 
+/// One layer's `X × W` timing: the density of `X` as the accelerator saw
+/// it, and the merged statistics of its combination devices.
+type XwTiming = (f64, SpmmStats);
+
+/// The numerics chain's results: the last layer's output, each layer's
+/// `A × (XW)` statistics, and the last pass's streaming statistics.
+type Chain = (DenseMatrix, Vec<SpmmStats>, Option<StreamStats>);
+
 /// The per-layer inference schedule, generic over how `A × (XW)` executes
 /// (`a_times`): a [`ShardedEngine`] during warm-up (tuning live), a
 /// [`ShardedSession`](crate::ShardedSession) during per-request
 /// execution. The outcome's `stream` is the last `A × (XW)` pass's.
 ///
-/// `X × W` is split by what each half reads (`DESIGN.md` §8). Its timing
-/// runs on a fresh engine per layer (X differs per layer and request) —
-/// one device, or one auto-tuned device per nnz-balanced column shard of
-/// `X` under [`AccelConfig::combination_shards`] — and reads only `X`'s
-/// column structure: the structure-only transpose of X1's CSR, then the
-/// structure of each hidden layer's ReLU output. Its numerics read the
-/// same `X` row-major (X1's CSR, then the dense ReLU output) in the pinned
-/// ascending-`j` order, so layer outputs are bit-identical to the
-/// column kernel on `X`'s full CSC, which is never built.
+/// Each layer splits into two halves that share no state (`DESIGN.md`
+/// §8), as the device's column-level pipelining of the two SPMMs assumes
+/// (Fig. 8). The *timing half* simulates `X × W` from `X`'s column
+/// structure alone: the structure-only transpose of X1's CSR, then each
+/// layer's [`shard_timing`] on a fresh engine — one device, or one
+/// auto-tuned device per nnz-balanced column shard of `X` under
+/// [`AccelConfig::combination_shards`]. The *numerics chain* reads the
+/// same `X` row-major (X1's CSR, then the dense ReLU output) in the
+/// pinned ascending-`j` order, so layer outputs are bit-identical to the
+/// column kernel on `X`'s full CSC, which is never built; then runs
+/// `a_times`; then the ReLU hop, whose output structure it hands to the
+/// timing half for the next layer.
 ///
-/// With `time_xw` off (a plan-only warm-up, `DESIGN.md` §9) the timing
-/// half and both transposes are skipped; `a_times` sees the same `XW`.
+/// On a thread that may fan out (`exec::workers(threads) > 1`) the timing
+/// half runs on one `exec` worker beside the chain, and the calling thread
+/// takes a share of it once its chain is done. Elsewhere — on a
+/// serving batch's worker, at `threads = Some(1)` or `AWB_THREADS=1` — it
+/// runs in the sequential order, timing each layer just before its
+/// numerics, with no thread spawned. Both orders return the same outcome
+/// and the same error: the chain checks each layer's shapes before its
+/// row kernel, and a timing error wins because the sequential order
+/// reaches it first (see [`overlapped`]).
+///
+/// With `time_xw` off (a plan-only warm-up, `DESIGN.md` §9) there is no
+/// timing half; `a_times` sees the same `XW`.
 fn run_layers(
     config: &AccelConfig,
     weights: &[DenseMatrix],
     x1: &Csr,
     time_xw: bool,
-    mut a_times: impl FnMut(&DenseMatrix, &str) -> Result<ShardedOutcome, AccelError>,
+    a_times: impl FnMut(&DenseMatrix, &str) -> Result<ShardedOutcome, AccelError>,
 ) -> Result<GcnRunOutcome, AccelError> {
-    let n_layers = weights.len();
-    let mut layers = Vec::with_capacity(n_layers);
-    let mut x_density = Vec::with_capacity(n_layers);
-    let mut stream = None;
     let threads = config.threads.unwrap_or_else(exec::num_threads);
+    let time_layer = |l: usize, x: &CscPattern| -> Result<XwTiming, AccelError> {
+        let label = format!("L{}:X*W", l + 1);
+        let partitioner = config.combination_partitioner();
+        let stats = shard_timing(config, partitioner, x, &weights[l], &label)?;
+        Ok((x.density(), stats))
+    };
+    let (timed, (output, a_xw, stream)) = if !time_xw {
+        let chain = numerics_chain(weights, x1, threads, a_times, |_, _| Ok(()))?;
+        (Vec::new(), chain)
+    } else if exec::workers(threads) > 1 {
+        overlapped(weights.len(), x1, time_layer, |hand_over| {
+            numerics_chain(weights, x1, threads, a_times, hand_over)
+        })?
+    } else {
+        let mut timed = Vec::with_capacity(weights.len());
+        // Each pattern lives until the next one is built: freeing X1's
+        // sooner shifts the serving path's allocation order, and with it
+        // where glibc's adaptive mmap threshold settles (`DESIGN.md` §8).
+        let mut held = None;
+        let chain = numerics_chain(weights, x1, threads, a_times, |l, x| {
+            timed.push(time_layer(l, held.insert(x_pattern(x)))?);
+            Ok(())
+        })?;
+        (timed, chain)
+    };
 
-    // Layer 1 input: the sparse X1 as given; later layers read the previous
-    // layer's ReLU output (`x_hidden`).
-    let mut x_pattern = time_xw.then(|| x1.to_csc_pattern());
-    let mut x_hidden: Option<DenseMatrix> = None;
-    for (l, w) in weights.iter().enumerate() {
-        // Stage 1: X × W, timed on one device per column shard of X.
-        let xw_stats = match &x_pattern {
-            Some(x_pattern) => {
-                x_density.push(x_pattern.density());
-                let label = format!("L{}:X*W", l + 1);
-                let partitioner = config.combination_partitioner();
-                Some(shard_timing(config, partitioner, x_pattern, w, &label)?)
-            }
-            None => None,
-        };
-        let x_rows = match &x_hidden {
-            Some(x) => RowOperand::Dense(x),
-            None => RowOperand::Sparse(x1),
-        };
-        let xw_c = compute_rows(x_rows, w, threads);
-        // Consumed intermediates are freed as soon as they are read.
-        drop(x_hidden.take());
-        // Stage 2: A × (XW) on the persistent A engine/session.
-        let a_xw = a_times(&xw_c, &format!("L{}:A*(XW)", l + 1))?;
-        drop(xw_c);
-        stream = a_xw.stream;
-        let a_xw = a_xw.outcome;
-
-        let mut x_next = a_xw.c;
-        if l + 1 < n_layers {
-            x_next.relu_in_place();
-            // The inter-layer hop: the next X's structure only.
-            x_pattern = time_xw.then(|| x_next.to_csc_pattern());
-        }
-        if let Some(xw_stats) = xw_stats {
-            let pipelined_cycles = if config.pipeline_spmms {
-                pipeline_two_stage(&xw_stats.round_cycles(), &a_xw.stats.round_cycles())
+    let x_density = timed.iter().map(|(density, _)| *density).collect();
+    let layers = timed
+        .into_iter()
+        .zip(a_xw)
+        .map(|((_, xw), a_xw)| LayerStats {
+            pipelined_cycles: if config.pipeline_spmms {
+                pipeline_two_stage(&xw.round_cycles(), &a_xw.round_cycles())
             } else {
-                xw_stats.total_cycles() + a_xw.stats.total_cycles()
-            };
-            layers.push(LayerStats {
-                xw: xw_stats,
-                a_xw: a_xw.stats,
-                pipelined_cycles,
-            });
-        }
-        x_hidden = Some(x_next);
-    }
-
+                xw.total_cycles() + a_xw.total_cycles()
+            },
+            xw,
+            a_xw,
+        })
+        .collect();
     Ok(GcnRunOutcome {
-        output: x_hidden.unwrap_or_else(|| DenseMatrix::zeros(0, 0)),
+        output,
         stats: RunStats {
             layers,
             n_pes: config.n_pes,
@@ -146,6 +155,119 @@ fn run_layers(
         x_density,
         stream,
     })
+}
+
+/// The numerics chain over every layer: `X × W` through the row kernel,
+/// `A × (XW)` through `a_times`, then the ReLU hop. `hand_over(l, x)`
+/// sees layer `l`'s `X` just before its shapes are checked and its row
+/// kernel runs.
+fn numerics_chain(
+    weights: &[DenseMatrix],
+    x1: &Csr,
+    threads: usize,
+    mut a_times: impl FnMut(&DenseMatrix, &str) -> Result<ShardedOutcome, AccelError>,
+    mut hand_over: impl FnMut(usize, RowOperand<'_>) -> Result<(), AccelError>,
+) -> Result<Chain, AccelError> {
+    let n_layers = weights.len();
+    let mut a_xw_stats = Vec::with_capacity(n_layers);
+    let mut stream = None;
+    // Layer 1 reads the sparse X1 as given; later layers read the previous
+    // layer's ReLU output (`x_hidden`).
+    let mut x_hidden: Option<DenseMatrix> = None;
+    for (l, w) in weights.iter().enumerate() {
+        let x = match &x_hidden {
+            Some(x) => RowOperand::Dense(x),
+            None => RowOperand::Sparse(x1),
+        };
+        hand_over(l, x)?;
+        check_shapes((x.rows(), x.cols()), w)?;
+        let xw = compute_rows(x, w, threads);
+        // Consumed intermediates are freed as soon as they are read.
+        drop(x_hidden.take());
+        let a_xw = a_times(&xw, &format!("L{}:A*(XW)", l + 1))?;
+        drop(xw);
+        stream = a_xw.stream;
+        let mut x_next = a_xw.outcome.c;
+        if l + 1 < n_layers {
+            x_next.relu_in_place();
+        }
+        a_xw_stats.push(a_xw.outcome.stats);
+        x_hidden = Some(x_next);
+    }
+    let output = x_hidden.unwrap_or_else(|| DenseMatrix::zeros(0, 0));
+    Ok((output, a_xw_stats, stream))
+}
+
+/// `X`'s column structure, all the timing half reads of it: X1's
+/// structure-only transpose, or a hidden layer's hop.
+fn x_pattern(x: RowOperand<'_>) -> CscPattern {
+    match x {
+        RowOperand::Sparse(x) => x.to_csc_pattern(),
+        RowOperand::Dense(x) => x.to_csc_pattern(),
+    }
+}
+
+/// Runs the timing half on one `exec` worker while `chain` runs on the
+/// calling thread. The worker transposes X1 and times layer 1; `chain`
+/// hands each hidden layer's `X` over as soon as its hop is done, and
+/// whichever thread is free times it: the worker, or the caller once its
+/// chain is done. A worker panic re-raises here.
+///
+/// Layer `l`'s timing only ever sees an `X` the chain produced after
+/// layer `l - 1`'s `A × (XW)` succeeded, and the sequential order runs it
+/// before layer `l`'s numerics; so the first timing error in layer order
+/// is the one the sequential order would return, and it wins over the
+/// chain's.
+fn overlapped(
+    n_layers: usize,
+    x1: &Csr,
+    time_layer: impl Fn(usize, &CscPattern) -> Result<XwTiming, AccelError> + Sync,
+    chain: impl FnOnce(
+        &mut dyn FnMut(usize, RowOperand<'_>) -> Result<(), AccelError>,
+    ) -> Result<Chain, AccelError>,
+) -> Result<(Vec<XwTiming>, Chain), AccelError> {
+    let (send, receive) = mpsc::channel();
+    let receive = Mutex::new(receive);
+    // Times handed-over layers until the chain is done and none is left.
+    let drain = || {
+        let mut timed = Vec::new();
+        loop {
+            let next = receive
+                .lock()
+                .expect("held only across `recv`, which does not panic")
+                .recv();
+            let Ok((l, x)) = next else { return timed };
+            timed.push((l, time_layer(l, &x)));
+        }
+    };
+    let (mut timed, (chain, helped)) = exec::fork(
+        || {
+            let mut timed = Vec::with_capacity(n_layers);
+            if n_layers > 0 {
+                timed.push((0, time_layer(0, &x_pattern(RowOperand::Sparse(x1)))));
+            }
+            timed.extend(drain());
+            timed
+        },
+        || {
+            let chain = chain(&mut |l, x| {
+                if l > 0 {
+                    let x = x_pattern(x);
+                    send.send((l, x)).expect("the receiver outlives the fork");
+                }
+                Ok(())
+            });
+            drop(send);
+            (chain, drain())
+        },
+    );
+    timed.extend(helped);
+    timed.sort_unstable_by_key(|(l, _)| *l);
+    let timed = timed
+        .into_iter()
+        .map(|(_, t)| t)
+        .collect::<Result<_, _>>()?;
+    Ok((timed, chain?))
 }
 
 /// Drives GCN inference through the simulated accelerator.
@@ -190,7 +312,10 @@ impl GcnRunner {
     /// same graph will follow. Honours both of the configuration's
     /// [`ShardPolicy`] axes: `shards` executes `A × (XW)` across
     /// column-shard devices, `combination_shards` does the same for each
-    /// layer's `X × W` (outputs bit-identical in every combination).
+    /// layer's `X × W` (outputs bit-identical in every combination). Called
+    /// from a thread that may fan out, the run times each layer's `X × W`
+    /// on one extra `exec` worker beside its numerics; the outcome is the
+    /// sequential order's either way (`DESIGN.md` §8).
     ///
     /// # Errors
     ///
@@ -318,21 +443,25 @@ impl GcnRunner {
     /// manifest is ingested first (chunk target derived from the host
     /// budget so even small graphs split finely enough for the budget to
     /// bind); an existing store is opened as-is (full ingest validation)
-    /// and must hold exactly this graph.
+    /// and must hold exactly this graph. The engine is
+    /// [`trusted`](ShardedEngine::trusted): a warm-up passes it the same
+    /// `a` on every layer and at freeze, so it hashes `a` once, at bind.
     fn engine_a(config: &AccelConfig, a: &Csc) -> Result<ShardedEngine, AccelError> {
         let Some(dir) = &config.store else {
-            return Ok(ShardedEngine::new(config.clone()));
+            return Ok(ShardedEngine::new(config.clone()).trusted());
         };
         let budget = config.host_mem_budget.unwrap_or(DEFAULT_HOST_MEM_BUDGET);
-        if SparseStore::exists(dir) {
-            return ShardedEngine::open_stored(config.clone(), dir, budget);
-        }
-        // Aim for ≥ 4 chunks per half-budget shard window: a chunk's
-        // resident bytes (~8 B/nnz) stay under 1/8 of the budget, so
-        // chunk_nnz ≤ budget / 64, capped at the format default.
-        let chunk_nnz = (budget / 64).clamp(1, awb_sparse::store::DEFAULT_CHUNK_NNZ);
-        let store = SparseStore::write_with_chunk_nnz(dir, a, chunk_nnz).map_err(store_err)?;
-        ShardedEngine::stored(config.clone(), Arc::new(store), budget)
+        let engine = if SparseStore::exists(dir) {
+            ShardedEngine::open_stored(config.clone(), dir, budget)?
+        } else {
+            // Aim for ≥ 4 chunks per half-budget shard window: a chunk's
+            // resident bytes (~8 B/nnz) stay under 1/8 of the budget, so
+            // chunk_nnz ≤ budget / 64, capped at the format default.
+            let chunk_nnz = (budget / 64).clamp(1, awb_sparse::store::DEFAULT_CHUNK_NNZ);
+            let store = SparseStore::write_with_chunk_nnz(dir, a, chunk_nnz).map_err(store_err)?;
+            ShardedEngine::stored(config.clone(), Arc::new(store), budget)?
+        };
+        Ok(engine.trusted())
     }
 
     /// Warms up `A`'s engine for the configured source and freezes it. A
@@ -808,6 +937,126 @@ mod tests {
         assert_eq!(nan_mask(&cold.output), expected);
         let (plan, _) = runner.prepare(&input).unwrap();
         assert_eq!(nan_mask(&plan.run(&input.x1).unwrap().output), expected);
+    }
+
+    /// An X1 one column wider than W1 is a typed shape error from every
+    /// entry point, sequential or overlapped: the chain checks the shapes
+    /// before the row kernel (which would panic on them) runs.
+    #[test]
+    fn shape_errors_stay_typed() {
+        let input = small_input(128, 40);
+        let x1 = &input.x1;
+        let wide = Csr::from_parts(
+            x1.rows(),
+            x1.cols() + 1,
+            x1.row_ptr().to_vec(),
+            x1.col_idx().to_vec(),
+            x1.values().to_vec(),
+        )
+        .unwrap();
+        let w1 = &input.weights[0];
+        let expected = format!(
+            "operand shape error: dimension mismatch in spmm_engine: {}x{} vs {}x{}",
+            wide.rows(),
+            wide.cols(),
+            w1.rows(),
+            w1.cols()
+        );
+        let mut bad = input.clone();
+        bad.x1 = wide.clone();
+        for threads in [Some(1), Some(2)] {
+            let mut cfg = Design::LocalPlusRemote { hop: 1 }.apply(config(16));
+            cfg.threads = threads;
+            let runner = GcnRunner::new(cfg);
+            let (plan, _) = runner.prepare(&input).unwrap();
+            let errors = [
+                ("run", runner.run(&bad).err()),
+                ("prepare", runner.prepare(&bad).err()),
+                ("plan run", plan.run(&wide).err()),
+            ];
+            for (entry, err) in errors {
+                let err = err.unwrap_or_else(|| panic!("{entry} at {threads:?} accepted X1"));
+                assert!(matches!(err, AccelError::Shape(_)), "{entry}: {err}");
+                assert_eq!(err.to_string(), expected, "{entry} at {threads:?}");
+            }
+        }
+    }
+
+    /// Everything a caller can observe of a cold run, a prepare and a plan
+    /// run: stats, densities, output bits and the prepare report's tuning
+    /// fields.
+    type Observed = Vec<(RunStats, Vec<f64>, Vec<u32>, [u64; 4])>;
+
+    fn observe(config: &AccelConfig, input: &GcnInput) -> Observed {
+        let bits = |m: &DenseMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect();
+        let seen = |o: GcnRunOutcome, tuning| (o.stats, o.x_density, bits(&o.output), tuning);
+        let cold = GcnRunner::new(config.clone()).run(input).unwrap();
+        let mut service = crate::GcnService::new(config.clone());
+        let report = service.prepare("g", input).unwrap();
+        let tuning = [
+            report.tuning_rounds as u64,
+            report.total_switches,
+            report.shards as u64,
+            report.combination_shards as u64,
+        ];
+        let warm = service.plan("g").unwrap().run(&input.x1).unwrap();
+        vec![
+            seen(cold, [0; 4]),
+            seen(report.warmup, tuning),
+            seen(warm, [0; 4]),
+        ]
+    }
+
+    /// Running each layer's X × W timing beside its numerics (a caller
+    /// that may fan out) changes nothing observable against the
+    /// sequential order (`Some(1)`, or inside a `par_map` worker), and the
+    /// sequential settings spawn no thread.
+    #[test]
+    fn overlap_changes_nothing_observable() {
+        let input = small_input(160, 41);
+        let store = std::env::temp_dir().join(format!(
+            "awb-gcnrun-overlap-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&store);
+        let base = Design::LocalPlusRemote { hop: 2 }.apply(config(16));
+        let mut xw_sharded = base.clone();
+        xw_sharded.combination_shards = ShardPolicy::Fixed(2);
+        let mut stored = base.clone();
+        stored.store = Some(store.clone());
+        stored.host_mem_budget = Some(input.a_norm_csc.heap_bytes() / 3);
+        for (name, cfg) in [
+            ("resident", base),
+            ("xw Fixed(2)", xw_sharded),
+            ("stored", stored),
+        ] {
+            let with = |threads| AccelConfig {
+                threads,
+                ..cfg.clone()
+            };
+            let spawned = exec::spawned_here();
+            let sequential = observe(&with(Some(1)), &input);
+            assert_eq!(exec::spawned_here(), spawned, "{name}: Some(1) spawned");
+            assert_eq!(
+                observe(&with(Some(2)), &input),
+                sequential,
+                "{name}: Some(2)"
+            );
+            let in_worker = exec::par_map_threads(2, &[true, false], |&work| {
+                assert_eq!(exec::num_threads(), 1, "runs on a worker");
+                let spawned = exec::spawned_here();
+                let seen = work.then(|| observe(&with(Some(2)), &input));
+                (seen, exec::spawned_here() - spawned)
+            });
+            let (seen, spawned) = in_worker
+                .into_iter()
+                .find(|(seen, _)| seen.is_some())
+                .unwrap();
+            assert_eq!(spawned, 0, "{name}: the in-worker run spawned");
+            assert_eq!(seen.unwrap(), sequential, "{name}: in a worker");
+        }
+        std::fs::remove_dir_all(&store).unwrap();
     }
 
     #[test]
