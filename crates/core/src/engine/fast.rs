@@ -232,23 +232,6 @@ impl FastEngine {
         self.time_runs(a, column_runs(b, 0..b.rows()), label)
     }
 
-    /// The timing of one SPMM on a fresh engine that is dropped after the
-    /// call — the GCN layers' `X × W`, whose `X` differs per layer and
-    /// request. Only this call's own steady phase replays its cache (the
-    /// freezing round's seed, and one simulation per further pattern), so
-    /// it needs no structure fingerprint; every statistic is what
-    /// [`run_timing`](FastEngine::run_timing) reports.
-    /// `runs` are the dense operand's [`column_runs`] for `a`'s columns
-    /// (shapes checked by the caller).
-    pub(crate) fn time_once(
-        config: &AccelConfig,
-        a: &CscPattern,
-        runs: Vec<ColumnRun>,
-        label: &str,
-    ) -> Result<SpmmStats, AccelError> {
-        FastEngine::new(config.clone()).time_runs(a, runs, label)
-    }
-
     /// [`run_timing`](FastEngine::run_timing) over the dense operand's
     /// column runs: the tuning rounds, then
     /// [`time_steady`](FastEngine::time_steady) for the rest.

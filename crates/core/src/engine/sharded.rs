@@ -148,7 +148,9 @@ pub(crate) fn merge_stats(label: &str, per_shard: &[SpmmStats]) -> SpmmStats {
 /// by [`merge_stats`]. The transient counterpart of [`ShardedEngine`] for
 /// the GCN layers' `X × W`, whose numerics run row-major and whose devices
 /// are never frozen into a plan — so shards are the pattern's column
-/// slices and no slice of `X`'s values exists. Statistics equal a
+/// slices and no slice of `X`'s values exists. Each device is dropped
+/// after its call, so only that call's own steady phase replays its cache
+/// and no structure fingerprint is taken. Statistics equal a
 /// [`ShardedEngine`] run on the same operand. A cut of one shard
 /// (`is_single` is O(1)) times `a` itself on one device: no partition
 /// scan and no column-slice copy, and a one-shard merge is that shard's
@@ -161,25 +163,47 @@ pub(crate) fn shard_timing(
     label: &str,
 ) -> Result<SpmmStats, AccelError> {
     check_shapes(a.shape(), b)?;
+    let time = |a: &CscPattern, rows: Range<usize>| {
+        let runs = column_runs(b, rows);
+        FastEngine::new(config.clone()).time_runs(a, runs, label)
+    };
     if partitioner.is_single(a) {
-        return FastEngine::time_once(config, a, column_runs(b, 0..b.rows()), label);
-    }
-    let mut cuts: Vec<Range<usize>> = partitioner
-        .partition(a)
-        .into_iter()
-        .map(|shard| shard.cols)
-        .collect();
-    if cuts.is_empty() {
-        // 0-column operand: one degenerate shard, as `ShardedEngine` keeps.
-        cuts.push(0..a.cols());
+        return time(a, 0..b.rows());
     }
     let threads = config.threads.unwrap_or_else(exec::num_threads);
-    let results = exec::par_map_threads(threads, &cuts, |cols| {
-        let runs = column_runs(b, cols.clone());
-        FastEngine::time_once(config, &a.col_range(cols.clone()), runs, label)
+    let per_shard = resident_cut(partitioner, a, threads, |cols, _, slice| {
+        time(slice.as_ref().unwrap_or(a), cols)
     });
-    let per_shard = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let per_shard = per_shard.into_iter().collect::<Result<Vec<_>, _>>()?;
     Ok(merge_stats(label, &per_shard))
+}
+
+/// The resident cut of `a`, the one rule resident shards follow:
+/// `shard(cols, nnz, slice)` builds each of `partitioner`'s column shards
+/// in ascending order, on up to `threads` workers, or one degenerate
+/// shard when `a` has no columns (so round accounting still mirrors the
+/// single device). `slice` is the shard's column-slice pattern, built as
+/// its shard is, and `None` for a shard spanning all of `a`: that shard
+/// reads `a` itself.
+fn resident_cut<S: Send>(
+    partitioner: ColumnPartitioner,
+    a: &CscPattern,
+    threads: usize,
+    shard: impl Fn(Range<usize>, usize, Option<CscPattern>) -> S + Sync,
+) -> Vec<S> {
+    let whole = 0..a.cols();
+    let mut cuts: Vec<_> = partitioner
+        .partition(a)
+        .into_iter()
+        .map(|shard| (shard.cols, shard.nnz))
+        .collect();
+    if cuts.is_empty() {
+        cuts.push((whole.clone(), 0));
+    }
+    exec::par_map_threads(threads, &cuts, |(cols, nnz)| {
+        let slice = (*cols != whole).then(|| a.col_range(cols.clone()));
+        shard(cols.clone(), *nnz, slice)
+    })
 }
 
 /// Where every shard of an engine or plan reads its part of `A` from.
@@ -488,31 +512,14 @@ impl ShardedEngine {
         match &self.source {
             ShardSource::Stored(store) => verify_operand(store, a)?,
             ShardSource::Resident => {
-                let member = || Mutex::new(FastEngine::new(self.config.clone()));
-                let whole = 0..a.cols();
-                self.shards = self
-                    .partitioner
-                    .partition(a)
-                    .into_iter()
-                    .map(|shard| Shard {
-                        slice: (shard.cols != whole)
-                            .then(|| Arc::new(a.pattern().col_range(shard.cols.clone()))),
-                        cols: shard.cols,
-                        nnz: shard.nnz,
-                        device: member(),
-                    })
-                    .collect();
-                if self.shards.is_empty() {
-                    // 0-column operand (the partitioner returns no shards):
-                    // keep one degenerate shard so round accounting still
-                    // mirrors the single device.
-                    self.shards.push(Shard {
-                        cols: whole,
-                        nnz: 0,
-                        slice: None,
-                        device: member(),
+                let config = &self.config;
+                self.shards =
+                    resident_cut(self.partitioner, a.pattern(), 1, |cols, nnz, slice| Shard {
+                        cols,
+                        nnz,
+                        slice: slice.map(Arc::new),
+                        device: Mutex::new(FastEngine::new(config.clone())),
                     });
-                }
             }
         }
         self.operand = Some(Operand::of(a));

@@ -29,9 +29,9 @@
 //! a `par_map` reached from inside a worker — run inline on that worker,
 //! so composing parallel layers (bench grid → sweep → engine) never
 //! multiplies the thread count. One call adds a thread on purpose: a GCN
-//! run on a thread that may fan out times each layer's `X × W` on one
-//! extra worker (`fork`) beside its numerics (`DESIGN.md` §8), so a run
-//! with `threads` workers keeps at most `threads + 1` threads busy.
+//! run on a thread that may fan out times layer 1's `X × W` on one extra
+//! worker (`fork`) beside its layer loop (`DESIGN.md` §8), so a run with
+//! `threads` workers keeps at most `threads + 1` threads busy.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -150,7 +150,9 @@ where
 /// thread to whatever `main` fans out to. A panic in `side` re-raises on
 /// the caller after `main` returns; a panic in `main` propagates after
 /// `side` is joined. The caller decides whether a fork is worth a thread
-/// ([`workers`] `> 1`); the fork itself always spawns one.
+/// ([`workers`] `> 1`); the fork itself always spawns one. The GCN layer
+/// schedule is the one caller: `side` times layer 1's `X × W` while
+/// `main` runs the layers.
 pub(crate) fn fork<S, RS, M, RM>(side: S, main: M) -> (RS, RM)
 where
     S: FnOnce() -> RS + Send,

@@ -5,6 +5,9 @@
 //! Both phases run the paper's per-layer schedule: `X × W` first
 //! (TDQ-1-class workload), then `A × (XW)` (TDQ-2-class), with
 //! column-level pipelining between them (Fig. 8) and ReLU between layers.
+//! On the host the two are one loop over the layers; only layer 1's
+//! `X × W` timing, which needs nothing but X1, may run on a second thread
+//! beside it (see `run_layers`).
 //! A single engine serves every SPMM that uses `A`, so the auto-tuned row
 //! map converged during layer 1 is *reused* in layer 2 — and, via
 //! [`GcnPlan`], across every later request on the same graph: exactly the
@@ -35,7 +38,7 @@ use awb_gcn_model::{GcnInput, GcnModel};
 use awb_sparse::spmm::RowOperand;
 use awb_sparse::store::SparseStore;
 use awb_sparse::{Csc, CscPattern, Csr, DenseMatrix};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 
 /// Outcome of one accelerated inference.
 #[derive(Debug, Clone)]
@@ -64,78 +67,111 @@ impl GcnRunOutcome {
 /// it, and the merged statistics of its combination devices.
 type XwTiming = (f64, SpmmStats);
 
-/// The numerics chain's results: the last layer's output, each layer's
-/// `A × (XW)` statistics, and the last pass's streaming statistics.
-type Chain = (DenseMatrix, Vec<SpmmStats>, Option<StreamStats>);
-
 /// The per-layer inference schedule, generic over how `A × (XW)` executes
 /// (`a_times`): a [`ShardedEngine`] during warm-up (tuning live), a
 /// [`ShardedSession`](crate::ShardedSession) during per-request
 /// execution. The outcome's `stream` is the last `A × (XW)` pass's.
 ///
-/// Each layer splits into two halves that share no state (`DESIGN.md`
-/// §8), as the device's column-level pipelining of the two SPMMs assumes
-/// (Fig. 8). The *timing half* simulates `X × W` from `X`'s column
-/// structure alone: the structure-only transpose of X1's CSR, then each
-/// layer's [`shard_timing`] on a fresh engine — one device, or one
-/// auto-tuned device per nnz-balanced column shard of `X` under
-/// [`AccelConfig::combination_shards`]. The *numerics chain* reads the
-/// same `X` row-major (X1's CSR, then the dense ReLU output) in the
-/// pinned ascending-`j` order, so layer outputs are bit-identical to the
-/// column kernel on `X`'s full CSC, which is never built; then runs
-/// `a_times`; then the ReLU hop, whose output structure it hands to the
-/// timing half for the next layer.
+/// One loop runs the layers. Each layer's `X × W` *timing* simulates the
+/// SPMM from `X`'s column structure alone: [`shard_timing`] on fresh
+/// engines — one device, or one auto-tuned device per nnz-balanced
+/// column shard of `X` under [`AccelConfig::combination_shards`]. Its
+/// *numerics* read the same `X` row-major (X1's CSR, then the dense ReLU
+/// output) in the pinned ascending-`j` order, so layer outputs are
+/// bit-identical to the column kernel on `X`'s full CSC, which is never
+/// built; then `a_times` runs, then the ReLU hop. Each hidden layer is
+/// timed from its hop's structure just before its shape check and row
+/// kernel.
 ///
-/// On a thread that may fan out (`exec::workers(threads) > 1`) the timing
-/// half runs on one `exec` worker beside the chain, and the calling thread
-/// takes a share of it once its chain is done. Elsewhere — on a
-/// serving batch's worker, at `threads = Some(1)` or `AWB_THREADS=1` — it
-/// runs in the sequential order, timing each layer just before its
-/// numerics, with no thread spawned. Both orders return the same outcome
-/// and the same error: the chain checks each layer's shapes before its
-/// row kernel, and a timing error wins because the sequential order
-/// reaches it first (see [`overlapped`]).
+/// Layer 1's timing (X1's structure-only transpose, then its
+/// `shard_timing`) shares no state with the loop, as the device's
+/// column-level pipelining of the two SPMMs assumes (Fig. 8). On a
+/// thread that may fan out (`exec::workers(threads) > 1`) it runs on one
+/// `exec` worker beside the loop; elsewhere — on a serving batch's
+/// worker, at `threads = Some(1)` or `AWB_THREADS=1` — it runs first, on
+/// the calling thread, with no thread spawned. Both orders return the
+/// same outcome and the same error: layer 1's timing error first, then
+/// the loop's, which is the sequential order (`DESIGN.md` §8).
 ///
-/// With `time_xw` off (a plan-only warm-up, `DESIGN.md` §9) there is no
-/// timing half; `a_times` sees the same `XW`.
+/// With `time_xw` off (a plan-only warm-up, `DESIGN.md` §9) nothing is
+/// timed; `a_times` sees the same `XW`.
 fn run_layers(
     config: &AccelConfig,
     weights: &[DenseMatrix],
     x1: &Csr,
     time_xw: bool,
-    a_times: impl FnMut(&DenseMatrix, &str) -> Result<ShardedOutcome, AccelError>,
+    mut a_times: impl FnMut(&DenseMatrix, &str) -> Result<ShardedOutcome, AccelError>,
 ) -> Result<GcnRunOutcome, AccelError> {
     let threads = config.threads.unwrap_or_else(exec::num_threads);
+    let n_layers = weights.len();
     let time_layer = |l: usize, x: &CscPattern| -> Result<XwTiming, AccelError> {
         let label = format!("L{}:X*W", l + 1);
         let partitioner = config.combination_partitioner();
         let stats = shard_timing(config, partitioner, x, &weights[l], &label)?;
         Ok((x.density(), stats))
     };
-    let (timed, (output, a_xw, stream)) = if !time_xw {
-        let chain = numerics_chain(weights, x1, threads, a_times, |_, _| Ok(()))?;
-        (Vec::new(), chain)
+    let time_first = || {
+        let x = x1.to_csc_pattern();
+        (time_layer(0, &x), x)
+    };
+    let mut timed = Vec::with_capacity(n_layers);
+    let mut a_xw_stats = Vec::with_capacity(n_layers);
+    let mut stream = None;
+    // Layer 1 reads the sparse X1 as given; later layers read the previous
+    // layer's ReLU output (`x_hidden`).
+    let mut x_hidden: Option<DenseMatrix> = None;
+    // `held` is the last structure timed, kept until the next is built.
+    let mut each_layer = |mut held: Option<CscPattern>| -> Result<(), AccelError> {
+        for (l, w) in weights.iter().enumerate() {
+            let x = match &x_hidden {
+                Some(x) => {
+                    if time_xw {
+                        timed.push(time_layer(l, held.insert(x.to_csc_pattern()))?);
+                    }
+                    RowOperand::Dense(x)
+                }
+                None => RowOperand::Sparse(x1),
+            };
+            check_shapes((x.rows(), x.cols()), w)?;
+            let xw = compute_rows(x, w, threads);
+            // Consumed intermediates are freed as soon as they are read.
+            drop(x_hidden.take());
+            let a_xw = a_times(&xw, &format!("L{}:A*(XW)", l + 1))?;
+            drop(xw);
+            stream = a_xw.stream;
+            let mut x_next = a_xw.outcome.c;
+            if l + 1 < n_layers {
+                x_next.relu_in_place();
+            }
+            a_xw_stats.push(a_xw.outcome.stats);
+            x_hidden = Some(x_next);
+        }
+        Ok(())
+    };
+    let first = if !time_xw || n_layers == 0 {
+        each_layer(None)?;
+        None
     } else if exec::workers(threads) > 1 {
-        overlapped(weights.len(), x1, time_layer, |hand_over| {
-            numerics_chain(weights, x1, threads, a_times, hand_over)
-        })?
+        let (first, rest) = exec::fork(|| time_first().0, || each_layer(None));
+        let first = first?;
+        rest?;
+        Some(first)
     } else {
-        let mut timed = Vec::with_capacity(weights.len());
-        // Each pattern lives until the next one is built: freeing X1's
-        // sooner shifts the serving path's allocation order, and with it
-        // where glibc's adaptive mmap threshold settles (`DESIGN.md` §8).
-        let mut held = None;
-        let chain = numerics_chain(weights, x1, threads, a_times, |l, x| {
-            timed.push(time_layer(l, held.insert(x_pattern(x)))?);
-            Ok(())
-        })?;
-        (timed, chain)
+        // X1's structure lives until layer 2's is built: freeing it sooner
+        // shifts the serving path's allocation order, and with it where
+        // glibc's adaptive mmap threshold settles (`DESIGN.md` §8).
+        let (first, held) = time_first();
+        let first = first?;
+        each_layer(Some(held))?;
+        Some(first)
     };
 
-    let x_density = timed.iter().map(|(density, _)| *density).collect();
-    let layers = timed
+    let x_density = first.iter().chain(&timed).map(|(density, _)| *density);
+    let x_density = x_density.collect();
+    let layers = first
         .into_iter()
-        .zip(a_xw)
+        .chain(timed)
+        .zip(a_xw_stats)
         .map(|((_, xw), a_xw)| LayerStats {
             pipelined_cycles: if config.pipeline_spmms {
                 pipeline_two_stage(&xw.round_cycles(), &a_xw.round_cycles())
@@ -147,7 +183,7 @@ fn run_layers(
         })
         .collect();
     Ok(GcnRunOutcome {
-        output,
+        output: x_hidden.unwrap_or_else(|| DenseMatrix::zeros(0, 0)),
         stats: RunStats {
             layers,
             n_pes: config.n_pes,
@@ -155,119 +191,6 @@ fn run_layers(
         x_density,
         stream,
     })
-}
-
-/// The numerics chain over every layer: `X × W` through the row kernel,
-/// `A × (XW)` through `a_times`, then the ReLU hop. `hand_over(l, x)`
-/// sees layer `l`'s `X` just before its shapes are checked and its row
-/// kernel runs.
-fn numerics_chain(
-    weights: &[DenseMatrix],
-    x1: &Csr,
-    threads: usize,
-    mut a_times: impl FnMut(&DenseMatrix, &str) -> Result<ShardedOutcome, AccelError>,
-    mut hand_over: impl FnMut(usize, RowOperand<'_>) -> Result<(), AccelError>,
-) -> Result<Chain, AccelError> {
-    let n_layers = weights.len();
-    let mut a_xw_stats = Vec::with_capacity(n_layers);
-    let mut stream = None;
-    // Layer 1 reads the sparse X1 as given; later layers read the previous
-    // layer's ReLU output (`x_hidden`).
-    let mut x_hidden: Option<DenseMatrix> = None;
-    for (l, w) in weights.iter().enumerate() {
-        let x = match &x_hidden {
-            Some(x) => RowOperand::Dense(x),
-            None => RowOperand::Sparse(x1),
-        };
-        hand_over(l, x)?;
-        check_shapes((x.rows(), x.cols()), w)?;
-        let xw = compute_rows(x, w, threads);
-        // Consumed intermediates are freed as soon as they are read.
-        drop(x_hidden.take());
-        let a_xw = a_times(&xw, &format!("L{}:A*(XW)", l + 1))?;
-        drop(xw);
-        stream = a_xw.stream;
-        let mut x_next = a_xw.outcome.c;
-        if l + 1 < n_layers {
-            x_next.relu_in_place();
-        }
-        a_xw_stats.push(a_xw.outcome.stats);
-        x_hidden = Some(x_next);
-    }
-    let output = x_hidden.unwrap_or_else(|| DenseMatrix::zeros(0, 0));
-    Ok((output, a_xw_stats, stream))
-}
-
-/// `X`'s column structure, all the timing half reads of it: X1's
-/// structure-only transpose, or a hidden layer's hop.
-fn x_pattern(x: RowOperand<'_>) -> CscPattern {
-    match x {
-        RowOperand::Sparse(x) => x.to_csc_pattern(),
-        RowOperand::Dense(x) => x.to_csc_pattern(),
-    }
-}
-
-/// Runs the timing half on one `exec` worker while `chain` runs on the
-/// calling thread. The worker transposes X1 and times layer 1; `chain`
-/// hands each hidden layer's `X` over as soon as its hop is done, and
-/// whichever thread is free times it: the worker, or the caller once its
-/// chain is done. A worker panic re-raises here.
-///
-/// Layer `l`'s timing only ever sees an `X` the chain produced after
-/// layer `l - 1`'s `A × (XW)` succeeded, and the sequential order runs it
-/// before layer `l`'s numerics; so the first timing error in layer order
-/// is the one the sequential order would return, and it wins over the
-/// chain's.
-fn overlapped(
-    n_layers: usize,
-    x1: &Csr,
-    time_layer: impl Fn(usize, &CscPattern) -> Result<XwTiming, AccelError> + Sync,
-    chain: impl FnOnce(
-        &mut dyn FnMut(usize, RowOperand<'_>) -> Result<(), AccelError>,
-    ) -> Result<Chain, AccelError>,
-) -> Result<(Vec<XwTiming>, Chain), AccelError> {
-    let (send, receive) = mpsc::channel();
-    let receive = Mutex::new(receive);
-    // Times handed-over layers until the chain is done and none is left.
-    let drain = || {
-        let mut timed = Vec::new();
-        loop {
-            let next = receive
-                .lock()
-                .expect("held only across `recv`, which does not panic")
-                .recv();
-            let Ok((l, x)) = next else { return timed };
-            timed.push((l, time_layer(l, &x)));
-        }
-    };
-    let (mut timed, (chain, helped)) = exec::fork(
-        || {
-            let mut timed = Vec::with_capacity(n_layers);
-            if n_layers > 0 {
-                timed.push((0, time_layer(0, &x_pattern(RowOperand::Sparse(x1)))));
-            }
-            timed.extend(drain());
-            timed
-        },
-        || {
-            let chain = chain(&mut |l, x| {
-                if l > 0 {
-                    let x = x_pattern(x);
-                    send.send((l, x)).expect("the receiver outlives the fork");
-                }
-                Ok(())
-            });
-            drop(send);
-            (chain, drain())
-        },
-    );
-    timed.extend(helped);
-    timed.sort_unstable_by_key(|(l, _)| *l);
-    let timed = timed
-        .into_iter()
-        .map(|(_, t)| t)
-        .collect::<Result<_, _>>()?;
-    Ok((timed, chain?))
 }
 
 /// Drives GCN inference through the simulated accelerator.
@@ -313,8 +236,8 @@ impl GcnRunner {
     /// [`ShardPolicy`] axes: `shards` executes `A × (XW)` across
     /// column-shard devices, `combination_shards` does the same for each
     /// layer's `X × W` (outputs bit-identical in every combination). Called
-    /// from a thread that may fan out, the run times each layer's `X × W`
-    /// on one extra `exec` worker beside its numerics; the outcome is the
+    /// from a thread that may fan out, the run times layer 1's `X × W` on
+    /// one extra `exec` worker beside the layer loop; the outcome is the
     /// sequential order's either way (`DESIGN.md` §8).
     ///
     /// # Errors
@@ -356,34 +279,16 @@ impl GcnRunner {
     ///
     /// Propagates configuration/shape errors from the engines.
     pub fn prepare(&self, input: &GcnInput) -> Result<(GcnPlan, GcnRunOutcome), AccelError> {
-        self.prepare_with_decision(input, self.resolve_strategy(input))
+        self.warm_up(input, self.resolve_strategy(input), true)
     }
 
-    /// [`prepare`](GcnRunner::prepare) under the Auto `decision` the
-    /// caller already resolved (`None` under Manual; the serving
-    /// front-end resolves it for the plan-cache key first, and
-    /// re-resolving here would double the work). The decision's winner
-    /// is the concrete (Manual) configuration the plan is built under.
-    pub(crate) fn prepare_with_decision(
-        &self,
-        input: &GcnInput,
-        decision: Option<AutoDecision>,
-    ) -> Result<(GcnPlan, GcnRunOutcome), AccelError> {
-        self.warm_up(input, decision, true)
-    }
-
-    /// [`prepare_with_decision`](Self::prepare_with_decision)'s plan from
-    /// a warm-up that does not time `X × W`; the untimed outcome stays here.
-    pub(crate) fn prepare_plan(
-        &self,
-        input: &GcnInput,
-        decision: Option<AutoDecision>,
-    ) -> Result<GcnPlan, AccelError> {
-        Ok(self.warm_up(input, decision, false)?.0)
-    }
-
-    /// The body of both prepares; `time_xw` is [`run_layers`]'.
-    fn warm_up(
+    /// One warm-up inference under the Auto `decision` the caller already
+    /// resolved (`None` under Manual; the serving front-end resolves it
+    /// for the plan-cache key first, and re-resolving here would double
+    /// the work) and the plan extracted from it. The decision's winner is
+    /// the concrete (Manual) configuration the plan is built under.
+    /// `time_xw` is [`run_layers`]'.
+    pub(crate) fn warm_up(
         &self,
         input: &GcnInput,
         mut decision: Option<AutoDecision>,
@@ -940,8 +845,10 @@ mod tests {
     }
 
     /// An X1 one column wider than W1 is a typed shape error from every
-    /// entry point, sequential or overlapped: the chain checks the shapes
-    /// before the row kernel (which would panic on them) runs.
+    /// entry point, sequential or forked: each layer checks its shapes
+    /// before the row kernel (which would panic on them) runs. So is a W2
+    /// one row taller than X2 is wide, which fails at layer 2, after
+    /// layer 1 ran.
     #[test]
     fn shape_errors_stay_typed() {
         let input = small_input(128, 40);
@@ -954,30 +861,36 @@ mod tests {
             x1.values().to_vec(),
         )
         .unwrap();
-        let w1 = &input.weights[0];
-        let expected = format!(
-            "operand shape error: dimension mismatch in spmm_engine: {}x{} vs {}x{}",
-            wide.rows(),
-            wide.cols(),
-            w1.rows(),
-            w1.cols()
-        );
+        let mismatch = |x: (usize, usize), w: (usize, usize)| {
+            format!(
+                "operand shape error: dimension mismatch in spmm_engine: {}x{} vs {}x{}",
+                x.0, x.1, w.0, w.1
+            )
+        };
+        let w1 = input.weights[0].shape();
+        let expected = mismatch(wide.shape(), w1);
         let mut bad = input.clone();
         bad.x1 = wide.clone();
+        let w2 = input.weights[1].shape();
+        let mut tall = input.clone();
+        tall.weights[1] = DenseMatrix::zeros(w2.0 + 1, w2.1);
+        let expected_l2 = mismatch((x1.rows(), w1.1), (w2.0 + 1, w2.1));
         for threads in [Some(1), Some(2)] {
             let mut cfg = Design::LocalPlusRemote { hop: 1 }.apply(config(16));
             cfg.threads = threads;
             let runner = GcnRunner::new(cfg);
             let (plan, _) = runner.prepare(&input).unwrap();
             let errors = [
-                ("run", runner.run(&bad).err()),
-                ("prepare", runner.prepare(&bad).err()),
-                ("plan run", plan.run(&wide).err()),
+                ("run", runner.run(&bad).err(), &expected),
+                ("prepare", runner.prepare(&bad).err(), &expected),
+                ("plan run", plan.run(&wide).err(), &expected),
+                ("layer-2 run", runner.run(&tall).err(), &expected_l2),
+                ("layer-2 prepare", runner.prepare(&tall).err(), &expected_l2),
             ];
-            for (entry, err) in errors {
-                let err = err.unwrap_or_else(|| panic!("{entry} at {threads:?} accepted X1"));
+            for (entry, err, expected) in errors {
+                let err = err.unwrap_or_else(|| panic!("{entry} at {threads:?} accepted it"));
                 assert!(matches!(err, AccelError::Shape(_)), "{entry}: {err}");
-                assert_eq!(err.to_string(), expected, "{entry} at {threads:?}");
+                assert_eq!(&err.to_string(), expected, "{entry} at {threads:?}");
             }
         }
     }

@@ -566,8 +566,7 @@ impl GcnService {
         validate_ingest(input)?;
         let start = Instant::now();
         let (key, decision) = self.plan_key(input);
-        let (plan, warmup) =
-            GcnRunner::new(self.config.clone()).prepare_with_decision(input, decision)?;
+        let (plan, warmup) = GcnRunner::new(self.config.clone()).warm_up(input, decision, true)?;
         let (plan, _) = self.register(plan, key, Some(name.clone()));
         // The merged X×W stats carry the total PE count over combination
         // shard devices, so the warm-up reveals each layer's shard count
@@ -665,7 +664,7 @@ impl GcnService {
             return Ok(Arc::clone(&self.plans[i].plan));
         }
         self.cache_misses += 1;
-        let plan = GcnRunner::new(self.config.clone()).prepare_plan(input, decision)?;
+        let (plan, _) = GcnRunner::new(self.config.clone()).warm_up(input, decision, false)?;
         let (plan, dropped) = self.register(plan, key, None);
         self.cache_evictions += dropped;
         Ok(plan)

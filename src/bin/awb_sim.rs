@@ -528,18 +528,18 @@ fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
     }
     if config.combination_shards != ShardPolicy::Single {
         // Layer 1's X cut; later layers re-derive their own from each X.
-        // Mirror run_layers' dispatch: a 1-resolved policy executes on the
+        // Mirror shard_timing's dispatch: a 1-resolved policy executes on the
         // plain engine, so report that instead of a sharded critical path.
-        let x1_csc = input.x1.to_csc();
+        let x1_pattern = input.x1.to_csc_pattern();
         let partitioner = config.combination_partitioner();
-        if partitioner.is_single(&x1_csc) {
+        if partitioner.is_single(&x1_pattern) {
             println!(
                 "xw-sharding: {} resolves to a single device for X1 ({} nnz) — plain engine",
                 config.combination_shards.label(),
-                x1_csc.nnz(),
+                x1_pattern.nnz(),
             );
         } else {
-            let shards = partitioner.partition(&x1_csc);
+            let shards = partitioner.partition(&x1_pattern);
             let nnz: Vec<usize> = shards.iter().map(|s| s.nnz).collect();
             println!(
                 "xw-sharding: {} column shards of X1 ({}), per-shard nnz {:?}, X*W cycles are \
